@@ -128,12 +128,14 @@ def causal_mask(bs, block_offset=(0, 0, 0), slice_shape=None):
     return raster[None, :] <= raster[:, None]
 
 
-def block_attention(z, w_qkv, tables, n_heads, d_head, mask=None):
+def block_attention(z, w_qkv, tables, n_heads, d_head, mask=None, record=None):
     """Multi-head attention inside one block (or a stack of blocks).
 
     z: (G, n_p, d) pre-normalized block representations.  Returns the
     concatenated head outputs (G, n_p, n_heads*d_head); projection and
-    residual are the caller's job.
+    residual are the caller's job.  ``record``, when given, is a list that
+    receives (keys, values, bias) arrays: keys and values (G, n_heads, n_p,
+    d_head), bias the (n_heads, n_p, n_p) ``tables`` values.
     """
     G, n_p, d = z.data.shape
     qkv = tc.matmul(z, w_qkv)  # (G, n_p, 3*n_heads*d_head)
@@ -142,6 +144,8 @@ def block_attention(z, w_qkv, tables, n_heads, d_head, mask=None):
     q = tc.reshape(tc.narrow(qkv, 0, 0, 1), (G, n_heads, n_p, d_head))
     k = tc.reshape(tc.narrow(qkv, 0, 1, 1), (G, n_heads, n_p, d_head))
     v = tc.reshape(tc.narrow(qkv, 0, 2, 1), (G, n_heads, n_p, d_head))
+    if record is not None:
+        record.append((np.array(k.data), np.array(v.data), tables.data))
     scores = tc.mul(tc.matmul(q, tc.transpose(k, (0, 1, 3, 2))),
                     1.0 / np.sqrt(d_head))
     if tables is not None:
@@ -155,11 +159,12 @@ def block_attention(z, w_qkv, tables, n_heads, d_head, mask=None):
     return tc.reshape(out, (G, n_p, n_heads * d_head))
 
 
-def attention_layer(x, params, spec, causal):
+def attention_layer(x, params, spec, causal, record=None):
     """One full block-local layer on a (B, T', H', W', d) tensor.
 
     params is a mapping with keys ln1_gain, ln1_bias, w_qkv, w_p, bias_t,
-    bias_h, bias_w, ln2_gain, ln2_bias, t1, t2.
+    bias_h, bias_w, ln2_gain, ln2_bias, t1, t2.  ``record`` is passed to
+    ``block_attention``.
     """
     B = x.data.shape[0]
     slice_shape = x.data.shape[1:4]
@@ -169,9 +174,57 @@ def attention_layer(x, params, spec, causal):
     bias = relative_bias_matrix(bs, params["bias_t"], params["bias_h"], params["bias_w"])
     mask = causal_mask(bs, slice_shape=slice_shape) if causal else None
     heads = block_attention(normed, params["w_qkv"], bias, spec.n_heads,
-                            spec.d_head, mask)
+                            spec.d_head, mask, record)
     ztil = tc.add(tc.matmul(heads, params["w_p"]), zb)
     ff = tc.layernorm(ztil, params["ln2_gain"], params["ln2_bias"])
     ff = tc.matmul(tc.relu(tc.matmul(ff, params["t1"])), params["t2"])
     out = tc.add(ff, ztil)
     return block_merge(out, bs, slice_shape, B)
+
+
+def block_slots(slice_shape, bs):
+    """(block, slot) of every raster position of a slice: the group of
+    ``block_partition``'s output that holds it (batch 1), and its index
+    within that block."""
+    T, H, W = slice_shape
+    bs.check_divides(slice_shape)
+    t, h, w = np.indices((T, H, W)).reshape(3, -1)
+    block = ((t // bs.t) * (H // bs.h) + h // bs.h) * (W // bs.w) + w // bs.w
+    slot = ((t % bs.t) * bs.h + h % bs.h) * bs.w + w % bs.w
+    return block, slot
+
+
+class CausalLayerStep:
+    """A causal ``attention_layer`` evaluated one position at a time.
+
+    Built from the keys, values and bias that ``block_attention`` recorded
+    in a forward pass over the whole slice.  Calling it with position p's
+    layer input writes p's key and value into its block slot and attends
+    over the slots up to p's own.  Within a block, slot order is raster
+    order, so those are exactly the positions the causal mask admits, and
+    each stale slot after p is rewritten when its own position comes.
+    """
+
+    def __init__(self, params, spec, slice_shape, record):
+        self.keys, self.values, self.bias = record
+        self.block, self.slot = block_slots(slice_shape, spec.block)
+        self.shape = (3, spec.n_heads, spec.d_head)
+        self.scale = float(1.0 / np.sqrt(spec.d_head))
+        self.w = {k: t.data for k, t in params.items()}
+
+    def __call__(self, x, p):
+        """Layer output (d,) at raster position p from its input x (d,)."""
+        w = self.w
+        g, i = self.block[p], self.slot[p]
+        normed = tc.layernorm_array(x, w["ln1_gain"], w["ln1_bias"])
+        q, k, v = (normed @ w["w_qkv"]).reshape(self.shape)
+        self.keys[g, :, i] = k
+        self.values[g, :, i] = v
+        scores = (self.keys[g, :, :i + 1] @ q[:, :, None])[..., 0] * self.scale
+        scores += self.bias[:, i, :i + 1]
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        att = e / e.sum(axis=-1, keepdims=True)
+        heads = (att[:, None, :] @ self.values[g, :, :i + 1])[:, 0]
+        ztil = heads.reshape(-1) @ w["w_p"] + x
+        ff = tc.layernorm_array(ztil, w["ln2_gain"], w["ln2_bias"])
+        return np.maximum(ff @ w["t1"], 0) @ w["t2"] + ztil

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tc
-from .attention import AttentionLayerSpec, BlockShape, attention_layer
+from .attention import AttentionLayerSpec, BlockShape, CausalLayerStep, attention_layer
 from .subscale import (SubscaleFactor, context_padding, primed_plane_mask,
                        slice_frame_globals, slice_rank, visibility_mask)
 from .tensor import ConfigError, Tensor
@@ -463,15 +463,25 @@ def encode_slices(params, cfg, videos, idxs, aux=None, onehots=None):
     return z
 
 
-def decode_slices(params, cfg, slice_onehots, z, prefix="dec", schedule=None):
+def decoder_for(cfg, rank):
+    """(parameter prefix, layer schedule, whether the encoder runs) of the
+    decoder for slices of ``rank``: the stand-alone first-slice decoder for
+    rank 0 when the config has one, else the main decoder."""
+    if cfg.first_slice_decoder and rank == 0:
+        return "dec0", cfg.first_slice_schedule, False
+    return "dec", cfg.dec_schedule, True
+
+
+def decode_slices(params, cfg, slice_onehots, z, rank=None, record=None):
     """Decode a batch of slices -> (B, T', H', W', d).
 
     ``slice_onehots``: list of (T',H',W',n_channels,16) Tensors (the current
-    slice's own pixels).  ``z`` is the encoder output to condition on, or
-    None for the stand-alone first-slice decoder.
+    slice's own pixels).  ``rank`` picks the decoder through ``decoder_for``
+    (None: the main decoder).  ``z`` is the encoder output to condition on,
+    or None for the stand-alone first-slice decoder.  ``record`` is passed
+    to every attention layer (see ``attention.block_attention``).
     """
-    if schedule is None:
-        schedule = cfg.dec_schedule if prefix == "dec" else cfg.first_slice_schedule
+    prefix, schedule, _ = decoder_for(cfg, rank)
     Ts, Hs, Ws = cfg.slice_shape
     cin = cfg.input_channels
     flat = [tc.reshape(oh, (1, Ts, Hs, Ws, cin)) for oh in slice_onehots]
@@ -484,38 +494,98 @@ def decode_slices(params, cfg, slice_onehots, z, prefix="dec", schedule=None):
     if z is not None:
         y = tc.add(y, tc.matmul(z, params[f"{prefix}/z_proj"]))
     for i, spec in enumerate(schedule):
-        y = attention_layer(y, params.layer(prefix, i), spec, causal=True)
+        y = attention_layer(y, params.layer(prefix, i), spec, causal=True,
+                            record=record)
     return y
+
+
+class SliceDecoder:
+    """Exact decoder columns of one slice, one position at a time.
+
+    Construction is the prefill: one ``decode_slices`` pass over the slice
+    ``values`` (T',H',W',n_channels), recording every layer's keys and
+    values per block.  Its output ``prefill`` (P', d) is exact at every
+    position whose predecessors in raster order hold their final values.
+    Afterwards ``commit(p, ...)`` gives position p its final values and
+    ``column(p)`` recomputes p's column alone: the masked conv window of
+    earlier embeddings, the positional and encoder terms, then each layer
+    at p over the cached keys and values of p's block.  The column depends
+    only on positions before p, so it is exact once those are committed.
+    """
+
+    def __init__(self, params, cfg, rank, values, z):
+        prefix, schedule, _ = decoder_for(cfg, rank)
+        records = []
+        oh = Tensor(tc.one_hot(values, N_VALUES))
+        y = decode_slices(params, cfg, [oh], z, rank=rank, record=records)
+        P = int(np.prod(cfg.slice_shape))
+        self.prefill = y.data.reshape(P, cfg.d)
+        self.embed = params[f"{prefix}/chan_embed"].data
+        # channel embeddings of every position, plus the zero padding row
+        emb = oh.data.reshape(P, cfg.input_channels) @ self.embed
+        self.emb = np.concatenate([emb, np.zeros((1, cfg.d_e), dtype=emb.dtype)])
+        self.windows = tc.masked_conv_windows(cfg.mconv, cfg.slice_shape)
+        self.kernel = params[f"{prefix}/mconv_kernel"].data
+        base = (params[f"{prefix}/mconv_bias"].data
+                + params[f"{prefix}/pos_t"].data[:, None, None]
+                + params[f"{prefix}/pos_h"].data[None, :, None]
+                + params[f"{prefix}/pos_w"].data[None, None, :])
+        self.base = base.reshape(P, cfg.d)
+        if z is not None:
+            self.base = self.base + z.data.reshape(P, cfg.d) @ params[f"{prefix}/z_proj"].data
+        self.layers = [CausalLayerStep(params.layer(prefix, i), spec, cfg.slice_shape, rec)
+                       for i, (spec, rec) in enumerate(zip(schedule, records))]
+
+    def commit(self, p, channel_values):
+        """Record the final (n_channels,) values of position p."""
+        oh = tc.one_hot(channel_values, N_VALUES).reshape(-1)
+        self.emb[p] = oh @ self.embed
+
+    def column(self, p):
+        """Decoder output (d,) at position p; every position before p must
+        hold its final values (primed at the prefill, or committed)."""
+        x = self.emb[self.windows[p]].reshape(-1) @ self.kernel + self.base[p]
+        for layer in self.layers:
+            x = layer(x, p)
+        return x
+
+
+def head_norm(params, y):
+    """Layernormed decoder state, the input every head shares."""
+    return tc.layernorm(y, params["head/ln_gain"], params["head/ln_bias"])
+
+
+def head_channel_logits(params, ln, prev, k):
+    """Channel k's logits (..., 16) from layernormed decoder state ``ln``
+    (..., d) and ``prev``, the one-hot values of channels < k (..., 16k;
+    None for k = 0).  The output projection is shared across channels."""
+    inp = ln if prev is None else tc.concat([ln, prev], axis=-1)
+    u = tc.relu(tc.matmul(inp, params[f"head/u{k}"]))
+    return tc.matmul(u, params["head/p"])
 
 
 def head_logits(params, cfg, y, slice_onehots_flat):
     """Channel MLP heads -> logits (B, P', n_channels, 16).
 
     Channel k conditions on layernormed decoder state plus the one-hot values
-    of channels < k; the output projection is shared across channels.
+    of channels < k.
     """
     B = y.data.shape[0]
     P = int(np.prod(cfg.slice_shape))
-    yf = tc.reshape(y, (B, P, cfg.d))
-    ln = tc.layernorm(yf, params["head/ln_gain"], params["head/ln_bias"])
+    ln = head_norm(params, tc.reshape(y, (B, P, cfg.d)))
     per_channel = []
     for k in range(cfg.n_channels):
-        inp = ln
-        if k:
-            prev = tc.narrow(slice_onehots_flat, -1, 0, k * N_VALUES)
-            inp = tc.concat([ln, prev], axis=-1)
-        u = tc.relu(tc.matmul(inp, params[f"head/u{k}"]))
-        logits = tc.matmul(u, params["head/p"])
+        prev = tc.narrow(slice_onehots_flat, -1, 0, k * N_VALUES) if k else None
+        logits = head_channel_logits(params, ln, prev, k)
         per_channel.append(tc.reshape(logits, (B, P, 1, N_VALUES)))
     return tc.concat(per_channel, axis=2)
 
 
 def head_intensity(params, cfg, y):
-    """Deterministic head -> sigmoid intensities (B, P', 1)."""
+    """Deterministic head -> sigmoid intensities (B, n, 1) for y holding
+    any n positions per batch entry (n = P' for a decoded slice)."""
     B = y.data.shape[0]
-    P = int(np.prod(cfg.slice_shape))
-    yf = tc.reshape(y, (B, P, cfg.d))
-    ln = tc.layernorm(yf, params["head/ln_gain"], params["head/ln_bias"])
+    ln = head_norm(params, tc.reshape(y, (B, -1, cfg.d)))
     u = tc.relu(tc.matmul(ln, params["head/u_det"]))
     return tc.sigmoid(tc.matmul(u, params["head/p_det"]))
 
@@ -580,10 +650,10 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, aux=None,
     When ``cfg.first_slice_decoder`` is set the caller must not mix rank-0
     and later slices in one call (the training loop splits them).
     """
-    use_dec0 = cfg.first_slice_decoder and any(
-        slice_rank(cfg.s, i) == 0 for i in idxs)
-    if use_dec0 and not all(slice_rank(cfg.s, i) == 0 for i in idxs):
+    ranks = [slice_rank(cfg.s, i) for i in idxs]
+    if len({decoder_for(cfg, r)[0] for r in ranks}) > 1:
         raise ConfigError("rank-0 slices must be decoded in their own batch")
+    _, _, encoded = decoder_for(cfg, ranks[0])
     Ts, Hs, Ws = cfg.slice_shape
     P = Ts * Hs * Ws
     slice_oh = []
@@ -593,11 +663,8 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, aux=None,
         else:
             slc = Tensor(video_onehot(cfg, extract_slice_u8(videos[b], cfg.s, idx)))
         slice_oh.append(slc)
-    if use_dec0:
-        y = decode_slices(params, cfg, slice_oh, None, prefix="dec0")
-    else:
-        z = encode_slices(params, cfg, videos, idxs, aux=aux, onehots=onehots)
-        y = decode_slices(params, cfg, slice_oh, z)
+    z = encode_slices(params, cfg, videos, idxs, aux=aux, onehots=onehots) if encoded else None
+    y = decode_slices(params, cfg, slice_oh, z, rank=ranks[0])
     mask = np.stack([pixel_loss_mask(cfg, idx, prime_frames) for idx in idxs])
     mask = mask.reshape(len(idxs), P)
     if cfg.head == "categorical":

@@ -121,10 +121,6 @@ class TrainConfig:
     stop_window: int = 20
 
 
-def _nats_to_bpd(nats, n_pixels, dims_per_pixel):
-    return nats / (math.log(2.0) * dims_per_pixel * n_pixels)
-
-
 def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
           log_path=None, ckpt_path=None, log_fn=None):
     """Train on a list of uint8 videos; returns (params, opt, records).

@@ -8,8 +8,10 @@ frames the model would have sampled anyway leaves every remaining pixel
 bit-identical.
 
 Positions inside primed frames are copied from the prime and never sampled.
-The decoder forward is recomputed per pixel (no incremental cache); at desk
-scale this is fast enough and trivially correct.
+Each slice runs the decoder once over its canvas (a prefill that caches
+every layer's keys and values), then one decoder column per later pixel.
+This is exact: a pixel's column depends only on earlier pixels, through the
+center-excluded masked conv and causal attention within a block.
 """
 
 from dataclasses import dataclass
@@ -67,29 +69,6 @@ def sample_categorical(logits, tau, stream):
     return int(min(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1))
 
 
-def _layernorm_np(x, gain, bias, eps=1e-6):
-    mu = x.mean()
-    var = ((x - mu) ** 2).mean()
-    return (x - mu) / np.sqrt(var + eps) * gain + bias
-
-
-def _pixel_logits(params, cfg, y_vec, chan_vals, c):
-    """Channel-c head at one pixel, plain numpy (sampling runs gradient-free)."""
-    ln = _layernorm_np(y_vec, params["head/ln_gain"].data, params["head/ln_bias"].data)
-    if c:
-        prev = tc.one_hot(np.asarray(chan_vals[:c]), M.N_VALUES).reshape(-1)
-        ln = np.concatenate([ln, prev])
-    u = np.maximum(ln @ params[f"head/u{c}"].data, 0.0)
-    return u @ params["head/p"].data
-
-
-def _pixel_intensity(params, cfg, y_vec):
-    ln = _layernorm_np(y_vec, params["head/ln_gain"].data, params["head/ln_bias"].data)
-    u = np.maximum(ln @ params["head/u_det"].data, 0.0)
-    x = float((u @ params["head/p_det"].data)[0])
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
     """Sample the pixels of slice ``idx`` given a canvas holding all
     preceding slices (and primed frames).  Returns (T',H',W',n_channels)
@@ -102,33 +81,28 @@ def sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
     chans[~primed] = 0  # not yet generated
     if primed.all():
         return chans
+    values = chans.reshape(Ts * Hs * Ws, cfg.n_channels)  # a view, in raster order
+    first = int(np.argmin(primed)) * Hs * Ws  # primed planes lead the slice
     with tc.no_grad():
-        use_dec0 = cfg.first_slice_decoder and rank == 0
-        z = None if use_dec0 else M.encode_slices(params, cfg, [canvas], [idx])
-        for t in range(Ts):
-            if primed[t]:
-                continue
-            for h in range(Hs):
-                for w in range(Ws):
-                    pixel = (t * Hs + h) * Ws + w
-                    oh = Tensor(tc.one_hot(chans, M.N_VALUES))
-                    if use_dec0:
-                        y = M.decode_slices(params, cfg, [oh], None, prefix="dec0")
-                    else:
-                        y = M.decode_slices(params, cfg, [oh], z)
-                    y_vec = y.data.reshape(Ts * Hs * Ws, cfg.d)[pixel]
-                    if cfg.head == "categorical":
-                        vals = chans[t, h, w]
-                        for c in range(cfg.n_channels):
-                            logits = _pixel_logits(params, cfg, y_vec, vals, c)
-                            stream = _position_stream(scfg.seed, video_index,
-                                                      rank, pixel, c)
-                            vals[c] = sample_categorical(logits, scfg.temperature,
-                                                         stream)
-                    else:
-                        byte = int(round(_pixel_intensity(params, cfg, y_vec) * 255.0))
-                        chans[t, h, w] = M.split_channels(
-                            np.array([byte], dtype=np.uint8))
+        _, _, encoded = M.decoder_for(cfg, rank)
+        z = M.encode_slices(params, cfg, [canvas], [idx]) if encoded else None
+        decoder = M.SliceDecoder(params, cfg, rank, chans, z)
+        for pixel in range(first, len(values)):
+            y = decoder.prefill[pixel] if pixel == first else decoder.column(pixel)
+            if cfg.head == "categorical":
+                ln = M.head_norm(params, Tensor(y[None]))
+                vals = values[pixel]
+                onehot = np.zeros((1, cfg.input_channels), dtype=np.float32)
+                for c in range(cfg.n_channels):
+                    prev = Tensor(onehot[:, :c * M.N_VALUES]) if c else None
+                    logits = M.head_channel_logits(params, ln, prev, c).data[0]
+                    stream = _position_stream(scfg.seed, video_index, rank, pixel, c)
+                    vals[c] = sample_categorical(logits, scfg.temperature, stream)
+                    onehot[0, c * M.N_VALUES + vals[c]] = 1.0
+            else:
+                x = float(M.head_intensity(params, cfg, Tensor(y[None, None])).data[0, 0, 0])
+                values[pixel] = M.split_channels(np.array([round(x * 255.0)], dtype=np.uint8))
+            decoder.commit(pixel, values[pixel])
     return chans
 
 

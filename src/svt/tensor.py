@@ -297,14 +297,23 @@ def log_softmax(a, axis=-1):
     return _make(ls, (a,), back)
 
 
-def layernorm(a, gain, bias, eps=1e-6):
-    """Zero-mean unit-variance over the last (feature) axis, then affine."""
-    x = a.data
+def _normalize(x, eps):
+    """(xhat, 1/std): zero-mean unit-variance over the last axis."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = xc * inv
+    return xc * inv, inv
+
+
+def layernorm_array(x, gain, bias, eps=1e-6):
+    """The forward of ``layernorm`` on plain arrays (no graph)."""
+    return _normalize(x, eps)[0] * gain + bias
+
+
+def layernorm(a, gain, bias, eps=1e-6):
+    """Zero-mean unit-variance over the last (feature) axis, then affine."""
+    xhat, inv = _normalize(a.data, eps)
     out = xhat * gain.data + bias.data
 
     def back(g):
@@ -512,16 +521,28 @@ def masked_taps(extents):
     return [t for t in kernel_taps(extents) if t < center]
 
 
+def _centered_pad(extents):
+    return (extents[0] // 2, extents[1] // 2, extents[2] // 2)
+
+
 def masked_conv3d(x, kernel, bias, extents):
     """Raster-causal 3D convolution: output at p sees only inputs before p.
 
     Kernel is stored flat as (K_allowed*Cin, Cout) over the allowed taps only;
     extents must be odd and the window is centered (stride 1).
     """
-    taps = masked_taps(extents)
-    pad = (extents[0] // 2, extents[1] // 2, extents[2] // 2)
     out_shape = x.data.shape[1:4]
-    return _conv_core(x, kernel, bias, taps, (1, 1, 1), pad, out_shape)
+    return _conv_core(x, kernel, bias, masked_taps(extents), (1, 1, 1),
+                      _centered_pad(extents), out_shape)
+
+
+def masked_conv_windows(extents, shape):
+    """(P, K) flat input rows read by ``masked_conv3d`` at each of the P
+    raster positions of a (T, H, W) volume; row P stands for zero padding."""
+    taps = masked_taps(extents)
+    shape = tuple(shape)
+    idx = _conv_index_map(shape, taps, (1, 1, 1), _centered_pad(extents), shape)
+    return idx.reshape(int(np.prod(shape)), len(taps))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Shared test harnesses: causality sweeps and analyzer gradient oracles."""
+"""Shared test harnesses: causality sweeps, analyzer gradient oracles and
+the full-recompute reference sampler."""
 
 import numpy as np
 
 from svt import model as M
+from svt import sampler
 from svt import tensor as tc
 from svt.attention import AttentionLayerSpec, attention_layer
-from svt.subscale import slice_order, visibility_mask
+from svt.subscale import primed_plane_mask, slice_order, slice_rank, visibility_mask
 from svt.tensor import Tensor
 
 
@@ -124,3 +126,44 @@ def tiny_config(**overrides):
     full = [cfg.slice_shape] * len(cfg.enc_schedule)
     return M.build_variant("spatiotemporal", video_shape, s=s,
                            enc_blocks=full, dec_blocks=full, **kwargs)
+
+
+def reference_sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
+    """The full-recompute form of ``sampler.sample_slice``: the whole decoder
+    runs again for every pixel, with no cache.  Same streams, head and
+    output; draws go through ``sampler.sample_categorical``."""
+    Ts, Hs, Ws = cfg.slice_shape
+    rank = slice_rank(cfg.s, idx)
+    primed = primed_plane_mask(cfg.s, idx, Ts, scfg.prime_frames)
+    chans = M.split_channels(M.extract_slice_u8(canvas, cfg.s, idx)).astype(np.int64)
+    chans[~primed] = 0  # not yet generated
+    if primed.all():
+        return chans
+    _, _, encoded = M.decoder_for(cfg, rank)
+    with tc.no_grad():
+        z = M.encode_slices(params, cfg, [canvas], [idx]) if encoded else None
+        for t in range(Ts):
+            if primed[t]:
+                continue
+            for h in range(Hs):
+                for w in range(Ws):
+                    pixel = (t * Hs + h) * Ws + w
+                    oh = Tensor(tc.one_hot(chans, M.N_VALUES))
+                    y = M.decode_slices(params, cfg, [oh], z, rank=rank)
+                    y_vec = y.data.reshape(Ts * Hs * Ws, cfg.d)[pixel]
+                    if cfg.head == "categorical":
+                        ln = M.head_norm(params, Tensor(y_vec[None]))
+                        vals = chans[t, h, w]
+                        for c in range(cfg.n_channels):
+                            prev = (Tensor(tc.one_hot(vals[:c], M.N_VALUES).reshape(1, -1))
+                                    if c else None)
+                            logits = M.head_channel_logits(params, ln, prev, c).data[0]
+                            stream = sampler._position_stream(scfg.seed, video_index,
+                                                              rank, pixel, c)
+                            vals[c] = sampler.sample_categorical(logits, scfg.temperature,
+                                                                 stream)
+                    else:
+                        x = M.head_intensity(params, cfg, Tensor(y_vec[None, None]))
+                        byte = round(float(x.data[0, 0, 0]) * 255.0)
+                        chans[t, h, w] = M.split_channels(np.array([byte], dtype=np.uint8))
+    return chans

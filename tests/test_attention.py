@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from svt import tensor as tc
-from svt.attention import (AttentionLayerSpec, BlockShape, attention_layer,
-                           block_attention, block_coordinates, block_merge,
-                           block_partition, causal_mask, relative_bias,
-                           relative_bias_matrix)
+from svt.attention import (AttentionLayerSpec, BlockShape, CausalLayerStep,
+                           attention_layer, block_attention, block_coordinates,
+                           block_merge, block_partition, block_slots, causal_mask,
+                           relative_bias, relative_bias_matrix)
 from svt.tensor import ConfigError, Tensor
 
 
@@ -60,6 +60,15 @@ class TestBlockPartition:
         coords = block_coordinates((4, 4, 4), BlockShape(2, 4, 1))
         flat = coords.reshape(-1, 3)
         assert len(np.unique(flat[:, 0] * 16 + flat[:, 1] * 4 + flat[:, 2])) == 64
+
+
+    @pytest.mark.parametrize("bs", [BlockShape(2, 3, 2), BlockShape(1, 6, 1),
+                                    BlockShape(4, 1, 4), BlockShape(4, 6, 4)])
+    def test_slots_locate_partitioned_positions(self, bs):
+        raster = Tensor(np.arange(96, dtype=np.float64).reshape(1, 4, 6, 4, 1))
+        parts = block_partition(raster, bs).data[..., 0]
+        block, slot = block_slots((4, 6, 4), bs)
+        assert np.array_equal(parts[block, slot], np.arange(96))
 
 
 class TestRelativeBias:
@@ -256,3 +265,24 @@ class TestAttentionLayer:
                 tc.backward(tc.sum_all(tc.narrow(flat, 0, p, 1)))
                 touched = np.nonzero(np.abs(x.grad[0]).sum(-1).reshape(P))[0]
                 assert all(q <= p for q in touched)
+
+
+class TestCausalLayerStep:
+    @pytest.mark.parametrize("bs", [BlockShape(2, 2, 2), BlockShape(1, 4, 2),
+                                    BlockShape(2, 4, 4)])
+    def test_steps_match_full_layer_over_stale_cache(self, bs):
+        """Record keys and values on unrelated input, then step every
+        position in raster order: each stale slot is rewritten before it is
+        read, so the columns equal the full causal layer on the real input."""
+        rng = np.random.default_rng(7)
+        d, shape = 6, (2, 4, 4)
+        spec = AttentionLayerSpec(bs, 2, 3)
+        params = random_layer_params(rng, d, spec)
+        x = Tensor(rng.standard_normal((1, *shape, d)))
+        full = attention_layer(x, params, spec, causal=True).data.reshape(-1, d)
+        record = []
+        attention_layer(Tensor(rng.standard_normal((1, *shape, d))), params, spec,
+                        causal=True, record=record)
+        step = CausalLayerStep(params, spec, shape, record[0])
+        cols = [step(row, p) for p, row in enumerate(x.data.reshape(-1, d))]
+        np.testing.assert_allclose(np.stack(cols), full, rtol=1e-12, atol=1e-12)

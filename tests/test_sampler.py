@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import tiny_config
+from helpers import reference_sample_slice, tiny_config
 from svt import model as M
+from svt import sampler
 from svt.sampler import (SampleConfig, apply_temperature, sample_categorical,
                          sample_slice, sample_video, _position_stream)
+from svt.subscale import primed_plane_mask, slice_order
 from svt.tensor import ConfigError
 
 
@@ -149,3 +151,106 @@ class TestSampleVideo:
             prime_frames=1, temperature=0.9, seed=0))
         assert out.shape == video.shape
         assert np.array_equal(M.join_channels(split), out)
+
+
+SMALL = dict(d_e=12, d=16, n_heads=2, d_head=8, layers=2, seed=5)
+DIFFERENTIAL_CONFIGS = {
+    "tiny-rgb": lambda: tiny_config(),
+    "first-slice-decoder": lambda: tiny_config(first_slice_decoder=True,
+                                               first_slice_layers=2),
+    "deterministic-gray": lambda: tiny_config(channels="gray", head="deterministic"),
+    "spatial": lambda: M.build_variant("spatial", (4, 8, 8), **SMALL),
+    "single-frame": lambda: M.build_variant("single_frame", (4, 8, 8), **SMALL),
+    "several-blocks": lambda: M.build_variant(
+        "spatiotemporal", (4, 8, 8), s=(2, 2, 2), enc_blocks=[(2, 4, 4)] * 2,
+        dec_blocks=[(1, 2, 2), (2, 1, 4)], **SMALL),
+}
+
+
+def randomized_params(cfg, seed):
+    """Normal-head params with every table perturbed, including the
+    zero-initialised relative-bias tables and layernorm affines."""
+    ps = M.init_params(cfg, head_init="normal")
+    rng = np.random.default_rng(seed)
+    for t in ps.tensors():
+        t.data += (0.1 * rng.standard_normal(t.data.shape)).astype(t.data.dtype)
+    return ps
+
+
+def head_inputs(monkeypatch, seed):
+    """Record the logits and intensities both samplers feed their draws,
+    forcing each draw to the next value of a seeded sequence so that the
+    two samplers condition on identical pixels."""
+    seen = []
+    forced = np.random.default_rng(seed).integers(0, M.N_VALUES, 10**4)
+    head_intensity = M.head_intensity
+
+    def draw(logits, tau, stream):
+        seen.append(np.array(logits))
+        return int(forced[len(seen)])
+
+    def intensity(params, cfg, y):
+        out = head_intensity(params, cfg, y)
+        seen.append(np.array(out.data))
+        return out
+
+    monkeypatch.setattr(sampler, "sample_categorical", draw)
+    monkeypatch.setattr(M, "head_intensity", intensity)
+    return seen
+
+
+class TestCachedDecoding:
+    """The cached sampler against the full-recompute reference."""
+
+    @pytest.mark.parametrize("prime", [0, 1])
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
+    def test_head_inputs_match_full_recompute(self, monkeypatch, name, prime):
+        cfg = DIFFERENTIAL_CONFIGS[name]()
+        ps = randomized_params(cfg, 31)
+        T, H, W = cfg.video_shape
+        canvas = np.random.default_rng(4).integers(
+            0, 256, (T, H, W, cfg.bytes_per_pixel)).astype(np.uint8)
+        scfg = SampleConfig(prime_frames=prime, temperature=1.0, seed=2)
+        outputs = []
+        for fn in (sample_slice, reference_sample_slice):
+            seen = head_inputs(monkeypatch, 8)
+            chans = [fn(ps, cfg, canvas, idx, scfg) for idx in slice_order(cfg.s)]
+            outputs.append((chans, seen))
+            monkeypatch.undo()
+        (cached, got), (full, want) = outputs
+        Ts, Hs, Ws = cfg.slice_shape
+        unprimed = sum(int((~primed_plane_mask(cfg.s, idx, Ts, prime)).sum())
+                       for idx in slice_order(cfg.s)) * Hs * Ws
+        per_pixel = cfg.n_channels if cfg.head == "categorical" else 1
+        assert len(got) == len(want) == unprimed * per_pixel
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+        for a, b in zip(cached, full):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_video_as_full_recompute(self, monkeypatch, seed):
+        cfg, ps = make_model()
+        prime = np.random.default_rng(seed).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
+        scfg = SampleConfig(prime_frames=1, temperature=1.0, seed=seed)
+        cached = sample_video(ps, cfg, prime, scfg, video_index=seed)
+        monkeypatch.setattr(sampler, "sample_slice", reference_sample_slice)
+        full = sample_video(ps, cfg, prime, scfg, video_index=seed)
+        assert np.array_equal(cached[0], full[0])
+        assert np.array_equal(cached[1], full[1])
+
+    @pytest.mark.parametrize("prime", [0, 1, 3])
+    def test_one_prefill_per_sampled_slice(self, monkeypatch, prime):
+        cfg, ps = make_model()
+        calls = {"encode_slices": 0, "decode_slices": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(M, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(M, name, counted)
+        video = np.zeros((4, 8, 8, 3), dtype=np.uint8)
+        sample_video(ps, cfg, video, SampleConfig(prime_frames=prime, temperature=1.0))
+        Ts = cfg.slice_shape[0]
+        sampled = sum(not primed_plane_mask(cfg.s, idx, Ts, prime).all()
+                      for idx in slice_order(cfg.s))
+        assert calls == {"encode_slices": sampled, "decode_slices": sampled}
