@@ -69,29 +69,9 @@ def block_merge(x, bs, slice_shape, batch):
     return tc.reshape(x, (batch, T, H, W, d))
 
 
-def block_coordinates(slice_shape, bs):
-    """Global (t,h,w) of every block position: (num_blocks, n_p, 3) int array."""
-    T, H, W = slice_shape
-    bs.check_divides(slice_shape)
-    nt, nh, nw = T // bs.t, H // bs.h, W // bs.w
-    bt, bh, bw = np.meshgrid(np.arange(nt) * bs.t, np.arange(nh) * bs.h,
-                             np.arange(nw) * bs.w, indexing="ij")
-    base = np.stack([bt.ravel(), bh.ravel(), bw.ravel()], axis=1)  # (NB, 3)
-    lt, lh, lw = np.meshgrid(np.arange(bs.t), np.arange(bs.h), np.arange(bs.w),
-                             indexing="ij")
-    local = np.stack([lt.ravel(), lh.ravel(), lw.ravel()], axis=1)  # (n_p, 3)
-    return base[:, None, :] + local[None, :, :]
-
-
-def _local_coords(bs):
-    lt, lh, lw = np.meshgrid(np.arange(bs.t), np.arange(bs.h), np.arange(bs.w),
-                             indexing="ij")
-    return np.stack([lt.ravel(), lh.ravel(), lw.ravel()], axis=1)
-
-
 def relative_bias_indices(bs):
     """Index matrices (n_p, n_p) into the (2t-1), (2h-1), (2w-1) bias tables."""
-    loc = _local_coords(bs)
+    loc = np.indices(bs.as_tuple()).reshape(3, -1).T  # in-block raster order
     delta = loc[:, None, :] - loc[None, :, :]  # i - j
     return (delta[..., 0] + bs.t - 1, delta[..., 1] + bs.h - 1, delta[..., 2] + bs.w - 1)
 
@@ -105,27 +85,14 @@ def relative_bias_matrix(bs, table_t, table_h, table_w):
     return tc.add(tc.add(bt, bh), bw)
 
 
-def relative_bias(bs, tables, i, j):
-    """Scalar bias between in-block coordinates i and j (reference form)."""
-    bt, bh, bw = tables
-    dt, dh, dw = (i[0] - j[0], i[1] - j[1], i[2] - j[2])
-    return float(bt[dt + bs.t - 1] + bh[dh + bs.h - 1] + bw[dw + bs.w - 1])
-
-
-def causal_mask(bs, block_offset=(0, 0, 0), slice_shape=None):
+def causal_mask(bs):
     """Boolean (n_p, n_p): entry [i, j] True iff i may attend to j.
 
-    j is attendable iff its global raster index is <= i's.  Because both
-    positions share the block offset, the result is independent of the
-    offset; global coordinates are still formed so the contract is explicit.
+    j is attendable iff its global raster index is <= i's.  Positions share
+    their block, and in-block raster order is global raster order, so that
+    is exactly j <= i in block order, whatever the block's offset.
     """
-    loc = _local_coords(bs) + np.asarray(block_offset)
-    if slice_shape is None:
-        slice_shape = (block_offset[0] + bs.t, block_offset[1] + bs.h,
-                       block_offset[2] + bs.w)
-    _, H, W = slice_shape
-    raster = (loc[:, 0] * H + loc[:, 1]) * W + loc[:, 2]
-    return raster[None, :] <= raster[:, None]
+    return np.tril(np.ones((bs.n_positions, bs.n_positions), dtype=bool))
 
 
 def block_attention(z, w_qkv, tables, n_heads, d_head, mask=None, record=None):
@@ -172,7 +139,7 @@ def attention_layer(x, params, spec, causal, record=None):
     zb = block_partition(x, bs)
     normed = tc.layernorm(zb, params["ln1_gain"], params["ln1_bias"])
     bias = relative_bias_matrix(bs, params["bias_t"], params["bias_h"], params["bias_w"])
-    mask = causal_mask(bs, slice_shape=slice_shape) if causal else None
+    mask = causal_mask(bs) if causal else None
     heads = block_attention(normed, params["w_qkv"], bias, spec.n_heads,
                             spec.d_head, mask, record)
     ztil = tc.add(tc.matmul(heads, params["w_p"]), zb)

@@ -245,11 +245,10 @@ def _cmd_train(args):
     start = 0
     if args.resume:
         params, opt, start = optim.load_training_checkpoint(args.resume, cfg, tcfg.rmsprop)
-    def echo(rec):
-        print("step=%d nats=%r dims=%d bits_per_dim=%r wall_ms=%d" % rec)
     params, opt, records = optim.train(cfg, tcfg, videos, params=params, opt=opt,
                                        start_step=start, log_path=args.log,
-                                       ckpt_path=args.out_ckpt, log_fn=echo)
+                                       ckpt_path=args.out_ckpt,
+                                       log_fn=lambda rec: print(optim.LOG_FORMAT % rec))
     if records:
         print(f"finished at step {records[-1][0]} bits_per_dim={records[-1][3]!r}")
     return EXIT_OK
@@ -334,8 +333,6 @@ def build_parser():
 
     g = sub.add_parser("gen-data", help="generate a synthetic bouncing-sprite dataset")
     g.add_argument("--out", required=True, help="output container path")
-    g.add_argument("--preset", default="sprites", choices=["sprites"],
-                   help="generator preset")
     g.add_argument("--videos", type=int, default=4, help="number of videos")
     g.add_argument("--frames", type=int, default=16, help="frames per video")
     g.add_argument("--height", type=int, default=64, help="frame height")

@@ -5,6 +5,11 @@ influence the decoder state at each position, where are the blind spots
 (ordered pairs the masking makes structurally independent), and does an
 unmasked encoder schedule connect every pair of positions?
 
+Block layout and conv windows are the model's own: positions are grouped
+by ``attention.block_slots`` and window taps come from
+``tensor.masked_conv_windows``, so the analyzer cannot drift from the
+layers it describes.
+
 Semantics match gradient sensitivity exactly.  A pixel enters the stack only
 through the masked convolution in front of it (strictly-preceding window
 positions; the center is excluded), so the input-influence relation is the
@@ -18,40 +23,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import BlockShape
-from .tensor import masked_taps
+from .attention import block_slots
+from .tensor import masked_conv_windows
 
 
-def _positions(slice_shape):
-    T, H, W = slice_shape
-    t, h, w = np.meshgrid(np.arange(T), np.arange(H), np.arange(W), indexing="ij")
-    return np.stack([t.ravel(), h.ravel(), w.ravel()], axis=1)  # raster order
+def _blocks(schedule):
+    """BlockShapes of a schedule of BlockShapes or layer specs."""
+    return [b.block if hasattr(b, "block") else b for b in schedule]
+
+
+def _raster_coords(slice_shape, pid):
+    return tuple(int(c) for c in np.unravel_index(pid, slice_shape))
 
 
 def _block_index_groups(slice_shape, bs):
     """(num_blocks, n_p) position ids, raster-ordered within each block."""
-    T, H, W = slice_shape
-    bs.check_divides(slice_shape)
-    coords = _positions(slice_shape)
-    block_id = ((coords[:, 0] // bs.t) * (H // bs.h) + coords[:, 1] // bs.h) \
-        * (W // bs.w) + coords[:, 2] // bs.w
-    order = np.lexsort((np.arange(len(coords)), block_id))  # stable: raster within block
-    return order.reshape(-1, bs.n_positions)
+    block, slot = block_slots(slice_shape, bs)
+    groups = np.empty((len(block) // bs.n_positions, bs.n_positions), dtype=np.int64)
+    groups[block, slot] = np.arange(len(block))
+    return groups
 
 
 def conv_window_edges(slice_shape, kernel):
     """(P, P) bool: [p, q] True iff q is a strictly-preceding window tap of p."""
-    T, H, W = slice_shape
-    P = T * H * W
+    windows = masked_conv_windows(kernel, slice_shape)
+    P = len(windows)
     edges = np.zeros((P, P), dtype=bool)
-    coords = _positions(slice_shape)
-    center = (kernel[0] // 2, kernel[1] // 2, kernel[2] // 2)
-    for tap in masked_taps(kernel):
-        off = np.asarray(tap) - np.asarray(center)
-        q = coords + off
-        ok = ((q >= 0) & (q < np.asarray([T, H, W]))).all(axis=1)
-        qid = (q[:, 0] * H + q[:, 1]) * W + q[:, 2]
-        edges[np.arange(P)[ok], qid[ok]] = True
+    rows, taps = np.nonzero(windows < P)  # row P of the window is zero padding
+    edges[rows, windows[rows, taps]] = True
     return edges
 
 
@@ -78,8 +77,7 @@ class DependencyReport:
         return int(np.prod(self.slice_shape))
 
     def raster_coords(self, pid):
-        T, H, W = self.slice_shape
-        return (pid // (H * W), (pid // W) % H, pid % W)
+        return _raster_coords(self.slice_shape, pid)
 
     def blind_count(self):
         """Number of ordered pairs (p, q), q before p, with no influence path."""
@@ -99,7 +97,7 @@ def dependency_graph(slice_shape, schedule, kernel=(3, 3, 3)):
     attribute).  Layer 0 is the masked convolution window; every attention
     layer then merges reach sets forward in raster order within its blocks.
     """
-    blocks = [b.block if hasattr(b, "block") else b for b in schedule]
+    blocks = _blocks(schedule)
     reach = conv_window_edges(tuple(slice_shape), tuple(kernel))
     for bs in blocks:
         groups = _block_index_groups(tuple(slice_shape), bs)
@@ -131,25 +129,21 @@ def verify_encoder_connectivity(slice_shape, schedule):
     Returns (True, None) or (False, (p, q)) with an unconnected witness pair
     in raster coordinates.
     """
-    blocks = [b.block if hasattr(b, "block") else b for b in schedule]
     P = int(np.prod(slice_shape))
     reach = np.eye(P, dtype=bool)
-    for bs in blocks:
+    for bs in _blocks(schedule):
         groups = _block_index_groups(tuple(slice_shape), bs)
         _apply_attention(reach, groups, causal=False)
     if reach.all():
         return True, None
     p, q = np.argwhere(~reach)[0]
-    T, H, W = slice_shape
-    coord = lambda i: (int(i) // (H * W), (int(i) // W) % H, int(i) % W)
-    return False, (coord(p), coord(q))
+    return False, (_raster_coords(slice_shape, p), _raster_coords(slice_shape, q))
 
 
 def report_text(slice_shape, dec_schedule, kernel, enc_schedule=None,
                 max_pairs=16, stack="both"):
     """Human-readable analysis: schedule echo, verdicts, blind spots."""
-    fmt_blocks = lambda sched: " ".join(
-        str((b.block if hasattr(b, "block") else b).as_tuple()) for b in sched)
+    fmt_blocks = lambda sched: " ".join(str(b.as_tuple()) for b in _blocks(sched))
     lines = [f"slice shape: {tuple(slice_shape)}"]
     if stack in ("both", "decoder"):
         report = dependency_graph(slice_shape, dec_schedule, kernel)

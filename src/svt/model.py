@@ -16,6 +16,7 @@ Parameters live in a flat name -> Tensor store; the checkpoint format is a
 simple little-endian container of named float32 arrays.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -23,8 +24,10 @@ import numpy as np
 
 from . import tensor as tc
 from .attention import AttentionLayerSpec, BlockShape, CausalLayerStep, attention_layer
-from .subscale import (SubscaleFactor, context_padding, primed_plane_mask,
+from .subscale import (SubscaleFactor, context_padding, extract_slice, primed_plane_mask,
                        slice_frame_globals, slice_rank, visibility_mask)
+# the benchmark calls M.extract_slice_u8; the one extractor lives in subscale
+from .subscale import extract_slice as extract_slice_u8  # noqa: F401
 from .tensor import ConfigError, Tensor
 
 N_VALUES = 16  # each split channel holds a 4-bit value
@@ -302,9 +305,7 @@ class ParamStore:
         return {n: t.data for n, t in self.items()}
 
     def layer(self, prefix, i):
-        keys = ("ln1_gain", "ln1_bias", "w_qkv", "w_p", "bias_t", "bias_h",
-                "bias_w", "ln2_gain", "ln2_bias", "t1", "t2")
-        return {k: self._params[f"{prefix}/l{i}/{k}"] for k in keys}
+        return {k: self._params[f"{prefix}/l{i}/{k}"] for k in LAYER_KEYS}
 
     def n_parameters(self):
         return sum(t.data.size for t in self.tensors())
@@ -320,21 +321,26 @@ def trunc_normal(rng, shape, std=0.02):
     return x.astype(np.float32)
 
 
+# parameters of one attention layer, in initialization order
+LAYER_KEYS = ("ln1_gain", "ln1_bias", "w_qkv", "w_p", "bias_t", "bias_h",
+              "bias_w", "ln2_gain", "ln2_bias", "t1", "t2")
+
+
 def _layer_param_arrays(sample, d, spec):
     na, da, b = spec.n_heads, spec.d_head, spec.block
-    return {
-        "ln1_gain": np.ones(d, dtype=np.float32),
-        "ln1_bias": np.zeros(d, dtype=np.float32),
-        "w_qkv": sample((d, 3 * na * da)),
-        "w_p": sample((na * da, d)),
-        "bias_t": np.zeros((na, 2 * b.t - 1), dtype=np.float32),
-        "bias_h": np.zeros((na, 2 * b.h - 1), dtype=np.float32),
-        "bias_w": np.zeros((na, 2 * b.w - 1), dtype=np.float32),
-        "ln2_gain": np.ones(d, dtype=np.float32),
-        "ln2_bias": np.zeros(d, dtype=np.float32),
-        "t1": sample((d, d)),
-        "t2": sample((d, d)),
-    }
+    return dict(zip(LAYER_KEYS, (
+        np.ones(d, dtype=np.float32),
+        np.zeros(d, dtype=np.float32),
+        sample((d, 3 * na * da)),
+        sample((na * da, d)),
+        np.zeros((na, 2 * b.t - 1), dtype=np.float32),
+        np.zeros((na, 2 * b.h - 1), dtype=np.float32),
+        np.zeros((na, 2 * b.w - 1), dtype=np.float32),
+        np.ones(d, dtype=np.float32),
+        np.zeros(d, dtype=np.float32),
+        sample((d, d)),
+        sample((d, d)),
+    )))
 
 
 def _decoder_arrays(sample, cfg, prefix, schedule, with_z_proj):
@@ -590,19 +596,6 @@ def head_intensity(params, cfg, y):
     return tc.sigmoid(tc.matmul(u, params["head/p_det"]))
 
 
-def predict_channels(params, cfg, y_slice, channel_values):
-    """Logits (P', n_channels, 16) for one decoded slice.
-
-    ``channel_values``: (T',H',W',n_channels) ints; only channels before k
-    feed channel k's head.
-    """
-    oh = Tensor(tc.one_hot(channel_values, N_VALUES))
-    P = int(np.prod(cfg.slice_shape))
-    flat = tc.reshape(oh, (1, P, cfg.n_channels * N_VALUES))
-    logits = head_logits(params, cfg, y_slice, flat)
-    return tc.reshape(logits, (P, cfg.n_channels, N_VALUES))
-
-
 def nll_loss(logits, targets, pixel_mask):
     """Summed negative log-likelihood in nats over unmasked pixels.
 
@@ -647,8 +640,8 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, aux=None,
     """Teacher-forced forward for a batch of slices of equal geometry.
 
     Returns (loss Tensor in nats, n_pixels, logits-or-intensity Tensor).
-    When ``cfg.first_slice_decoder`` is set the caller must not mix rank-0
-    and later slices in one call (the training loop splits them).
+    All slices must use the same decoder (``decoder_for``); the training
+    loop groups a batch by decoder.
     """
     ranks = [slice_rank(cfg.s, i) for i in idxs]
     if len({decoder_for(cfg, r)[0] for r in ranks}) > 1:
@@ -661,7 +654,7 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, aux=None,
         if onehots is not None:
             slc = tc.subsample3d(onehots[b], idx, cfg.s.as_tuple())
         else:
-            slc = Tensor(video_onehot(cfg, extract_slice_u8(videos[b], cfg.s, idx)))
+            slc = Tensor(video_onehot(cfg, extract_slice(videos[b], cfg.s, idx)))
         slice_oh.append(slc)
     z = encode_slices(params, cfg, videos, idxs, aux=aux, onehots=onehots) if encoded else None
     y = decode_slices(params, cfg, slice_oh, z, rank=ranks[0])
@@ -672,36 +665,16 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, aux=None,
         oh_flat = flat[0] if len(flat) == 1 else tc.concat(flat, axis=0)
         logits = head_logits(params, cfg, y, oh_flat)
         targets = np.stack([
-            split_channels(extract_slice_u8(videos[b], cfg.s, idx)).reshape(P, cfg.n_channels)
+            split_channels(extract_slice(videos[b], cfg.s, idx)).reshape(P, cfg.n_channels)
             for b, idx in enumerate(idxs)]).astype(np.int64)
         loss, n_pix = nll_loss(logits, targets, mask)
         return loss, n_pix, logits
     pred = head_intensity(params, cfg, y)
     targets = np.stack([
-        extract_slice_u8(videos[b], cfg.s, idx).reshape(P, 1)
+        extract_slice(videos[b], cfg.s, idx).reshape(P, 1)
         for b, idx in enumerate(idxs)]).astype(np.float32) / 255.0
     loss = deterministic_loss(pred, targets, mask)
     return loss, float(mask.sum()), pred
-
-
-def extract_slice_u8(video, s, idx):
-    a, b, c = idx
-    return np.ascontiguousarray(video[a::s.t, b::s.h, c::s.w])
-
-
-def encode_slice(params, cfg, video, idx, aux=None):
-    """Single-slice convenience wrapper; returns a (T',H',W',d) Tensor."""
-    z = encode_slices(params, cfg, [video], [idx], aux=None if aux is None else [aux])
-    return tc.reshape(z, z.data.shape[1:])
-
-
-def decode_slice(params, cfg, slice_values, z, idx=None):
-    """Single-slice convenience wrapper: slice_values (T',H',W',nc) ints,
-    z the (T',H',W',d) encoder output Tensor."""
-    oh = Tensor(tc.one_hot(np.asarray(slice_values), N_VALUES))
-    zb = tc.reshape(z, (1,) + z.data.shape)
-    y = decode_slices(params, cfg, [oh], zb)
-    return tc.reshape(y, y.data.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -732,13 +705,12 @@ def load_checkpoint(path):
         raw = f.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad checkpoint magic {raw[:4]!r}")
-    off = 4
-    version, count = struct.unpack_from("<II", raw, off)
-    off += 8
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
     out = {}
     try:
+        version, count = struct.unpack_from("<II", raw, 4)
+        off = 12
+        if version != CHECKPOINT_VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
         for _ in range(count):
             (nlen,) = struct.unpack_from("<I", raw, off)
             off += 4
@@ -748,7 +720,9 @@ def load_checkpoint(path):
             off += 4
             shape = struct.unpack_from(f"<{rank}Q", raw, off)
             off += 8 * rank
-            n = int(np.prod(shape)) if rank else 1
+            n = math.prod(shape)
+            if 4 * n > len(raw) - off:
+                raise ValueError(f"entry {name!r} needs {4 * n} bytes, {len(raw) - off} left")
             arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off)
             off += 4 * n
             out[name] = arr.reshape(shape).astype(np.float32)

@@ -22,8 +22,10 @@ import numpy as np
 
 from . import model as M
 from . import tensor as tc
-from .subscale import slice_order
+from .subscale import slice_order, slice_rank
 from .tensor import ConfigError
+
+LOG_FORMAT = "step=%d nats=%r dims=%d bits_per_dim=%r wall_ms=%d"  # one train record
 
 
 class NumericError(RuntimeError):
@@ -167,8 +169,7 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
             params.zero_grads()
             nats = 0.0
             n_pix = 0.0
-            for group in _split_rank0(cfg, clips, idxs):
-                g_clips, g_idxs = group
+            for g_clips, g_idxs in _decoder_groups(cfg, clips, idxs):
                 loss, pix, _ = M.forward_slices(params, cfg, g_clips, g_idxs,
                                                 prime_frames=tcfg.prime_frames)
                 if not np.isfinite(loss.data):
@@ -183,7 +184,7 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
             rec = (step, nats, int(dims), bpd, wall_ms)
             records.append(rec)
             if log_file and step % tcfg.log_every == 0:
-                log_file.write("step=%d nats=%r dims=%d bits_per_dim=%r wall_ms=%d\n" % rec)
+                log_file.write(LOG_FORMAT % rec + "\n")
                 log_file.flush()
             if log_fn and step % tcfg.log_every == 0:
                 log_fn(rec)
@@ -203,17 +204,15 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
     return params, opt, records
 
 
-def _split_rank0(cfg, clips, idxs):
-    """Separate rank-0 slices when a dedicated first-slice decoder exists."""
-    if not cfg.first_slice_decoder:
-        yield clips, idxs
-        return
-    from .subscale import slice_rank
-    zero = [i for i, idx in enumerate(idxs) if slice_rank(cfg.s, idx) == 0]
-    rest = [i for i in range(len(idxs)) if i not in zero]
-    for group in (zero, rest):
-        if group:
-            yield [clips[i] for i in group], [idxs[i] for i in group]
+def _decoder_groups(cfg, clips, idxs):
+    """Split a batch by the decoder each slice uses (``M.decoder_for``),
+    keeping batch order within a group.  The group of rank 0's decoder comes
+    first: group order is the order gradients are summed in."""
+    prefixes = [M.decoder_for(cfg, slice_rank(cfg.s, idx))[0] for idx in idxs]
+    first = M.decoder_for(cfg, 0)[0]
+    for prefix in sorted(dict.fromkeys(prefixes), key=lambda p: p != first):
+        group = [i for i, p in enumerate(prefixes) if p == prefix]
+        yield [clips[i] for i in group], [idxs[i] for i in group]
 
 
 def save_training_checkpoint(path, params, opt, step):

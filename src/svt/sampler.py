@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as tc
-from .subscale import merge_slice, primed_plane_mask, slice_order, slice_rank
+from .subscale import extract_slice, merge_slice, primed_plane_mask, slice_order, slice_rank
 from .tensor import ConfigError, Tensor
 
 # below this temperature the categorical collapses to argmax even in float64,
@@ -76,8 +76,7 @@ def sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
     Ts, Hs, Ws = cfg.slice_shape
     rank = slice_rank(cfg.s, idx)
     primed = primed_plane_mask(cfg.s, idx, Ts, scfg.prime_frames)
-    slice_u8 = M.extract_slice_u8(canvas, cfg.s, idx)
-    chans = M.split_channels(slice_u8).astype(np.int64)
+    chans = M.split_channels(extract_slice(canvas, cfg.s, idx)).astype(np.int64)
     chans[~primed] = 0  # not yet generated
     if primed.all():
         return chans

@@ -91,18 +91,6 @@ def visibility_mask(shape, s, idx):
     return ranks < rank
 
 
-def mask_preceding(video, s, idx):
-    """Zero out everything not in a strictly preceding slice.
-
-    Returns (masked video, visibility mask).  Downstream the invisible
-    positions become all-zero one-hot vectors, so a visible value-0 pixel
-    (one-hot with a 1 in bin 0) stays distinguishable from padding.
-    """
-    vis = visibility_mask(video.shape, s, idx)
-    masked = video * vis.reshape(vis.shape + (1,) * (video.ndim - 3)).astype(video.dtype)
-    return masked, vis
-
-
 def context_padding(k, idx):
     """Signed padding (floor(k1/2)-a, floor(k2/2)-b, floor(k3/2)-c).
 

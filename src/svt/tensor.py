@@ -124,20 +124,6 @@ def zero_grads(tensors):
         t.grad = None
 
 
-def clear_graph_grads(t):
-    """Reset .grad on every node reachable from ``t`` so the same graph can
-    be swept backward again with a different seed."""
-    seen = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        node.grad = None
-        stack.extend(node._parents)
-
-
 def backward(t, seed=None):
     """Reverse-mode sweep from ``t``; accumulates into ``.grad`` of leaves.
 

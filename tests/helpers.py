@@ -1,5 +1,6 @@
-"""Shared test harnesses: causality sweeps, analyzer gradient oracles and
-the full-recompute reference sampler."""
+"""Shared test harnesses: causality sweeps, analyzer gradient oracles, the
+full-recompute reference sampler, and the reference and single-slice forms
+of library functions that only tests use."""
 
 import numpy as np
 
@@ -7,8 +8,81 @@ from svt import model as M
 from svt import sampler
 from svt import tensor as tc
 from svt.attention import AttentionLayerSpec, attention_layer
-from svt.subscale import primed_plane_mask, slice_order, slice_rank, visibility_mask
+from svt.subscale import (extract_slice, primed_plane_mask, slice_order, slice_rank,
+                          visibility_mask)
 from svt.tensor import Tensor
+
+
+def clear_graph_grads(t):
+    """Reset .grad on every node reachable from ``t`` so the same graph can
+    be swept backward again with a different seed."""
+    seen = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        node.grad = None
+        stack.extend(node._parents)
+
+
+def block_coordinates(slice_shape, bs):
+    """Global (t,h,w) of every block position: (num_blocks, n_p, 3) int array,
+    blocks in ``block_partition`` order, raster order within a block."""
+    T, H, W = slice_shape
+    bs.check_divides(slice_shape)
+    nt, nh, nw = T // bs.t, H // bs.h, W // bs.w
+    base = np.indices((nt, nh, nw)).reshape(3, -1).T * np.array(bs.as_tuple())
+    local = np.indices(bs.as_tuple()).reshape(3, -1).T
+    return base[:, None, :] + local[None, :, :]
+
+
+def relative_bias(bs, tables, i, j):
+    """Scalar bias between in-block coordinates i and j (reference form)."""
+    bt, bh, bw = tables
+    dt, dh, dw = (i[0] - j[0], i[1] - j[1], i[2] - j[2])
+    return float(bt[dt + bs.t - 1] + bh[dh + bs.h - 1] + bw[dw + bs.w - 1])
+
+
+def mask_preceding(video, s, idx):
+    """Zero out everything not in a strictly preceding slice.
+
+    Returns (masked video, visibility mask).  Downstream the invisible
+    positions become all-zero one-hot vectors, so a visible value-0 pixel
+    (one-hot with a 1 in bin 0) stays distinguishable from padding.
+    """
+    vis = visibility_mask(video.shape, s, idx)
+    masked = video * vis.reshape(vis.shape + (1,) * (video.ndim - 3)).astype(video.dtype)
+    return masked, vis
+
+
+def encode_slice(params, cfg, video, idx, aux=None):
+    """Single-slice ``encode_slices``; returns a (T',H',W',d) Tensor."""
+    z = M.encode_slices(params, cfg, [video], [idx], aux=None if aux is None else [aux])
+    return tc.reshape(z, z.data.shape[1:])
+
+
+def decode_slice(params, cfg, slice_values, z):
+    """Single-slice ``decode_slices`` on the main decoder: slice_values
+    (T',H',W',nc) ints, z the (T',H',W',d) encoder output Tensor."""
+    oh = Tensor(tc.one_hot(np.asarray(slice_values), M.N_VALUES))
+    zb = tc.reshape(z, (1,) + z.data.shape)
+    y = M.decode_slices(params, cfg, [oh], zb)
+    return tc.reshape(y, y.data.shape[1:])
+
+
+def predict_channels(params, cfg, y_slice, channel_values):
+    """Logits (P', n_channels, 16) for one decoded slice.
+
+    ``channel_values``: (T',H',W',n_channels) ints; only channels before k
+    feed channel k's head.
+    """
+    oh = Tensor(tc.one_hot(channel_values, M.N_VALUES))
+    P = int(np.prod(cfg.slice_shape))
+    flat = tc.reshape(oh, (1, P, cfg.n_channels * M.N_VALUES))
+    logits = M.head_logits(params, cfg, y_slice, flat)
+    return tc.reshape(logits, (P, cfg.n_channels, M.N_VALUES))
 
 
 def allowed_influence_mask(cfg, idx, pixel, channel):
@@ -51,7 +125,7 @@ def causality_sweep(params, cfg, video, seed, on_violation=None):
                                         prime_frames=0, onehots=[leaf])
         for pixel in range(P):
             for chan in range(cfg.n_channels):
-                tc.clear_graph_grads(logits)
+                clear_graph_grads(logits)
                 seed_grad = np.zeros_like(logits.data)
                 seed_grad[0, pixel, chan, :] = rng.standard_normal(M.N_VALUES)
                 tc.backward(logits, seed_grad)
@@ -99,7 +173,7 @@ def gradient_reachability(slice_shape, blocks, kernel, seed, d_in=3, d=6):
     yf = tc.reshape(y, (P, d))
     reach = np.zeros((P, P), dtype=bool)
     for p in range(P):
-        tc.clear_graph_grads(yf)
+        clear_graph_grads(yf)
         seed_grad = np.zeros((P, d))
         seed_grad[p] = rng.standard_normal(d)
         tc.backward(yf, seed_grad)
@@ -135,7 +209,7 @@ def reference_sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
     Ts, Hs, Ws = cfg.slice_shape
     rank = slice_rank(cfg.s, idx)
     primed = primed_plane_mask(cfg.s, idx, Ts, scfg.prime_frames)
-    chans = M.split_channels(M.extract_slice_u8(canvas, cfg.s, idx)).astype(np.int64)
+    chans = M.split_channels(extract_slice(canvas, cfg.s, idx)).astype(np.int64)
     chans[~primed] = 0  # not yet generated
     if primed.all():
         return chans

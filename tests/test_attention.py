@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from helpers import block_coordinates, relative_bias
 from svt import tensor as tc
 from svt.attention import (AttentionLayerSpec, BlockShape, CausalLayerStep,
-                           attention_layer, block_attention, block_coordinates,
-                           block_merge, block_partition, block_slots, causal_mask,
-                           relative_bias, relative_bias_matrix)
+                           attention_layer, block_attention, block_merge,
+                           block_partition, block_slots, causal_mask,
+                           relative_bias_matrix)
 from svt.tensor import ConfigError, Tensor
 
 
@@ -120,10 +121,19 @@ class TestCausalMask:
         assert m[-1].all()
 
     def test_offset_independent(self):
-        bs = BlockShape(2, 2, 2)
-        base = causal_mask(bs, (0, 0, 0), (4, 8, 8))
-        shifted = causal_mask(bs, (2, 4, 6), (4, 8, 8))
-        assert np.array_equal(base, shifted)
+        """In every block of a slice, ranking the positions' global raster
+        indices gives the mask: in-block order is global order, whatever
+        the block's offset."""
+        for slice_shape, bs in [((4, 8, 8), BlockShape(2, 2, 2)),
+                                ((4, 8, 8), BlockShape(1, 8, 2)),
+                                ((2, 6, 4), BlockShape(2, 3, 1)),
+                                ((3, 3, 3), BlockShape(1, 3, 3)),
+                                ((4, 4, 6), BlockShape(4, 1, 3))]:
+            _, H, W = slice_shape
+            mask = causal_mask(bs)
+            for coords in block_coordinates(slice_shape, bs):
+                raster = (coords[:, 0] * H + coords[:, 1]) * W + coords[:, 2]
+                assert np.array_equal(raster[None, :] <= raster[:, None], mask)
 
     def test_lower_triangular_in_raster_order(self):
         bs = BlockShape(2, 1, 3)

@@ -100,6 +100,19 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "error[io]" in r.stderr
 
+    def test_truncated_checkpoint_is_two(self, tiny_setup):
+        from svt import model as M
+        tmp, config, data = tiny_setup
+        cfg = cli.model_config_from(cli.load_config(config))
+        ckpt = tmp / "m.ckpt"
+        M.save_checkpoint(ckpt, M.init_params(cfg).arrays())
+        raw = ckpt.read_bytes()
+        for size in (10, len(raw) // 2):   # inside the header, inside a payload
+            ckpt.write_bytes(raw[:size])
+            r = run_cli("eval", "--config", config, "--ckpt", ckpt, "--data", data)
+            assert r.returncode == 2
+            assert "error[io]" in r.stderr and "Traceback" not in r.stderr
+
     def test_success_is_zero(self, tiny_setup):
         tmp, config, data = tiny_setup
         r = run_cli("analyze", "--config", config, "--max-blind", 4)

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import tiny_config
 from svt import metrics, model as M, tensor as tc
-from svt.subscale import slice_order
+from svt.subscale import extract_slice, slice_order
 from svt.tensor import ConfigError
 
 
@@ -99,7 +99,7 @@ class TestEvaluate:
             z = logits.data[0].astype(np.float64)
             z -= z.max(axis=-1, keepdims=True)
             logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-            targets = M.split_channels(M.extract_slice_u8(video, cfg.s, idx)).reshape(32, 6)
+            targets = M.split_channels(extract_slice(video, cfg.s, idx)).reshape(32, 6)
             mask = M.pixel_loss_mask(cfg, idx, 1).reshape(32)
             picked = np.take_along_axis(logp, targets[..., None].astype(np.int64), -1)[..., 0]
             total_log2 += -(picked * mask[:, None]).sum() / math.log(2.0)

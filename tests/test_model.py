@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tiny_config
+from helpers import (clear_graph_grads, decode_slice, encode_slice, predict_channels,
+                     tiny_config)
 from svt import model as M
 from svt import tensor as tc
 from svt.subscale import SubscaleFactor
@@ -48,15 +49,15 @@ class TestEncoder:
         rng = np.random.default_rng(0)
         v1 = rng.integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
         v2 = rng.integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
-        z1 = M.encode_slice(ps, cfg, v1, (0, 0, 0))
-        z2 = M.encode_slice(ps, cfg, v2, (0, 0, 0))
+        z1 = encode_slice(ps, cfg, v1, (0, 0, 0))
+        z2 = encode_slice(ps, cfg, v2, (0, 0, 0))
         assert np.array_equal(z1.data, z2.data)
 
     def test_output_shape(self):
         cfg = tiny_config()
         ps = M.init_params(cfg)
         v = np.zeros((4, 8, 8, 3), dtype=np.uint8)
-        z = M.encode_slice(ps, cfg, v, (1, 0, 1))
+        z = encode_slice(ps, cfg, v, (1, 0, 1))
         assert z.data.shape == (2, 4, 4, cfg.d)
 
     def test_future_slice_change_invisible(self):
@@ -65,10 +66,10 @@ class TestEncoder:
         rng = np.random.default_rng(1)
         v = rng.integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
         idx = (1, 0, 0)  # rank 4: slices (0,*,*) visible
-        z1 = M.encode_slice(ps, cfg, v, idx)
+        z1 = encode_slice(ps, cfg, v, idx)
         v2 = v.copy()
         v2[1, 1, 1] = 255 - v2[1, 1, 1]  # (1,1,1) belongs to slice (1,1,1), rank 7
-        z2 = M.encode_slice(ps, cfg, v2, idx)
+        z2 = encode_slice(ps, cfg, v2, idx)
         assert np.array_equal(z1.data, z2.data)
 
     def test_past_slice_change_visible(self):
@@ -78,8 +79,8 @@ class TestEncoder:
         v = rng.integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
         v2 = v.copy()
         v2[0, 0, 0] ^= 0xAA  # slice (0,0,0) is visible at rank 4
-        z1 = M.encode_slice(ps, cfg, v, (1, 0, 0))
-        z2 = M.encode_slice(ps, cfg, v2, (1, 0, 0))
+        z1 = encode_slice(ps, cfg, v, (1, 0, 0))
+        z2 = encode_slice(ps, cfg, v2, (1, 0, 0))
         assert not np.array_equal(z1.data, z2.data)
 
 
@@ -91,15 +92,15 @@ class TestDecoder:
         z = Tensor(rng.standard_normal((2, 4, 4, cfg.d)).astype(np.float32))
         s1 = rng.integers(0, 16, (2, 4, 4, 6))
         s2 = rng.integers(0, 16, (2, 4, 4, 6))
-        y1 = M.decode_slice(ps, cfg, s1, z)
-        y2 = M.decode_slice(ps, cfg, s2, z)
+        y1 = decode_slice(ps, cfg, s1, z)
+        y2 = decode_slice(ps, cfg, s2, z)
         assert np.allclose(y1.data[0, 0, 0], y2.data[0, 0, 0])
 
     def test_output_shape(self):
         cfg = tiny_config()
         ps = M.init_params(cfg)
         z = Tensor(np.zeros((2, 4, 4, cfg.d), dtype=np.float32))
-        y = M.decode_slice(ps, cfg, np.zeros((2, 4, 4, 6), dtype=np.int64), z)
+        y = decode_slice(ps, cfg, np.zeros((2, 4, 4, 6), dtype=np.int64), z)
         assert y.data.shape == (2, 4, 4, cfg.d)
 
     def test_raster_sensitivity(self):
@@ -116,7 +117,7 @@ class TestDecoder:
         P = 32
         yf = tc.reshape(y, (P, cfg.d))
         for p in [0, 7, 31]:
-            tc.clear_graph_grads(yf)
+            clear_graph_grads(yf)
             seed = np.zeros((P, cfg.d), dtype=np.float32)
             seed[p] = 1.0
             tc.backward(yf, seed)
@@ -131,8 +132,8 @@ class TestHeads:
         ps = M.init_params(cfg, head_init="normal")
         rng = np.random.default_rng(5)
         y = Tensor(rng.standard_normal((1, 2, 4, 4, cfg.d)).astype(np.float32))
-        a = M.predict_channels(ps, cfg, y, rng.integers(0, 16, (2, 4, 4, 6)))
-        b = M.predict_channels(ps, cfg, y, rng.integers(0, 16, (2, 4, 4, 6)))
+        a = predict_channels(ps, cfg, y, rng.integers(0, 16, (2, 4, 4, 6)))
+        b = predict_channels(ps, cfg, y, rng.integers(0, 16, (2, 4, 4, 6)))
         assert np.array_equal(a.data[:, 0, :], b.data[:, 0, :])
 
     def test_zero_head_gives_uniform_four_bits(self):
@@ -140,7 +141,7 @@ class TestHeads:
         ps = M.init_params(cfg)  # head/p is zero
         y = Tensor(np.random.default_rng(6).standard_normal((1, 2, 4, 4, cfg.d)).astype(np.float32))
         vals = np.zeros((2, 4, 4, 6), dtype=np.int64)
-        logits = M.predict_channels(ps, cfg, y, vals)
+        logits = predict_channels(ps, cfg, y, vals)
         assert not logits.data.any()
         # uniform over 16 values = 4 bits per channel
         lp = tc.log_softmax(logits, axis=-1)
@@ -155,8 +156,8 @@ class TestHeads:
         vals = rng.integers(0, 16, (2, 4, 4, 6))
         flipped = vals.copy()
         flipped[0, 0, 0, 0] = (flipped[0, 0, 0, 0] + 7) % 16
-        a = M.predict_channels(ps, cfg, y, vals)
-        b = M.predict_channels(ps, cfg, y, flipped)
+        a = predict_channels(ps, cfg, y, vals)
+        b = predict_channels(ps, cfg, y, flipped)
         assert np.array_equal(a.data[:, 0, :], b.data[:, 0, :])
         assert not np.array_equal(a.data[0, 1, :], b.data[0, 1, :])
 
@@ -282,7 +283,7 @@ class TestSingleFrameVariant:
         assert cfg.s.as_tuple() == (4, 1, 1) and cfg.kernel == (6, 1, 1)
         ps = M.init_params(cfg)
         video = np.random.default_rng(20).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
-        z = M.encode_slice(ps, cfg, video, (2, 0, 0))
+        z = encode_slice(ps, cfg, video, (2, 0, 0))
         assert z.data.shape == (1, 8, 8, cfg.d)
         loss, n_pix, _ = M.forward_slices(ps, cfg, [video], [(2, 0, 0)], 0)
         assert loss.item() / (math.log(2.0) * 3 * n_pix) == pytest.approx(8.0, abs=0.1)
@@ -331,6 +332,34 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             M.load_checkpoint(path)
 
+    def test_malformed_bytes_raise_data_error(self, tmp_path):
+        """Every truncation of a valid checkpoint, and seeded byte flips of
+        it, load to a dict of float32 arrays or raise DataError."""
+        from svt.data import DataError
+        arrays = {"a/scalar": np.float32(1.5), "b/row": np.arange(5, dtype=np.float32),
+                  "c/empty": np.zeros((0, 3), dtype=np.float32),
+                  "d/matrix": np.ones((3, 4), dtype=np.float32)}
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, arrays)
+        raw = path.read_bytes()
+
+        def load(data):
+            path.write_bytes(data)
+            try:
+                return M.load_checkpoint(path)
+            except DataError:
+                return None
+
+        for k in range(len(raw)):
+            assert load(raw[:k]) is None
+        assert sorted(load(raw)) == sorted(arrays)
+        rng = np.random.default_rng(0)
+        for _ in range(1500):
+            flipped = bytearray(raw)
+            flipped[rng.integers(len(raw))] ^= 1 << int(rng.integers(8))
+            out = load(bytes(flipped))
+            assert out is None or all(a.dtype == np.float32 for a in out.values())
+
     def test_missing_param_rejected(self, tmp_path):
         cfg = tiny_config()
         ps = M.init_params(cfg)
@@ -361,7 +390,7 @@ class TestComposite:
         leaf = Tensor(M.video_onehot(cfg, video), requires_grad=True)
         _, _, logits = M.forward_slices(ps, cfg, [video], [idx], 0, onehots=[leaf])
         for pixel, chan in [(0, 0), (5, 3), (31, 5)]:
-            tc.clear_graph_grads(logits)
+            clear_graph_grads(logits)
             seed = np.zeros_like(logits.data)
             seed[0, pixel, chan, :] = rng.standard_normal(16)
             tc.backward(logits, seed)
@@ -428,7 +457,7 @@ class TestComposite:
         _, _, logits = M.forward_slices(ps, cfg, [video], [(0, 0, 0)], 0,
                                         onehots=[leaf])
         for pixel, chan in [(0, 0), (9, 2), (31, 5)]:
-            tc.clear_graph_grads(logits)
+            clear_graph_grads(logits)
             seed = np.zeros_like(logits.data)
             seed[0, pixel, chan, :] = rng.standard_normal(16)
             tc.backward(logits, seed)

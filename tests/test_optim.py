@@ -1,16 +1,21 @@
 """Optimizer, batching, cropping and the training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from helpers import tiny_config
+from svt import cli
 from svt import model as M
 from svt import optim as O
+from svt import tensor as tc
+from svt.data import write_container
 from svt.model import ParamStore
-from svt.subscale import SubscaleFactor
+from svt.subscale import SubscaleFactor, slice_rank
 from svt.tensor import ConfigError, Tensor
+from test_cli import TINY_CONFIG
 
 
 def scalar_params(value):
@@ -194,7 +199,7 @@ class TestTrainLoop:
                                 start_step=step)
         assert [r[:4] for r in resumed] == [r[:4] for r in full[3:]]
 
-    def test_log_file_format(self, tmp_path):
+    def test_log_file_format(self, tmp_path, capsys):
         cfg = tiny_config()
         videos = [np.random.default_rng(11).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)]
         log = tmp_path / "train.log"
@@ -206,3 +211,60 @@ class TestTrainLoop:
             fields = dict(kv.split("=") for kv in line.split())
             assert int(fields["step"]) == i
             assert set(fields) == {"step", "nats", "dims", "bits_per_dim", "wall_ms"}
+        # ``svt train`` echoes exactly the lines it writes to --log
+        config, data = tmp_path / "tiny.cfg", tmp_path / "train.svt"
+        cli_log = tmp_path / "cli.log"
+        config.write_text(TINY_CONFIG)
+        write_container(data, videos)
+        assert cli.main(["train", "--config", str(config), "--data", str(data),
+                         "--out-ckpt", str(tmp_path / "m.ckpt"), "--log", str(cli_log),
+                         "--steps", "2"]) == 0
+        echoed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("step=")]
+        assert len(echoed) == 2 and echoed == cli_log.read_text().splitlines()
+
+
+class TestFirstSliceDecoder:
+    """Training a config with a stand-alone first-slice decoder on batches
+    that mix rank-0 and later slices."""
+
+    def setup_method(self):
+        self.cfg = tiny_config(first_slice_decoder=True, first_slice_layers=2)
+        self.videos = [np.random.default_rng(20 + i).integers(0, 256, (4, 8, 8, 3))
+                       .astype(np.uint8) for i in range(2)]
+        self.tcfg = O.TrainConfig(steps=3, batch_slices=8, seed=2, prime_frames=1)
+
+    def batches(self, n):
+        stream = O.make_batches(len(self.videos), self.cfg.s, self.tcfg.batch_slices,
+                                self.tcfg.seed)
+        return [next(stream) for _ in range(n)]
+
+    def test_batches_mix_ranks(self):
+        for batch in self.batches(self.tcfg.steps):
+            is_rank0 = {slice_rank(self.cfg.s, idx) == 0 for _, idx in batch}
+            assert is_rank0 == {True, False}
+
+    def test_finite_and_reproducible(self):
+        p1, _, r1 = O.train(self.cfg, self.tcfg, self.videos)
+        p2, _, r2 = O.train(self.cfg, self.tcfg, self.videos)
+        assert all(np.isfinite(r[1]) and np.isfinite(r[3]) for r in r1)
+        assert [r[:4] for r in r1] == [r[:4] for r in r2]
+        for name, t in p1.items():
+            assert np.array_equal(t.data, p2[name].data)
+
+    def test_gradients_sum_rank0_group_first(self):
+        """One step's gradients are the rank-0 group's backward followed by
+        the rest group's backward, each group in batch order."""
+        tcfg = dataclasses.replace(self.tcfg, steps=1)
+        trained, _, _ = O.train(self.cfg, tcfg, self.videos)
+        (batch,) = self.batches(1)
+        ref = M.init_params(self.cfg)
+        ref.zero_grads()
+        for first in (True, False):
+            group = [(self.videos[v], idx) for v, idx in batch
+                     if (slice_rank(self.cfg.s, idx) == 0) == first]
+            loss, _, _ = M.forward_slices(ref, self.cfg, [v for v, _ in group],
+                                          [idx for _, idx in group], prime_frames=1)
+            tc.backward(loss)
+        got = trained.grads()
+        for name, g in ref.grads().items():
+            assert np.array_equal(got[name], g), name

@@ -8,7 +8,7 @@ from svt import model as M
 from svt import sampler
 from svt.sampler import (SampleConfig, apply_temperature, sample_categorical,
                          sample_slice, sample_video, _position_stream)
-from svt.subscale import primed_plane_mask, slice_order
+from svt.subscale import extract_slice, primed_plane_mask, slice_order
 from svt.tensor import ConfigError
 
 
@@ -70,7 +70,7 @@ class TestSampleSlice:
         video = rng.integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
         scfg = SampleConfig(prime_frames=4, temperature=0.9, seed=0)
         out = sample_slice(ps, cfg, video, (1, 0, 1), scfg)
-        expect = M.split_channels(M.extract_slice_u8(video, cfg.s, (1, 0, 1)))
+        expect = M.split_channels(extract_slice(video, cfg.s, (1, 0, 1)))
         assert np.array_equal(out, expect)
 
     def test_same_seed_bit_identical(self):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from helpers import mask_preceding
 from svt.subscale import (SubscaleFactor, context_padding, extract_slice,
-                          mask_preceding, merge_slice, primed_plane_mask,
+                          merge_slice, primed_plane_mask,
                           slice_order, slice_rank, visibility_mask)
 from svt.tensor import ConfigError
 
