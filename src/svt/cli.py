@@ -51,10 +51,10 @@ _SCHEMA = {
     "video_w": (int, 64),
     "channels": (str, "rgb"),
     "head": (str, "categorical"),
-    "subscale_t": (int, 0),       # 0: derived from the variant
+    "subscale_t": (int, 0),       # 0: derived from the variant, per axis
     "subscale_h": (int, 0),
     "subscale_w": (int, 0),
-    "kernel_t": (int, 0),         # 0: defaults to the subscale factor
+    "kernel_t": (int, 0),         # 0: the subscale factor's axis; 6,1,1 for single_frame
     "kernel_h": (int, 0),
     "kernel_w": (int, 0),
     "d_embed": (int, 0),          # 0: preset value
@@ -65,7 +65,6 @@ _SCHEMA = {
     "enc_blocks": (str, ""),      # e.g. "2x8x8;2x8x8"; empty: derived
     "dec_blocks": (str, ""),
     "mconv": (int, 3),
-    "aux_dim": (int, 0),
     "first_slice_decoder": (bool, False),
     "first_slice_layers": (int, 16),
     "model_seed": (int, 1),
@@ -131,52 +130,47 @@ def dump_config(conf):
                    for k in _SCHEMA)
 
 
-def _parse_blocks(text):
+def _parse_blocks(key, text):
+    """'2x8x8;2x8x8' -> [(2, 8, 8), (2, 8, 8)]; empty text -> None (derived)."""
+    from .tensor import ConfigError
+
+    if not text:
+        return None
     out = []
-    for part in text.split(";"):
-        dims = tuple(int(x) for x in part.strip().split("x"))
-        if len(dims) != 3:
-            raise ValueError(f"block {part!r} is not TxHxW")
-        out.append(dims)
+    try:
+        for part in text.split(";"):
+            dims = tuple(int(x) for x in part.strip().split("x"))
+            if len(dims) != 3:
+                raise ValueError(f"block {part!r} is not TxHxW")
+            out.append(dims)
+    except ValueError as e:
+        raise ConfigError(f"bad {key}: {e}") from e
     return out
 
 
 def model_config_from(conf):
+    """The file's model keys, passed unresolved to ``model.build_variant``."""
     from . import model as M
-    from .subscale import SubscaleFactor
-    from .tensor import ConfigError
 
-    overrides = {}
-    if conf["subscale_t"] or conf["subscale_h"] or conf["subscale_w"]:
-        overrides["s"] = SubscaleFactor(conf["subscale_t"] or 1,
-                                        conf["subscale_h"] or 1,
-                                        conf["subscale_w"] or 1)
-    if conf["kernel_t"] or conf["kernel_h"] or conf["kernel_w"]:
-        overrides["kernel"] = (conf["kernel_t"] or 1, conf["kernel_h"] or 1,
-                               conf["kernel_w"] or 1)
-    for conf_key, build_key in (("d_embed", "d_e"), ("d_model", "d"),
-                                ("n_heads", "n_heads"), ("d_head", "d_head"),
-                                ("layers", "layers")):
-        if conf[conf_key]:
-            overrides[build_key] = conf[conf_key]
-    for key in ("enc_blocks", "dec_blocks"):
-        if conf[key]:
-            try:
-                overrides[key] = _parse_blocks(conf[key])
-            except ValueError as e:
-                raise ConfigError(f"bad {key}: {e}") from e
     return M.build_variant(
         conf["variant"],
         (conf["video_t"], conf["video_h"], conf["video_w"]),
         preset=conf["preset"],
+        s=(conf["subscale_t"], conf["subscale_h"], conf["subscale_w"]),
+        kernel=(conf["kernel_t"], conf["kernel_h"], conf["kernel_w"]),
+        d_e=conf["d_embed"],
+        d=conf["d_model"],
+        n_heads=conf["n_heads"],
+        d_head=conf["d_head"],
+        layers=conf["layers"],
+        enc_blocks=_parse_blocks("enc_blocks", conf["enc_blocks"]),
+        dec_blocks=_parse_blocks("dec_blocks", conf["dec_blocks"]),
         channels=conf["channels"],
         head=conf["head"],
         mconv=(conf["mconv"],) * 3,
-        aux_dim=conf["aux_dim"],
         first_slice_decoder=conf["first_slice_decoder"],
         first_slice_layers=conf["first_slice_layers"],
         seed=conf["model_seed"],
-        **overrides,
     )
 
 
@@ -226,9 +220,6 @@ def _cmd_import_raw(args):
 
 def _load_for(args):
     conf = load_config(args.config)
-    if getattr(args, "dump_config", False):
-        sys.stdout.write(dump_config(conf))
-        return conf, None
     return conf, model_config_from(conf)
 
 
@@ -237,8 +228,6 @@ def _cmd_train(args):
     from .data import read_container
 
     conf, cfg = _load_for(args)
-    if cfg is None:
-        return EXIT_OK
     videos = read_container(args.data)
     tcfg = train_config_from(conf, args)
     params = opt = None
@@ -259,8 +248,6 @@ def _cmd_eval(args):
     from .data import read_container
 
     conf, cfg = _load_for(args)
-    if cfg is None:
-        return EXIT_OK
     params = M.params_from_checkpoint(cfg, M.load_checkpoint(args.ckpt))
     videos = read_container(args.data)
     prime = args.prime if args.prime is not None else conf["prime_frames"]
@@ -279,8 +266,6 @@ def _cmd_sample(args):
     from .sampler import SampleConfig, sample_video
 
     conf, cfg = _load_for(args)
-    if cfg is None:
-        return EXIT_OK
     params = M.params_from_checkpoint(cfg, M.load_checkpoint(args.ckpt))
     primes = read_container(args.prime_video)
     scfg = SampleConfig(
@@ -305,9 +290,7 @@ def _cmd_sample(args):
 def _cmd_analyze(args):
     from .connectivity import report_text
 
-    conf, cfg = _load_for(args)
-    if cfg is None:
-        return EXIT_OK
+    _, cfg = _load_for(args)
     text = report_text(cfg.slice_shape, cfg.dec_schedule, cfg.mconv,
                        enc_schedule=cfg.enc_schedule, max_pairs=args.max_blind,
                        stack=args.stack)
@@ -407,6 +390,9 @@ def main(argv=None):
     from .tensor import ConfigError
 
     try:
+        if getattr(args, "dump_config", False):
+            sys.stdout.write(dump_config(load_config(args.config)))
+            return EXIT_OK
         return args.fn(args)
     except ConfigError as e:
         print(f"error[config]: {e}", file=sys.stderr)

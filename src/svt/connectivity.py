@@ -80,10 +80,9 @@ class DependencyReport:
         return _raster_coords(self.slice_shape, pid)
 
     def blind_count(self):
-        """Number of ordered pairs (p, q), q before p, with no influence path."""
-        P = self.n_positions
-        lower = np.tril(np.ones((P, P), dtype=bool), k=-1)
-        return int((lower & ~self.reach).sum())
+        """Number of ordered pairs (p, q), q before p, with no influence path
+        (``reach`` holds nothing on or above the diagonal)."""
+        return self.ordered_pair_count() - int(np.count_nonzero(self.reach))
 
     def ordered_pair_count(self):
         P = self.n_positions
@@ -104,8 +103,7 @@ def dependency_graph(slice_shape, schedule, kernel=(3, 3, 3)):
         _apply_attention(reach, groups, causal=True)
     report = DependencyReport(tuple(slice_shape), blocks, tuple(kernel), reach)
     # masking can never create forward influence
-    P = report.n_positions
-    assert not (np.triu(np.ones((P, P), dtype=bool)) & reach).any()
+    assert not np.triu(reach).any()
     return report
 
 

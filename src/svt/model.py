@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as tc
 from .attention import AttentionLayerSpec, BlockShape, CausalLayerStep, attention_layer
 from .subscale import (SubscaleFactor, context_padding, extract_slice, primed_plane_mask,
-                       slice_frame_globals, slice_rank, visibility_mask)
+                       slice_rank, visibility_mask)
 # the benchmark calls M.extract_slice_u8; the one extractor lives in subscale
 from .subscale import extract_slice as extract_slice_u8  # noqa: F401
 from .tensor import ConfigError, Tensor
@@ -84,8 +84,6 @@ class ModelConfig:
     enc_schedule: list = field(default_factory=list)
     dec_schedule: list = field(default_factory=list)
     mconv: tuple = (3, 3, 3)
-    aux_dim: int = 0
-    first_slice_decoder: bool = False
     first_slice_schedule: list = field(default_factory=list)
     seed: int = 1
 
@@ -134,8 +132,6 @@ class ModelConfig:
                 raise ConfigError(f"masked conv extents must be odd, got {self.mconv}")
         if not self.enc_schedule or not self.dec_schedule:
             raise ConfigError("empty layer schedule")
-        if self.first_slice_decoder and not self.first_slice_schedule:
-            raise ConfigError("first-slice decoder enabled but has no schedule")
         return self
 
 
@@ -207,66 +203,67 @@ def default_subscale(variant, video_shape):
     return SubscaleFactor(st, sh, sw)
 
 
-def build_variant(variant, video_shape, preset="base", **overrides):
+def _per_axis(given, derived):
+    """``given`` (t, h, w) with each unset (0) axis taken from ``derived``;
+    None leaves every axis unset."""
+    return tuple(g or d for g, d in zip(given or (0, 0, 0), derived, strict=True))
+
+
+def build_variant(variant, video_shape, preset="base", s=None, kernel=None,
+                  d_e=0, d=0, n_heads=0, d_head=0, layers=0, enc_blocks=None,
+                  dec_blocks=None, channels="rgb", head="categorical", mconv=(3, 3, 3),
+                  first_slice_decoder=False, first_slice_layers=16, seed=1, **unknown):
     """Assemble a ModelConfig for one of the named variants.
 
-    Overrides accept s, kernel, d_e, d, n_heads, d_head, layers, channels,
-    head, mconv, aux_dim, first_slice_decoder, first_slice_layers, seed, and
-    explicit enc_blocks/dec_blocks lists of (t, h, w) tuples.
+    Every unset value (0 or None) is resolved here, per axis for ``s`` and
+    ``kernel``: ``s`` falls back to ``default_subscale``, ``kernel`` to ``s``
+    ((6, 1, 1) for single_frame), the widths d_e, d, n_heads, d_head and
+    layers to the preset, and the schedules to ``schedule_for`` unless
+    enc_blocks/dec_blocks list their (t, h, w) blocks.  With
+    ``first_slice_decoder``, rank-0 slices get a stand-alone decoder of
+    ``first_slice_layers`` layers.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     if preset not in _PRESETS:
         raise ConfigError(f"unknown preset {preset!r}")
-    dims = dict(_PRESETS[preset])
-    for key in ("d_e", "d", "n_heads", "d_head", "layers"):
-        if key in overrides:
-            dims[key] = overrides.pop(key)
-    s = overrides.pop("s", None) or default_subscale(variant, video_shape)
-    if not isinstance(s, SubscaleFactor):
-        s = SubscaleFactor(*s)
-    kernel = overrides.pop("kernel", None)
-    if kernel is None:
-        kernel = (6, 1, 1) if variant == "single_frame" else s.as_tuple()
+    if unknown:
+        raise ConfigError(f"unknown build_variant overrides: {sorted(unknown)}")
+    p = _PRESETS[preset]
+    d_e, d, layers = d_e or p["d_e"], d or p["d"], layers or p["layers"]
+    n_heads, d_head = n_heads or p["n_heads"], d_head or p["d_head"]
+    if isinstance(s, SubscaleFactor):
+        s = s.as_tuple()
+    s = SubscaleFactor(*_per_axis(s, default_subscale(variant, video_shape).as_tuple()))
+    kernel = _per_axis(kernel, (6, 1, 1) if variant == "single_frame" else s.as_tuple())
     slice_shape = s.slice_shape(video_shape)
-    wide = 16 if preset == "large" else None
-    enc_blocks = overrides.pop("enc_blocks", None)
-    dec_blocks = overrides.pop("dec_blocks", None)
 
     def sched(blocks):
         if blocks is None:
-            return schedule_for(variant, slice_shape, dims["layers"],
-                                dims["n_heads"], dims["d_head"], wide)
-        return [AttentionLayerSpec(BlockShape(*b), dims["n_heads"], dims["d_head"])
-                for b in blocks]
+            return schedule_for(variant, slice_shape, layers, n_heads, d_head,
+                                16 if preset == "large" else None)
+        return [AttentionLayerSpec(BlockShape(*b), n_heads, d_head) for b in blocks]
 
-    first = overrides.pop("first_slice_decoder", False)
-    first_layers = overrides.pop("first_slice_layers", 16)
-    first_sched = []
-    if first:
-        pattern = schedule_for(variant, slice_shape, first_layers,
-                               dims["n_heads"], dims["d_head"], None)
-        first_sched = pattern
-    cfg = ModelConfig(
+    if first_slice_decoder and first_slice_layers < 1:
+        raise ConfigError(f"first-slice decoder needs first_slice_layers >= 1, "
+                          f"got {first_slice_layers}")
+    first_sched = (schedule_for(variant, slice_shape, first_slice_layers, n_heads, d_head)
+                   if first_slice_decoder else [])
+    return ModelConfig(
         variant=variant,
         video_shape=tuple(video_shape),
-        channels=overrides.pop("channels", "rgb"),
-        head=overrides.pop("head", "categorical"),
+        channels=channels,
+        head=head,
         s=s,
-        kernel=tuple(kernel),
-        d_e=dims["d_e"],
-        d=dims["d"],
+        kernel=kernel,
+        d_e=d_e,
+        d=d,
         enc_schedule=sched(enc_blocks),
         dec_schedule=sched(dec_blocks),
-        mconv=tuple(overrides.pop("mconv", (3, 3, 3))),
-        aux_dim=overrides.pop("aux_dim", 0),
-        first_slice_decoder=first,
+        mconv=tuple(mconv),
         first_slice_schedule=first_sched,
-        seed=overrides.pop("seed", 1),
-    )
-    if overrides:
-        raise ConfigError(f"unknown build_variant overrides: {sorted(overrides)}")
-    return cfg.validate()
+        seed=seed,
+    ).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +369,13 @@ def _all_param_arrays(sample, cfg, head_init):
         "enc/pos_h": sample((H, cfg.d_e)),
         "enc/pos_w": sample((W, cfg.d_e)),
         "enc/slice_embed": sample((cfg.n_slices, cfg.d_e)),
-        "enc/in_proj": sample((cfg.d_e + cfg.aux_dim, cfg.d)),
+        "enc/in_proj": sample((cfg.d_e, cfg.d)),
     }
     for i, spec in enumerate(cfg.enc_schedule):
         for k, v in _layer_param_arrays(sample, cfg.d, spec).items():
             arrays[f"enc/l{i}/{k}"] = v
     arrays.update(_decoder_arrays(sample, cfg, "dec", cfg.dec_schedule, True))
-    if cfg.first_slice_decoder:
+    if cfg.first_slice_schedule:
         arrays.update(_decoder_arrays(sample, cfg, "dec0", cfg.first_slice_schedule, False))
     arrays["head/ln_gain"] = np.ones(cfg.d, dtype=np.float32)
     arrays["head/ln_bias"] = np.zeros(cfg.d, dtype=np.float32)
@@ -427,15 +424,14 @@ def _add_positional(x, pt, ph, pw):
     return tc.add(x, tc.reshape(pw, (1, 1, 1, W, D)))
 
 
-def encode_slices(params, cfg, videos, idxs, aux=None, onehots=None):
+def encode_slices(params, cfg, videos, idxs, onehots=None):
     """Encode a batch of (video, slice index) pairs -> (B, T', H', W', d).
 
     ``onehots`` may carry pre-built (possibly gradient-tracked) one-hot
     Tensors of shape (T,H,W,n_channels,16); otherwise they are built from the
-    uint8 videos.  ``aux`` is an optional list of (T, aux_dim) arrays.
+    uint8 videos.
     """
     T, H, W = cfg.video_shape
-    Ts, Hs, Ws = cfg.slice_shape
     cin = cfg.input_channels
     z0 = []
     for b, idx in enumerate(idxs):
@@ -446,23 +442,13 @@ def encode_slices(params, cfg, videos, idxs, aux=None, onehots=None):
         x = tc.reshape(x, (1, T, H, W, cin))
         pad = context_padding(cfg.kernel, idx)
         z = tc.conv3d(x, params["enc/conv_kernel"], params["enc/conv_bias"],
-                      cfg.kernel, cfg.s.as_tuple(), pad, (Ts, Hs, Ws))
+                      cfg.kernel, cfg.s.as_tuple(), pad, cfg.slice_shape)
         z0.append(z)
     z = z0[0] if len(z0) == 1 else tc.concat(z0, axis=0)
     z = _add_positional(z, params["enc/pos_t"], params["enc/pos_h"], params["enc/pos_w"])
     ranks = np.array([slice_rank(cfg.s, idx) for idx in idxs])
     se = tc.gather(params["enc/slice_embed"], ranks)  # (B, d_e)
     z = tc.add(z, tc.reshape(se, (len(idxs), 1, 1, 1, cfg.d_e)))
-    if cfg.aux_dim:
-        if aux is None:
-            aux = [np.zeros((T, cfg.aux_dim), dtype=np.float32) for _ in idxs]
-        tracks = []
-        for b, idx in enumerate(idxs):
-            frames = slice_frame_globals(cfg.s, idx[0], Ts)
-            tr = np.asarray(aux[b], dtype=np.float32)[frames]  # (T', aux)
-            tracks.append(np.broadcast_to(tr[:, None, None, :],
-                                          (Ts, Hs, Ws, cfg.aux_dim)))
-        z = tc.concat([z, Tensor(np.stack(tracks))], axis=-1)
     z = tc.matmul(z, params["enc/in_proj"])
     for i, spec in enumerate(cfg.enc_schedule):
         z = attention_layer(z, params.layer("enc", i), spec, causal=False)
@@ -473,7 +459,7 @@ def decoder_for(cfg, rank):
     """(parameter prefix, layer schedule, whether the encoder runs) of the
     decoder for slices of ``rank``: the stand-alone first-slice decoder for
     rank 0 when the config has one, else the main decoder."""
-    if cfg.first_slice_decoder and rank == 0:
+    if cfg.first_slice_schedule and rank == 0:
         return "dec0", cfg.first_slice_schedule, False
     return "dec", cfg.dec_schedule, True
 
@@ -635,8 +621,7 @@ def pixel_loss_mask(cfg, idx, prime_frames):
 # assembled forward passes
 # ---------------------------------------------------------------------------
 
-def forward_slices(params, cfg, videos, idxs, prime_frames=0, aux=None,
-                   onehots=None):
+def forward_slices(params, cfg, videos, idxs, prime_frames=0, onehots=None):
     """Teacher-forced forward for a batch of slices of equal geometry.
 
     Returns (loss Tensor in nats, n_pixels, logits-or-intensity Tensor).
@@ -656,7 +641,7 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, aux=None,
         else:
             slc = Tensor(video_onehot(cfg, extract_slice(videos[b], cfg.s, idx)))
         slice_oh.append(slc)
-    z = encode_slices(params, cfg, videos, idxs, aux=aux, onehots=onehots) if encoded else None
+    z = encode_slices(params, cfg, videos, idxs, onehots=onehots) if encoded else None
     y = decode_slices(params, cfg, slice_oh, z, rank=ranks[0])
     mask = np.stack([pixel_loss_mask(cfg, idx, prime_frames) for idx in idxs])
     mask = mask.reshape(len(idxs), P)

@@ -148,24 +148,14 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
     crop_rng = np.random.default_rng((tcfg.seed, 0x0C0F))
     # fast-forward deterministic streams when resuming
     for _ in range(start_step):
-        batch = next(batches)
-        for v_id, _ in batch:
-            if videos[v_id].shape[0] != cfg.video_shape[0]:
-                crop_rng.integers(0, videos[v_id].shape[0] - cfg.video_shape[0] + 1)
+        _crop_batch(cfg, videos, next(batches), crop_rng)
     records = []
     recent = []
     log_file = open(log_path, "a") if log_path else None
     try:
         for step in range(start_step, tcfg.steps):
             t0 = time.monotonic()
-            batch = next(batches)
-            clips, idxs = [], []
-            for v_id, idx in batch:
-                clip = videos[v_id]
-                if clip.shape[0] != cfg.video_shape[0]:
-                    clip = random_temporal_crop(clip, cfg.video_shape[0], crop_rng)
-                clips.append(clip)
-                idxs.append(idx)
+            clips, idxs = _crop_batch(cfg, videos, next(batches), crop_rng)
             params.zero_grads()
             nats = 0.0
             n_pix = 0.0
@@ -202,6 +192,13 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
     if ckpt_path:
         save_training_checkpoint(ckpt_path, params, opt, records[-1][0] + 1 if records else start_step)
     return params, opt, records
+
+
+def _crop_batch(cfg, videos, batch, rng):
+    """(clips, slice indices) of a batch of (video index, slice index)
+    pairs, each clip cropped to the config's length in batch order."""
+    clips = [random_temporal_crop(videos[v_id], cfg.video_shape[0], rng) for v_id, _ in batch]
+    return clips, [idx for _, idx in batch]
 
 
 def _decoder_groups(cfg, clips, idxs):

@@ -57,9 +57,9 @@ def mask_preceding(video, s, idx):
     return masked, vis
 
 
-def encode_slice(params, cfg, video, idx, aux=None):
+def encode_slice(params, cfg, video, idx):
     """Single-slice ``encode_slices``; returns a (T',H',W',d) Tensor."""
-    z = M.encode_slices(params, cfg, [video], [idx], aux=None if aux is None else [aux])
+    z = M.encode_slices(params, cfg, [video], [idx])
     return tc.reshape(z, z.data.shape[1:])
 
 

@@ -77,6 +77,19 @@ class TestConfig:
         echoed.write_text(cli.dump_config(conf))
         assert cli.load_config(echoed) == conf
 
+    @pytest.mark.parametrize("text, key, derived", [
+        ("subscale_t = 4", "s", (4, 2, 2)),
+        ("kernel_t = 5", "kernel", (5, 2, 2)),
+        ("subscale_h = 4\nkernel_w = 3", "kernel", (4, 4, 3)),
+    ], ids=["subscale_t", "kernel_t", "subscale_h-kernel_w"])
+    def test_unset_axes_derived_per_axis(self, tmp_path, text, key, derived):
+        """On the default 16x64x64 video, each axis left at 0 takes its
+        derived value: s (4, 2, 2), kernel = s."""
+        cfg = tmp_path / "axis.cfg"
+        cfg.write_text(text + "\n")
+        resolved = cli.model_config_from(cli.load_config(cfg))
+        assert {"s": resolved.s.as_tuple(), "kernel": resolved.kernel}[key] == derived
+
     def test_geometry_checked_at_load(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("variant = spatiotemporal\nvideo_t = 5\nsubscale_t = 2\n")
@@ -112,6 +125,18 @@ class TestExitCodes:
             r = run_cli("eval", "--config", config, "--ckpt", ckpt, "--data", data)
             assert r.returncode == 2
             assert "error[io]" in r.stderr and "Traceback" not in r.stderr
+
+    def test_resume_with_short_video_is_one(self, tiny_setup):
+        from svt import model as M, optim as O
+        tmp, config, _ = tiny_setup
+        params = M.init_params(cli.model_config_from(cli.load_config(config)))
+        ckpt, short = tmp / "m.ckpt", tmp / "short.svt"
+        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 2)
+        write_container(short, [np.zeros((3, 8, 8, 3), dtype=np.uint8)])
+        r = run_cli("train", "--config", config, "--data", short,
+                    "--out-ckpt", tmp / "out.ckpt", "--resume", ckpt)
+        assert r.returncode == 1
+        assert "error[config]" in r.stderr and "Traceback" not in r.stderr
 
     def test_success_is_zero(self, tiny_setup):
         tmp, config, data = tiny_setup
@@ -157,13 +182,19 @@ class TestCommands:
         # priming with every frame echoes the prime video
         assert np.array_equal(read_container(out)[0], read_container(data)[0])
 
-    def test_dump_config_flag(self, tiny_setup):
+    @pytest.mark.parametrize("command", ["train", "eval", "sample", "analyze"])
+    def test_dump_config_flag(self, tiny_setup, command):
         tmp, config, data = tiny_setup
-        r = run_cli("train", "--config", config, "--data", data,
-                    "--out-ckpt", tmp / "x.ckpt", "--dump-config")
-        assert r.returncode == 0
-        assert "variant = spatiotemporal" in r.stdout
-        assert not (tmp / "x.ckpt").exists()
+        out = tmp / "x.out"
+        extra = {"train": ["--data", data, "--out-ckpt", out],
+                 "eval": ["--ckpt", tmp / "missing.ckpt", "--data", data, "--out", out],
+                 "sample": ["--ckpt", tmp / "missing.ckpt", "--prime-video", data,
+                            "--out", out],
+                 "analyze": ["--out", out]}[command]
+        r = run_cli(command, "--config", config, *extra, "--dump-config")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == cli.dump_config(cli.load_config(config))
+        assert not out.exists()
 
     def test_help_lists_flags(self):
         r = run_cli("sample", "--help")

@@ -60,6 +60,7 @@ class TestDependencyGraph:
         rep = dependency_graph(shape, blocks_of(raw_blocks), kernel)
         grad = gradient_reachability(shape, blocks_of(raw_blocks), kernel, seed=1)
         assert np.array_equal(rep.reach, grad)
+        assert rep.blind_count() == np.count_nonzero(np.tril(~grad, k=-1))
 
     def test_never_reaches_forward(self):
         rep = dependency_graph((2, 4, 4), blocks_of([(2, 4, 4), (1, 2, 2)]), (3, 3, 3))

@@ -272,6 +272,22 @@ class TestBuildVariant:
         with pytest.raises(ConfigError):
             M.build_variant("spatiotemporal", (4, 16, 16), banana=1)
 
+    def test_unset_axes_derived_per_axis(self):
+        cfg = M.build_variant("spatiotemporal", (16, 64, 64), s=(4, 0, 0), kernel=(5, 0, 0),
+                              d=64, layers=0)
+        assert cfg.s.as_tuple() == (4, 2, 2)
+        assert cfg.kernel == (5, 2, 2)
+        assert (cfg.d_e, cfg.d, len(cfg.dec_schedule)) == (128, 64, 8)
+        frame = M.build_variant("single_frame", (4, 8, 8), s=(0, 0, 0), kernel=(0, 0, 0))
+        assert frame.s.as_tuple() == (4, 1, 1) and frame.kernel == (6, 1, 1)
+
+    def test_first_slice_decoder_needs_layers(self):
+        with pytest.raises(ConfigError, match="first_slice_layers"):
+            M.build_variant("spatiotemporal", (4, 16, 16), first_slice_decoder=True,
+                            first_slice_layers=0)
+        assert not M.build_variant("spatiotemporal", (4, 16, 16),
+                                   first_slice_layers=0).first_slice_schedule
+
 
 class TestSingleFrameVariant:
     def make(self):
@@ -417,23 +433,6 @@ class TestComposite:
         err = tc.grad_check(fn, [ps64[n] for n in probe], eps=3e-4,
                             max_entries=40, seed=2)
         assert err < 1e-4
-
-    def test_aux_zero_weights_equal_omitting(self):
-        """With the aux rows of the input projection zeroed, conditioning on a
-        random aux track equals conditioning on a zero track."""
-        cfg = tiny_config(aux_dim=3)
-        ps = M.init_params(cfg, head_init="normal")
-        proj = ps["enc/in_proj"]
-        proj.data[cfg.d_e:, :] = 0.0
-        rng = np.random.default_rng(17)
-        video = rng.integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
-        aux = rng.standard_normal((4, 3)).astype(np.float32)
-        z_rand = M.encode_slices(ps, cfg, [video], [(1, 0, 0)], aux=[aux])
-        z_zero = M.encode_slices(ps, cfg, [video], [(1, 0, 0)], aux=None)
-        assert np.array_equal(z_rand.data, z_zero.data)
-        proj.data[cfg.d_e:, :] = 0.1
-        z_touch = M.encode_slices(ps, cfg, [video], [(1, 0, 0)], aux=[aux])
-        assert not np.array_equal(z_touch.data, z_zero.data)
 
     def test_first_slice_decoder_paths(self):
         cfg = tiny_config(first_slice_decoder=True, first_slice_layers=2)

@@ -186,18 +186,21 @@ class TestTrainLoop:
             O.train(cfg, tcfg, videos, params=ps)
 
     def test_checkpoint_resume_continues_exactly(self, tmp_path):
-        cfg = tiny_config()
         videos = [np.random.default_rng(10).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)]
-        ck = tmp_path / "t.ckpt"
-        tcfg6 = O.TrainConfig(steps=6, batch_slices=2, seed=2, prime_frames=1)
-        _, _, full = O.train(cfg, tcfg6, videos)
-        tcfg3 = O.TrainConfig(steps=3, batch_slices=2, seed=2, prime_frames=1)
-        O.train(cfg, tcfg3, videos, ckpt_path=str(ck))
-        params, opt, step = O.load_training_checkpoint(str(ck), cfg, tcfg3.rmsprop)
-        assert step == 3
-        _, _, resumed = O.train(cfg, tcfg6, videos, params=params, opt=opt,
-                                start_step=step)
-        assert [r[:4] for r in resumed] == [r[:4] for r in full[3:]]
+        _assert_resume_continues_exactly(tmp_path, videos)
+
+    def test_resume_replays_crops(self, tmp_path):
+        """7-frame videos are cropped to the config's 4: resuming replays the
+        crop draws of the skipped steps."""
+        videos = [np.random.default_rng(12 + i).integers(0, 256, (7, 8, 8, 3)).astype(np.uint8)
+                  for i in range(2)]
+        _assert_resume_continues_exactly(tmp_path, videos)
+
+    def test_resume_rejects_short_video(self):
+        videos = [np.zeros((3, 8, 8, 3), dtype=np.uint8)]
+        tcfg = O.TrainConfig(steps=4, batch_slices=2, seed=2, prime_frames=1)
+        with pytest.raises(ConfigError, match="3 frames"):
+            O.train(tiny_config(), tcfg, videos, start_step=2)
 
     def test_log_file_format(self, tmp_path, capsys):
         cfg = tiny_config()
@@ -221,6 +224,22 @@ class TestTrainLoop:
                          "--steps", "2"]) == 0
         echoed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("step=")]
         assert len(echoed) == 2 and echoed == cli_log.read_text().splitlines()
+
+
+def _assert_resume_continues_exactly(tmp_path, videos):
+    """Six steps in one run equal three steps, a checkpoint, and a resumed
+    run from step 3."""
+    cfg = tiny_config()
+    ck = tmp_path / "t.ckpt"
+    tcfg6 = O.TrainConfig(steps=6, batch_slices=2, seed=2, prime_frames=1)
+    _, _, full = O.train(cfg, tcfg6, videos)
+    tcfg3 = O.TrainConfig(steps=3, batch_slices=2, seed=2, prime_frames=1)
+    O.train(cfg, tcfg3, videos, ckpt_path=str(ck))
+    params, opt, step = O.load_training_checkpoint(str(ck), cfg, tcfg3.rmsprop)
+    assert step == 3
+    _, _, resumed = O.train(cfg, tcfg6, videos, params=params, opt=opt,
+                            start_step=step)
+    assert [r[:4] for r in resumed] == [r[:4] for r in full[3:]]
 
 
 class TestFirstSliceDecoder:
