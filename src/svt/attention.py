@@ -29,6 +29,10 @@ class BlockShape:
     h: int
     w: int
 
+    def __post_init__(self):
+        if min(self.t, self.h, self.w) < 1:
+            raise ConfigError(f"block shape must be positive, got {self.as_tuple()}")
+
     @property
     def n_positions(self):
         return self.t * self.h * self.w

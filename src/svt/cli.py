@@ -2,8 +2,9 @@
 
 Configuration is a flat ``key = value`` text file ('#' starts a comment);
 unknown keys are rejected and all geometry checks run at load time.  Any
-command that takes --config also accepts --dump-config to echo the resolved
-configuration and exit, which round-trips through the parser.
+command that takes --config also accepts --dump-config to echo every key and
+exit: the file's values, schema defaults for the rest, unset (0) values left
+unresolved.  The echo round-trips through the parser.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numeric error.
 The --threads flag (or the SVT_THREADS environment variable) pins the BLAS
@@ -272,10 +273,10 @@ def _cmd_sample(args):
         prime_frames=args.prime_frames if args.prime_frames is not None else conf["prime_frames"],
         temperature=args.temperature if args.temperature is not None else conf["temperature"],
         seed=args.seed if args.seed is not None else conf["sample_seed"],
-        count=args.count if args.count is not None else conf["sample_count"],
     )
+    count = args.count if args.count is not None else conf["sample_count"]
     outputs = []
-    for i in range(scfg.count):
+    for i in range(count):
         video, _split = sample_video(params, cfg, primes[i % len(primes)], scfg,
                                      video_index=i)
         outputs.append(video)

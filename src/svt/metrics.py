@@ -84,8 +84,7 @@ def evaluate(params, cfg, videos, prime_frames):
     total = 0.0
     pixels = 0.0
     for video in videos:
-        if video.shape[:3] != cfg.video_shape:
-            raise ConfigError(f"video shape {video.shape[:3]} != config {cfg.video_shape}")
+        cfg.check_video(video)
         for idx in slice_order(cfg.s):
             with tc.no_grad():
                 loss, n_pix, _ = M.forward_slices(params, cfg, [video], [idx],

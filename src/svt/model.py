@@ -116,23 +116,35 @@ class ModelConfig:
             raise ConfigError(f"unknown head {self.head!r}")
         if self.head == "deterministic" and self.channels != "gray":
             raise ConfigError("the deterministic head models grayscale video only")
-        self.s.check_divides(self.video_shape)
+        specs = self.enc_schedule + self.dec_schedule + self.first_slice_schedule
+        sizes = [("kernel", self.kernel), ("mconv", self.mconv), ("d_e and d", (self.d_e, self.d))]
+        sizes += [("n_heads and d_head", (spec.n_heads, spec.d_head)) for spec in specs]
+        for name, values in sizes:
+            if min(values) < 1:
+                raise ConfigError(f"{name} must be positive, got {values}")
+        ss = self.slice_shape  # checks that s divides the video
         if self.variant == "single_frame":
             if self.s.as_tuple() != (self.video_shape[0], 1, 1):
                 raise ConfigError("single_frame requires s = (T, 1, 1)")
             if self.kernel != (6, 1, 1):
                 raise ConfigError("single_frame requires kernel (6, 1, 1)")
-        ss = self.slice_shape
-        for name, sched in (("encoder", self.enc_schedule), ("decoder", self.dec_schedule),
-                            ("first-slice decoder", self.first_slice_schedule)):
-            for spec in sched:
-                spec.block.check_divides(ss)
-        for e in self.mconv:
-            if e % 2 == 0:
-                raise ConfigError(f"masked conv extents must be odd, got {self.mconv}")
+        for spec in specs:
+            spec.block.check_divides(ss)
+        tc.masked_taps(self.mconv)  # rejects even extents
         if not self.enc_schedule or not self.dec_schedule:
             raise ConfigError("empty layer schedule")
         return self
+
+    def check_video(self, video, crop=False):
+        """Raise ConfigError unless ``video`` is a (T, H, W, bytes_per_pixel)
+        video of this config; with ``crop``, longer videos pass too (training
+        crops them to T frames)."""
+        want = (*self.video_shape, self.bytes_per_pixel)
+        got = tuple(np.shape(video))
+        if len(got) != 4 or got[1:] != want[1:] or (got[0] < want[0] if crop else got != want):
+            raise ConfigError(
+                f"video has {got[0] if got else 0} frames of shape {got[1:]}, config wants "
+                f"{want[0]}{' or more' if crop else ''} frames of shape {want[1:]}")
 
 
 def _largest_divisor_leq(n, cap):
@@ -223,8 +235,6 @@ def build_variant(variant, video_shape, preset="base", s=None, kernel=None,
     ``first_slice_decoder``, rank-0 slices get a stand-alone decoder of
     ``first_slice_layers`` layers.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
     if preset not in _PRESETS:
         raise ConfigError(f"unknown preset {preset!r}")
     if unknown:
@@ -279,9 +289,6 @@ class ParamStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def names(self):
         return sorted(self._params)
 
@@ -303,9 +310,6 @@ class ParamStore:
 
     def layer(self, prefix, i):
         return {k: self._params[f"{prefix}/l{i}/{k}"] for k in LAYER_KEYS}
-
-    def n_parameters(self):
-        return sum(t.data.size for t in self.tensors())
 
 
 def trunc_normal(rng, shape, std=0.02):
@@ -718,15 +722,23 @@ def load_checkpoint(path):
     return out
 
 
+def checkpoint_entries(cfg, arrays, prefix=""):
+    """{parameter name: float32 copy of checkpoint entry ``prefix + name``}
+    for every parameter of ``cfg``; a missing entry or one of another shape
+    is a ConfigError."""
+    out = {}
+    for name, shape in parameter_shapes(cfg).items():
+        entry = arrays.get(prefix + name)
+        if entry is None:
+            raise ConfigError(f"checkpoint is missing {prefix + name}")
+        if entry.shape != shape:
+            raise ConfigError(
+                f"checkpoint entry {prefix + name} has shape {entry.shape}, expected {shape}")
+        out[name] = entry.astype(np.float32)
+    return out
+
+
 def params_from_checkpoint(cfg, arrays):
     """Rebuild a ParamStore, checking every expected name and shape."""
-    params = {}
-    for name, shape in parameter_shapes(cfg).items():
-        if name not in arrays:
-            raise ConfigError(f"checkpoint is missing parameter {name}")
-        got = arrays[name]
-        if tuple(got.shape) != shape:
-            raise ConfigError(
-                f"checkpoint parameter {name} has shape {got.shape}, expected {shape}")
-        params[name] = Tensor(got.astype(np.float32), requires_grad=True)
-    return ParamStore(params)
+    return ParamStore({n: Tensor(a, requires_grad=True)
+                       for n, a in checkpoint_entries(cfg, arrays).items()})

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as tc
+from .data import DataError
 from .subscale import slice_order, slice_rank
 from .tensor import ConfigError
 
@@ -55,11 +56,6 @@ class OptimizerState:
         for n, a in self.mom.items():
             out[f"opt/mom/{n}"] = a
         return out
-
-    def load_arrays(self, arrays):
-        for n in self.acc:
-            self.acc[n] = arrays[f"opt/acc/{n}"].reshape(self.acc[n].shape).copy()
-            self.mom[n] = arrays[f"opt/mom/{n}"].reshape(self.mom[n].shape).copy()
 
 
 def rmsprop_step(params, grads, state):
@@ -136,10 +132,7 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
     if tcfg.batch_slices < 1:
         raise ConfigError("batch size must be >= 1")
     for v in videos:
-        if v.shape[1:3] != cfg.video_shape[1:3]:
-            raise ConfigError(f"video spatial shape {v.shape[1:3]} != config {cfg.video_shape[1:3]}")
-        if v.shape[3] != cfg.bytes_per_pixel:
-            raise ConfigError(f"video has {v.shape[3]} channels, config wants {cfg.bytes_per_pixel}")
+        cfg.check_video(v, crop=True)
     if params is None:
         params = M.init_params(cfg)
     if opt is None:
@@ -220,11 +213,16 @@ def save_training_checkpoint(path, params, opt, step):
 
 
 def load_training_checkpoint(path, cfg, hyper=None):
-    """Returns (params, opt, step); opt state is zero if absent."""
+    """Returns (params, opt, step); opt state is zero if absent, and so is
+    the step.  Entries are checked by ``M.checkpoint_entries``; a step that
+    is not one whole number in [0, 2^24) (exact in float32) is a DataError."""
     arrays = M.load_checkpoint(path)
     params = M.params_from_checkpoint(cfg, arrays)
     opt = OptimizerState(params, hyper)
     if any(n.startswith("opt/") for n in arrays):
-        opt.load_arrays(arrays)
-    step = int(arrays.get("meta/step", np.zeros(1))[0])
-    return params, opt, step
+        opt.acc = M.checkpoint_entries(cfg, arrays, "opt/acc/")
+        opt.mom = M.checkpoint_entries(cfg, arrays, "opt/mom/")
+    step = arrays.get("meta/step", np.zeros(1))
+    if step.size != 1 or not (0 <= step.item() < 2 ** 24) or step.item() % 1:
+        raise DataError(f"{path}: meta/step {step.tolist()} is not a whole number in [0, 2^24)")
+    return params, opt, int(step.item())

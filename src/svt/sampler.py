@@ -33,7 +33,6 @@ class SampleConfig:
     prime_frames: int = 1
     temperature: float = 0.9
     seed: int = 0
-    count: int = 1
 
     def validate(self, video_t):
         if not (0 < self.temperature <= 2.0):
@@ -111,16 +110,10 @@ def sample_video(params, cfg, prime_video, scfg, video_index=0):
     ``prime_video`` supplies at least the primed frames; slices are visited
     in generation order and merged into the canvas as they complete."""
     scfg.validate(cfg.video_shape[0])
-    T, H, W = cfg.video_shape
-    if prime_video.shape != (T, H, W, cfg.bytes_per_pixel):
-        raise ConfigError(
-            f"prime video shape {prime_video.shape} != {(T, H, W, cfg.bytes_per_pixel)}")
+    cfg.check_video(prime_video)
     canvas = np.zeros_like(prime_video)
     canvas[:scfg.prime_frames] = prime_video[:scfg.prime_frames]
-    split_out = np.zeros((T, H, W, cfg.n_channels), dtype=np.uint8)
     for idx in slice_order(cfg.s):
         chans = sample_slice(params, cfg, canvas, idx, scfg, video_index)
-        joined = M.join_channels(chans)
-        canvas = merge_slice(canvas, cfg.s, idx, joined)
-        split_out = merge_slice(split_out, cfg.s, idx, chans.astype(np.uint8))
-    return canvas, split_out
+        canvas = merge_slice(canvas, cfg.s, idx, M.join_channels(chans))
+    return canvas, M.split_channels(canvas)

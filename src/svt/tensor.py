@@ -383,11 +383,7 @@ def gather(table, idx, axis=0):
 
     def back(g):
         gt = np.zeros_like(table.data)
-        if axis == 0:
-            np.add.at(gt, idx, g)
-        else:
-            sl = (slice(None),) * axis
-            np.add.at(gt, sl + (idx,), g)
+        np.add.at(gt, (slice(None),) * axis + (idx,), g)
         _accumulate(table, gt)
 
     return _make(out, (table,), back)
@@ -471,12 +467,7 @@ def _conv_core(x, kernel, bias, taps, stride, pad, out_shape):
         np.add.at(gflat, (slice(None), idx), gp)
         _accumulate(x, gflat[:, :n, :].reshape(x.data.shape))
 
-    data = out.reshape(B, *out_shape, cout)
-
-    def back_shaped(g):
-        back(g.reshape(B, p_out, cout))
-
-    return _make(data, (x, kernel, bias), back_shaped)
+    return _make(out.reshape(B, *out_shape, cout), (x, kernel, bias), back)
 
 
 def kernel_taps(extents):

@@ -138,6 +138,44 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "error[config]" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("case, code", [
+        ("eval-gray-data", 1), ("resume-missing-mom", 1), ("resume-nan-step", 2),
+        ("resume-acc-shape", 1), ("zero-block", 1), ("negative-mconv", 1),
+        ("negative-kernel", 1), ("negative-width", 1)])
+    def test_malformed_input_exits_cleanly(self, tiny_setup, case, code):
+        """Each input disagrees with the config or is malformed: a one-line
+        error and exit 1 (config) or 2 (io), never a traceback."""
+        from svt import model as M, optim as O
+        tmp, config, data = tiny_setup
+        edits = {"zero-block": "enc_blocks = 0x4x4;2x4x4", "negative-mconv": "mconv = -1",
+                 "negative-kernel": "kernel_t = -1", "negative-width": "d_model = -4"}
+        if case in edits:
+            config.write_text(TINY_CONFIG + edits[case] + "\n")
+            argv = ["analyze", "--config", config]
+        elif case == "eval-gray-data":
+            ckpt, gray = tmp / "m.ckpt", tmp / "gray.svt"
+            M.save_checkpoint(ckpt, M.init_params(cli.model_config_from(
+                cli.load_config(config))).arrays())
+            write_container(gray, [np.zeros((4, 8, 8, 1), dtype=np.uint8)] * 4)
+            argv = ["eval", "--config", config, "--ckpt", ckpt, "--data", gray]
+        else:
+            params = M.init_params(cli.model_config_from(cli.load_config(config)))
+            ckpt = tmp / "m.ckpt"
+            O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 2)
+            arrays = M.load_checkpoint(ckpt)
+            if case == "resume-missing-mom":
+                del arrays["opt/mom/dec/l0/w_p"]
+            elif case == "resume-nan-step":
+                arrays["meta/step"][0] = np.nan
+            else:
+                arrays["opt/acc/head/p"] = np.zeros(7, dtype=np.float32)
+            M.save_checkpoint(ckpt, arrays)
+            argv = ["train", "--config", config, "--data", data,
+                    "--out-ckpt", tmp / "out.ckpt", "--resume", ckpt]
+        r = run_cli(*argv)
+        assert r.returncode == code
+        assert "error[" in r.stderr and "Traceback" not in r.stderr
+
     def test_success_is_zero(self, tiny_setup):
         tmp, config, data = tiny_setup
         r = run_cli("analyze", "--config", config, "--max-blind", 4)

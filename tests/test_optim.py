@@ -202,6 +202,47 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="3 frames"):
             O.train(tiny_config(), tcfg, videos, start_step=2)
 
+    def test_malformed_resume_checkpoint(self, tmp_path):
+        """Seeded fuzz: deleting or reshaping a parameter, opt/acc, opt/mom
+        or meta/step entry, or a step that is not a whole number in
+        [0, 2^24), loads to the saved state or raises ConfigError/DataError
+        (entry names and shapes: config; the step's value: data)."""
+        from svt.data import DataError
+        cfg = tiny_config()
+        params = M.init_params(cfg, head_init="normal")
+        path = tmp_path / "t.ckpt"
+        O.save_training_checkpoint(path, params, O.OptimizerState(params), 3)
+        good = M.load_checkpoint(path)
+        rng = np.random.default_rng(0)
+        cases = [("meta/step", None, None), ("meta/step", [[3.0]], None),
+                 ("meta/step", [3.0, 3.0], DataError)]
+        cases += [("meta/step", [v], DataError)
+                  for v in (np.nan, np.inf, -np.inf, -1.0, -0.5, 2.5, 2.0 ** 24)]
+        for prefix in ("", "opt/acc/", "opt/mom/"):
+            for name in rng.choice(sorted(M.parameter_shapes(cfg)), 4, replace=False):
+                entry = good[prefix + name]
+                flat = entry.reshape(-1)
+                cases += [(prefix + name, None, ConfigError),
+                          (prefix + name, flat, None if flat.shape == entry.shape else ConfigError),
+                          (prefix + name, np.append(flat, 1.0), ConfigError)]
+        for key, value, expect in cases:
+            arrays = dict(good)
+            if value is None:
+                del arrays[key]
+            else:
+                arrays[key] = np.asarray(value, dtype=np.float32)
+            M.save_checkpoint(path, arrays)
+            try:
+                loaded, opt, step = O.load_training_checkpoint(path, cfg)
+            except (ConfigError, DataError) as e:
+                assert type(e) is expect, (key, value)
+                continue
+            assert expect is None, (key, value)
+            assert step == (0 if key == "meta/step" and value is None else 3)
+            saved = {**loaded.arrays(), **opt.arrays()}
+            assert sorted(saved) == sorted(n for n in good if n != "meta/step")
+            assert all(np.array_equal(a, good[n]) for n, a in saved.items())
+
     def test_log_file_format(self, tmp_path, capsys):
         cfg = tiny_config()
         videos = [np.random.default_rng(11).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)]

@@ -110,6 +110,7 @@ class TestSampleVideo:
         assert out.dtype == np.uint8
         assert split.max() <= 15
         assert np.array_equal(M.join_channels(split), out)
+        assert np.array_equal(split, M.split_channels(out))
         assert np.array_equal(out[0], video[0])  # primed frame copied
 
     def test_seed_determinism_full_video(self):
