@@ -14,6 +14,7 @@ convolution in front of the stack excludes its center).
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -73,11 +74,21 @@ def block_merge(x, bs, slice_shape, batch):
     return tc.reshape(x, (batch, T, H, W, d))
 
 
+def _read_only(a):
+    """``a``, made read-only so that a cached result cannot be changed."""
+    a.flags.writeable = False
+    return a
+
+
+@cache
 def relative_bias_indices(bs):
-    """Index matrices (n_p, n_p) into the (2t-1), (2h-1), (2w-1) bias tables."""
+    """Index matrices (n_p, n_p) into the (2t-1), (2h-1), (2w-1) bias tables.
+
+    Cached per block shape; the arrays are read-only."""
     loc = np.indices(bs.as_tuple()).reshape(3, -1).T  # in-block raster order
     delta = loc[:, None, :] - loc[None, :, :]  # i - j
-    return (delta[..., 0] + bs.t - 1, delta[..., 1] + bs.h - 1, delta[..., 2] + bs.w - 1)
+    return tuple(_read_only(delta[..., axis] + extent - 1)
+                 for axis, extent in enumerate(bs.as_tuple()))
 
 
 def relative_bias_matrix(bs, table_t, table_h, table_w):
@@ -89,14 +100,16 @@ def relative_bias_matrix(bs, table_t, table_h, table_w):
     return tc.add(tc.add(bt, bh), bw)
 
 
+@cache
 def causal_mask(bs):
     """Boolean (n_p, n_p): entry [i, j] True iff i may attend to j.
 
     j is attendable iff its global raster index is <= i's.  Positions share
     their block, and in-block raster order is global raster order, so that
-    is exactly j <= i in block order, whatever the block's offset.
+    is exactly j <= i in block order, whatever the block's offset.  Cached
+    per block shape; the array is read-only.
     """
-    return np.tril(np.ones((bs.n_positions, bs.n_positions), dtype=bool))
+    return _read_only(np.tril(np.ones((bs.n_positions, bs.n_positions), dtype=bool)))
 
 
 def block_attention(z, w_qkv, tables, n_heads, d_head, mask=None, record=None):

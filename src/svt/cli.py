@@ -265,10 +265,13 @@ def _cmd_sample(args):
     from . import model as M
     from .data import read_container, write_container, write_ppm_frames
     from .sampler import SampleConfig, sample_video
+    from .tensor import ConfigError
 
     conf, cfg = _load_for(args)
     params = M.params_from_checkpoint(cfg, M.load_checkpoint(args.ckpt))
     primes = read_container(args.prime_video)
+    if not primes:
+        raise ConfigError(f"{args.prime_video} holds no videos to prime samples with")
     scfg = SampleConfig(
         prime_frames=args.prime_frames if args.prime_frames is not None else conf["prime_frames"],
         temperature=args.temperature if args.temperature is not None else conf["temperature"],

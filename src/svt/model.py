@@ -239,6 +239,8 @@ def build_variant(variant, video_shape, preset="base", s=None, kernel=None,
         raise ConfigError(f"unknown preset {preset!r}")
     if unknown:
         raise ConfigError(f"unknown build_variant overrides: {sorted(unknown)}")
+    if min(video_shape) < 1:
+        raise ConfigError(f"video extents must be positive, got {tuple(video_shape)}")
     p = _PRESETS[preset]
     d_e, d, layers = d_e or p["d_e"], d or p["d"], layers or p["layers"]
     n_heads, d_head = n_heads or p["n_heads"], d_head or p["d_head"]

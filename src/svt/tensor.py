@@ -12,6 +12,11 @@ convolution with signed padding, raster-causal masked 3D convolution,
 gathers, reshapes and concatenation.  ``grad_check`` compares every analytic
 gradient against central finite differences and is the binding contract for
 all of them.
+
+``backward`` computes only the gradients some tensor needs: an op with
+several parents skips the gradient of every parent that does not require
+one (a one-hot input, a mask, a frozen weight), rather than forming it and
+dropping it.
 """
 
 from __future__ import annotations
@@ -161,8 +166,10 @@ def add(a, b):
     b = _wrap(b, a)
 
     def back(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(a.data + b.data, (a, b), back)
 
@@ -172,8 +179,10 @@ def sub(a, b):
     b = _wrap(b, a)
 
     def back(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return _make(a.data - b.data, (a, b), back)
 
@@ -183,8 +192,10 @@ def mul(a, b):
     b = _wrap(b, a)
 
     def back(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(a.data * b.data, (a, b), back)
 
@@ -249,10 +260,12 @@ def matmul(a, b):
     out = np.matmul(a.data, b.data)
 
     def back(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                                        a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                        b.data.shape))
 
     return _make(out, (a, b), back)
 
@@ -303,12 +316,15 @@ def layernorm(a, gain, bias, eps=1e-6):
     out = xhat * gain.data + bias.data
 
     def back(g):
-        _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accumulate(bias, _unbroadcast(g, bias.data.shape))
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(a, inv * (dxhat - m1 - xhat * m2))
+        if gain.requires_grad:
+            _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        if a.requires_grad:
+            dxhat = g * gain.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            _accumulate(a, inv * (dxhat - m1 - xhat * m2))
 
     return _make(out, (a, gain, bias), back)
 
@@ -441,6 +457,24 @@ def _conv_index_map(in_shape, taps, stride, pad, out_shape):
     return flat
 
 
+def _scatter_taps(gp, idx_k, n, dtype):
+    """(B, n, Cin) input gradient, of ``dtype``, from the per-tap gradients
+    gp (B, P_out, K, Cin) of the (P_out, K) flat input rows ``idx_k``; row
+    ``n`` is the sentinel.
+
+    A tap reads each input row at most once, apart from the discarded
+    sentinel, so one buffered add per tap is exact.  A row's later taps come
+    from earlier outputs, so adding the taps in reverse order sums every row
+    in output raster order, as ``np.add.at(gflat, idx, gp)`` does: the result
+    is bit-identical to it.
+    """
+    B, _, K, cin = gp.shape
+    gflat = np.zeros((B, n + 1, cin), dtype=dtype)
+    for k in reversed(range(K)):
+        gflat[:, idx_k[:, k]] += gp[:, :, k]
+    return gflat[:, :n]
+
+
 def _conv_core(x, kernel, bias, taps, stride, pad, out_shape):
     """Shared gather-matmul convolution.  x: (B,T,H,W,Cin); taps: (K,3)."""
     B, T, H, W, cin = x.data.shape
@@ -459,13 +493,15 @@ def _conv_core(x, kernel, bias, taps, stride, pad, out_shape):
 
     def back(g):
         g2 = g.reshape(B, p_out, cout)
-        _accumulate(bias, g2.sum(axis=(0, 1)))
-        gk = np.einsum("bpi,bpo->io", patches, g2).astype(kernel.data.dtype)
-        _accumulate(kernel, gk)
-        gp = np.matmul(g2, kernel.data.T).reshape(B, p_out * K, cin)
-        gflat = np.zeros((B, n + 1, cin), dtype=x.data.dtype)
-        np.add.at(gflat, (slice(None), idx), gp)
-        _accumulate(x, gflat[:, :n, :].reshape(x.data.shape))
+        if bias.requires_grad:
+            _accumulate(bias, g2.sum(axis=(0, 1)))
+        if kernel.requires_grad:
+            gk = np.einsum("bpi,bpo->io", patches, g2).astype(kernel.data.dtype)
+            _accumulate(kernel, gk)
+        if x.requires_grad:
+            gp = np.matmul(g2, kernel.data.T).reshape(B, p_out, K, cin)
+            gx = _scatter_taps(gp, idx.reshape(p_out, K), n, x.data.dtype)
+            _accumulate(x, gx.reshape(x.data.shape))
 
     return _make(out.reshape(B, *out_shape, cout), (x, kernel, bias), back)
 

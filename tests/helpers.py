@@ -181,6 +181,20 @@ def gradient_reachability(slice_shape, blocks, kernel, seed, d_in=3, d=6):
     return reach
 
 
+def add_at_conv_input_grad(x, kernel, g, taps, stride, pad):
+    """Input gradient of a convolution in the ``np.add.at`` form: the
+    reference for the per-tap scatter of ``tensor._conv_core``.  x: (B, T,
+    H, W, Cin) array, kernel (K*Cin, Cout), g the (B, T', H', W', Cout)
+    output gradient."""
+    B, T, H, W, cin = x.shape
+    n = T * H * W
+    idx = tc._conv_index_map((T, H, W), taps, stride, pad, g.shape[1:4])
+    gp = np.matmul(g.reshape(B, -1, g.shape[-1]), kernel.T).reshape(B, -1, cin)
+    gflat = np.zeros((B, n + 1, cin), dtype=x.dtype)
+    np.add.at(gflat, (slice(None), idx), gp)
+    return gflat[:, :n].reshape(x.shape)
+
+
 def tiny_config(**overrides):
     """Small spatiotemporal config with no structural blind spots.
 

@@ -8,7 +8,7 @@ from svt import tensor as tc
 from svt.attention import (AttentionLayerSpec, BlockShape, CausalLayerStep,
                            attention_layer, block_attention, block_merge,
                            block_partition, block_slots, causal_mask,
-                           relative_bias_matrix)
+                           relative_bias_indices, relative_bias_matrix)
 from svt.tensor import ConfigError, Tensor
 
 
@@ -139,6 +139,27 @@ class TestCausalMask:
         bs = BlockShape(2, 1, 3)
         m = causal_mask(bs)
         assert np.array_equal(m, np.tril(np.ones_like(m)))
+
+
+class TestBlockConstantCache:
+    """``relative_bias_indices`` and ``causal_mask`` are computed once per
+    block shape; the cached arrays are read-only."""
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2), (1, 4, 4), (2, 8, 8), (4, 2, 3)])
+    def test_cached_equals_fresh_and_is_read_only(self, shape):
+        bs = BlockShape(*shape)
+        coords = block_coordinates(shape, bs)[0]  # the one block, raster order
+        delta = coords[:, None, :] - coords[None, :, :]
+        fresh = [delta[..., axis] + extent - 1 for axis, extent in enumerate(shape)]
+        indices = relative_bias_indices(bs)
+        assert indices is relative_bias_indices(BlockShape(*shape))
+        mask = causal_mask(bs)
+        assert mask is causal_mask(BlockShape(*shape))
+        assert np.array_equal(mask, np.tril(np.ones((bs.n_positions,) * 2, dtype=bool)))
+        for got, want in zip(indices + (mask,), fresh + [mask]):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0, 0] = 0
 
 
 class TestBlockAttention:

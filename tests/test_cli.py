@@ -141,23 +141,35 @@ class TestExitCodes:
     @pytest.mark.parametrize("case, code", [
         ("eval-gray-data", 1), ("resume-missing-mom", 1), ("resume-nan-step", 2),
         ("resume-acc-shape", 1), ("zero-block", 1), ("negative-mconv", 1),
-        ("negative-kernel", 1), ("negative-width", 1)])
+        ("negative-kernel", 1), ("negative-width", 1), ("zero-video-t", 1),
+        ("negative-video-h", 1), ("zero-log-every", 1), ("zero-stop-window", 1), ("empty-prime", 1)])
     def test_malformed_input_exits_cleanly(self, tiny_setup, case, code):
         """Each input disagrees with the config or is malformed: a one-line
         error and exit 1 (config) or 2 (io), never a traceback."""
         from svt import model as M, optim as O
         tmp, config, data = tiny_setup
         edits = {"zero-block": "enc_blocks = 0x4x4;2x4x4", "negative-mconv": "mconv = -1",
-                 "negative-kernel": "kernel_t = -1", "negative-width": "d_model = -4"}
+                 "negative-kernel": "kernel_t = -1", "negative-width": "d_model = -4",
+                 "zero-video-t": "video_t = 0", "negative-video-h": "video_h = -8"}
+        train_edits = {"zero-log-every": "log_every = 0",
+                       "zero-stop-window": "stop_window = 0\nstop_bits_per_dim = 0.5"}
         if case in edits:
             config.write_text(TINY_CONFIG + edits[case] + "\n")
             argv = ["analyze", "--config", config]
-        elif case == "eval-gray-data":
-            ckpt, gray = tmp / "m.ckpt", tmp / "gray.svt"
+        elif case in train_edits:
+            config.write_text(TINY_CONFIG + train_edits[case] + "\n")
+            argv = ["train", "--config", config, "--data", data, "--out-ckpt", tmp / "out.ckpt"]
+        elif case in ("eval-gray-data", "empty-prime"):
+            ckpt, videos = tmp / "m.ckpt", tmp / "videos.svt"
             M.save_checkpoint(ckpt, M.init_params(cli.model_config_from(
                 cli.load_config(config))).arrays())
-            write_container(gray, [np.zeros((4, 8, 8, 1), dtype=np.uint8)] * 4)
-            argv = ["eval", "--config", config, "--ckpt", ckpt, "--data", gray]
+            if case == "eval-gray-data":
+                write_container(videos, [np.zeros((4, 8, 8, 1), dtype=np.uint8)] * 4)
+                argv = ["eval", "--config", config, "--ckpt", ckpt, "--data", videos]
+            else:
+                write_container(videos, [])
+                argv = ["sample", "--config", config, "--ckpt", ckpt, "--prime-video", videos,
+                        "--out", tmp / "sampled.svt"]
         else:
             params = M.init_params(cli.model_config_from(cli.load_config(config)))
             ckpt = tmp / "m.ckpt"
