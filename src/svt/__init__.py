@@ -8,23 +8,24 @@ optim (RMSProp training), sampler (autoregressive generation), connectivity
 (bits/dim, nats/frame), cli (command line).
 """
 
-from .attention import AttentionLayerSpec, BlockShape
-from .model import ModelConfig, ParamStore, build_variant, init_params
-from .subscale import SubscaleFactor, slice_order
-from .tensor import ConfigError, ShapeError, Tensor
+import importlib
 
-__all__ = [
-    "AttentionLayerSpec",
-    "BlockShape",
-    "ConfigError",
-    "ModelConfig",
-    "ParamStore",
-    "ShapeError",
-    "SubscaleFactor",
-    "Tensor",
-    "build_variant",
-    "init_params",
-    "slice_order",
-]
+# Package-level names resolve on first use (PEP 562), so that importing
+# ``svt.cli`` leaves numpy unloaded until --threads has pinned BLAS.
+_HOMES = {name: module for module, names in {
+    "attention": ("AttentionLayerSpec", "BlockShape"),
+    "model": ("ModelConfig", "ParamStore", "build_variant", "init_params"),
+    "subscale": ("SubscaleFactor", "slice_order"),
+    "tensor": ("ConfigError", "ShapeError", "Tensor"),
+}.items() for name in names}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+
 
 __version__ = "0.1.0"

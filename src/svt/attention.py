@@ -74,12 +74,6 @@ def block_merge(x, bs, slice_shape, batch):
     return tc.reshape(x, (batch, T, H, W, d))
 
 
-def _read_only(a):
-    """``a``, made read-only so that a cached result cannot be changed."""
-    a.flags.writeable = False
-    return a
-
-
 @cache
 def relative_bias_indices(bs):
     """Index matrices (n_p, n_p) into the (2t-1), (2h-1), (2w-1) bias tables.
@@ -87,7 +81,7 @@ def relative_bias_indices(bs):
     Cached per block shape; the arrays are read-only."""
     loc = np.indices(bs.as_tuple()).reshape(3, -1).T  # in-block raster order
     delta = loc[:, None, :] - loc[None, :, :]  # i - j
-    return tuple(_read_only(delta[..., axis] + extent - 1)
+    return tuple(tc.read_only(delta[..., axis] + extent - 1)
                  for axis, extent in enumerate(bs.as_tuple()))
 
 
@@ -109,14 +103,15 @@ def causal_mask(bs):
     is exactly j <= i in block order, whatever the block's offset.  Cached
     per block shape; the array is read-only.
     """
-    return _read_only(np.tril(np.ones((bs.n_positions, bs.n_positions), dtype=bool)))
+    return tc.read_only(np.tril(np.ones((bs.n_positions, bs.n_positions), dtype=bool)))
 
 
 def block_attention(z, w_qkv, tables, n_heads, d_head, mask=None, record=None):
     """Multi-head attention inside one block (or a stack of blocks).
 
-    z: (G, n_p, d) pre-normalized block representations.  Returns the
-    concatenated head outputs (G, n_p, n_heads*d_head); projection and
+    z: (G, n_p, d) pre-normalized block representations; ``tables`` the
+    (n_heads, n_p, n_p) additive bias (``relative_bias_matrix``).  Returns
+    the concatenated head outputs (G, n_p, n_heads*d_head); projection and
     residual are the caller's job.  ``record``, when given, is a list that
     receives (keys, values, bias) arrays: keys and values (G, n_heads, n_p,
     d_head), bias the (n_heads, n_p, n_p) ``tables`` values.
@@ -132,8 +127,7 @@ def block_attention(z, w_qkv, tables, n_heads, d_head, mask=None, record=None):
         record.append((np.array(k.data), np.array(v.data), tables.data))
     scores = tc.mul(tc.matmul(q, tc.transpose(k, (0, 1, 3, 2))),
                     1.0 / np.sqrt(d_head))
-    if tables is not None:
-        scores = tc.add(scores, tables)  # (heads, n_p, n_p) broadcast over G
+    scores = tc.add(scores, tables)  # (heads, n_p, n_p) broadcast over G
     if mask is not None:
         add = np.where(mask, 0.0, MASK_NEG).astype(z.data.dtype)
         scores = tc.add(scores, Tensor(add))

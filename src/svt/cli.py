@@ -278,6 +278,8 @@ def _cmd_sample(args):
         seed=args.seed if args.seed is not None else conf["sample_seed"],
     )
     count = args.count if args.count is not None else conf["sample_count"]
+    if count < 0:
+        raise ConfigError(f"sample count must not be negative, got {count}")
     outputs = []
     for i in range(count):
         video, _split = sample_video(params, cfg, primes[i % len(primes)], scfg,

@@ -66,8 +66,11 @@ def read_container(path):
         if off + n > len(raw):
             raise DataError(f"{path}: payload size mismatch at video {i} "
                             f"(need {n} bytes, have {len(raw) - off})")
-        videos.append(np.frombuffer(raw, dtype=np.uint8, count=n,
-                                    offset=off).reshape(t, h, w, c).copy())
+        try:  # an empty payload can still carry extents too big for any array
+            videos.append(np.frombuffer(raw, dtype=np.uint8, count=n,
+                                        offset=off).reshape(t, h, w, c).copy())
+        except ValueError as e:
+            raise DataError(f"{path}: video {i} extents {(t, h, w, c)} unusable ({e})") from e
         off += n
     if off != len(raw):
         raise DataError(f"{path}: {len(raw) - off} trailing bytes")
@@ -76,10 +79,13 @@ def read_container(path):
 
 def import_raw(path, t, h, w, c):
     """Wrap a raw uint8 file of N stacked (t,h,w,c) videos into containers."""
+    if min(t, h, w) < 1 or c not in (1, 3):
+        raise ConfigError(f"raw video extents must be positive with 1 or 3 channels, "
+                          f"got {(t, h, w, c)}")
     with open(path, "rb") as f:
         raw = f.read()
     per = t * h * w * c
-    if per == 0 or len(raw) % per:
+    if len(raw) % per:
         raise DataError(f"{path}: size {len(raw)} is not a multiple of {per} "
                         f"(= {t}*{h}*{w}*{c})")
     n = len(raw) // per
@@ -102,6 +108,9 @@ def _bounce(pos, vel, lo, hi):
 def gen_sprites(t, h, w, n_videos, n_sprites=2, sprite_size=3, vel_max=1,
                 channels=3, seed=0):
     """Deterministic bouncing-sprite videos; overlaps compose by maximum."""
+    if min(t, h, w, sprite_size) < 1 or min(n_videos, n_sprites, vel_max) < 0:
+        raise ConfigError(f"need positive extents {(t, h, w)} and sprite size {sprite_size}, "
+                          f"non-negative counts {(n_videos, n_sprites)} and vel_max {vel_max}")
     if sprite_size > min(h, w):
         raise ConfigError(f"sprite size {sprite_size} exceeds canvas {(h, w)}")
     if channels not in (1, 3):

@@ -430,26 +430,19 @@ def _add_positional(x, pt, ph, pw):
     return tc.add(x, tc.reshape(pw, (1, 1, 1, W, D)))
 
 
-def encode_slices(params, cfg, videos, idxs, onehots=None):
-    """Encode a batch of (video, slice index) pairs -> (B, T', H', W', d).
+def encode_slices(params, cfg, onehots, idxs):
+    """Encode a batch of slices -> (B, T', H', W', d).
 
-    ``onehots`` may carry pre-built (possibly gradient-tracked) one-hot
-    Tensors of shape (T,H,W,n_channels,16); otherwise they are built from the
-    uint8 videos.
+    ``onehots[b]`` is the (T,H,W,n_channels,16) one-hot Tensor of the video
+    (``video_onehot``) whose slice ``idxs[b]`` is encoded; only the slices
+    preceding it in the generation order are visible to the encoder.
     """
-    T, H, W = cfg.video_shape
-    cin = cfg.input_channels
     z0 = []
-    for b, idx in enumerate(idxs):
-        oh = onehots[b] if onehots is not None else Tensor(video_onehot(cfg, videos[b]))
-        vis = visibility_mask((T, H, W), cfg.s, idx)
-        visf = Tensor(vis.astype(oh.data.dtype).reshape(T, H, W, 1))
-        x = tc.mul(tc.reshape(oh, (T, H, W, cin)), visf)
-        x = tc.reshape(x, (1, T, H, W, cin))
-        pad = context_padding(cfg.kernel, idx)
-        z = tc.conv3d(x, params["enc/conv_kernel"], params["enc/conv_bias"],
-                      cfg.kernel, cfg.s.as_tuple(), pad, cfg.slice_shape)
-        z0.append(z)
+    for oh, idx in zip(onehots, idxs, strict=True):
+        vis = visibility_mask(cfg.video_shape, cfg.s, idx).astype(oh.data.dtype)[..., None]
+        x = tc.mul(tc.reshape(oh, (1, *cfg.video_shape, cfg.input_channels)), Tensor(vis))
+        z0.append(tc.conv3d(x, params["enc/conv_kernel"], params["enc/conv_bias"], cfg.kernel,
+                            cfg.s.as_tuple(), context_padding(cfg.kernel, idx), cfg.slice_shape))
     z = z0[0] if len(z0) == 1 else tc.concat(z0, axis=0)
     z = _add_positional(z, params["enc/pos_t"], params["enc/pos_h"], params["enc/pos_w"])
     ranks = np.array([slice_rank(cfg.s, idx) for idx in idxs])
@@ -470,20 +463,16 @@ def decoder_for(cfg, rank):
     return "dec", cfg.dec_schedule, True
 
 
-def decode_slices(params, cfg, slice_onehots, z, rank=None, record=None):
+def decode_slices(params, cfg, x, z, rank, record=None):
     """Decode a batch of slices -> (B, T', H', W', d).
 
-    ``slice_onehots``: list of (T',H',W',n_channels,16) Tensors (the current
-    slice's own pixels).  ``rank`` picks the decoder through ``decoder_for``
-    (None: the main decoder).  ``z`` is the encoder output to condition on,
-    or None for the stand-alone first-slice decoder.  ``record`` is passed
-    to every attention layer (see ``attention.block_attention``).
+    ``x``: the (B, T', H', W', n_channels*16) one-hot Tensor of the slices'
+    own pixels.  ``rank`` picks the decoder through ``decoder_for``.  ``z``
+    is the encoder output to condition on, or None for the stand-alone
+    first-slice decoder.  ``record`` is passed to every attention layer
+    (see ``attention.block_attention``).
     """
     prefix, schedule, _ = decoder_for(cfg, rank)
-    Ts, Hs, Ws = cfg.slice_shape
-    cin = cfg.input_channels
-    flat = [tc.reshape(oh, (1, Ts, Hs, Ws, cin)) for oh in slice_onehots]
-    x = flat[0] if len(flat) == 1 else tc.concat(flat, axis=0)
     emb = tc.matmul(x, params[f"{prefix}/chan_embed"])  # summed channel embeddings
     y = tc.masked_conv3d(emb, params[f"{prefix}/mconv_kernel"],
                          params[f"{prefix}/mconv_bias"], cfg.mconv)
@@ -514,13 +503,13 @@ class SliceDecoder:
     def __init__(self, params, cfg, rank, values, z):
         prefix, schedule, _ = decoder_for(cfg, rank)
         records = []
-        oh = Tensor(tc.one_hot(values, N_VALUES))
-        y = decode_slices(params, cfg, [oh], z, rank=rank, record=records)
+        oh = tc.one_hot(values, N_VALUES).reshape(1, *cfg.slice_shape, cfg.input_channels)
+        y = decode_slices(params, cfg, Tensor(oh), z, rank, record=records)
         P = int(np.prod(cfg.slice_shape))
         self.prefill = y.data.reshape(P, cfg.d)
         self.embed = params[f"{prefix}/chan_embed"].data
         # channel embeddings of every position, plus the zero padding row
-        emb = oh.data.reshape(P, cfg.input_channels) @ self.embed
+        emb = oh.reshape(P, cfg.input_channels) @ self.embed
         self.emb = np.concatenate([emb, np.zeros((1, cfg.d_e), dtype=emb.dtype)])
         self.windows = tc.masked_conv_windows(cfg.mconv, cfg.slice_shape)
         self.kernel = params[f"{prefix}/mconv_kernel"].data
@@ -616,11 +605,8 @@ def deterministic_loss(pred, target, pixel_mask=None):
 
 def pixel_loss_mask(cfg, idx, prime_frames):
     """(T',H',W') float: 1 where the pixel's loss counts (not a primed frame)."""
-    Ts, Hs, Ws = cfg.slice_shape
-    planes = primed_plane_mask(cfg.s, idx, Ts, prime_frames)
-    mask = np.ones((Ts, Hs, Ws), dtype=np.float32)
-    mask[planes] = 0.0
-    return mask
+    planes = primed_plane_mask(cfg.s, idx, cfg.slice_shape[0], prime_frames)
+    return np.broadcast_to(~planes[:, None, None], cfg.slice_shape).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -628,43 +614,37 @@ def pixel_loss_mask(cfg, idx, prime_frames):
 # ---------------------------------------------------------------------------
 
 def forward_slices(params, cfg, videos, idxs, prime_frames=0, onehots=None):
-    """Teacher-forced forward for a batch of slices of equal geometry.
+    """Teacher-forced forward for a batch of (video, slice index) pairs.
 
     Returns (loss Tensor in nats, n_pixels, logits-or-intensity Tensor).
-    All slices must use the same decoder (``decoder_for``); the training
-    loop groups a batch by decoder.
+    The model sees one ``video_onehot`` Tensor per video (``onehots``, if
+    given: gradient leaves that let tests trace what reaches a logit) and
+    cuts each slice from it; the uint8 videos give the targets.  All slices
+    must use the same decoder (``decoder_for``); training groups by decoder.
     """
     ranks = [slice_rank(cfg.s, i) for i in idxs]
     if len({decoder_for(cfg, r)[0] for r in ranks}) > 1:
         raise ConfigError("rank-0 slices must be decoded in their own batch")
     _, _, encoded = decoder_for(cfg, ranks[0])
-    Ts, Hs, Ws = cfg.slice_shape
-    P = Ts * Hs * Ws
-    slice_oh = []
-    for b, idx in enumerate(idxs):
-        if onehots is not None:
-            slc = tc.subsample3d(onehots[b], idx, cfg.s.as_tuple())
-        else:
-            slc = Tensor(video_onehot(cfg, extract_slice(videos[b], cfg.s, idx)))
-        slice_oh.append(slc)
-    z = encode_slices(params, cfg, videos, idxs, onehots=onehots) if encoded else None
-    y = decode_slices(params, cfg, slice_oh, z, rank=ranks[0])
-    mask = np.stack([pixel_loss_mask(cfg, idx, prime_frames) for idx in idxs])
-    mask = mask.reshape(len(idxs), P)
+    if onehots is None:
+        onehots = [Tensor(video_onehot(cfg, v)) for v in videos]
+    B = len(idxs)
+    P = int(np.prod(cfg.slice_shape))
+    cuts = [tc.reshape(tc.subsample3d(oh, idx, cfg.s.as_tuple()),
+                       (1, *cfg.slice_shape, cfg.input_channels))
+            for oh, idx in zip(onehots, idxs, strict=True)]
+    x = cuts[0] if B == 1 else tc.concat(cuts, axis=0)
+    z = encode_slices(params, cfg, onehots, idxs) if encoded else None
+    y = decode_slices(params, cfg, x, z, ranks[0])
+    mask = np.stack([pixel_loss_mask(cfg, idx, prime_frames) for idx in idxs]).reshape(B, P)
+    targets = np.stack([extract_slice(v, cfg.s, idx).reshape(P, cfg.bytes_per_pixel)
+                        for v, idx in zip(videos, idxs, strict=True)])
     if cfg.head == "categorical":
-        flat = [tc.reshape(oh, (1, P, cfg.input_channels)) for oh in slice_oh]
-        oh_flat = flat[0] if len(flat) == 1 else tc.concat(flat, axis=0)
-        logits = head_logits(params, cfg, y, oh_flat)
-        targets = np.stack([
-            split_channels(extract_slice(videos[b], cfg.s, idx)).reshape(P, cfg.n_channels)
-            for b, idx in enumerate(idxs)]).astype(np.int64)
-        loss, n_pix = nll_loss(logits, targets, mask)
+        logits = head_logits(params, cfg, y, tc.reshape(x, (B, P, cfg.input_channels)))
+        loss, n_pix = nll_loss(logits, split_channels(targets).astype(np.int64), mask)
         return loss, n_pix, logits
     pred = head_intensity(params, cfg, y)
-    targets = np.stack([
-        extract_slice(videos[b], cfg.s, idx).reshape(P, 1)
-        for b, idx in enumerate(idxs)]).astype(np.float32) / 255.0
-    loss = deterministic_loss(pred, targets, mask)
+    loss = deterministic_loss(pred, targets.astype(np.float32) / 255.0, mask)
     return loss, float(mask.sum()), pred
 
 

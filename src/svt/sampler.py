@@ -20,7 +20,8 @@ import numpy as np
 
 from . import model as M
 from . import tensor as tc
-from .subscale import extract_slice, merge_slice, primed_plane_mask, slice_order, slice_rank
+from .subscale import (check_prime_frames, extract_slice, merge_slice, primed_plane_mask,
+                       slice_order, slice_rank)
 from .tensor import ConfigError, Tensor
 
 # below this temperature the categorical collapses to argmax even in float64,
@@ -37,8 +38,7 @@ class SampleConfig:
     def validate(self, video_t):
         if not (0 < self.temperature <= 2.0):
             raise ConfigError(f"temperature must be in (0, 2], got {self.temperature}")
-        if not (0 <= self.prime_frames <= video_t):
-            raise ConfigError(f"prime frame count {self.prime_frames} out of range")
+        check_prime_frames(self.prime_frames, video_t)
         return self
 
 
@@ -83,7 +83,8 @@ def sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
     first = int(np.argmin(primed)) * Hs * Ws  # primed planes lead the slice
     with tc.no_grad():
         _, _, encoded = M.decoder_for(cfg, rank)
-        z = M.encode_slices(params, cfg, [canvas], [idx]) if encoded else None
+        z = (M.encode_slices(params, cfg, [Tensor(M.video_onehot(cfg, canvas))], [idx])
+             if encoded else None)
         decoder = M.SliceDecoder(params, cfg, rank, chans, z)
         for pixel in range(first, len(values)):
             y = decoder.prefill[pixel] if pixel == first else decoder.column(pixel)

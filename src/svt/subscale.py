@@ -106,6 +106,14 @@ def slice_frame_globals(s, a, t_len):
     return np.arange(t_len) * s.t + a
 
 
+def check_prime_frames(prime_frames, video_t):
+    """Raise ConfigError unless 0 <= prime_frames <= video_t."""
+    if not 0 <= prime_frames <= video_t:
+        raise ConfigError(f"prime frame count {prime_frames} out of range 0..{video_t}")
+
+
 def primed_plane_mask(s, idx, t_len, prime_frames):
-    """Boolean (T'_slice,): True for planes that fall in primed global frames."""
+    """Boolean (T'_slice,): True for planes that fall in primed global frames.
+    Every train, eval and sample path calls this, so it checks the count."""
+    check_prime_frames(prime_frames, t_len * s.t)
     return slice_frame_globals(s, idx[0], t_len) < prime_frames

@@ -21,6 +21,8 @@ dropping it.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 
@@ -430,19 +432,21 @@ def one_hot(values, n, dtype=np.float32):
 # 3D convolution with signed padding, and its raster-causal masked variant
 # ---------------------------------------------------------------------------
 
-_CONV_INDEX_CACHE = {}
+def read_only(a):
+    """``a``, made read-only so that a cached result cannot be changed."""
+    a.flags.writeable = False
+    return a
 
 
+@cache
 def _conv_index_map(in_shape, taps, stride, pad, out_shape):
     """Flat gather indices (P_out*K,) into a zero-padded flat input.
 
     Out-of-bounds taps point at the sentinel row ``N`` (kept all-zero), which
     realizes both zero padding and negative (window-shifting) padding.
+    Cached per geometry (``taps`` a tuple of (t, h, w) tuples); the array is
+    read-only.
     """
-    key = (in_shape, tuple(map(tuple, taps)), stride, pad, out_shape)
-    hit = _CONV_INDEX_CACHE.get(key)
-    if hit is not None:
-        return hit
     T, H, W = in_shape
     ot, oh, ow = np.meshgrid(np.arange(out_shape[0]), np.arange(out_shape[1]),
                              np.arange(out_shape[2]), indexing="ij")
@@ -452,9 +456,7 @@ def _conv_index_map(in_shape, taps, stride, pad, out_shape):
     inb = ((coords >= 0) & (coords < np.asarray([T, H, W]))).all(axis=2)
     flat = coords[..., 0] * (H * W) + coords[..., 1] * W + coords[..., 2]
     flat = np.where(inb, flat, T * H * W).astype(np.int64)  # sentinel row
-    flat = flat.reshape(-1)
-    _CONV_INDEX_CACHE[key] = flat
-    return flat
+    return read_only(flat.reshape(-1))
 
 
 def _scatter_taps(gp, idx_k, n, dtype):
@@ -509,8 +511,8 @@ def _conv_core(x, kernel, bias, taps, stride, pad, out_shape):
 def kernel_taps(extents):
     kt, kh, kw = extents
     g = np.meshgrid(np.arange(kt), np.arange(kh), np.arange(kw), indexing="ij")
-    return [(int(a), int(b), int(c)) for a, b, c in
-            zip(g[0].ravel(), g[1].ravel(), g[2].ravel())]
+    return tuple((int(a), int(b), int(c)) for a, b, c in
+                 zip(g[0].ravel(), g[1].ravel(), g[2].ravel()))
 
 
 def conv3d(x, kernel, bias, extents, stride, pad, out_shape):
@@ -531,7 +533,7 @@ def masked_taps(extents):
     if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
         raise ConfigError(f"masked conv kernel extents must be odd, got {extents}")
     center = (kt // 2, kh // 2, kw // 2)
-    return [t for t in kernel_taps(extents) if t < center]
+    return tuple(t for t in kernel_taps(extents) if t < center)
 
 
 def _centered_pad(extents):
@@ -551,7 +553,8 @@ def masked_conv3d(x, kernel, bias, extents):
 
 def masked_conv_windows(extents, shape):
     """(P, K) flat input rows read by ``masked_conv3d`` at each of the P
-    raster positions of a (T, H, W) volume; row P stands for zero padding."""
+    raster positions of a (T, H, W) volume; row P stands for zero padding.
+    A read-only view of the cached index map."""
     taps = masked_taps(extents)
     shape = tuple(shape)
     idx = _conv_index_map(shape, taps, (1, 1, 1), _centered_pad(extents), shape)

@@ -59,16 +59,17 @@ def mask_preceding(video, s, idx):
 
 def encode_slice(params, cfg, video, idx):
     """Single-slice ``encode_slices``; returns a (T',H',W',d) Tensor."""
-    z = M.encode_slices(params, cfg, [video], [idx])
+    z = M.encode_slices(params, cfg, [Tensor(M.video_onehot(cfg, video))], [idx])
     return tc.reshape(z, z.data.shape[1:])
 
 
 def decode_slice(params, cfg, slice_values, z):
     """Single-slice ``decode_slices`` on the main decoder: slice_values
     (T',H',W',nc) ints, z the (T',H',W',d) encoder output Tensor."""
-    oh = Tensor(tc.one_hot(np.asarray(slice_values), M.N_VALUES))
+    oh = tc.one_hot(np.asarray(slice_values), M.N_VALUES)
+    x = Tensor(oh.reshape(1, *cfg.slice_shape, cfg.input_channels))
     zb = tc.reshape(z, (1,) + z.data.shape)
-    y = M.decode_slices(params, cfg, [oh], zb)
+    y = M.decode_slices(params, cfg, x, zb, rank=1)  # rank > 0: the main decoder
     return tc.reshape(y, y.data.shape[1:])
 
 
@@ -229,15 +230,17 @@ def reference_sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
         return chans
     _, _, encoded = M.decoder_for(cfg, rank)
     with tc.no_grad():
-        z = M.encode_slices(params, cfg, [canvas], [idx]) if encoded else None
+        z = (M.encode_slices(params, cfg, [Tensor(M.video_onehot(cfg, canvas))], [idx])
+             if encoded else None)
         for t in range(Ts):
             if primed[t]:
                 continue
             for h in range(Hs):
                 for w in range(Ws):
                     pixel = (t * Hs + h) * Ws + w
-                    oh = Tensor(tc.one_hot(chans, M.N_VALUES))
-                    y = M.decode_slices(params, cfg, [oh], z, rank=rank)
+                    oh = tc.one_hot(chans, M.N_VALUES)
+                    x = Tensor(oh.reshape(1, Ts, Hs, Ws, cfg.input_channels))
+                    y = M.decode_slices(params, cfg, x, z, rank)
                     y_vec = y.data.reshape(Ts * Hs * Ws, cfg.d)[pixel]
                     if cfg.head == "categorical":
                         ln = M.head_norm(params, Tensor(y_vec[None]))

@@ -170,7 +170,7 @@ class TestBlockAttention:
         w = np.zeros((d, 3 * da))
         w[:, da:] = rng.standard_normal((d, 2 * da))  # zero the q block only
         z = Tensor(rng.standard_normal((1, n_p, d)))
-        out = block_attention(z, Tensor(w), None, 1, da, mask=None)
+        out = block_attention(z, Tensor(w), Tensor(np.zeros((1, n_p, n_p))), 1, da, mask=None)
         v = z.data[0] @ w[:, 2 * da:]
         assert np.allclose(out.data[0], np.broadcast_to(v.mean(axis=0), (n_p, da)), atol=1e-5)
 
@@ -180,7 +180,7 @@ class TestBlockAttention:
         z = Tensor(rng.standard_normal((1, n_p, d)))
         w = Tensor(rng.standard_normal((d, 3 * da)))
         mask = np.tril(np.ones((n_p, n_p), dtype=bool))
-        out = block_attention(z, w, None, 1, da, mask=mask)
+        out = block_attention(z, w, Tensor(np.zeros((1, n_p, n_p))), 1, da, mask=mask)
         v0 = z.data[0] @ w.data[:, 2 * da:]
         assert np.allclose(out.data[0, 0], v0[0], atol=1e-5)
 
@@ -193,7 +193,8 @@ class TestBlockAttention:
         w[0, 2] = 1.0   # v = x0
         z = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = block_attention(Tensor(z.reshape(1, 2, 2), dtype=np.float64),
-                              Tensor(w, dtype=np.float64), None, 1, da).data[0]
+                              Tensor(w, dtype=np.float64),
+                              Tensor(np.zeros((1, 2, 2)), dtype=np.float64), 1, da).data[0]
         q = z[:, 0]; k = z[:, 1]; v = z[:, 0]
         for i in range(2):
             logits = q[i] * k / np.sqrt(da)

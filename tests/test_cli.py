@@ -142,7 +142,10 @@ class TestExitCodes:
         ("eval-gray-data", 1), ("resume-missing-mom", 1), ("resume-nan-step", 2),
         ("resume-acc-shape", 1), ("zero-block", 1), ("negative-mconv", 1),
         ("negative-kernel", 1), ("negative-width", 1), ("zero-video-t", 1),
-        ("negative-video-h", 1), ("zero-log-every", 1), ("zero-stop-window", 1), ("empty-prime", 1)])
+        ("negative-video-h", 1), ("zero-log-every", 1), ("zero-stop-window", 1),
+        ("empty-prime", 1), ("gen-data-negative-frames", 1), ("gen-data-negative-vel-max", 1),
+        ("import-raw-negative-frames", 1), ("sample-negative-count", 1),
+        ("eval-negative-prime", 1)])
     def test_malformed_input_exits_cleanly(self, tiny_setup, case, code):
         """Each input disagrees with the config or is malformed: a one-line
         error and exit 1 (config) or 2 (io), never a traceback."""
@@ -159,13 +162,28 @@ class TestExitCodes:
         elif case in train_edits:
             config.write_text(TINY_CONFIG + train_edits[case] + "\n")
             argv = ["train", "--config", config, "--data", data, "--out-ckpt", tmp / "out.ckpt"]
-        elif case in ("eval-gray-data", "empty-prime"):
+        elif case.startswith("gen-data"):
+            flag = "--vel-max" if case.endswith("vel-max") else "--frames"
+            argv = ["gen-data", "--out", tmp / "g.svt", flag, -1]
+        elif case == "import-raw-negative-frames":
+            raw = tmp / "clips.bin"
+            raw.write_bytes(b"\x00" * 3072)
+            argv = ["import-raw", "--raw", raw, "--out", tmp / "o.svt", "--frames", -4,
+                    "--height", 16, "--width", 16]
+        elif case in ("eval-gray-data", "empty-prime", "sample-negative-count",
+                      "eval-negative-prime"):
             ckpt, videos = tmp / "m.ckpt", tmp / "videos.svt"
             M.save_checkpoint(ckpt, M.init_params(cli.model_config_from(
                 cli.load_config(config))).arrays())
             if case == "eval-gray-data":
                 write_container(videos, [np.zeros((4, 8, 8, 1), dtype=np.uint8)] * 4)
                 argv = ["eval", "--config", config, "--ckpt", ckpt, "--data", videos]
+            elif case == "eval-negative-prime":
+                argv = ["eval", "--config", config, "--ckpt", ckpt, "--data", data,
+                        "--prime", -1]
+            elif case == "sample-negative-count":
+                argv = ["sample", "--config", config, "--ckpt", ckpt, "--prime-video", data,
+                        "--out", tmp / "sampled.svt", "--count", -1]
             else:
                 write_container(videos, [])
                 argv = ["sample", "--config", config, "--ckpt", ckpt, "--prime-video", videos,
@@ -276,6 +294,15 @@ class TestCommands:
 
 
 class TestThreadsAndNumeric:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """--threads pins BLAS through the environment, which only works
+        while numpy is not yet loaded; the package exports stay usable."""
+        code = ("import sys, svt.cli; assert 'numpy' not in sys.modules; "
+                "from svt import build_variant; print(build_variant.__module__)")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "svt.model"
+
     def test_threads_flag_sets_blas_env(self, monkeypatch):
         for var in cli._THREAD_VARS:
             monkeypatch.delenv(var, raising=False)

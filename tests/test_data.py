@@ -1,5 +1,7 @@
 """Containers, raw import, sprite generation, PPM dumps."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,40 @@ class TestContainer:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(DataError, match="trailing"):
             read_container(path)
+
+    def test_oversized_empty_extents_rejected(self, tmp_path):
+        """Extents (0, 2**32-1, 2**32-1, 3) hold no bytes but no array can
+        have them."""
+        path = tmp_path / "v.svt"
+        path.write_bytes(b"SVT1" + struct.pack("<II", 1, 1)
+                         + struct.pack("<IIIIB", 0, 2**32 - 1, 2**32 - 1, 3, 0))
+        with pytest.raises(DataError, match="extents"):
+            read_container(path)
+
+    def test_malformed_bytes_raise_data_error(self, tmp_path):
+        """Every truncation of a valid container, and seeded bit flips of it,
+        read to a list of uint8 videos or raise DataError."""
+        rng = np.random.default_rng(3)
+        path = tmp_path / "v.svt"
+        write_container(path, rand_videos(rng, 2, (2, 2, 3, 3)) +
+                        rand_videos(rng, 1, (1, 2, 1, 1)))
+        raw = path.read_bytes()
+
+        def read(data):
+            path.write_bytes(data)
+            try:
+                return read_container(path)
+            except DataError:
+                return None
+
+        for k in range(len(raw)):
+            assert read(raw[:k]) is None
+        assert len(read(raw)) == 3
+        for _ in range(1500):
+            flipped = bytearray(raw)
+            flipped[rng.integers(len(raw))] ^= 1 << int(rng.integers(8))
+            out = read(bytes(flipped))
+            assert out is None or all(v.dtype == np.uint8 and v.ndim == 4 for v in out)
 
     def test_unsupported_channels_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

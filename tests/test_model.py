@@ -12,7 +12,7 @@ from helpers import (clear_graph_grads, decode_slice, encode_slice, predict_chan
                      tiny_config)
 from svt import model as M
 from svt import tensor as tc
-from svt.subscale import SubscaleFactor
+from svt.subscale import SubscaleFactor, slice_rank
 from svt.tensor import ConfigError, Tensor
 
 
@@ -112,8 +112,9 @@ class TestDecoder:
         idx = (0, 1, 0)
         leaf = Tensor(M.video_onehot(cfg, video), requires_grad=True)
         slice_oh = tc.subsample3d(leaf, idx, cfg.s.as_tuple())
-        z = M.encode_slices(ps, cfg, [video], [idx])
-        y = M.decode_slices(ps, cfg, [slice_oh], z)
+        z = M.encode_slices(ps, cfg, [Tensor(M.video_onehot(cfg, video))], [idx])
+        x = tc.reshape(slice_oh, (1, *cfg.slice_shape, cfg.input_channels))
+        y = M.decode_slices(ps, cfg, x, z, slice_rank(cfg.s, idx))
         P = 32
         yf = tc.reshape(y, (P, cfg.d))
         for p in [0, 7, 31]:
@@ -312,7 +313,7 @@ class TestSingleFrameVariant:
         video = np.random.default_rng(21).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
         for a in range(4):
             leaf = Tensor(M.video_onehot(cfg, video), requires_grad=True)
-            z = M.encode_slices(ps, cfg, [video], [(a, 0, 0)], onehots=[leaf])
+            z = M.encode_slices(ps, cfg, [leaf], [(a, 0, 0)])
             tc.backward(tc.sum_all(z))
             touched = np.nonzero(np.abs(leaf.grad).sum(axis=(1, 2, 3, 4)))[0]
             expect = [t for t in range(4) if a - 3 <= t <= a - 1]
@@ -412,6 +413,23 @@ class TestComposite:
             tc.backward(logits, seed)
             nonzero = np.abs(leaf.grad).sum(axis=-1) > 0
             assert np.array_equal(nonzero, allowed_influence_mask(cfg, idx, pixel, chan))
+
+    @pytest.mark.parametrize("head", ["categorical", "deterministic"])
+    def test_onehot_leaves_match_uint8_input(self, head):
+        """Passing the gradient-tracked one-hot leaves the causality tests
+        trace gives the loss and outputs of the uint8 videos alone, bit for
+        bit, on a batch of several slices."""
+        cfg = tiny_config(**({} if head == "categorical" else {"channels": "gray", "head": head}))
+        ps = M.init_params(cfg, head_init="normal")
+        rng = np.random.default_rng(22)
+        videos = [rng.integers(0, 256, (4, 8, 8, cfg.bytes_per_pixel)).astype(np.uint8)
+                  for _ in range(3)]
+        idxs = [(1, 0, 1), (0, 1, 1), (1, 1, 0)]
+        loss, n_pix, out = M.forward_slices(ps, cfg, videos, idxs, 1)
+        leaves = [Tensor(M.video_onehot(cfg, v), requires_grad=True) for v in videos]
+        loss2, n_pix2, out2 = M.forward_slices(ps, cfg, videos, idxs, 1, onehots=leaves)
+        assert np.array_equal(loss.data, loss2.data) and n_pix == n_pix2
+        assert out.data.shape[0] == len(idxs) and np.array_equal(out.data, out2.data)
 
     def test_composite_grad_check(self):
         """2-layer encoder + 2-layer decoder + head, float64, against finite

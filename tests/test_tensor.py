@@ -208,6 +208,15 @@ class TestMaskedConv3d:
             touched = np.nonzero(np.abs(x.grad[0]).sum(axis=-1).reshape(P))[0]
             assert all(q < p for q in touched)
 
+    def test_windows_cached_and_read_only(self):
+        """The (P, K) window map is a read-only view of the cached index
+        map, so a caller cannot corrupt later convolutions."""
+        windows = tc.masked_conv_windows((3, 3, 3), (2, 4, 4))
+        assert windows.shape == (32, len(tc.masked_taps((3, 3, 3))))
+        assert np.shares_memory(windows, tc.masked_conv_windows((3, 3, 3), [2, 4, 4]))
+        with pytest.raises(ValueError):
+            windows[0, 0] = 0
+
 
 def conv_input_grad(conv, x, kernel, g):
     """x.grad of ``conv(x, kernel, zero bias)`` swept back from g."""
