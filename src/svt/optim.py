@@ -133,6 +133,8 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
         raise ConfigError("batch size must be >= 1")
     if tcfg.log_every < 1:
         raise ConfigError(f"log_every must be >= 1, got {tcfg.log_every}")
+    if tcfg.ckpt_every < 0:
+        raise ConfigError(f"ckpt_every must be >= 0, got {tcfg.ckpt_every}")
     if tcfg.stop_bits_per_dim > 0 and tcfg.stop_window < 1:
         raise ConfigError(f"early stop needs stop_window >= 1, got {tcfg.stop_window}")
     for v in videos:

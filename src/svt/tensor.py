@@ -395,14 +395,23 @@ def subsample3d(a, starts, steps):
 
 
 def gather(table, idx, axis=0):
-    """Differentiable lookup: rows of ``table`` along ``axis`` at ``idx``."""
+    """Differentiable lookup: entries of ``table`` along ``axis`` at ``idx``.
+
+    The backward adds every gradient element into the table entry it was
+    read from with one ``np.bincount`` over the flat entry indices, so a
+    repeated index sums its gradients.  The sums are float64, cast to the
+    table's dtype.
+    """
     idx = np.asarray(idx)
     out = np.take(table.data, idx, axis=axis)
 
     def back(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, (slice(None),) * axis + (idx,), g)
-        _accumulate(table, gt)
+        size, shape = table.data.size, table.data.shape
+        # the flat table entry each output element was read from
+        dest = np.take(np.arange(size).reshape(shape), idx, axis=axis)
+        gt = np.bincount(dest.reshape(-1), weights=g.reshape(-1).astype(np.float64),
+                         minlength=size)
+        _accumulate(table, gt.reshape(shape).astype(table.data.dtype))
 
     return _make(out, (table,), back)
 
@@ -478,7 +487,12 @@ def _scatter_taps(gp, idx_k, n, dtype):
 
 
 def _conv_core(x, kernel, bias, taps, stride, pad, out_shape):
-    """Shared gather-matmul convolution.  x: (B,T,H,W,Cin); taps: (K,3)."""
+    """Shared gather-matmul convolution.  x: (B,T,H,W,Cin); taps: (K,3).
+
+    The backward forms the kernel gradient as one 2D GEMM of the
+    (B*P_out, K*Cin) patches with the (B*P_out, Cout) output gradient, and
+    the input gradient by a per-tap scatter (``_scatter_taps``).
+    """
     B, T, H, W, cin = x.data.shape
     k_rows = kernel.data.shape[0]  # K*Cin
     K = len(taps)
@@ -498,8 +512,8 @@ def _conv_core(x, kernel, bias, taps, stride, pad, out_shape):
         if bias.requires_grad:
             _accumulate(bias, g2.sum(axis=(0, 1)))
         if kernel.requires_grad:
-            gk = np.einsum("bpi,bpo->io", patches, g2).astype(kernel.data.dtype)
-            _accumulate(kernel, gk)
+            gk = patches.reshape(-1, K * cin).T @ g2.reshape(-1, cout)
+            _accumulate(kernel, gk.astype(kernel.data.dtype, copy=False))
         if x.requires_grad:
             gp = np.matmul(g2, kernel.data.T).reshape(B, p_out, K, cin)
             gx = _scatter_taps(gp, idx.reshape(p_out, K), n, x.data.dtype)

@@ -196,6 +196,27 @@ def add_at_conv_input_grad(x, kernel, g, taps, stride, pad):
     return gflat[:, :n].reshape(x.shape)
 
 
+def einsum_conv_kernel_grad(x, g, taps, stride, pad):
+    """Kernel gradient of a convolution in the per-batch ``np.einsum`` form:
+    the reference for the one-GEMM form of ``tensor._conv_core``.  x: (B, T,
+    H, W, Cin) array, g the (B, T', H', W', Cout) output gradient; returns
+    (K*Cin, Cout)."""
+    B, T, H, W, cin = x.shape
+    n = T * H * W
+    idx = tc._conv_index_map((T, H, W), taps, stride, pad, g.shape[1:4])
+    flat = np.concatenate([x.reshape(B, n, cin), np.zeros((B, 1, cin), x.dtype)], axis=1)
+    patches = flat[:, idx, :].reshape(B, -1, len(taps) * cin)
+    return np.einsum("bpi,bpo->io", patches, g.reshape(B, -1, g.shape[-1]))
+
+
+def add_at_gather_grad(table, idx, g, axis):
+    """Table gradient of ``tensor.gather`` in the ``np.add.at`` form: the
+    reference for its ``np.bincount`` backward."""
+    gt = np.zeros_like(table)
+    np.add.at(gt, (slice(None),) * axis + (np.asarray(idx),), g)
+    return gt
+
+
 def tiny_config(**overrides):
     """Small spatiotemporal config with no structural blind spots.
 

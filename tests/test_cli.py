@@ -143,9 +143,9 @@ class TestExitCodes:
         ("resume-acc-shape", 1), ("zero-block", 1), ("negative-mconv", 1),
         ("negative-kernel", 1), ("negative-width", 1), ("zero-video-t", 1),
         ("negative-video-h", 1), ("zero-log-every", 1), ("zero-stop-window", 1),
-        ("empty-prime", 1), ("gen-data-negative-frames", 1), ("gen-data-negative-vel-max", 1),
-        ("import-raw-negative-frames", 1), ("sample-negative-count", 1),
-        ("eval-negative-prime", 1)])
+        ("negative-ckpt-every", 1), ("empty-prime", 1), ("gen-data-negative-frames", 1),
+        ("gen-data-negative-vel-max", 1), ("import-raw-negative-frames", 1),
+        ("sample-negative-count", 1), ("eval-negative-prime", 1)])
     def test_malformed_input_exits_cleanly(self, tiny_setup, case, code):
         """Each input disagrees with the config or is malformed: a one-line
         error and exit 1 (config) or 2 (io), never a traceback."""
@@ -155,6 +155,7 @@ class TestExitCodes:
                  "negative-kernel": "kernel_t = -1", "negative-width": "d_model = -4",
                  "zero-video-t": "video_t = 0", "negative-video-h": "video_h = -8"}
         train_edits = {"zero-log-every": "log_every = 0",
+                       "negative-ckpt-every": "ckpt_every = -1",
                        "zero-stop-window": "stop_window = 0\nstop_bits_per_dim = 0.5"}
         if case in edits:
             config.write_text(TINY_CONFIG + edits[case] + "\n")

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import add_at_conv_input_grad
+from helpers import add_at_conv_input_grad, add_at_gather_grad, einsum_conv_kernel_grad
 from svt import tensor as tc
+from svt.attention import BlockShape, relative_bias_indices
 from svt.subscale import SubscaleFactor, context_padding, slice_order
 from svt.tensor import ConfigError, Tensor
 
@@ -276,6 +277,125 @@ class TestConvInputScatter:
                 lambda x, k, b: tc.conv3d(x, k, b, extents, stride, pad, out_shape), x, kernel, g)
             assert got.dtype == dtype
             assert np.array_equal(got, add_at_conv_input_grad(x, kernel, g, taps, stride, pad))
+
+
+def assert_matches_reference(got, want):
+    """float64: equal to rtol 1e-12; float32: within 1e-5 of the
+    reference's largest magnitude."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    scale = np.abs(want).max()
+    if got.dtype == np.float64:
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    else:
+        assert np.abs(got - want).max() <= 1e-5 * scale
+
+
+def conv_kernel_grad(conv, x, kernel, g):
+    """kernel.grad of ``conv(x, kernel, zero bias)`` swept back from g."""
+    kt = Tensor(kernel, requires_grad=True)
+    tc.backward(conv(Tensor(x), kt, Tensor(np.zeros(kernel.shape[1], x.dtype))), g)
+    return kt.grad
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestConvKernelGemm:
+    """The one-GEMM conv kernel gradient matches the per-batch
+    ``np.einsum`` form it replaced."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("s", [(2, 2, 2), (4, 2, 2)])
+    def test_encoder_geometry(self, s, dtype):
+        rng = np.random.default_rng(sum(s))
+        extents, video = (3, 3, 3), (2 * s[0], 16, 16)
+        slice_shape = tuple(v // f for v, f in zip(video, s))
+        kernel = rng.standard_normal((27 * 48, 32)).astype(dtype)
+        for idx in slice_order(SubscaleFactor(*s)):
+            pad = context_padding(extents, idx)
+            x = rng.standard_normal((1,) + video + (48,)).astype(dtype)
+            g = rng.standard_normal((1,) + slice_shape + (32,)).astype(dtype)
+            got = conv_kernel_grad(
+                lambda x, k, b: tc.conv3d(x, k, b, extents, s, pad, slice_shape), x, kernel, g)
+            assert_matches_reference(
+                got, einsum_conv_kernel_grad(x, g, tc.kernel_taps(extents), s, pad))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_masked_conv_batch_8(self, dtype):
+        rng = np.random.default_rng(8)
+        extents = (3, 3, 3)
+        taps = tc.masked_taps(extents)
+        x = rng.standard_normal((8, 2, 8, 8, 32)).astype(dtype)
+        kernel = rng.standard_normal((len(taps) * 32, 64)).astype(dtype)
+        g = rng.standard_normal((8, 2, 8, 8, 64)).astype(dtype)
+        got = conv_kernel_grad(lambda x, k, b: tc.masked_conv3d(x, k, b, extents), x, kernel, g)
+        assert_matches_reference(got, einsum_conv_kernel_grad(x, g, taps, (1, 1, 1), (1, 1, 1)))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_random_shapes(self, dtype):
+        rng = np.random.default_rng(np.dtype(dtype).itemsize + 1)
+        for _ in range(30):
+            B, cin, cout = rng.integers(1, 4, size=3)
+            in_shape = tuple(rng.integers(1, 6, size=3))
+            extents = tuple(rng.integers(1, 4, size=3))
+            stride = tuple(rng.integers(1, 4, size=3))
+            pad = tuple(rng.integers(-2, 3, size=3))
+            out_shape = tuple(rng.integers(1, 5, size=3))
+            taps = tc.kernel_taps(extents)
+            x = rng.standard_normal((B,) + in_shape + (cin,)).astype(dtype)
+            kernel = rng.standard_normal((len(taps) * cin, cout)).astype(dtype)
+            g = rng.standard_normal((B,) + out_shape + (cout,)).astype(dtype)
+            got = conv_kernel_grad(
+                lambda x, k, b: tc.conv3d(x, k, b, extents, stride, pad, out_shape), x, kernel, g)
+            assert_matches_reference(got, einsum_conv_kernel_grad(x, g, taps, stride, pad))
+
+
+def gather_grad(table, idx, g, axis):
+    """table.grad of ``gather(table, idx, axis)`` swept back from g."""
+    t = Tensor(table, requires_grad=True)
+    tc.backward(tc.gather(t, idx, axis=axis), g)
+    return t.grad
+
+
+class TestGatherBincount:
+    """The ``np.bincount`` gather backward matches the ``np.add.at`` form
+    it replaced, on every axis."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_axis_0_repeated_indices(self, dtype):
+        rng = np.random.default_rng(0)
+        table = rng.standard_normal((8, 32)).astype(dtype)
+        for idx in ([3, 3, 3, 0, 7, 3], rng.integers(0, 8, size=(4, 5)), [5]):
+            idx = np.asarray(idx)
+            g = rng.standard_normal(idx.shape + (32,)).astype(dtype)
+            got = gather_grad(table, idx, g, 0)
+            assert_matches_reference(got, add_at_gather_grad(table, idx, g, 0))
+            untouched = np.setdiff1d(np.arange(8), idx)
+            assert not got[untouched].any()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("block", [(2, 8, 8), (4, 4, 4), (1, 4, 4), (2, 2, 2), (4, 1, 8)])
+    def test_axis_1_relative_bias(self, block, dtype):
+        bs = BlockShape(*block)
+        rng = np.random.default_rng(int(np.prod(block)))
+        for idx, extent in zip(relative_bias_indices(bs), block):
+            table = rng.standard_normal((4, 2 * extent - 1)).astype(dtype)
+            g = rng.standard_normal((4,) + idx.shape).astype(dtype)
+            assert_matches_reference(gather_grad(table, idx, g, 1),
+                                     add_at_gather_grad(table, idx, g, 1))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_random_shapes(self, dtype):
+        rng = np.random.default_rng(np.dtype(dtype).itemsize)
+        for _ in range(30):
+            shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
+            axis = int(rng.integers(0, len(shape)))
+            idx = rng.integers(0, shape[axis], size=tuple(rng.integers(1, 5, size=2)))
+            table = rng.standard_normal(shape).astype(dtype)
+            g = rng.standard_normal(
+                shape[:axis] + idx.shape + shape[axis + 1:]).astype(dtype)
+            got = gather_grad(table, idx, g, axis)
+            assert_matches_reference(got, add_at_gather_grad(table, idx, g, axis))
 
 
 class TestDeadGradients:
