@@ -3,14 +3,19 @@
 The container is a minimal little-endian format: magic "SVT1", a version and
 video count, then per video the (T, H, W, C) extents, a dtype tag and the raw
 row-major uint8 payload.  Validation is strict; a truncated file, a bad magic
-or a size mismatch each raise a distinct, descriptive error.
+or a size mismatch each raise a distinct, descriptive error.  Containers and
+checkpoints are written through ``atomic_write``, so a crash mid-write
+leaves the previous file intact.
 
 The sprite generator stands in for external datasets: square sprites move
 with constant integer velocity and reflect off the canvas borders, so videos
 are deterministic given their seed and cheap to overfit.
 """
 
+import os
+import secrets
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,6 +30,27 @@ class DataError(Exception):
     """A file failed validation (bad magic, size mismatch, truncation)."""
 
 
+@contextmanager
+def atomic_write(path):
+    """Binary file handle whose bytes replace ``path`` only once complete.
+
+    Writes go to a new temp file beside ``path``, which is flushed, fsynced
+    and renamed over it with ``os.replace``.  If the body raises, the temp
+    file is removed and ``path`` keeps its previous bytes."""
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_container(path, videos):
     """Write a list of (T,H,W,C) uint8 arrays; C must be 1 or 3."""
     for v in videos:
@@ -32,7 +58,7 @@ def write_container(path, videos):
             raise ConfigError(f"video shape {v.shape} unsupported (need T,H,W,C with C in 1|3)")
         if v.dtype != np.uint8:
             raise ConfigError(f"video dtype {v.dtype} unsupported (need uint8)")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(videos)))
         for v in videos:

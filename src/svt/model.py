@@ -24,6 +24,7 @@ import numpy as np
 
 from . import tensor as tc
 from .attention import AttentionLayerSpec, BlockShape, CausalLayerStep, attention_layer
+from .data import DataError, atomic_write
 from .subscale import (SubscaleFactor, context_padding, extract_slice, primed_plane_mask,
                        slice_rank, visibility_mask)
 # the benchmark calls M.extract_slice_u8; the one extractor lives in subscale
@@ -654,9 +655,10 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, onehots=None):
 
 def save_checkpoint(path, arrays):
     """Write named float32 arrays: magic, version, count, then per entry the
-    path, rank, extents and little-endian payload.  Bit-exact round trip."""
+    path, rank, extents and little-endian payload.  Bit-exact round trip;
+    the file is replaced atomically (``data.atomic_write``)."""
     names = sorted(arrays)
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(names)))
         for name in names:
@@ -670,8 +672,6 @@ def save_checkpoint(path, arrays):
 
 
 def load_checkpoint(path):
-    from .data import DataError
-
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != CHECKPOINT_MAGIC:

@@ -30,7 +30,7 @@ LOG_FORMAT = "step=%d nats=%r dims=%d bits_per_dim=%r wall_ms=%d"  # one train r
 
 
 class NumericError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
 
 @dataclass
@@ -59,12 +59,21 @@ class OptimizerState:
 
 
 def rmsprop_step(params, grads, state):
-    """One elementwise-independent update of every parameter in place."""
-    h = state.hyper
+    """One elementwise-independent update of every parameter in place.
+
+    Every gradient is checked first, so a wrong shape (ConfigError) or a
+    non-finite entry (NumericError, naming the first such parameter) leaves
+    all parameters and optimizer buffers unchanged."""
     for name, t in params.items():
         g = grads[name]
         if g.shape != t.data.shape:
             raise ConfigError(f"gradient shape {g.shape} != param {name} shape {t.data.shape}")
+        bad = np.count_nonzero(~np.isfinite(g))
+        if bad:
+            raise NumericError(f"non-finite gradient for {name}: {bad} of {g.size} entries")
+    h = state.hyper
+    for name, t in params.items():
+        g = grads[name]
         acc = state.acc[name]
         mom = state.mom[name]
         acc *= h.decay
@@ -125,9 +134,10 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
 
     Each record is (step, nats, dims, bits_per_dim, wall_ms); the same record
     is appended to ``log_path`` when given.  Raises NumericError on a
-    non-finite loss.  For the deterministic head the bits/dim column carries
-    nats-per-pixel converted to bits over the byte dimension, so the early
-    stop knob works for both heads.
+    non-finite loss or gradient, before the step changes any parameter,
+    optimizer buffer or checkpoint.  For the deterministic head the bits/dim
+    column carries nats-per-pixel converted to bits over the byte dimension,
+    so the early stop knob works for both heads.
     """
     if tcfg.batch_slices < 1:
         raise ConfigError("batch size must be >= 1")

@@ -334,6 +334,22 @@ class TestThreadsAndNumeric:
         assert r.returncode == 3
         assert "error[numeric]" in r.stderr
 
+    def test_nonfinite_gradient_exits_three(self, tiny_setup, monkeypatch, capsys):
+        """NaN gradients behind a finite loss exit 3 and leave the previous
+        checkpoint in place."""
+        from svt import model as M
+
+        tmp, config, data = tiny_setup
+        out = tmp / "out.ckpt"
+        out.write_bytes(b"previous")
+        monkeypatch.setattr(M.ParamStore, "grads", lambda self: {
+            n: np.full_like(t.data, np.nan) for n, t in self.items()})
+        code = cli.main(["train", "--config", str(config), "--data", str(data),
+                         "--out-ckpt", str(out)])
+        assert code == cli.EXIT_NUMERIC == 3
+        assert "error[numeric]: non-finite gradient" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous"
+
 
 class TestDeterminism:
     def test_two_runs_bit_identical(self, tiny_setup):

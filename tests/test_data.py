@@ -1,5 +1,6 @@
 """Containers, raw import, sprite generation, PPM dumps."""
 
+import os
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svt import model as M
 from svt.data import (DataError, gen_sprites, import_raw, read_container,
                       write_container, write_ppm_frames)
 from svt.tensor import ConfigError
@@ -98,6 +100,56 @@ class TestContainer:
         path = tmp_path_factory.mktemp("container") / "p.svt"
         write_container(path, [v])
         assert np.array_equal(read_container(path)[0], v)
+
+
+class Exploding:
+    """Passes the writers' checks, then raises when its bytes are taken."""
+    ndim, shape, dtype = 4, (1, 2, 2, 1), np.dtype(np.uint8)
+
+    def __array__(self, *args, **kwargs):
+        raise OSError("device full")
+
+
+# writer, then payloads: the first file, a second one, one that fails partway
+ATOMIC_WRITERS = {
+    "container": (write_container, [np.zeros((1, 2, 2, 1), dtype=np.uint8)],
+                  [np.ones((1, 2, 2, 1), dtype=np.uint8)],
+                  [np.ones((1, 2, 2, 1), dtype=np.uint8), Exploding()]),
+    "checkpoint": (M.save_checkpoint, {"a": np.zeros(3)}, {"a": np.ones(3)},
+                   {"a": np.ones(3), "b": Exploding()}),
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+    def test_replaces_whole_file(self, tmp_path, writer):
+        write, first, second, _ = ATOMIC_WRITERS[writer]
+        path = tmp_path / "f"
+        write(path, first)
+        old = path.read_bytes()
+        write(path, second)
+        assert path.read_bytes() != old
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+    @pytest.mark.parametrize("failure", ["partway", "fsync"])
+    @pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer, failure):
+        """A write that raises partway through its payload, or whose fsync
+        fails, leaves the previous file byte-identical and no temp file."""
+        write, first, second, exploding = ATOMIC_WRITERS[writer]
+        path = tmp_path / "f"
+        write(path, first)
+        old = path.read_bytes()
+        payload = exploding
+        if failure == "fsync":
+            def fsync(fd):
+                raise OSError("device full")
+            monkeypatch.setattr(os, "fsync", fsync)
+            payload = second
+        with pytest.raises(OSError, match="device full"):
+            write(path, payload)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
 
 class TestImportRaw:

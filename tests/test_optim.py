@@ -185,6 +185,39 @@ class TestTrainLoop:
         with pytest.raises(O.NumericError):
             O.train(cfg, tcfg, videos, params=ps)
 
+    def test_nonfinite_gradient_changes_nothing(self, tmp_path, monkeypatch):
+        """A NaN gradient behind a finite loss raises NumericError naming the
+        first such parameter, before any parameter, optimizer buffer or
+        checkpoint changes (the last parameter in update order is poisoned
+        too, so an update loop that checked as it went would have moved
+        every other one)."""
+        cfg = tiny_config()
+        videos = [np.random.default_rng(10).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)]
+        ck = tmp_path / "t.ckpt"
+        tcfg = O.TrainConfig(steps=3, batch_slices=2, seed=2, prime_frames=1, ckpt_every=1)
+        params, opt, _ = O.train(cfg, dataclasses.replace(tcfg, steps=1), videos,
+                                 ckpt_path=str(ck))
+        on_disk = ck.read_bytes()
+        before = {n: a.copy() for n, a in {**params.arrays(), **opt.arrays()}.items()}
+        names = params.names()
+        first, last = names[len(names) // 2], names[-1]
+        backward = tc.backward
+
+        def poisoned(loss, *args):
+            backward(loss, *args)
+            for name in (first, last):
+                params[name].grad = np.full_like(params[name].data, np.nan)
+
+        monkeypatch.setattr(tc, "backward", poisoned)
+        with pytest.raises(O.NumericError, match=f"gradient for {first}:"):
+            O.train(cfg, tcfg, videos, params=params, opt=opt, start_step=1,
+                    ckpt_path=str(ck))
+        after = {**params.arrays(), **opt.arrays()}
+        assert sorted(after) == sorted(before)
+        assert all(np.array_equal(after[n], a) for n, a in before.items())
+        assert ck.read_bytes() == on_disk
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ckpt"]
+
     def test_checkpoint_resume_continues_exactly(self, tmp_path):
         videos = [np.random.default_rng(10).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)]
         _assert_resume_continues_exactly(tmp_path, videos)

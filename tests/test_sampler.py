@@ -7,7 +7,7 @@ from helpers import reference_sample_slice, tiny_config
 from svt import model as M
 from svt import sampler
 from svt.sampler import (SampleConfig, apply_temperature, sample_categorical,
-                         sample_slice, sample_video, _position_stream)
+                         sample_slice, sample_video, slice_uniforms, _position_stream)
 from svt.subscale import extract_slice, primed_plane_mask, slice_order
 from svt.tensor import ConfigError
 
@@ -61,6 +61,42 @@ class TestStreams:
         vals = {_position_stream(7, 0, s, p, c).random()
                 for s in range(2) for p in range(3) for c in range(2)}
         assert len(vals) == 12
+
+    def test_key_words_exact(self):
+        """Negative and large seeds reach the key as exact uint64 words: a
+        plain key list that mixes words below and above 2^63 goes through
+        float64 in numpy, which sent seeds -1 and -7 to seed 0's streams."""
+        vals = [_position_stream(seed, 0, 1, 2, 3).random()
+                for seed in (0, -1, -7, 2**63, 2**63 + 1)]
+        assert len(set(vals)) == 5
+        assert vals[1] == _position_stream(2**64 - 1, 0, 1, 2, 3).random()
+
+
+def position_uniforms(seed, video_index, rank, n_pixels, n_channels):
+    """``slice_uniforms`` one numpy generator at a time (reference form)."""
+    return np.array([[_position_stream(seed, video_index, rank, p, c).random()
+                      for c in range(n_channels)] for p in range(n_pixels)])
+
+
+class TestSliceUniforms:
+    """The vectorised Philox4x64-10 draws against numpy's own Philox."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -1])
+    @pytest.mark.parametrize("video_index", [0, 7, 2**63 + 3])
+    @pytest.mark.parametrize("rank", [0, 1, 63])
+    def test_match_position_streams(self, seed, video_index, rank):
+        for n_pixels in (1, 128):
+            for n_channels in (2, 6):
+                got = slice_uniforms(seed, video_index, rank, n_pixels, n_channels)
+                want = position_uniforms(seed, video_index, rank, n_pixels, n_channels)
+                assert got.dtype == np.float64 and got.shape == (n_pixels, n_channels)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_channels", [2, 6])
+    def test_canonical_slice(self, n_channels):
+        """Every stream of a 4x32x32 slice, at a large seed and video index."""
+        args = (2**64 - 1, 2**63 + 3, 63, 4096, n_channels)
+        assert np.array_equal(slice_uniforms(*args), position_uniforms(*args))
 
 
 class TestSampleSlice:
@@ -186,7 +222,7 @@ def head_inputs(monkeypatch, seed):
     forced = np.random.default_rng(seed).integers(0, M.N_VALUES, 10**4)
     head_intensity = M.head_intensity
 
-    def draw(logits, tau, stream):
+    def draw(logits, tau, u):
         seen.append(np.array(logits))
         return int(forced[len(seen)])
 
@@ -195,7 +231,7 @@ def head_inputs(monkeypatch, seed):
         seen.append(np.array(out.data))
         return out
 
-    monkeypatch.setattr(sampler, "sample_categorical", draw)
+    monkeypatch.setattr(sampler, "categorical_from_uniform", draw)
     monkeypatch.setattr(M, "head_intensity", intensity)
     return seen
 
