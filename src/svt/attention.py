@@ -106,11 +106,12 @@ def causal_mask(bs):
     return tc.read_only(np.tril(np.ones((bs.n_positions, bs.n_positions), dtype=bool)))
 
 
-def block_attention(z, w_qkv, tables, n_heads, d_head, mask=None, record=None):
+def block_attention(z, w_qkv, tables, n_heads, d_head, record=None):
     """Multi-head attention inside one block (or a stack of blocks).
 
     z: (G, n_p, d) pre-normalized block representations; ``tables`` the
-    (n_heads, n_p, n_p) additive bias (``relative_bias_matrix``).  Returns
+    (n_heads, n_p, n_p) additive pre-softmax bias: ``relative_bias_matrix``,
+    plus the causal mask in a masked layer (``attention_layer``).  Returns
     the concatenated head outputs (G, n_p, n_heads*d_head); projection and
     residual are the caller's job.  ``record``, when given, is a list that
     receives (keys, values, bias) arrays: keys and values (G, n_heads, n_p,
@@ -120,17 +121,12 @@ def block_attention(z, w_qkv, tables, n_heads, d_head, mask=None, record=None):
     qkv = tc.matmul(z, w_qkv)  # (G, n_p, 3*n_heads*d_head)
     qkv = tc.reshape(qkv, (G, n_p, 3, n_heads, d_head))
     qkv = tc.transpose(qkv, (2, 0, 3, 1, 4))  # (3, G, heads, n_p, d_head)
-    q = tc.reshape(tc.narrow(qkv, 0, 0, 1), (G, n_heads, n_p, d_head))
-    k = tc.reshape(tc.narrow(qkv, 0, 1, 1), (G, n_heads, n_p, d_head))
-    v = tc.reshape(tc.narrow(qkv, 0, 2, 1), (G, n_heads, n_p, d_head))
+    q, k, v = (tc.index(qkv, i) for i in range(3))
     if record is not None:
         record.append((np.array(k.data), np.array(v.data), tables.data))
     scores = tc.mul(tc.matmul(q, tc.transpose(k, (0, 1, 3, 2))),
                     1.0 / np.sqrt(d_head))
     scores = tc.add(scores, tables)  # (heads, n_p, n_p) broadcast over G
-    if mask is not None:
-        add = np.where(mask, 0.0, MASK_NEG).astype(z.data.dtype)
-        scores = tc.add(scores, Tensor(add))
     att = tc.softmax(scores, axis=-1)
     out = tc.matmul(att, v)  # (G, heads, n_p, d_head)
     out = tc.transpose(out, (0, 2, 1, 3))
@@ -141,8 +137,10 @@ def attention_layer(x, params, spec, causal, record=None):
     """One full block-local layer on a (B, T', H', W', d) tensor.
 
     params is a mapping with keys ln1_gain, ln1_bias, w_qkv, w_p, bias_t,
-    bias_h, bias_w, ln2_gain, ln2_bias, t1, t2.  ``record`` is passed to
-    ``block_attention``.
+    bias_h, bias_w, ln2_gain, ln2_bias, t1, t2.  A causal layer adds the
+    mask (0 where ``causal_mask`` allows a pair, ``MASK_NEG`` elsewhere) to
+    the relative bias once, so the scores get a single additive term.
+    ``record`` is passed to ``block_attention``.
     """
     B = x.data.shape[0]
     slice_shape = x.data.shape[1:4]
@@ -150,9 +148,11 @@ def attention_layer(x, params, spec, causal, record=None):
     zb = block_partition(x, bs)
     normed = tc.layernorm(zb, params["ln1_gain"], params["ln1_bias"])
     bias = relative_bias_matrix(bs, params["bias_t"], params["bias_h"], params["bias_w"])
-    mask = causal_mask(bs) if causal else None
-    heads = block_attention(normed, params["w_qkv"], bias, spec.n_heads,
-                            spec.d_head, mask, record)
+    if causal:
+        mask = np.where(causal_mask(bs), 0.0, MASK_NEG).astype(bias.dtype)
+        bias = tc.add(bias, Tensor(mask))
+    heads = block_attention(normed, params["w_qkv"], bias, spec.n_heads, spec.d_head,
+                            record)
     ztil = tc.add(tc.matmul(heads, params["w_p"]), zb)
     ff = tc.layernorm(ztil, params["ln2_gain"], params["ln2_bias"])
     ff = tc.matmul(tc.relu(tc.matmul(ff, params["t1"])), params["t2"])

@@ -406,7 +406,7 @@ def main(argv=None):
     except (DataError, OSError) as e:
         print(f"error[io]: {e}", file=sys.stderr)
         return EXIT_IO
-    except (NumericError, FloatingPointError) as e:
+    except NumericError as e:
         print(f"error[numeric]: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

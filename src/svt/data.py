@@ -141,6 +141,8 @@ def gen_sprites(t, h, w, n_videos, n_sprites=2, sprite_size=3, vel_max=1,
         raise ConfigError(f"sprite size {sprite_size} exceeds canvas {(h, w)}")
     if channels not in (1, 3):
         raise ConfigError("channels must be 1 (grayscale) or 3 (RGB)")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     videos = []
     for _ in range(n_videos):

@@ -26,7 +26,7 @@ from . import tensor as tc
 from .attention import AttentionLayerSpec, BlockShape, CausalLayerStep, attention_layer
 from .data import DataError, atomic_write
 from .subscale import (SubscaleFactor, context_padding, extract_slice, primed_plane_mask,
-                       slice_rank, visibility_mask)
+                       slice_key, slice_rank, visibility_mask)
 # the benchmark calls M.extract_slice_u8; the one extractor lives in subscale
 from .subscale import extract_slice as extract_slice_u8  # noqa: F401
 from .tensor import ConfigError, Tensor
@@ -117,6 +117,8 @@ class ModelConfig:
             raise ConfigError(f"unknown head {self.head!r}")
         if self.head == "deterministic" and self.channels != "gray":
             raise ConfigError("the deterministic head models grayscale video only")
+        if self.seed < 0:
+            raise ConfigError(f"model_seed must be >= 0, got {self.seed}")
         specs = self.enc_schedule + self.dec_schedule + self.first_slice_schedule
         sizes = [("kernel", self.kernel), ("mconv", self.mconv), ("d_e and d", (self.d_e, self.d))]
         sizes += [("n_heads and d_head", (spec.n_heads, spec.d_head)) for spec in specs]
@@ -563,7 +565,7 @@ def head_logits(params, cfg, y, slice_onehots_flat):
     ln = head_norm(params, tc.reshape(y, (B, P, cfg.d)))
     per_channel = []
     for k in range(cfg.n_channels):
-        prev = tc.narrow(slice_onehots_flat, -1, 0, k * N_VALUES) if k else None
+        prev = tc.index(slice_onehots_flat, (..., slice(0, k * N_VALUES))) if k else None
         logits = head_channel_logits(params, ln, prev, k)
         per_channel.append(tc.reshape(logits, (B, P, 1, N_VALUES)))
     return tc.concat(per_channel, axis=2)
@@ -631,7 +633,7 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, onehots=None):
         onehots = [Tensor(video_onehot(cfg, v)) for v in videos]
     B = len(idxs)
     P = int(np.prod(cfg.slice_shape))
-    cuts = [tc.reshape(tc.subsample3d(oh, idx, cfg.s.as_tuple()),
+    cuts = [tc.reshape(tc.index(oh, slice_key(cfg.s, idx)),
                        (1, *cfg.slice_shape, cfg.input_channels))
             for oh, idx in zip(onehots, idxs, strict=True)]
     x = cuts[0] if B == 1 else tc.concat(cuts, axis=0)

@@ -58,6 +58,19 @@ class OptimizerState:
         return out
 
 
+def _check_rmsprop(h):
+    """Raise ConfigError unless the RMSProp settings give finite updates:
+    eps finite and > 0, decay in [0, 1], momentum in [0, 1), lr finite and
+    >= 0 (NaN fails every test)."""
+    checks = [("rms_eps", h.eps, 0 < h.eps < math.inf, "finite and > 0"),
+              ("rms_decay", h.decay, 0 <= h.decay <= 1, "in [0, 1]"),
+              ("rms_momentum", h.momentum, 0 <= h.momentum < 1, "in [0, 1)"),
+              ("lr", h.lr, 0 <= h.lr < math.inf, "finite and >= 0")]
+    for name, value, ok, want in checks:
+        if not ok:
+            raise ConfigError(f"{name} must be {want}, got {value!r}")
+
+
 def rmsprop_step(params, grads, state):
     """One elementwise-independent update of every parameter in place.
 
@@ -147,6 +160,9 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
         raise ConfigError(f"ckpt_every must be >= 0, got {tcfg.ckpt_every}")
     if tcfg.stop_bits_per_dim > 0 and tcfg.stop_window < 1:
         raise ConfigError(f"early stop needs stop_window >= 1, got {tcfg.stop_window}")
+    if tcfg.seed < 0:
+        raise ConfigError(f"train_seed must be >= 0, got {tcfg.seed}")
+    _check_rmsprop(opt.hyper if opt is not None else tcfg.rmsprop)
     for v in videos:
         cfg.check_video(v, crop=True)
     if params is None:

@@ -58,24 +58,27 @@ def slice_rank(s, idx):
     return (a * s.h + b) * s.w + c
 
 
+def slice_key(s, idx):
+    """The basic index of slice ``idx`` = (a, b, c) in a (T, H, W, ...)
+    array: every s_t-th frame, s_h-th row and s_w-th column from (a, b, c)."""
+    slice_rank(s, idx)
+    return tuple(slice(o, None, f) for o, f in zip(idx, s.as_tuple()))
+
+
 def extract_slice(video, s, idx):
     """slice(t',h',w') = video(t'*s_t + a, h'*s_h + b, w'*s_w + c)."""
     s.check_divides(video.shape)
-    a, b, c = idx
-    slice_rank(s, idx)
-    return video[a::s.t, b::s.h, c::s.w].copy()
+    return video[slice_key(s, idx)].copy()
 
 
 def merge_slice(video, s, idx, slc):
     """Inverse scatter of extract_slice; untouched positions unchanged."""
-    s.check_divides(video.shape)
-    a, b, c = idx
-    slice_rank(s, idx)
+    key = slice_key(s, idx)
     expect = s.slice_shape(video.shape) + video.shape[3:]
     if tuple(slc.shape) != tuple(expect):
         raise ConfigError(f"slice shape {slc.shape} != expected {expect}")
     out = video.copy()
-    out[a::s.t, b::s.h, c::s.w] = slc
+    out[key] = slc
     return out
 
 

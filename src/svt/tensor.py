@@ -9,9 +9,8 @@ once in reverse topological order.
 Only the operations the video model actually needs are provided: batched
 matmul, softmax/log-softmax, layer normalization, ReLU, sigmoid, strided 3D
 convolution with signed padding, raster-causal masked 3D convolution,
-gathers, reshapes and concatenation.  ``grad_check`` compares every analytic
-gradient against central finite differences and is the binding contract for
-all of them.
+gathers, basic indexing, reshapes and concatenation.  The tests check every
+analytic gradient against central finite differences (``tests/helpers.py``).
 
 ``backward`` computes only the gradients some tensor needs: an op with
 several parents skips the gradient of every parent that does not require
@@ -33,10 +32,6 @@ class ShapeError(ValueError):
 class ConfigError(ValueError):
     """A geometry or configuration parameter is invalid."""
 
-
-# When enabled, every op asserts its output is finite.  Off by default; the
-# verification tests switch it on.
-CHECK_FINITE = False
 
 _GRAD_ENABLED = True
 
@@ -88,8 +83,6 @@ class Tensor:
 
 def _make(data, parents, backward):
     """Create an op output, keeping the graph only where gradients can flow."""
-    if CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by a forward op")
     track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=track)
     if track:
@@ -134,7 +127,9 @@ def zero_grads(tensors):
 def backward(t, seed=None):
     """Reverse-mode sweep from ``t``; accumulates into ``.grad`` of leaves.
 
-    Visits each node exactly once, children before parents.
+    Visits each node exactly once, children before parents.  An op output's
+    gradient is freed once it has been passed on, since every node that
+    adds to it has already run; only leaves keep theirs.
     """
     topo = []
     visited = set()
@@ -157,6 +152,7 @@ def backward(t, seed=None):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -369,29 +365,18 @@ def concat(parts, axis=-1):
     return _make(out, tuple(parts), back)
 
 
-def narrow(a, axis, start, length):
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
+def index(a, key):
+    """``a[key]`` for a basic index: integers, slices and ``Ellipsis``.
 
+    Such a key reads each entry at most once, so the backward writes the
+    gradient into zeros at the same key.
+    """
     def back(g):
         full = np.zeros_like(a.data)
-        full[sl] = g
+        full[key] = g
         _accumulate(a, full)
 
-    return _make(a.data[sl], (a,), back)
-
-
-def subsample3d(a, starts, steps):
-    """Strided slice over the first three axes: a[s0::d0, s1::d1, s2::d2]."""
-    sl = tuple(slice(s, None, d) for s, d in zip(starts, steps))
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[sl] = g
-        _accumulate(a, full)
-
-    return _make(a.data[sl].copy(), (a,), back)
+    return _make(a.data[key], (a,), back)
 
 
 def gather(table, idx, axis=0):
@@ -573,44 +558,3 @@ def masked_conv_windows(extents, shape):
     shape = tuple(shape)
     idx = _conv_index_map(shape, taps, (1, 1, 1), _centered_pad(extents), shape)
     return idx.reshape(int(np.prod(shape)), len(taps))
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_check(fn, inputs, eps=1e-3, max_entries=None, seed=0):
-    """Max relative error between reverse-mode and central finite differences.
-
-    ``fn`` maps the input Tensors to a scalar Tensor; inputs should be float64
-    leaves with requires_grad=True.  Relative error uses max(1, |a|, |n|) in
-    the denominator so near-zero gradients do not blow it up.  By default
-    every coordinate is perturbed; ``max_entries`` caps the (seeded, random)
-    coordinate sample per input, which keeps large composites affordable.
-    """
-    out = fn(*inputs)
-    if out.data.shape != ():
-        raise ShapeError("grad_check needs a scalar-valued function")
-    zero_grads(inputs)
-    backward(out)
-    analytic = [np.zeros_like(i.data) if i.grad is None else i.grad.copy()
-                for i in inputs]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i, inp in enumerate(inputs):
-        flat = inp.data.reshape(-1)
-        coords = np.arange(flat.size)
-        if max_entries is not None and flat.size > max_entries:
-            coords = rng.choice(flat.size, size=max_entries, replace=False)
-        for j in coords:
-            orig = flat[j]
-            flat[j] = orig + eps
-            hi = fn(*inputs).item()
-            flat[j] = orig - eps
-            lo = fn(*inputs).item()
-            flat[j] = orig
-            num = (hi - lo) / (2.0 * eps)
-            ana = analytic[i].reshape(-1)[j]
-            rel = abs(ana - num) / max(1.0, abs(ana), abs(num))
-            worst = max(worst, rel)
-    return worst

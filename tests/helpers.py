@@ -1,6 +1,7 @@
-"""Shared test harnesses: causality sweeps, analyzer gradient oracles, the
-full-recompute reference sampler, and the reference and single-slice forms
-of library functions that only tests use."""
+"""Shared test harnesses: the finite-difference gradient checker, causality
+sweeps, analyzer gradient oracles, the full-recompute reference sampler, and
+the reference and single-slice forms of library functions that only tests
+use."""
 
 import numpy as np
 
@@ -11,6 +12,43 @@ from svt.attention import AttentionLayerSpec, attention_layer
 from svt.subscale import (extract_slice, primed_plane_mask, slice_order, slice_rank,
                           visibility_mask)
 from svt.tensor import Tensor
+
+
+def grad_check(fn, inputs, eps=1e-3, max_entries=None, seed=0):
+    """Max relative error between reverse-mode and central finite differences.
+
+    ``fn`` maps the input Tensors to a scalar Tensor; inputs should be float64
+    leaves with requires_grad=True.  Relative error uses max(1, |a|, |n|) in
+    the denominator so near-zero gradients do not blow it up.  By default
+    every coordinate is perturbed; ``max_entries`` caps the (seeded, random)
+    coordinate sample per input, which keeps large composites affordable.
+    """
+    out = fn(*inputs)
+    if out.data.shape != ():
+        raise tc.ShapeError("grad_check needs a scalar-valued function")
+    tc.zero_grads(inputs)
+    tc.backward(out)
+    analytic = [np.zeros_like(i.data) if i.grad is None else i.grad.copy()
+                for i in inputs]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for i, inp in enumerate(inputs):
+        flat = inp.data.reshape(-1)
+        coords = np.arange(flat.size)
+        if max_entries is not None and flat.size > max_entries:
+            coords = rng.choice(flat.size, size=max_entries, replace=False)
+        for j in coords:
+            orig = flat[j]
+            flat[j] = orig + eps
+            hi = fn(*inputs).item()
+            flat[j] = orig - eps
+            lo = fn(*inputs).item()
+            flat[j] = orig
+            num = (hi - lo) / (2.0 * eps)
+            ana = analytic[i].reshape(-1)[j]
+            rel = abs(ana - num) / max(1.0, abs(ana), abs(num))
+            worst = max(worst, rel)
+    return worst
 
 
 def clear_graph_grads(t):

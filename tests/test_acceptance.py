@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import causality_sweep, gradient_reachability, tiny_config
+from helpers import causality_sweep, grad_check, gradient_reachability, tiny_config
 from svt import metrics, model as M, optim as O, tensor as tc
 from svt.attention import AttentionLayerSpec, BlockShape, attention_layer
 from svt.connectivity import (dependency_graph, find_blind_spots,
@@ -21,7 +21,7 @@ from svt.connectivity import (dependency_graph, find_blind_spots,
 from svt.data import gen_sprites, write_container
 from svt.sampler import SampleConfig, sample_video
 from svt.subscale import (SubscaleFactor, context_padding, extract_slice,
-                          merge_slice, slice_order)
+                          merge_slice, slice_key, slice_order)
 from svt.tensor import Tensor
 from test_connectivity import CATALOG, blocks_of
 
@@ -83,36 +83,37 @@ class TestAcceptance:
                 "reshape": (lambda a: tc.sum_all(tc.mul(tc.reshape(a, (4, 3)), w43)), [x]),
                 "transpose": (lambda a: tc.sum_all(tc.mul(tc.transpose(a, (1, 0)), w43)), [x]),
                 "concat": (lambda a, c: tc.sum_all(tc.mul(tc.concat([a, c], -1), w38)), [x, y]),
-                "narrow": (lambda a: tc.sum_all(tc.mul(tc.narrow(a, 1, 1, 2), w32)), [x]),
+                "index": (lambda a: tc.sum_all(tc.mul(tc.index(a, (..., slice(1, 3))), w32)), [x]),
                 "gather": (lambda a: tc.sum_all(tc.mul(tc.gather(a, idx), wg)), [x]),
                 "take_index_last": (lambda a: tc.neg(tc.sum_all(
                     tc.take_index_last(tc.log_softmax(a, -1), targets))), [x]),
                 "one_hot_leaf": (lambda a: tc.sum_all(tc.mul(tc.matmul(a, w35), w25)), [hot]),
             }
             for name, (fn, inputs) in checks.items():
-                worst[name] = tc.grad_check(fn, inputs)
+                worst[name] = grad_check(fn, inputs)
 
             # convolutions
             xc = t64(rng, 1, 3, 4, 4, 2)
             kc = t64(rng, 8 * 2, 3)
             bc = t64(rng, 3)
             wc = Tensor(rng.standard_normal((1, 2, 2, 2, 3)), dtype=np.float64)
-            worst["conv3d"] = tc.grad_check(
+            worst["conv3d"] = grad_check(
                 lambda a, k, bb: tc.sum_all(tc.mul(tc.conv3d(
                     a, k, bb, (2, 2, 2), (2, 2, 2), (1, 0, -1), (2, 2, 2)), wc)),
                 [xc, kc, bc])
             n_taps = len(tc.masked_taps((3, 3, 3)))
             km = t64(rng, n_taps * 2, 3)
             wm = Tensor(rng.standard_normal((1, 3, 4, 4, 3)), dtype=np.float64)
-            worst["masked_conv3d"] = tc.grad_check(
+            worst["masked_conv3d"] = grad_check(
                 lambda a, k, bb: tc.sum_all(tc.mul(tc.masked_conv3d(a, k, bb, (3, 3, 3)), wm)),
                 [xc, km, bc])
 
-            # subsample (slice extraction path)
+            # strided index (slice extraction path)
             vol = t64(rng, 4, 4, 4, 2)
             wv = Tensor(rng.standard_normal((2, 2, 2, 2)), dtype=np.float64)
-            worst["subsample3d"] = tc.grad_check(
-                lambda a: tc.sum_all(tc.mul(tc.subsample3d(a, (0, 1, 0), (2, 2, 2)), wv)), [vol])
+            key = slice_key(SubscaleFactor(2, 2, 2), (0, 1, 0))
+            worst["index_slice"] = grad_check(
+                lambda a: tc.sum_all(tc.mul(tc.index(a, key), wv)), [vol])
 
             # attention layer on a 2x2x2 block
             spec = AttentionLayerSpec(BlockShape(2, 2, 2), 2, 3)
@@ -124,7 +125,7 @@ class TestAcceptance:
             xa = t64(rng, 1, 2, 2, 2, 4)
             wa = Tensor(rng.standard_normal((1, 2, 2, 2, 4)), dtype=np.float64)
             names = sorted(lp)
-            worst["attention_layer"] = tc.grad_check(
+            worst["attention_layer"] = grad_check(
                 lambda a, *ps: tc.sum_all(tc.mul(attention_layer(
                     a, dict(zip(names, ps)), spec, causal=True), wa)),
                 [xa] + [lp[n] for n in names])
@@ -145,7 +146,7 @@ class TestAcceptance:
                 loss, _, _ = M.forward_slices(store, cfg, [video], [(1, 0, 1)], 0)
                 return loss
 
-            worst["composite_enc_dec"] = tc.grad_check(
+            worst["composite_enc_dec"] = grad_check(
                 composite, [ps64[n] for n in probe], eps=3e-4, max_entries=30, seed=3)
 
             for name, err in sorted(worst.items()):

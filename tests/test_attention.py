@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import block_coordinates, relative_bias
+from helpers import block_coordinates, grad_check, relative_bias
 from svt import tensor as tc
-from svt.attention import (AttentionLayerSpec, BlockShape, CausalLayerStep,
+from svt.attention import (MASK_NEG, AttentionLayerSpec, BlockShape, CausalLayerStep,
                            attention_layer, block_attention, block_merge,
                            block_partition, block_slots, causal_mask,
                            relative_bias_indices, relative_bias_matrix)
@@ -170,7 +170,7 @@ class TestBlockAttention:
         w = np.zeros((d, 3 * da))
         w[:, da:] = rng.standard_normal((d, 2 * da))  # zero the q block only
         z = Tensor(rng.standard_normal((1, n_p, d)))
-        out = block_attention(z, Tensor(w), Tensor(np.zeros((1, n_p, n_p))), 1, da, mask=None)
+        out = block_attention(z, Tensor(w), Tensor(np.zeros((1, n_p, n_p))), 1, da)
         v = z.data[0] @ w[:, 2 * da:]
         assert np.allclose(out.data[0], np.broadcast_to(v.mean(axis=0), (n_p, da)), atol=1e-5)
 
@@ -179,8 +179,8 @@ class TestBlockAttention:
         n_p, d, da = 4, 6, 3
         z = Tensor(rng.standard_normal((1, n_p, d)))
         w = Tensor(rng.standard_normal((d, 3 * da)))
-        mask = np.tril(np.ones((n_p, n_p), dtype=bool))
-        out = block_attention(z, w, Tensor(np.zeros((1, n_p, n_p))), 1, da, mask=mask)
+        mask = np.where(np.tril(np.ones((n_p, n_p), dtype=bool)), 0.0, MASK_NEG)
+        out = block_attention(z, w, Tensor(mask[None]), 1, da)
         v0 = z.data[0] @ w.data[:, 2 * da:]
         assert np.allclose(out.data[0, 0], v0[0], atol=1e-5)
 
@@ -235,7 +235,7 @@ class TestAttentionLayer:
         def fn(x, *ps):
             p = dict(zip(names, ps))
             return tc.sum_all(tc.mul(attention_layer(x, p, spec, causal=True), w))
-        err = tc.grad_check(fn, [x] + [params[n] for n in names])
+        err = grad_check(fn, [x] + [params[n] for n in names])
         assert err < 1e-4
 
     def test_matches_full_attention_oracle(self):
@@ -294,7 +294,7 @@ class TestAttentionLayer:
                 for i in order:
                     y = attention_layer(y, params[i], specs[i], causal=True)
                 flat = tc.reshape(y, (P, 4))
-                tc.backward(tc.sum_all(tc.narrow(flat, 0, p, 1)))
+                tc.backward(tc.sum_all(tc.index(flat, p)))
                 touched = np.nonzero(np.abs(x.grad[0]).sum(-1).reshape(P))[0]
                 assert all(q <= p for q in touched)
 

@@ -143,9 +143,11 @@ class TestExitCodes:
         ("resume-acc-shape", 1), ("zero-block", 1), ("negative-mconv", 1),
         ("negative-kernel", 1), ("negative-width", 1), ("zero-video-t", 1),
         ("negative-video-h", 1), ("zero-log-every", 1), ("zero-stop-window", 1),
-        ("negative-ckpt-every", 1), ("empty-prime", 1), ("gen-data-negative-frames", 1),
-        ("gen-data-negative-vel-max", 1), ("import-raw-negative-frames", 1),
-        ("sample-negative-count", 1), ("eval-negative-prime", 1)])
+        ("negative-ckpt-every", 1), ("negative-train-seed", 1), ("negative-model-seed", 1),
+        ("empty-prime", 1), ("gen-data-negative-frames", 1),
+        ("gen-data-negative-vel-max", 1), ("gen-data-negative-seed", 1),
+        ("import-raw-negative-frames", 1), ("sample-negative-count", 1),
+        ("eval-negative-prime", 1)])
     def test_malformed_input_exits_cleanly(self, tiny_setup, case, code):
         """Each input disagrees with the config or is malformed: a one-line
         error and exit 1 (config) or 2 (io), never a traceback."""
@@ -156,6 +158,8 @@ class TestExitCodes:
                  "zero-video-t": "video_t = 0", "negative-video-h": "video_h = -8"}
         train_edits = {"zero-log-every": "log_every = 0",
                        "negative-ckpt-every": "ckpt_every = -1",
+                       "negative-train-seed": "train_seed = -1",
+                       "negative-model-seed": "model_seed = -1",
                        "zero-stop-window": "stop_window = 0\nstop_bits_per_dim = 0.5"}
         if case in edits:
             config.write_text(TINY_CONFIG + edits[case] + "\n")
@@ -164,7 +168,7 @@ class TestExitCodes:
             config.write_text(TINY_CONFIG + train_edits[case] + "\n")
             argv = ["train", "--config", config, "--data", data, "--out-ckpt", tmp / "out.ckpt"]
         elif case.startswith("gen-data"):
-            flag = "--vel-max" if case.endswith("vel-max") else "--frames"
+            flag = "--" + case[len("gen-data-negative-"):]
             argv = ["gen-data", "--out", tmp / "g.svt", flag, -1]
         elif case == "import-raw-negative-frames":
             raw = tmp / "clips.bin"
@@ -206,6 +210,23 @@ class TestExitCodes:
         r = run_cli(*argv)
         assert r.returncode == code
         assert "error[" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("edit", [
+        "rms_eps = 0", "rms_eps = -1e-8", "rms_eps = inf", "rms_eps = nan",
+        "rms_decay = 1.5", "rms_decay = -0.1", "rms_decay = nan",
+        "rms_momentum = 1", "rms_momentum = -0.5", "rms_momentum = nan",
+        "lr = -0.001", "lr = inf", "lr = nan"])
+    def test_bad_rmsprop_settings_exit_one_before_any_checkpoint(self, tiny_setup, edit):
+        """RMSProp settings that can make an update non-finite (0/sqrt(0)
+        with eps = 0 on the zero-initialised head) are a config error before
+        the first step, so no checkpoint is written."""
+        tmp, config, data = tiny_setup
+        config.write_text(TINY_CONFIG + "ckpt_every = 1\n" + edit + "\n")
+        ckpt = tmp / "out.ckpt"
+        r = run_cli("train", "--config", config, "--data", data, "--out-ckpt", ckpt)
+        assert r.returncode == 1
+        assert "error[config]" in r.stderr and "Traceback" not in r.stderr
+        assert not ckpt.exists()
 
     def test_success_is_zero(self, tiny_setup):
         tmp, config, data = tiny_setup

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (clear_graph_grads, decode_slice, encode_slice, predict_channels,
-                     tiny_config)
+from helpers import (clear_graph_grads, decode_slice, encode_slice, grad_check,
+                     predict_channels, tiny_config)
 from svt import model as M
 from svt import tensor as tc
-from svt.subscale import SubscaleFactor, slice_rank
+from svt.subscale import SubscaleFactor, extract_slice, slice_key, slice_order, slice_rank
 from svt.tensor import ConfigError, Tensor
 
 
@@ -111,7 +111,7 @@ class TestDecoder:
         video = rng.integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
         idx = (0, 1, 0)
         leaf = Tensor(M.video_onehot(cfg, video), requires_grad=True)
-        slice_oh = tc.subsample3d(leaf, idx, cfg.s.as_tuple())
+        slice_oh = tc.index(leaf, slice_key(cfg.s, idx))
         z = M.encode_slices(ps, cfg, [Tensor(M.video_onehot(cfg, video))], [idx])
         x = tc.reshape(slice_oh, (1, *cfg.slice_shape, cfg.input_channels))
         y = M.decode_slices(ps, cfg, x, z, slice_rank(cfg.s, idx))
@@ -431,6 +431,23 @@ class TestComposite:
         assert np.array_equal(loss.data, loss2.data) and n_pix == n_pix2
         assert out.data.shape[0] == len(idxs) and np.array_equal(out.data, out2.data)
 
+    def test_onehot_cut_is_onehot_of_extracted_slice(self, monkeypatch):
+        """The decoder input that ``forward_slices`` cuts from each video's
+        one-hot tensor is ``video_onehot`` of that video's extracted slice."""
+        cfg = tiny_config()
+        ps = M.init_params(cfg)
+        rng = np.random.default_rng(23)
+        videos = [rng.integers(0, 256, (4, 8, 8, 3)).astype(np.uint8) for _ in range(2)]
+        idxs = slice_order(cfg.s)[1:3]
+        seen = []
+        decode = M.decode_slices
+        monkeypatch.setattr(M, "decode_slices",
+                            lambda p, c, x, *a, **k: seen.append(x.data) or decode(p, c, x, *a, **k))
+        M.forward_slices(ps, cfg, videos, idxs)
+        want = np.stack([M.video_onehot(cfg, extract_slice(v, cfg.s, idx))
+                         for v, idx in zip(videos, idxs)])
+        assert np.array_equal(seen[0], want.reshape(2, *cfg.slice_shape, cfg.input_channels))
+
     def test_composite_grad_check(self):
         """2-layer encoder + 2-layer decoder + head, float64, against finite
         differences on a handful of parameters.  eps=3e-4 keeps the probe
@@ -448,7 +465,7 @@ class TestComposite:
                                   **dict(zip(probe, tensors))})
             loss, _, _ = M.forward_slices(store, cfg, [video], [(1, 0, 1)], 0)
             return loss
-        err = tc.grad_check(fn, [ps64[n] for n in probe], eps=3e-4,
+        err = grad_check(fn, [ps64[n] for n in probe], eps=3e-4,
                             max_entries=40, seed=2)
         assert err < 1e-4
 

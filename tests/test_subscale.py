@@ -5,7 +5,7 @@ import pytest
 
 from helpers import mask_preceding
 from svt.subscale import (SubscaleFactor, context_padding, extract_slice,
-                          merge_slice, primed_plane_mask,
+                          merge_slice, primed_plane_mask, slice_key,
                           slice_order, slice_rank, visibility_mask)
 from svt.tensor import ConfigError
 
@@ -70,6 +70,23 @@ class TestExtractMerge:
         slc = np.ones((2, 2, 2, 1), dtype=np.uint8)
         out = merge_slice(v, s, (1, 0, 1), slc)
         assert int(out.sum()) == 4 * 4 * 4 // s.count
+
+    @pytest.mark.parametrize("factor", [(2, 2, 2), (4, 2, 2)])
+    def test_slice_key_matches_extract_slice(self, factor):
+        """``video[slice_key(s, idx)]`` is ``extract_slice`` for every
+        slice, and both hold video(t'*s_t + a, h'*s_h + b, w'*s_w + c)."""
+        s = SubscaleFactor(*factor)
+        v = np.random.default_rng(3).integers(0, 256, (8, 4, 6, 3)).astype(np.uint8)
+        for idx in slice_order(s):
+            got = v[slice_key(s, idx)]
+            assert np.array_equal(got, extract_slice(v, s, idx))
+            t, h, w = (np.arange(n) * f + o for n, f, o in
+                       zip(s.slice_shape(v.shape), factor, idx))
+            assert np.array_equal(got, v[np.ix_(t, h, w)])
+
+    def test_slice_key_checks_the_index(self):
+        with pytest.raises(ConfigError):
+            slice_key(SubscaleFactor(2, 2, 2), (0, 2, 0))
 
     def test_non_divisible_raises(self):
         with pytest.raises(ConfigError):
