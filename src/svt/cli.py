@@ -25,18 +25,18 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _configure_threads(argv):
-    n = None
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            n = argv[i + 1]
-        elif a.startswith("--threads="):
-            n = a.split("=", 1)[1]
-    if n is None:
-        n = os.environ.get("SVT_THREADS")
+def _thread_count(text):
+    int(text)  # argparse reports a non-integer; the text is kept as typed
+    return text
+
+
+def _pin_threads(threads):
+    """Set the BLAS thread variables to ``threads`` (the --threads text), or
+    to SVT_THREADS when it is None; numpy must not be loaded yet."""
+    n = os.environ.get("SVT_THREADS") if threads is None else threads
     if n:
         for var in _THREAD_VARS:
-            os.environ[var] = str(n)
+            os.environ[var] = n
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="svt",
         description="Train, evaluate, sample and analyze subscale video models.")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_thread_count, default=None,
                         help="BLAS thread count (1 = reproducibility reference); "
                              "SVT_THREADS is the fallback")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -386,10 +386,8 @@ def build_parser():
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _configure_threads(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _pin_threads(args.threads)
 
     from .data import DataError
     from .optim import NumericError

@@ -133,7 +133,8 @@ class ModelConfig:
                 raise ConfigError("single_frame requires kernel (6, 1, 1)")
         for spec in specs:
             spec.block.check_divides(ss)
-        tc.masked_taps(self.mconv)  # rejects even extents
+        if not tc.masked_taps(self.mconv):  # rejects even extents
+            raise ConfigError(f"mconv {self.mconv} leaves the masked conv no taps")
         if not self.enc_schedule or not self.dec_schedule:
             raise ConfigError("empty layer schedule")
         return self

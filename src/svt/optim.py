@@ -10,8 +10,10 @@ preconditioned gradient and epsilon inside the square root:
 Batches shuffle the full (video x slice) product every epoch so one batch
 rarely concentrates on a single video; videos longer than the training
 length are cropped randomly in time.  No gradient clipping and no explicit
-regularization.  Everything is seeded: a fixed seed in single-threaded mode
-reproduces the loss trajectory, checkpoints and logs bit for bit.
+regularization.  Step k's batch and crops depend only on (seed, k), and a
+checkpoint holds everything else a step reads, so a fixed seed in
+single-threaded mode reproduces the loss trajectory, checkpoints and logs
+bit for bit, resumed or not.
 """
 
 import math
@@ -42,15 +44,17 @@ class RmsPropConfig:
 
 
 class OptimizerState:
-    """Per-parameter second-moment and momentum buffers."""
+    """Per-parameter second-moment and momentum buffers, and the float32
+    bits/dim of the last ``stop_window`` steps that the early stop reads."""
 
     def __init__(self, params, hyper=None):
         self.hyper = hyper or RmsPropConfig()
         self.acc = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.mom = {n: np.zeros_like(t.data) for n, t in params.items()}
+        self.window = np.zeros(0, dtype=np.float32)
 
     def arrays(self):
-        out = {}
+        out = {"meta/stop_window": self.window}
         for n, a in self.acc.items():
             out[f"opt/acc/{n}"] = a
         for n, a in self.mom.items():
@@ -96,25 +100,19 @@ def rmsprop_step(params, grads, state):
         t.data -= mom
 
 
-def make_batches(n_videos, s, batch_size, seed):
-    """Endless stream of [(video_index, slice_index), ...] batches.
-
-    Every epoch reshuffles the full (video x slice) product with a seed
-    derived from (seed, epoch), so the stream is reproducible and a resumed
-    run can fast-forward to any step.
-    """
+def batch_at(n_videos, s, batch_size, seed, step):
+    """Step ``step``'s [(video_index, slice_index), ...] batch: every epoch
+    reshuffles the full (video x slice) product with a seed derived from
+    (seed, epoch) and cuts it into batches of ``batch_size``, the last one
+    short when the size does not divide it."""
     if n_videos < 1:
         raise ConfigError("empty dataset")
     order = slice_order(s)
-    pairs = [(v, idx) for v in range(n_videos) for idx in order]
-    epoch = 0
-    while True:
-        rng = np.random.default_rng((seed, epoch))
-        perm = rng.permutation(len(pairs))
-        for lo in range(0, len(pairs), batch_size):
-            chunk = perm[lo:lo + batch_size]
-            yield [pairs[i] for i in chunk]
-        epoch += 1
+    n_pairs = n_videos * len(order)
+    epoch, k = divmod(step, -(-n_pairs // batch_size))
+    perm = np.random.default_rng((seed, epoch)).permutation(n_pairs)
+    return [(int(i) // len(order), order[int(i) % len(order)])
+            for i in perm[k * batch_size:(k + 1) * batch_size]]
 
 
 def random_temporal_crop(video, t_target, rng):
@@ -145,12 +143,15 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
           log_path=None, ckpt_path=None, log_fn=None):
     """Train on a list of uint8 videos; returns (params, opt, records).
 
-    Each record is (step, nats, dims, bits_per_dim, wall_ms); the same record
-    is appended to ``log_path`` when given.  Raises NumericError on a
-    non-finite loss or gradient, before the step changes any parameter,
-    optimizer buffer or checkpoint.  For the deterministic head the bits/dim
-    column carries nats-per-pixel converted to bits over the byte dimension,
-    so the early stop knob works for both heads.
+    Step k trains on ``batch_at(..., k)`` with crops drawn from
+    ``default_rng((seed, 0x0C0F, k))``, and ``opt`` carries the early-stop
+    window, so a resumed run continues exactly.  Each record is (step, nats,
+    dims, bits_per_dim, wall_ms); the same record is appended to
+    ``log_path`` when given.  Raises NumericError on a non-finite loss or
+    gradient, before the step changes any parameter, optimizer buffer or
+    checkpoint.  For the deterministic head the bits/dim column carries
+    nats-per-pixel converted to bits over the byte dimension, so the early
+    stop knob works for both heads.
     """
     if tcfg.batch_slices < 1:
         raise ConfigError("batch size must be >= 1")
@@ -162,6 +163,8 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
         raise ConfigError(f"early stop needs stop_window >= 1, got {tcfg.stop_window}")
     if tcfg.seed < 0:
         raise ConfigError(f"train_seed must be >= 0, got {tcfg.seed}")
+    if tcfg.steps < start_step:
+        raise ConfigError(f"steps must be >= the start step {start_step}, got {tcfg.steps}")
     _check_rmsprop(opt.hyper if opt is not None else tcfg.rmsprop)
     for v in videos:
         cfg.check_video(v, crop=True)
@@ -169,18 +172,16 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
         params = M.init_params(cfg)
     if opt is None:
         opt = OptimizerState(params, tcfg.rmsprop)
-    batches = make_batches(len(videos), cfg.s, tcfg.batch_slices, tcfg.seed)
-    crop_rng = np.random.default_rng((tcfg.seed, 0x0C0F))
-    # fast-forward deterministic streams when resuming
-    for _ in range(start_step):
-        _crop_batch(cfg, videos, next(batches), crop_rng)
     records = []
-    recent = []
     log_file = open(log_path, "a") if log_path else None
     try:
         for step in range(start_step, tcfg.steps):
             t0 = time.monotonic()
-            clips, idxs = _crop_batch(cfg, videos, next(batches), crop_rng)
+            batch = batch_at(len(videos), cfg.s, tcfg.batch_slices, tcfg.seed, step)
+            crop_rng = np.random.default_rng((tcfg.seed, 0x0C0F, step))
+            clips = [random_temporal_crop(videos[v], cfg.video_shape[0], crop_rng)
+                     for v, _ in batch]
+            idxs = [idx for _, idx in batch]
             params.zero_grads()
             nats = 0.0
             n_pix = 0.0
@@ -203,27 +204,19 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
                 log_file.flush()
             if log_fn and step % tcfg.log_every == 0:
                 log_fn(rec)
+            if tcfg.stop_bits_per_dim > 0:
+                opt.window = np.append(opt.window, np.float32(bpd))[-tcfg.stop_window:]
+                if (len(opt.window) == tcfg.stop_window
+                        and float(opt.window.max()) < tcfg.stop_bits_per_dim):
+                    break  # the final checkpoint below is written at step + 1
             if ckpt_path and tcfg.ckpt_every and (step + 1) % tcfg.ckpt_every == 0:
                 save_training_checkpoint(ckpt_path, params, opt, step + 1)
-            recent.append(bpd)
-            if len(recent) > tcfg.stop_window:
-                recent.pop(0)
-            if (tcfg.stop_bits_per_dim > 0 and len(recent) == tcfg.stop_window
-                    and max(recent) < tcfg.stop_bits_per_dim):
-                break
     finally:
         if log_file:
             log_file.close()
     if ckpt_path:
         save_training_checkpoint(ckpt_path, params, opt, records[-1][0] + 1 if records else start_step)
     return params, opt, records
-
-
-def _crop_batch(cfg, videos, batch, rng):
-    """(clips, slice indices) of a batch of (video index, slice index)
-    pairs, each clip cropped to the config's length in batch order."""
-    clips = [random_temporal_crop(videos[v_id], cfg.video_shape[0], rng) for v_id, _ in batch]
-    return clips, [idx for _, idx in batch]
 
 
 def _decoder_groups(cfg, clips, idxs):
@@ -246,8 +239,10 @@ def save_training_checkpoint(path, params, opt, step):
 
 def load_training_checkpoint(path, cfg, hyper=None):
     """Returns (params, opt, step); opt state is zero if absent, and so is
-    the step.  Entries are checked by ``M.checkpoint_entries``; a step that
-    is not one whole number in [0, 2^24) (exact in float32) is a DataError."""
+    the step, and the early-stop window is empty.  Entries are checked by
+    ``M.checkpoint_entries``; a step that is not one whole number in
+    [0, 2^24) (exact in float32), or a window that is not 1-D, is a
+    DataError."""
     arrays = M.load_checkpoint(path)
     params = M.params_from_checkpoint(cfg, arrays)
     opt = OptimizerState(params, hyper)
@@ -257,4 +252,7 @@ def load_training_checkpoint(path, cfg, hyper=None):
     step = arrays.get("meta/step", np.zeros(1))
     if step.size != 1 or not (0 <= step.item() < 2 ** 24) or step.item() % 1:
         raise DataError(f"{path}: meta/step {step.tolist()} is not a whole number in [0, 2^24)")
+    opt.window = arrays.get("meta/stop_window", opt.window)
+    if opt.window.ndim != 1:
+        raise DataError(f"{path}: meta/stop_window has shape {opt.window.shape}, expected 1-D")
     return params, opt, int(step.item())

@@ -255,6 +255,27 @@ def add_at_gather_grad(table, idx, g, axis):
     return gt
 
 
+def make_batches(n_videos, s, batch_size, seed):
+    """Endless stream of [(video_index, slice_index), ...] batches: the
+    reference for ``optim.batch_at``, whose step k is this stream's k-th batch.
+
+    Every epoch reshuffles the full (video x slice) product with a seed
+    derived from (seed, epoch), so the stream is reproducible.
+    """
+    if n_videos < 1:
+        raise tc.ConfigError("empty dataset")
+    order = slice_order(s)
+    pairs = [(v, idx) for v in range(n_videos) for idx in order]
+    epoch = 0
+    while True:
+        rng = np.random.default_rng((seed, epoch))
+        perm = rng.permutation(len(pairs))
+        for lo in range(0, len(pairs), batch_size):
+            chunk = perm[lo:lo + batch_size]
+            yield [pairs[i] for i in chunk]
+        epoch += 1
+
+
 def tiny_config(**overrides):
     """Small spatiotemporal config with no structural blind spots.
 

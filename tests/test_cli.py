@@ -141,19 +141,20 @@ class TestExitCodes:
     @pytest.mark.parametrize("case, code", [
         ("eval-gray-data", 1), ("resume-missing-mom", 1), ("resume-nan-step", 2),
         ("resume-acc-shape", 1), ("zero-block", 1), ("negative-mconv", 1),
-        ("negative-kernel", 1), ("negative-width", 1), ("zero-video-t", 1),
+        ("mconv-one", 1), ("negative-kernel", 1), ("negative-width", 1), ("zero-video-t", 1),
         ("negative-video-h", 1), ("zero-log-every", 1), ("zero-stop-window", 1),
         ("negative-ckpt-every", 1), ("negative-train-seed", 1), ("negative-model-seed", 1),
         ("empty-prime", 1), ("gen-data-negative-frames", 1),
         ("gen-data-negative-vel-max", 1), ("gen-data-negative-seed", 1),
         ("import-raw-negative-frames", 1), ("sample-negative-count", 1),
-        ("eval-negative-prime", 1)])
+        ("eval-negative-prime", 1), ("negative-steps", 1)])
     def test_malformed_input_exits_cleanly(self, tiny_setup, case, code):
         """Each input disagrees with the config or is malformed: a one-line
         error and exit 1 (config) or 2 (io), never a traceback."""
         from svt import model as M, optim as O
         tmp, config, data = tiny_setup
         edits = {"zero-block": "enc_blocks = 0x4x4;2x4x4", "negative-mconv": "mconv = -1",
+                 "mconv-one": "mconv = 1",
                  "negative-kernel": "kernel_t = -1", "negative-width": "d_model = -4",
                  "zero-video-t": "video_t = 0", "negative-video-h": "video_h = -8"}
         train_edits = {"zero-log-every": "log_every = 0",
@@ -164,9 +165,10 @@ class TestExitCodes:
         if case in edits:
             config.write_text(TINY_CONFIG + edits[case] + "\n")
             argv = ["analyze", "--config", config]
-        elif case in train_edits:
-            config.write_text(TINY_CONFIG + train_edits[case] + "\n")
+        elif case in train_edits or case == "negative-steps":
+            config.write_text(TINY_CONFIG + train_edits.get(case, "") + "\n")
             argv = ["train", "--config", config, "--data", data, "--out-ckpt", tmp / "out.ckpt"]
+            argv += ["--steps", -1] if case == "negative-steps" else []
         elif case.startswith("gen-data"):
             flag = "--" + case[len("gen-data-negative-"):]
             argv = ["gen-data", "--out", tmp / "g.svt", flag, -1]
@@ -210,6 +212,7 @@ class TestExitCodes:
         r = run_cli(*argv)
         assert r.returncode == code
         assert "error[" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp / "out.ckpt").exists()
 
     @pytest.mark.parametrize("edit", [
         "rms_eps = 0", "rms_eps = -1e-8", "rms_eps = inf", "rms_eps = nan",
@@ -328,7 +331,8 @@ class TestThreadsAndNumeric:
     def test_threads_flag_sets_blas_env(self, monkeypatch):
         for var in cli._THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
-        cli._configure_threads(["--threads", "1", "analyze"])
+        cli._pin_threads(cli.build_parser().parse_args(
+            ["--threads", "1", "analyze", "--config", "c.cfg"]).threads)
         import os
         assert all(os.environ[v] == "1" for v in cli._THREAD_VARS)
 
@@ -336,7 +340,7 @@ class TestThreadsAndNumeric:
         for var in cli._THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("SVT_THREADS", "2")
-        cli._configure_threads(["train"])
+        cli._pin_threads(None)
         import os
         assert all(os.environ[v] == "2" for v in cli._THREAD_VARS)
 

@@ -2,16 +2,17 @@
 
 import dataclasses
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from helpers import tiny_config
+from helpers import make_batches, tiny_config
 from svt import cli
 from svt import model as M
 from svt import optim as O
 from svt import tensor as tc
-from svt.data import write_container
+from svt.data import DataError, gen_sprites, write_container
 from svt.model import ParamStore
 from svt.subscale import SubscaleFactor, slice_rank
 from svt.tensor import ConfigError, Tensor
@@ -80,23 +81,19 @@ class TestRmsProp:
 class TestBatching:
     def test_full_epoch_in_one_batch(self):
         s = SubscaleFactor(2, 2, 1)  # 4 slices
-        stream = O.make_batches(2, s, 8, seed=0)
-        batch = next(stream)
+        batch = O.batch_at(2, s, 8, seed=0, step=0)
         assert sorted(batch) == sorted(
             (v, idx) for v in range(2) for idx in
             [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)])
 
     def test_same_seed_same_stream(self):
         s = SubscaleFactor(2, 1, 1)
-        a = O.make_batches(3, s, 4, seed=9)
-        b = O.make_batches(3, s, 4, seed=9)
-        for _ in range(5):
-            assert next(a) == next(b)
+        for step in range(5):
+            assert O.batch_at(3, s, 4, 9, step) == O.batch_at(3, s, 4, 9, step)
 
     def test_epochs_reshuffle(self):
         s = SubscaleFactor(2, 2, 2)
-        stream = O.make_batches(4, s, 32, seed=1)
-        first, second = next(stream), next(stream)
+        first, second = (O.batch_at(4, s, 32, 1, step) for step in (0, 1))
         assert sorted(first) == sorted(second) and first != second
 
     def test_same_video_multiplicity_near_hypergeometric(self):
@@ -104,10 +101,9 @@ class TestBatching:
         sampling without replacement from the (video x slice) product."""
         n_videos, batch = 16, 16
         s = SubscaleFactor(4, 2, 2)  # 16 slices/video, population 256
-        stream = O.make_batches(n_videos, s, batch, seed=3)
         counts = []
-        for _ in range(200):
-            b = next(stream)
+        for step in range(200):
+            b = O.batch_at(n_videos, s, batch, 3, step)
             vids = [v for v, _ in b]
             counts.append(np.mean([vids.count(v) for v in set(vids)]))
         # expected per-video draws within a batch: batch/n_videos = 1, plus
@@ -123,7 +119,19 @@ class TestBatching:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
-            next(O.make_batches(0, SubscaleFactor(1, 1, 1), 1, seed=0))
+            O.batch_at(0, SubscaleFactor(1, 1, 1), 1, seed=0, step=0)
+
+    @pytest.mark.parametrize("n_videos, s, batch", [
+        (2, (2, 2, 1), 8), (3, (2, 1, 1), 4), (4, (2, 2, 2), 5), (1, (4, 2, 2), 16),
+        (5, (1, 1, 1), 7)])
+    def test_matches_the_stream(self, n_videos, s, batch):
+        """Step k's batch is the k-th batch of the reference stream, for
+        every step of three epochs, also when the batch size does not
+        divide the epoch (its last batch is short)."""
+        s = SubscaleFactor(*s)
+        stream = make_batches(n_videos, s, batch, seed=4)
+        for step in range(3 * -(-n_videos * s.count // batch)):
+            assert O.batch_at(n_videos, s, batch, 4, step) == next(stream), step
 
 
 class TestTemporalCrop:
@@ -223,8 +231,8 @@ class TestTrainLoop:
         _assert_resume_continues_exactly(tmp_path, videos)
 
     def test_resume_replays_crops(self, tmp_path):
-        """7-frame videos are cropped to the config's 4: resuming replays the
-        crop draws of the skipped steps."""
+        """7-frame videos are cropped to the config's 4: a resumed step
+        draws the same crops as in the uninterrupted run."""
         videos = [np.random.default_rng(12 + i).integers(0, 256, (7, 8, 8, 3)).astype(np.uint8)
                   for i in range(2)]
         _assert_resume_continues_exactly(tmp_path, videos)
@@ -235,12 +243,51 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="3 frames"):
             O.train(tiny_config(), tcfg, videos, start_step=2)
 
+    def test_resume_with_early_stop_matches_continuous_run(self, tmp_path):
+        """With early stop firing at step 8 (window 3), resuming from the
+        checkpoint of every step k up to it ends at the same step, with the
+        same records, parameters and optimizer state (the window included),
+        as the uninterrupted run; 7-frame videos make every step draw crops."""
+        cfg = tiny_config()
+        videos = gen_sprites(7, 8, 8, 2, seed=4)
+        tcfg = O.TrainConfig(steps=40, batch_slices=2, seed=2, prime_frames=1, ckpt_every=1,
+                             rmsprop=O.RmsPropConfig(lr=0.01), stop_bits_per_dim=4.0,
+                             stop_window=3)
+        ck = tmp_path / "t.ckpt"
+
+        def keep(rec):  # the file holds the checkpoint of step rec[0] when step rec[0] ends
+            if rec[0]:
+                shutil.copy(ck, tmp_path / f"{rec[0]}.ckpt")
+
+        params, opt, full = O.train(cfg, tcfg, videos, ckpt_path=str(ck), log_fn=keep)
+        stop = full[-1][0]
+        assert stop == 8 and len(opt.window) == 3
+        for k in range(1, stop + 1):
+            p, o, step = O.load_training_checkpoint(tmp_path / f"{k}.ckpt", cfg, tcfg.rmsprop)
+            assert step == k
+            p, o, resumed = O.train(cfg, tcfg, videos, params=p, opt=o, start_step=k)
+            assert [r[:4] for r in resumed] == [r[:4] for r in full[k:]], k
+            for got, want in ((p.arrays(), params.arrays()), (o.arrays(), opt.arrays())):
+                assert sorted(got) == sorted(want)
+                assert all(np.array_equal(got[n], a) for n, a in want.items()), k
+
+    def test_steps_below_start_step_rejected(self, tmp_path):
+        """A step count below the resume step is a ConfigError before
+        anything is written."""
+        videos = [np.zeros((4, 8, 8, 3), dtype=np.uint8)]
+        tcfg = O.TrainConfig(steps=1, batch_slices=2, seed=2, prime_frames=1)
+        with pytest.raises(ConfigError, match="start step 2"):
+            O.train(tiny_config(), tcfg, videos, start_step=2,
+                    ckpt_path=str(tmp_path / "t.ckpt"))
+        assert not list(tmp_path.iterdir())
+
     def test_malformed_resume_checkpoint(self, tmp_path):
-        """Seeded fuzz: deleting or reshaping a parameter, opt/acc, opt/mom
-        or meta/step entry, or a step that is not a whole number in
-        [0, 2^24), loads to the saved state or raises ConfigError/DataError
-        (entry names and shapes: config; the step's value: data)."""
-        from svt.data import DataError
+        """Seeded fuzz: deleting or reshaping a parameter, opt/acc, opt/mom,
+        meta/step or meta/stop_window entry, or a step that is not a whole
+        number in [0, 2^24), loads to the saved state or raises
+        ConfigError/DataError (entry names and shapes: config; the step's
+        value and a window that is not 1-D: data).  A checkpoint without a
+        window resumes with an empty one."""
         cfg = tiny_config()
         params = M.init_params(cfg, head_init="normal")
         path = tmp_path / "t.ckpt"
@@ -251,6 +298,8 @@ class TestTrainLoop:
                  ("meta/step", [3.0, 3.0], DataError)]
         cases += [("meta/step", [v], DataError)
                   for v in (np.nan, np.inf, -np.inf, -1.0, -0.5, 2.5, 2.0 ** 24)]
+        cases += [("meta/stop_window", None, None), ("meta/stop_window", [[[0.5], [0.25]]], DataError),
+                  ("meta/stop_window", [[0.5]], DataError)]
         for prefix in ("", "opt/acc/", "opt/mom/"):
             for name in rng.choice(sorted(M.parameter_shapes(cfg)), 4, replace=False):
                 entry = good[prefix + name]
@@ -327,9 +376,8 @@ class TestFirstSliceDecoder:
         self.tcfg = O.TrainConfig(steps=3, batch_slices=8, seed=2, prime_frames=1)
 
     def batches(self, n):
-        stream = O.make_batches(len(self.videos), self.cfg.s, self.tcfg.batch_slices,
-                                self.tcfg.seed)
-        return [next(stream) for _ in range(n)]
+        return [O.batch_at(len(self.videos), self.cfg.s, self.tcfg.batch_slices,
+                           self.tcfg.seed, step) for step in range(n)]
 
     def test_batches_mix_ranks(self):
         for batch in self.batches(self.tcfg.steps):
