@@ -252,9 +252,16 @@ def sum_all(a):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
-    """Matrix product; leading extents broadcast, so stacked batches are free."""
+    """Matrix product; leading extents broadcast, so stacked batches are free.
+
+    A weight product (``b`` 2-D, ``a`` of more than two dims) folds ``a``'s
+    leading extents into rows, so it runs as one 2-D GEMM forward and one
+    for each gradient (``_fold_matmul``).
+    """
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.data.shape} @ {b.data.shape}")
+    if a.data.ndim > 2 and b.data.ndim == 2:
+        return _fold_matmul(a, b)
     out = np.matmul(a.data, b.data)
 
     def back(g):
@@ -268,12 +275,32 @@ def matmul(a, b):
     return _make(out, (a, b), back)
 
 
+def _fold_matmul(a, b):
+    """``matmul`` of an (..., k) ``a`` and a (k, e) ``b`` as (rows, k) @ (k, e).
+
+    The backward reshapes ``a`` again rather than keeping the forward's
+    rows: for a strided ``a`` they are a copy, which the graph would hold.
+    """
+    k, e = b.data.shape
+    lead = a.data.shape[:-1]
+    out = (a.data.reshape(-1, k) @ b.data).reshape(*lead, e)
+
+    def back(g):
+        g2 = g.reshape(-1, e)
+        if a.requires_grad:
+            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, a.data.reshape(-1, k).T @ g2)
+
+    return _make(out, (a, b), back)
+
+
 def softmax(a, axis=-1):
-    """Exp-normalize along ``axis``, stabilized by max subtraction."""
-    x = a.data
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    """Exp-normalize along ``axis``, stabilized by max subtraction.  The
+    shifted copy of the input is exponentiated and normalised in place."""
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def back(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -294,24 +321,27 @@ def log_softmax(a, axis=-1):
     return _make(ls, (a,), back)
 
 
-def _normalize(x, eps):
-    """(xhat, 1/std): zero-mean unit-variance over the last axis."""
+def _layernorm(x, gain, bias, eps):
+    """(xhat * gain + bias, xhat, 1/std) with xhat zero-mean unit-variance
+    over the last axis; xhat is scaled in place in the centred copy of x."""
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    return xc * inv, inv
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
 
 
 def layernorm_array(x, gain, bias, eps=1e-6):
     """The forward of ``layernorm`` on plain arrays (no graph)."""
-    return _normalize(x, eps)[0] * gain + bias
+    return _layernorm(x, gain, bias, eps)[0]
 
 
 def layernorm(a, gain, bias, eps=1e-6):
     """Zero-mean unit-variance over the last (feature) axis, then affine."""
-    xhat, inv = _normalize(a.data, eps)
-    out = xhat * gain.data + bias.data
+    out, xhat, inv = _layernorm(a.data, gain.data, bias.data, eps)
 
     def back(g):
         if gain.requires_grad:

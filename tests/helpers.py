@@ -255,6 +255,79 @@ def add_at_gather_grad(table, idx, g, axis):
     return gt
 
 
+def batched_matmul(a, b):
+    """``tensor.matmul`` with every product through ``np.matmul``'s batch
+    loop and a broadcast operand's gradient summed by ``_unbroadcast``: the
+    reference for the one-GEMM weight product."""
+    if a.data.shape[-1] != b.data.shape[-2]:
+        raise tc.ShapeError(f"matmul inner extents differ: {a.data.shape} @ {b.data.shape}")
+    out = np.matmul(a.data, b.data)
+
+    def back(g):
+        if a.requires_grad:
+            tc._accumulate(a, tc._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                                              a.data.shape))
+        if b.requires_grad:
+            tc._accumulate(b, tc._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                              b.data.shape))
+
+    return tc._make(out, (a, b), back)
+
+
+def two_temporary_softmax(a, axis=-1):
+    """``tensor.softmax`` with one new array for the exponentials and one for
+    the quotient: the reference for the in-place form."""
+    x = a.data
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def back(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        tc._accumulate(a, y * (g - dot))
+
+    return tc._make(y, (a,), back)
+
+
+def out_of_place_normalize(x, eps):
+    """(xhat, 1/std) over the last axis, each step a new array: the
+    reference for the in-place normalisation of ``tensor.layernorm``."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    return xc * inv, inv
+
+
+def out_of_place_layernorm_array(x, gain, bias, eps=1e-6):
+    """The reference for ``tensor.layernorm_array``."""
+    return out_of_place_normalize(x, eps)[0] * gain + bias
+
+
+def out_of_place_layernorm(a, gain, bias, eps=1e-6):
+    """The reference for ``tensor.layernorm``."""
+    xhat, inv = out_of_place_normalize(a.data, eps)
+    out = xhat * gain.data + bias.data
+
+    def back(g):
+        if gain.requires_grad:
+            tc._accumulate(gain, tc._unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            tc._accumulate(bias, tc._unbroadcast(g, bias.data.shape))
+        if a.requires_grad:
+            dxhat = g * gain.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            tc._accumulate(a, inv * (dxhat - m1 - xhat * m2))
+
+    return tc._make(out, (a, gain, bias), back)
+
+
+REFERENCE_OPS = {"matmul": batched_matmul, "softmax": two_temporary_softmax,
+                 "layernorm": out_of_place_layernorm,
+                 "layernorm_array": out_of_place_layernorm_array}
+
+
 def make_batches(n_videos, s, batch_size, seed):
     """Endless stream of [(video_index, slice_index), ...] batches: the
     reference for ``optim.batch_at``, whose step k is this stream's k-th batch.

@@ -2,14 +2,16 @@
 variants, checkpoints."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (clear_graph_grads, decode_slice, encode_slice, grad_check,
+from helpers import (REFERENCE_OPS, clear_graph_grads, decode_slice, encode_slice, grad_check,
                      predict_channels, tiny_config)
+from svt import cli, data, sampler
 from svt import model as M
 from svt import tensor as tc
 from svt.subscale import SubscaleFactor, extract_slice, slice_key, slice_order, slice_rank
@@ -498,6 +500,51 @@ class TestComposite:
             nonzero = np.abs(leaf.grad).sum(axis=-1) > 0
             assert np.array_equal(nonzero,
                                   allowed_influence_mask(cfg, (0, 0, 0), pixel, chan))
+
+
+class TestReferenceOps:
+    """The desk model computes the same bits with ``tc.matmul``,
+    ``tc.softmax`` and ``tc.layernorm`` (and ``tc.layernorm_array``) as with
+    their reference forms in ``helpers``, in the teacher-forced forward and
+    in the sampler.  Both runs share one process, so one BLAS build."""
+
+    @staticmethod
+    def desk():
+        conf = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "sprites-rgb.cfg")
+        cfg = cli.model_config_from(conf)
+        videos = data.gen_sprites(*cfg.video_shape, 2, channels=cfg.bytes_per_pixel, seed=7)
+        return conf, cfg, M.init_params(cfg, head_init="normal"), videos
+
+    @staticmethod
+    def shipped_and_reference(monkeypatch, run):
+        shipped = run()
+        for name, op in REFERENCE_OPS.items():
+            monkeypatch.setattr(tc, name, op)
+        return shipped, run()
+
+    def test_forward_slices(self, monkeypatch):
+        conf, cfg, params, videos = self.desk()
+        order = slice_order(cfg.s)
+
+        def run():
+            out = [M.forward_slices(params, cfg, videos[:1], [idx], conf["prime_frames"])
+                   for idx in order]
+            out.append(M.forward_slices(params, cfg, [videos[1]] * len(order), order,
+                                        conf["prime_frames"]))
+            return [(loss.data, logits.data) for loss, _, logits in out]
+
+        shipped, reference = self.shipped_and_reference(monkeypatch, run)
+        assert len(shipped) == len(order) + 1
+        for (loss, logits), (ref_loss, ref_logits) in zip(shipped, reference):
+            assert np.array_equal(loss, ref_loss) and np.array_equal(logits, ref_logits)
+
+    def test_sample_video(self, monkeypatch):
+        conf, cfg, params, videos = self.desk()
+        scfg = sampler.SampleConfig(prime_frames=conf["prime_frames"],
+                                    temperature=conf["temperature"], seed=3)
+        shipped, reference = self.shipped_and_reference(
+            monkeypatch, lambda: sampler.sample_video(params, cfg, videos[0], scfg)[0])
+        assert np.array_equal(shipped, reference)
 
 
 def _params_float64(cfg, seed):

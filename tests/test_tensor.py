@@ -1,18 +1,24 @@
 """Tensor core: forward semantics against independent oracles, and
 reverse-mode gradients against central finite differences."""
 
+import tracemalloc
 import zlib
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (add_at_conv_input_grad, add_at_gather_grad, einsum_conv_kernel_grad,
-                     grad_check)
+from helpers import (add_at_conv_input_grad, add_at_gather_grad, batched_matmul,
+                     einsum_conv_kernel_grad, grad_check, out_of_place_layernorm,
+                     out_of_place_layernorm_array, two_temporary_softmax)
+from svt import cli
+from svt import model as M
 from svt import tensor as tc
-from svt.attention import BlockShape, relative_bias_indices
-from svt.subscale import SubscaleFactor, context_padding, slice_order
+from svt.attention import MASK_NEG, BlockShape, relative_bias_indices
+from svt.subscale import SubscaleFactor, context_padding, slice_key, slice_order, slice_rank
 from svt.tensor import ConfigError, Tensor
 
 
@@ -570,3 +576,197 @@ class TestGraphMechanics:
             y = tc.add(x, x)
         assert y._backward is None and not y.requires_grad
 
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@cache
+def weight_product_layouts(config, train):
+    """Sorted (a shape, a strides, b shape) of every weight product (``b``
+    2-D, ``a`` of more than two dims) that ``forward_slices`` makes on the
+    shipped ``config``, float32: on one slice per decoder, and with
+    ``train`` also on the batch of all slices of each decoder (a desk
+    training batch holds 8).  While recording, every matmul returns zeros
+    and softmax and layernorm return their input, so even the canonical
+    forward costs little."""
+    cfg = cli.model_config_from(cli.load_config(CONFIGS / config))
+    params = M.init_params(cfg, head_init="normal")
+    rng = np.random.default_rng(0)
+    video = rng.integers(0, 256, (*cfg.video_shape, cfg.bytes_per_pixel)).astype(np.uint8)
+    groups = {}
+    for idx in slice_order(cfg.s):
+        groups.setdefault(M.decoder_for(cfg, slice_rank(cfg.s, idx))[0], []).append(idx)
+    batches = [idxs[:1] for idxs in groups.values()]
+    if train:
+        batches += list(groups.values())
+    seen = set()
+
+    def record(a, b):
+        if a.data.ndim > 2 and b.data.ndim == 2:
+            assert a.data.dtype == np.float32 and min(a.data.strides) > 0
+            seen.add((a.data.shape, a.data.strides, b.data.shape))
+        lead = np.broadcast_shapes(a.data.shape[:-2], b.data.shape[:-2])
+        return Tensor(np.zeros(lead + (a.data.shape[-2], b.data.shape[-1]), np.float32))
+
+    with pytest.MonkeyPatch.context() as mp, tc.no_grad():
+        mp.setattr(tc, "matmul", record)
+        mp.setattr(tc, "softmax", lambda a, axis=-1: a)
+        mp.setattr(tc, "layernorm", lambda a, gain, bias: a)
+        for idxs in batches:
+            M.forward_slices(params, cfg, [video] * len(idxs), idxs, prime_frames=1)
+    return sorted(seen)
+
+
+def strided_array(rng, shape, strides, dtype):
+    """Random ``dtype`` array of ``shape`` laid out with the float32
+    ``strides`` (scaled to ``dtype``) in a buffer of its own."""
+    itemsize = np.dtype(dtype).itemsize
+    strides = tuple(step * itemsize // 4 for step in strides)
+    span = 1 + sum((n - 1) * step for n, step in zip(shape, strides)) // itemsize
+    base = rng.standard_normal(span).astype(dtype)
+    return np.lib.stride_tricks.as_strided(base, shape, strides, writeable=False)
+
+
+# the shipped configs, and whether to record their training batches too
+SCHEDULES = [("sprites-rgb.cfg", True), ("sprites-gray.cfg", True),
+             ("base-16x64x64.cfg", False)]
+
+
+class TestWeightGemm:
+    """A weight product runs as one 2-D GEMM, forward and backward: the
+    forward is bit-identical to ``np.matmul``'s batch loop
+    (``helpers.batched_matmul``), and the gradients match it."""
+
+    @pytest.mark.parametrize("config, train", SCHEDULES)
+    def test_schedule_layouts_cover_5d_and_strided(self, config, train):
+        layouts = weight_product_layouts(config, train)
+        assert any(len(shape) == 5 for shape, _, _ in layouts)
+        assert any(strides != np.empty(shape, np.float32).strides
+                   for shape, strides, _ in layouts)
+
+    @pytest.mark.parametrize("config, train", SCHEDULES)
+    def test_forward_bit_identical(self, config, train):
+        rng = np.random.default_rng(zlib.crc32(config.encode()))
+        for shape, strides, b_shape in weight_product_layouts(config, train):
+            a = strided_array(rng, shape, strides, np.float32)
+            b = rng.standard_normal(b_shape).astype(np.float32)
+            got = tc.matmul(Tensor(a), Tensor(b)).data
+            want = batched_matmul(Tensor(a), Tensor(b)).data
+            assert got.shape == want.shape and np.array_equal(got, want), (shape, strides)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("config, train", SCHEDULES[:2])
+    def test_gradients_match_reference(self, config, train, dtype):
+        rng = np.random.default_rng(zlib.crc32(config.encode()) + 1)
+        for shape, strides, b_shape in weight_product_layouts(config, train):
+            a = strided_array(rng, shape, strides, dtype)
+            b = rng.standard_normal(b_shape).astype(dtype)
+            g = rng.standard_normal(shape[:-1] + b_shape[-1:]).astype(dtype)
+            grads = []
+            for op in (tc.matmul, batched_matmul):
+                at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+                tc.backward(op(at, bt), g)
+                grads.append((at.grad, bt.grad))
+            (ga, gb), (ra, rb) = grads
+            assert_matches_reference(ga, ra)
+            assert_matches_reference(gb, rb)
+
+    def test_graph_keeps_no_copy_of_strided_a(self):
+        """The graph holds the strided operand itself, not the contiguous
+        rows the forward multiplied."""
+        vol = Tensor(np.random.default_rng(2).standard_normal((16, 16, 16, 4, 16)),
+                     dtype=np.float32)
+        a = tc.reshape(tc.index(vol, slice_key(SubscaleFactor(2, 2, 2), (1, 0, 1))),
+                       (1, 8, 8, 8, 64))
+        assert np.shares_memory(a.data, vol.data) and not a.data.flags.c_contiguous
+        b = Tensor(np.ones((64, 5), np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = tc.matmul(a, b)
+            held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None and held < a.data.nbytes // 8
+
+    @pytest.mark.parametrize("a_grad", [True, False])
+    @pytest.mark.parametrize("layout", ["3d", "5d", "strided"])
+    def test_grad_check(self, layout, a_grad):
+        rng = np.random.default_rng(zlib.crc32(layout.encode()) + a_grad)
+        if layout == "3d":
+            base, cut = t64(rng, 2, 3, 6), (lambda t: t)
+        elif layout == "5d":
+            base, cut = t64(rng, 2, 2, 1, 3, 6), (lambda t: t)
+        else:
+            key = slice_key(SubscaleFactor(2, 2, 2), (1, 0, 1))
+            base = t64(rng, 4, 4, 4, 2, 3)
+            cut = lambda t: tc.reshape(tc.index(t, key), (1, 2, 2, 2, 6))  # noqa: E731
+            assert not cut(base).data.flags.c_contiguous
+        base.requires_grad = a_grad
+        w = t64(rng, 6, 5)
+        mix = Tensor(rng.standard_normal(cut(base).data.shape[:-1] + (5,)), dtype=np.float64)
+
+        def loss(a, b):
+            return tc.sum_all(tc.mul(tc.matmul(cut(a), b), mix))
+
+        if a_grad:
+            assert grad_check(loss, [base, w]) < 1e-4
+        else:
+            assert grad_check(lambda b: loss(base, b), [w]) < 1e-4
+            assert base.grad is None
+
+
+def masked_scores(dtype):
+    """(2, 4, 6) scores with ``MASK_NEG`` entries: row (0, 1) half masked,
+    row (0, 2) with a single unmasked entry, row (1, 0) causal-style."""
+    rng = np.random.default_rng(31)
+    x = (rng.standard_normal((2, 4, 6)) * 3).astype(dtype)
+    x[0, 1, 3:] = MASK_NEG
+    x[0, 2, 1:] = MASK_NEG
+    x[1, 0] += np.where(np.arange(6) <= 2, 0.0, MASK_NEG).astype(dtype)
+    return x
+
+
+class TestInPlaceForms:
+    """``softmax`` and ``layernorm`` work in place only on their own
+    temporaries: forward and backward leave every input unchanged, and the
+    results equal the reference forms bit for bit."""
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_softmax(self, dtype, axis):
+        x = masked_scores(dtype)
+        g = np.random.default_rng(1).standard_normal(x.shape).astype(dtype)
+        results = []
+        for op in (tc.softmax, two_temporary_softmax):
+            a = Tensor(x.copy(), requires_grad=True)
+            y = op(a, axis=axis)
+            tc.backward(y, g)
+            assert np.array_equal(a.data, x)
+            results.append((y.data, a.grad))
+        (y, ga), (ry, rga) = results
+        assert np.array_equal(y, ry) and np.array_equal(ga, rga)
+        if axis == -1:
+            assert y[0, 2, 0] == 1.0 and not y[0, 2, 1:].any()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_layernorm(self, dtype):
+        x = masked_scores(dtype)
+        rng = np.random.default_rng(2)
+        gain, bias = (rng.standard_normal(6).astype(dtype) for _ in range(2))
+        g = rng.standard_normal(x.shape).astype(dtype)
+        results = []
+        for op in (tc.layernorm, out_of_place_layernorm):
+            ts = [Tensor(v.copy(), requires_grad=True) for v in (x, gain, bias)]
+            y = op(*ts)
+            tc.backward(y, g)
+            for t, v in zip(ts, (x, gain, bias)):
+                assert np.array_equal(t.data, v)
+            results.append([y.data] + [t.grad for t in ts])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+        for row in (x[0, 0], x[0, 2], x):
+            before = row.copy()
+            got = tc.layernorm_array(row, gain, bias)
+            assert np.array_equal(row, before)
+            assert np.array_equal(got, out_of_place_layernorm_array(row, gain, bias))
