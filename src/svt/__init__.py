@@ -13,9 +13,9 @@ import importlib
 # Package-level names resolve on first use (PEP 562), so that importing
 # ``svt.cli`` leaves numpy unloaded until --threads has pinned BLAS.
 _HOMES = {name: module for module, names in {
-    "attention": ("AttentionLayerSpec", "BlockShape"),
+    "attention": ("AttentionLayerSpec",),
     "model": ("ModelConfig", "ParamStore", "build_variant", "init_params"),
-    "subscale": ("SubscaleFactor", "slice_order"),
+    "subscale": ("BlockShape", "SubscaleFactor", "slice_order"),
     "tensor": ("ConfigError", "ShapeError", "Tensor"),
 }.items() for name in names}
 

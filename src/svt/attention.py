@@ -19,32 +19,10 @@ from functools import cache
 import numpy as np
 
 from . import tensor as tc
-from .tensor import ConfigError, Tensor
+from .subscale import BlockShape
+from .tensor import Tensor
 
 MASK_NEG = -1e9  # additive pre-softmax value for disallowed pairs
-
-
-@dataclass(frozen=True)
-class BlockShape:
-    t: int
-    h: int
-    w: int
-
-    def __post_init__(self):
-        if min(self.t, self.h, self.w) < 1:
-            raise ConfigError(f"block shape must be positive, got {self.as_tuple()}")
-
-    @property
-    def n_positions(self):
-        return self.t * self.h * self.w
-
-    def as_tuple(self):
-        return (self.t, self.h, self.w)
-
-    def check_divides(self, slice_shape):
-        if slice_shape[0] % self.t or slice_shape[1] % self.h or slice_shape[2] % self.w:
-            raise ConfigError(
-                f"block shape {self.as_tuple()} does not divide slice shape {slice_shape}")
 
 
 @dataclass(frozen=True)
@@ -56,22 +34,20 @@ class AttentionLayerSpec:
 
 def block_partition(x, bs):
     """(B, T', H', W', d) -> (B*num_blocks, n_p, d), raster within blocks."""
-    B, T, H, W, d = x.data.shape
-    bs.check_divides((T, H, W))
-    nt, nh, nw = T // bs.t, H // bs.h, W // bs.w
+    B, *slice_shape, d = x.data.shape
+    nt, nh, nw = bs.divide(slice_shape)
     x = tc.reshape(x, (B, nt, bs.t, nh, bs.h, nw, bs.w, d))
     x = tc.transpose(x, (0, 1, 3, 5, 2, 4, 6, 7))
-    return tc.reshape(x, (B * nt * nh * nw, bs.n_positions, d))
+    return tc.reshape(x, (B * nt * nh * nw, bs.size, d))
 
 
 def block_merge(x, bs, slice_shape, batch):
     """Inverse of block_partition."""
-    T, H, W = slice_shape
-    nt, nh, nw = T // bs.t, H // bs.h, W // bs.w
+    nt, nh, nw = bs.divide(slice_shape)
     d = x.data.shape[-1]
     x = tc.reshape(x, (batch, nt, nh, nw, bs.t, bs.h, bs.w, d))
     x = tc.transpose(x, (0, 1, 4, 2, 5, 3, 6, 7))
-    return tc.reshape(x, (batch, T, H, W, d))
+    return tc.reshape(x, (batch, *slice_shape, d))
 
 
 @cache
@@ -79,10 +55,10 @@ def relative_bias_indices(bs):
     """Index matrices (n_p, n_p) into the (2t-1), (2h-1), (2w-1) bias tables.
 
     Cached per block shape; the arrays are read-only."""
-    loc = np.indices(bs.as_tuple()).reshape(3, -1).T  # in-block raster order
+    loc = np.indices(bs).reshape(3, -1).T  # in-block raster order
     delta = loc[:, None, :] - loc[None, :, :]  # i - j
     return tuple(tc.read_only(delta[..., axis] + extent - 1)
-                 for axis, extent in enumerate(bs.as_tuple()))
+                 for axis, extent in enumerate(bs))
 
 
 def relative_bias_matrix(bs, table_t, table_h, table_w):
@@ -103,7 +79,7 @@ def causal_mask(bs):
     is exactly j <= i in block order, whatever the block's offset.  Cached
     per block shape; the array is read-only.
     """
-    return tc.read_only(np.tril(np.ones((bs.n_positions, bs.n_positions), dtype=bool)))
+    return tc.read_only(np.tril(np.ones((bs.size, bs.size), dtype=bool)))
 
 
 def block_attention(z, w_qkv, tables, n_heads, d_head, record=None):
@@ -164,10 +140,9 @@ def block_slots(slice_shape, bs):
     """(block, slot) of every raster position of a slice: the group of
     ``block_partition``'s output that holds it (batch 1), and its index
     within that block."""
-    T, H, W = slice_shape
-    bs.check_divides(slice_shape)
-    t, h, w = np.indices((T, H, W)).reshape(3, -1)
-    block = ((t // bs.t) * (H // bs.h) + h // bs.h) * (W // bs.w) + w // bs.w
+    _, nh, nw = bs.divide(slice_shape)
+    t, h, w = np.indices(slice_shape).reshape(3, -1)
+    block = ((t // bs.t) * nh + h // bs.h) * nw + w // bs.w
     slot = ((t % bs.t) * bs.h + h % bs.h) * bs.w + w % bs.w
     return block, slot
 

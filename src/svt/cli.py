@@ -7,9 +7,9 @@ exit: the file's values, schema defaults for the rest, unset (0) values left
 unresolved.  The echo round-trips through the parser.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numeric error.
-The --threads flag (or the SVT_THREADS environment variable) pins the BLAS
-thread pools before numpy loads; --threads 1 is the reproducibility
-reference.
+The --threads flag (or the SVT_THREADS environment variable), a positive
+integer, pins the BLAS thread pools before numpy loads; --threads 1 is the
+reproducibility reference.  Config files are UTF-8.
 """
 
 import argparse
@@ -26,15 +26,24 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def _thread_count(text):
-    int(text)  # argparse reports a non-integer; the text is kept as typed
+    """``text`` as typed, if it is a positive integer: OpenBLAS reads 0 and
+    negative counts as unset."""
+    try:
+        ok = int(text) >= 1
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return text
 
 
 def _pin_threads(threads):
     """Set the BLAS thread variables to ``threads`` (the --threads text), or
-    to SVT_THREADS when it is None; numpy must not be loaded yet."""
-    n = os.environ.get("SVT_THREADS") if threads is None else threads
+    to SVT_THREADS when it is None; numpy must not be loaded yet.  Raises
+    ArgumentTypeError unless the count is a positive integer."""
+    n = threads or os.environ.get("SVT_THREADS")
     if n:
+        n = _thread_count(n)
         for var in _THREAD_VARS:
             os.environ[var] = n
 
@@ -106,10 +115,12 @@ def load_config(path):
 
     conf = {k: v for k, (_, v) in _SCHEMA.items()}
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             lines = f.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 text: {e}") from e
     for ln_no, line in enumerate(lines, 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -235,10 +246,17 @@ def _cmd_train(args):
     start = 0
     if args.resume:
         params, opt, start = optim.load_training_checkpoint(args.resume, cfg, tcfg.rmsprop)
+
+    def log_fn(rec):
+        line = optim.LOG_FORMAT % rec
+        print(line)
+        if args.log:
+            with open(args.log, "a") as f:
+                f.write(line + "\n")
+
     params, opt, records = optim.train(cfg, tcfg, videos, params=params, opt=opt,
-                                       start_step=start, log_path=args.log,
-                                       ckpt_path=args.out_ckpt,
-                                       log_fn=lambda rec: print(optim.LOG_FORMAT % rec))
+                                       start_step=start, ckpt_path=args.out_ckpt,
+                                       log_fn=log_fn)
     if records:
         print(f"finished at step {records[-1][0]} bits_per_dim={records[-1][3]!r}")
     return EXIT_OK
@@ -316,8 +334,8 @@ def build_parser():
         prog="svt",
         description="Train, evaluate, sample and analyze subscale video models.")
     parser.add_argument("--threads", type=_thread_count, default=None,
-                        help="BLAS thread count (1 = reproducibility reference); "
-                             "SVT_THREADS is the fallback")
+                        help="BLAS thread count, a positive integer (1 = reproducibility "
+                             "reference); SVT_THREADS is the fallback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a synthetic bouncing-sprite dataset")
@@ -387,7 +405,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _pin_threads(args.threads)
+    try:
+        _pin_threads(args.threads)
+    except argparse.ArgumentTypeError as e:
+        print(f"error[config]: SVT_THREADS: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
     from .data import DataError
     from .optim import NumericError

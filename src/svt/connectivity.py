@@ -39,7 +39,7 @@ def _raster_coords(slice_shape, pid):
 def _block_index_groups(slice_shape, bs):
     """(num_blocks, n_p) position ids, raster-ordered within each block."""
     block, slot = block_slots(slice_shape, bs)
-    groups = np.empty((len(block) // bs.n_positions, bs.n_positions), dtype=np.int64)
+    groups = np.empty((len(block) // bs.size, bs.size), dtype=np.int64)
     groups[block, slot] = np.arange(len(block))
     return groups
 
@@ -72,10 +72,6 @@ class DependencyReport:
     kernel: tuple
     reach: np.ndarray         # (P, P) bool, [p, q]: input q influences position p
 
-    @property
-    def n_positions(self):
-        return int(np.prod(self.slice_shape))
-
     def raster_coords(self, pid):
         return _raster_coords(self.slice_shape, pid)
 
@@ -85,7 +81,7 @@ class DependencyReport:
         return self.ordered_pair_count() - int(np.count_nonzero(self.reach))
 
     def ordered_pair_count(self):
-        P = self.n_positions
+        P = len(self.reach)
         return P * (P - 1) // 2
 
 
@@ -109,7 +105,7 @@ def dependency_graph(slice_shape, schedule, kernel=(3, 3, 3)):
 
 def find_blind_spots(report, max_report=32):
     """Blind pairs (p, q) as coordinate tuples, nearest raster distance first."""
-    P = report.n_positions
+    P = len(report.reach)
     out = []
     for d in range(1, P):
         ps = np.arange(d, P)
@@ -141,7 +137,7 @@ def verify_encoder_connectivity(slice_shape, schedule):
 def report_text(slice_shape, dec_schedule, kernel, enc_schedule=None,
                 max_pairs=16, stack="both"):
     """Human-readable analysis: schedule echo, verdicts, blind spots."""
-    fmt_blocks = lambda sched: " ".join(str(b.as_tuple()) for b in _blocks(sched))
+    fmt_blocks = lambda sched: " ".join(map(str, _blocks(sched)))
     lines = [f"slice shape: {tuple(slice_shape)}"]
     if stack in ("both", "decoder"):
         report = dependency_graph(slice_shape, dec_schedule, kernel)

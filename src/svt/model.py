@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tc
-from .attention import AttentionLayerSpec, BlockShape, CausalLayerStep, attention_layer
+from .attention import AttentionLayerSpec, CausalLayerStep, attention_layer
 from .data import DataError, atomic_write
-from .subscale import (SubscaleFactor, context_padding, extract_slice, primed_plane_mask,
-                       slice_key, slice_rank, visibility_mask)
+from .subscale import (BlockShape, SubscaleFactor, context_padding, extract_slice,
+                       primed_plane_mask, slice_key, slice_rank, visibility_mask)
 # the benchmark calls M.extract_slice_u8; the one extractor lives in subscale
 from .subscale import extract_slice as extract_slice_u8  # noqa: F401
 from .tensor import ConfigError, Tensor
@@ -98,11 +98,11 @@ class ModelConfig:
 
     @property
     def slice_shape(self):
-        return self.s.slice_shape(self.video_shape)
+        return self.s.divide(self.video_shape)
 
     @property
     def n_slices(self):
-        return self.s.count
+        return self.s.size
 
     @property
     def input_channels(self):
@@ -127,12 +127,12 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be positive, got {values}")
         ss = self.slice_shape  # checks that s divides the video
         if self.variant == "single_frame":
-            if self.s.as_tuple() != (self.video_shape[0], 1, 1):
+            if self.s != (self.video_shape[0], 1, 1):
                 raise ConfigError("single_frame requires s = (T, 1, 1)")
             if self.kernel != (6, 1, 1):
                 raise ConfigError("single_frame requires kernel (6, 1, 1)")
         for spec in specs:
-            spec.block.check_divides(ss)
+            spec.block.divide(ss)
         if not tc.masked_taps(self.mconv):  # rejects even extents
             raise ConfigError(f"mconv {self.mconv} leaves the masked conv no taps")
         if not self.enc_schedule or not self.dec_schedule:
@@ -248,11 +248,9 @@ def build_variant(variant, video_shape, preset="base", s=None, kernel=None,
     p = _PRESETS[preset]
     d_e, d, layers = d_e or p["d_e"], d or p["d"], layers or p["layers"]
     n_heads, d_head = n_heads or p["n_heads"], d_head or p["d_head"]
-    if isinstance(s, SubscaleFactor):
-        s = s.as_tuple()
-    s = SubscaleFactor(*_per_axis(s, default_subscale(variant, video_shape).as_tuple()))
-    kernel = _per_axis(kernel, (6, 1, 1) if variant == "single_frame" else s.as_tuple())
-    slice_shape = s.slice_shape(video_shape)
+    s = SubscaleFactor(*_per_axis(s, default_subscale(variant, video_shape)))
+    kernel = _per_axis(kernel, (6, 1, 1) if variant == "single_frame" else s)
+    slice_shape = s.divide(video_shape)
 
     def sched(blocks):
         if blocks is None:
@@ -446,7 +444,7 @@ def encode_slices(params, cfg, onehots, idxs):
         vis = visibility_mask(cfg.video_shape, cfg.s, idx).astype(oh.data.dtype)[..., None]
         x = tc.mul(tc.reshape(oh, (1, *cfg.video_shape, cfg.input_channels)), Tensor(vis))
         z0.append(tc.conv3d(x, params["enc/conv_kernel"], params["enc/conv_bias"], cfg.kernel,
-                            cfg.s.as_tuple(), context_padding(cfg.kernel, idx), cfg.slice_shape))
+                            cfg.s, context_padding(cfg.kernel, idx), cfg.slice_shape))
     z = z0[0] if len(z0) == 1 else tc.concat(z0, axis=0)
     z = _add_positional(z, params["enc/pos_t"], params["enc/pos_h"], params["enc/pos_w"])
     ranks = np.array([slice_rank(cfg.s, idx) for idx in idxs])

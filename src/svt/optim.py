@@ -140,14 +140,14 @@ class TrainConfig:
 
 
 def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
-          log_path=None, ckpt_path=None, log_fn=None):
+          ckpt_path=None, log_fn=None):
     """Train on a list of uint8 videos; returns (params, opt, records).
 
     Step k trains on ``batch_at(..., k)`` with crops drawn from
     ``default_rng((seed, 0x0C0F, k))``, and ``opt`` carries the early-stop
     window, so a resumed run continues exactly.  Each record is (step, nats,
-    dims, bits_per_dim, wall_ms); the same record is appended to
-    ``log_path`` when given.  Raises NumericError on a non-finite loss or
+    dims, bits_per_dim, wall_ms); every ``log_every``-th record is passed to
+    ``log_fn`` when given.  Raises NumericError on a non-finite loss or
     gradient, before the step changes any parameter, optimizer buffer or
     checkpoint.  For the deterministic head the bits/dim column carries
     nats-per-pixel converted to bits over the byte dimension, so the early
@@ -173,47 +173,39 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
     if opt is None:
         opt = OptimizerState(params, tcfg.rmsprop)
     records = []
-    log_file = open(log_path, "a") if log_path else None
-    try:
-        for step in range(start_step, tcfg.steps):
-            t0 = time.monotonic()
-            batch = batch_at(len(videos), cfg.s, tcfg.batch_slices, tcfg.seed, step)
-            crop_rng = np.random.default_rng((tcfg.seed, 0x0C0F, step))
-            clips = [random_temporal_crop(videos[v], cfg.video_shape[0], crop_rng)
-                     for v, _ in batch]
-            idxs = [idx for _, idx in batch]
-            params.zero_grads()
-            nats = 0.0
-            n_pix = 0.0
-            for g_clips, g_idxs in _decoder_groups(cfg, clips, idxs):
-                loss, pix, _ = M.forward_slices(params, cfg, g_clips, g_idxs,
-                                                prime_frames=tcfg.prime_frames)
-                if not np.isfinite(loss.data):
-                    raise NumericError(f"non-finite loss at step {step}: {loss.data!r}")
-                tc.backward(loss)
-                nats += loss.item()
-                n_pix += pix
-            rmsprop_step(params, params.grads(), opt)
-            dims = cfg.bytes_per_pixel * n_pix
-            bpd = nats / (math.log(2.0) * dims) if dims else float("nan")
-            wall_ms = int((time.monotonic() - t0) * 1000)
-            rec = (step, nats, int(dims), bpd, wall_ms)
-            records.append(rec)
-            if log_file and step % tcfg.log_every == 0:
-                log_file.write(LOG_FORMAT % rec + "\n")
-                log_file.flush()
-            if log_fn and step % tcfg.log_every == 0:
-                log_fn(rec)
-            if tcfg.stop_bits_per_dim > 0:
-                opt.window = np.append(opt.window, np.float32(bpd))[-tcfg.stop_window:]
-                if (len(opt.window) == tcfg.stop_window
-                        and float(opt.window.max()) < tcfg.stop_bits_per_dim):
-                    break  # the final checkpoint below is written at step + 1
-            if ckpt_path and tcfg.ckpt_every and (step + 1) % tcfg.ckpt_every == 0:
-                save_training_checkpoint(ckpt_path, params, opt, step + 1)
-    finally:
-        if log_file:
-            log_file.close()
+    for step in range(start_step, tcfg.steps):
+        t0 = time.monotonic()
+        batch = batch_at(len(videos), cfg.s, tcfg.batch_slices, tcfg.seed, step)
+        crop_rng = np.random.default_rng((tcfg.seed, 0x0C0F, step))
+        clips = [random_temporal_crop(videos[v], cfg.video_shape[0], crop_rng)
+                 for v, _ in batch]
+        idxs = [idx for _, idx in batch]
+        params.zero_grads()
+        nats = 0.0
+        n_pix = 0.0
+        for g_clips, g_idxs in _decoder_groups(cfg, clips, idxs):
+            loss, pix, _ = M.forward_slices(params, cfg, g_clips, g_idxs,
+                                            prime_frames=tcfg.prime_frames)
+            if not np.isfinite(loss.data):
+                raise NumericError(f"non-finite loss at step {step}: {loss.data!r}")
+            tc.backward(loss)
+            nats += loss.item()
+            n_pix += pix
+        rmsprop_step(params, params.grads(), opt)
+        dims = cfg.bytes_per_pixel * n_pix
+        bpd = nats / (math.log(2.0) * dims) if dims else float("nan")
+        wall_ms = int((time.monotonic() - t0) * 1000)
+        rec = (step, nats, int(dims), bpd, wall_ms)
+        records.append(rec)
+        if log_fn and step % tcfg.log_every == 0:
+            log_fn(rec)
+        if tcfg.stop_bits_per_dim > 0:
+            opt.window = np.append(opt.window, np.float32(bpd))[-tcfg.stop_window:]
+            if (len(opt.window) == tcfg.stop_window
+                    and float(opt.window.max()) < tcfg.stop_bits_per_dim):
+                break  # the final checkpoint below is written at step + 1
+        if ckpt_path and tcfg.ckpt_every and (step + 1) % tcfg.ckpt_every == 0:
+            save_training_checkpoint(ckpt_path, params, opt, step + 1)
     if ckpt_path:
         save_training_checkpoint(ckpt_path, params, opt, records[-1][0] + 1 if records else start_step)
     return params, opt, records

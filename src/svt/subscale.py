@@ -11,39 +11,50 @@ current slice's pixels.
 All functions here are pure and operate on plain numpy arrays.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .tensor import ConfigError
 
 
-@dataclass(frozen=True)
-class SubscaleFactor:
-    t: int
-    h: int
-    w: int
+class Extents(namedtuple("Extents", "t h w")):
+    """Positive (t, h, w) extents: a subscale factor or an attention block
+    shape.  ``kind`` and ``target`` name the value and the shape it divides
+    in error messages; it prints as a plain tuple."""
 
-    def __post_init__(self):
-        if min(self.t, self.h, self.w) < 1:
-            raise ConfigError(f"subscale factor must be positive, got {self}")
+    __slots__ = ()
+    kind, target = "extents", "shape"
+
+    def __new__(cls, t, h, w):
+        self = super().__new__(cls, t, h, w)
+        if min(self) < 1:
+            raise ConfigError(f"{cls.kind} must be positive, got {self}")
+        return self
+
+    __repr__ = tuple.__repr__
 
     @property
-    def count(self):
+    def size(self):
         return self.t * self.h * self.w
 
-    def as_tuple(self):
-        return (self.t, self.h, self.w)
-
-    def check_divides(self, shape):
+    def divide(self, shape):
+        """The leading (T, H, W) of ``shape`` divided axis by axis; raises
+        ConfigError unless every axis divides evenly."""
         T, H, W = shape[:3]
         if T % self.t or H % self.h or W % self.w:
-            raise ConfigError(
-                f"subscale factor {self.as_tuple()} does not divide video shape {(T, H, W)}")
+            raise ConfigError(f"{self.kind} {self} does not divide {self.target} {(T, H, W)}")
+        return (T // self.t, H // self.h, W // self.w)
 
-    def slice_shape(self, shape):
-        self.check_divides(shape)
-        return (shape[0] // self.t, shape[1] // self.h, shape[2] // self.w)
+
+class SubscaleFactor(Extents):
+    __slots__ = ()
+    kind, target = "subscale factor", "video shape"
+
+
+class BlockShape(Extents):
+    __slots__ = ()
+    kind, target = "block shape", "slice shape"
 
 
 def slice_order(s):
@@ -54,7 +65,7 @@ def slice_order(s):
 def slice_rank(s, idx):
     a, b, c = idx
     if not (0 <= a < s.t and 0 <= b < s.h and 0 <= c < s.w):
-        raise ConfigError(f"slice index {idx} out of range for factor {s.as_tuple()}")
+        raise ConfigError(f"slice index {idx} out of range for factor {s}")
     return (a * s.h + b) * s.w + c
 
 
@@ -62,19 +73,19 @@ def slice_key(s, idx):
     """The basic index of slice ``idx`` = (a, b, c) in a (T, H, W, ...)
     array: every s_t-th frame, s_h-th row and s_w-th column from (a, b, c)."""
     slice_rank(s, idx)
-    return tuple(slice(o, None, f) for o, f in zip(idx, s.as_tuple()))
+    return tuple(slice(o, None, f) for o, f in zip(idx, s))
 
 
 def extract_slice(video, s, idx):
     """slice(t',h',w') = video(t'*s_t + a, h'*s_h + b, w'*s_w + c)."""
-    s.check_divides(video.shape)
+    s.divide(video.shape)
     return video[slice_key(s, idx)].copy()
 
 
 def merge_slice(video, s, idx, slc):
     """Inverse scatter of extract_slice; untouched positions unchanged."""
     key = slice_key(s, idx)
-    expect = s.slice_shape(video.shape) + video.shape[3:]
+    expect = s.divide(video.shape) + video.shape[3:]
     if tuple(slc.shape) != tuple(expect):
         raise ConfigError(f"slice shape {slc.shape} != expected {expect}")
     out = video.copy()
@@ -85,7 +96,7 @@ def merge_slice(video, s, idx, slc):
 def visibility_mask(shape, s, idx):
     """Boolean (T,H,W): True where the pixel belongs to a slice before idx."""
     T, H, W = shape[:3]
-    s.check_divides(shape)
+    s.divide(shape)
     rank = slice_rank(s, idx)
     at = np.arange(T) % s.t
     bh = np.arange(H) % s.h

@@ -214,8 +214,8 @@ def relu(a):
 
 def sigmoid(a):
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(x.dtype)
+    e = np.exp(-np.abs(x))
+    y = (np.where(x >= 0, 1, e) / (1 + e)).astype(x.dtype)
 
     def back(g):
         _accumulate(a, g * y * (1.0 - y))
@@ -446,10 +446,7 @@ def take_index_last(a, idx):
 
 def one_hot(values, n, dtype=np.float32):
     """Plain one-hot encoding of an integer array (a constant, not an op)."""
-    values = np.asarray(values)
-    out = np.zeros(values.shape + (n,), dtype=dtype)
-    np.put_along_axis(out, values[..., None].astype(np.int64), 1.0, axis=-1)
-    return out
+    return np.eye(n, dtype=dtype)[values]
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,9 @@ def clear_graph_grads(t):
 def block_coordinates(slice_shape, bs):
     """Global (t,h,w) of every block position: (num_blocks, n_p, 3) int array,
     blocks in ``block_partition`` order, raster order within a block."""
-    T, H, W = slice_shape
-    bs.check_divides(slice_shape)
-    nt, nh, nw = T // bs.t, H // bs.h, W // bs.w
-    base = np.indices((nt, nh, nw)).reshape(3, -1).T * np.array(bs.as_tuple())
-    local = np.indices(bs.as_tuple()).reshape(3, -1).T
+    nt, nh, nw = bs.divide(slice_shape)
+    base = np.indices((nt, nh, nw)).reshape(3, -1).T * np.array(bs)
+    local = np.indices(bs).reshape(3, -1).T
     return base[:, None, :] + local[None, :, :]
 
 
@@ -321,6 +319,22 @@ def out_of_place_layernorm(a, gain, bias, eps=1e-6):
             tc._accumulate(a, inv * (dxhat - m1 - xhat * m2))
 
     return tc._make(out, (a, gain, bias), back)
+
+
+def put_along_axis_one_hot(values, n, dtype=np.float32):
+    """The reference for ``tensor.one_hot``: a zero array with a 1 put along
+    the last axis."""
+    values = np.asarray(values)
+    out = np.zeros(values.shape + (n,), dtype=dtype)
+    np.put_along_axis(out, values[..., None].astype(np.int64), 1.0, axis=-1)
+    return out
+
+
+def three_exp_sigmoid(x):
+    """The reference for the forward of ``tensor.sigmoid``: the stable
+    two-branch form with exp(-|x|) computed three times."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(x.dtype)
 
 
 REFERENCE_OPS = {"matmul": batched_matmul, "softmax": two_temporary_softmax,

@@ -189,7 +189,7 @@ class TestAcceptance:
                                     s = SubscaleFactor(st, sh, sw)
                                     order = slice_order(s)
                                     assert order == sorted(order)
-                                    assert len(order) == s.count
+                                    assert len(order) == s.size
                                     seen = np.zeros_like(vol)
                                     canvas = np.zeros_like(vol)
                                     for idx in order:
@@ -399,17 +399,17 @@ class TestAcceptance:
         """build_variant reproduces the canonical variant geometry."""
         with criterion(10, "variant geometry facts"):
             st = M.build_variant("spatiotemporal", (16, 64, 64))
-            assert st.s.as_tuple() == (4, 2, 2)
+            assert st.s == (4, 2, 2)
             assert st.n_slices == 16
             assert st.slice_shape == (4, 32, 32)
 
             sp = M.build_variant("spatial", (4, 64, 64))
-            assert sp.s.as_tuple() == (1, 2, 2)
+            assert sp.s == (1, 2, 2)
             assert sp.n_slices == 4
             assert sp.slice_shape == (4, 32, 32)
 
             sf = M.build_variant("single_frame", (16, 64, 64))
-            assert sf.s.as_tuple() == (16, 1, 1)
+            assert sf.s == (16, 1, 1)
             assert sf.kernel == (6, 1, 1)
             for a in range(6):
                 pad = context_padding(sf.kernel, (a, 0, 0))

@@ -155,7 +155,7 @@ class TestBlockConstantCache:
         assert indices is relative_bias_indices(BlockShape(*shape))
         mask = causal_mask(bs)
         assert mask is causal_mask(BlockShape(*shape))
-        assert np.array_equal(mask, np.tril(np.ones((bs.n_positions,) * 2, dtype=bool)))
+        assert np.array_equal(mask, np.tril(np.ones((bs.size,) * 2, dtype=bool)))
         for got, want in zip(indices + (mask,), fresh + [mask]):
             assert np.array_equal(got, want)
             with pytest.raises(ValueError):

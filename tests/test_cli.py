@@ -1,14 +1,21 @@
 """Command-line interface: config handling, commands, exit codes,
 determinism of whole runs."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svt import cli
 from svt.data import read_container, write_container
+from svt.tensor import ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TINY_CONFIG = """
 # tiny spatiotemporal model for CLI tests
@@ -88,7 +95,7 @@ class TestConfig:
         cfg = tmp_path / "axis.cfg"
         cfg.write_text(text + "\n")
         resolved = cli.model_config_from(cli.load_config(cfg))
-        assert {"s": resolved.s.as_tuple(), "kernel": resolved.kernel}[key] == derived
+        assert {"s": resolved.s, "kernel": resolved.kernel}[key] == derived
 
     def test_geometry_checked_at_load(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -96,6 +103,58 @@ class TestConfig:
         conf = cli.load_config(cfg)
         with pytest.raises(Exception, match="divide"):
             cli.model_config_from(conf)
+
+
+def load_or_config_error(path):
+    """``cli.load_config(path)``, or None on a ConfigError; anything else
+    fails the calling test."""
+    try:
+        conf = cli.load_config(path)
+    except ConfigError:
+        return None
+    assert set(conf) == set(cli._SCHEMA)
+    return conf
+
+
+# values that ``dump_config`` writes and ``load_config`` reads back
+_VALUES = {
+    int: st.integers(-2 ** 63, 2 ** 63),
+    float: st.floats(allow_nan=False),
+    bool: st.booleans(),
+    str: st.text(st.characters(exclude_categories=("Cs",), exclude_characters="#\r\n"),
+                 max_size=12).filter(lambda t: t == t.strip()),
+}
+
+# random bytes, and lines of schema keys with random byte values
+_CONFIG_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.tuples(st.sampled_from(sorted(cli._SCHEMA)), st.binary(max_size=12)),
+             max_size=8).map(lambda kv: b"".join(k.encode() + b" = " + v + b"\n" for k, v in kv)))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_CONFIG_BYTES)
+    def test_any_bytes_give_a_config_or_config_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+        path.write_bytes(raw)
+        load_or_config_error(path)
+
+    @pytest.mark.parametrize("name", ["sprites-rgb", "sprites-gray", "base-16x64x64"])
+    def test_every_truncation_of_a_shipped_config(self, tmp_path, name):
+        raw = (CONFIGS / f"{name}.cfg").read_bytes()
+        path = tmp_path / "cut.cfg"
+        for size in range(len(raw) + 1):
+            path.write_bytes(raw[:size])
+            load_or_config_error(path)
+        assert load_or_config_error(path) is not None  # the whole file is valid
+
+    @settings(max_examples=100, deadline=None)
+    @given(conf=st.fixed_dictionaries({k: _VALUES[kind] for k, (kind, _) in cli._SCHEMA.items()}))
+    def test_dump_round_trips_generated_values(self, tmp_path_factory, conf):
+        path = tmp_path_factory.mktemp("dump") / "dumped.cfg"
+        path.write_text(cli.dump_config(conf), encoding="utf-8")
+        assert cli.load_config(path) == conf
 
 
 class TestExitCodes:
@@ -147,7 +206,7 @@ class TestExitCodes:
         ("empty-prime", 1), ("gen-data-negative-frames", 1),
         ("gen-data-negative-vel-max", 1), ("gen-data-negative-seed", 1),
         ("import-raw-negative-frames", 1), ("sample-negative-count", 1),
-        ("eval-negative-prime", 1), ("negative-steps", 1)])
+        ("eval-negative-prime", 1), ("negative-steps", 1), ("config-not-utf8", 1)])
     def test_malformed_input_exits_cleanly(self, tiny_setup, case, code):
         """Each input disagrees with the config or is malformed: a one-line
         error and exit 1 (config) or 2 (io), never a traceback."""
@@ -164,6 +223,9 @@ class TestExitCodes:
                        "zero-stop-window": "stop_window = 0\nstop_bits_per_dim = 0.5"}
         if case in edits:
             config.write_text(TINY_CONFIG + edits[case] + "\n")
+            argv = ["analyze", "--config", config]
+        elif case == "config-not-utf8":
+            config.write_bytes(TINY_CONFIG.encode() + b"# \xff\xfe\n")
             argv = ["analyze", "--config", config]
         elif case in train_edits or case == "negative-steps":
             config.write_text(TINY_CONFIG + train_edits.get(case, "") + "\n")
@@ -213,6 +275,20 @@ class TestExitCodes:
         assert r.returncode == code
         assert "error[" in r.stderr and "Traceback" not in r.stderr
         assert not (tmp / "out.ckpt").exists()
+        if case == "config-not-utf8":
+            assert f"error[config]: config {config} is not UTF-8" in r.stderr
+
+    @pytest.mark.parametrize("edit, message", [
+        ("subscale_t = -2", "subscale factor must be positive, got (-2, 2, 2)"),
+        ("subscale_h = 3", "subscale factor (2, 3, 2) does not divide video shape (4, 8, 8)"),
+        ("enc_blocks = 2x4x4;2x0x4", "block shape must be positive, got (2, 0, 4)"),
+        ("dec_blocks = 2x3x4;2x4x4", "block shape (2, 3, 4) does not divide slice shape (2, 4, 4)")])
+    def test_bad_geometry_names_the_kind_and_the_value(self, tiny_setup, edit, message):
+        tmp, config, _ = tiny_setup
+        config.write_text(TINY_CONFIG + edit + "\n")
+        r = run_cli("analyze", "--config", config)
+        assert r.returncode == 1
+        assert f"error[config]: {message}" in r.stderr and "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("edit", [
         "rms_eps = 0", "rms_eps = -1e-8", "rms_eps = inf", "rms_eps = nan",
@@ -275,6 +351,31 @@ class TestCommands:
         # priming with every frame echoes the prime video
         assert np.array_equal(read_container(out)[0], read_container(data)[0])
 
+    def test_train_log_lines_reach_disk_as_logged(self, tiny_setup, monkeypatch, capsys):
+        """Each --log line is on disk when the next step starts, and a run
+        whose settings are rejected creates no log."""
+        from svt import optim as O
+        tmp, config, data = tiny_setup
+        log, on_disk = tmp / "train.log", []
+        train = O.train
+
+        def spy(*args, log_fn, **kwargs):
+            def logged(rec):
+                log_fn(rec)
+                on_disk.append(log.read_text().splitlines())
+            return train(*args, log_fn=logged, **kwargs)
+
+        monkeypatch.setattr(O, "train", spy)
+        argv = ["train", "--config", str(config), "--data", str(data),
+                "--out-ckpt", str(tmp / "m.ckpt"), "--log", str(log)]
+        assert cli.main(argv) == 0
+        echoed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("step=")]
+        assert len(echoed) == 3 and on_disk == [echoed[:k] for k in (1, 2, 3)]
+        log.unlink()
+        config.write_text(TINY_CONFIG + "log_every = 0\n")
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not log.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval", "sample", "analyze"])
     def test_dump_config_flag(self, tiny_setup, command):
         tmp, config, data = tiny_setup
@@ -333,7 +434,6 @@ class TestThreadsAndNumeric:
             monkeypatch.delenv(var, raising=False)
         cli._pin_threads(cli.build_parser().parse_args(
             ["--threads", "1", "analyze", "--config", "c.cfg"]).threads)
-        import os
         assert all(os.environ[v] == "1" for v in cli._THREAD_VARS)
 
     def test_svt_threads_env_fallback(self, monkeypatch):
@@ -341,8 +441,28 @@ class TestThreadsAndNumeric:
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("SVT_THREADS", "2")
         cli._pin_threads(None)
-        import os
         assert all(os.environ[v] == "2" for v in cli._THREAD_VARS)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_threads_flag_rejects_non_positive(self, value):
+        """OpenBLAS reads 0 and negative counts as unset, so they would run
+        unpinned: a usage error, as for a non-integer."""
+        r = run_cli("--threads", value, "analyze", "--config", "c.cfg")
+        assert r.returncode == 2
+        assert "usage:" in r.stderr and "positive integer" in r.stderr
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_bad_svt_threads_is_config_error(self, value):
+        """Rejected before numpy loads, with nothing written to the BLAS
+        variables."""
+        code = ("import os, sys, svt.cli; code = svt.cli.main(['analyze', '--config', 'c.cfg']); "
+                "assert 'numpy' not in sys.modules and 'OPENBLAS_NUM_THREADS' not in os.environ; "
+                "sys.exit(code)")
+        env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**env, "SVT_THREADS": value})
+        assert r.returncode == 1
+        assert "error[config]: SVT_THREADS" in r.stderr and "Traceback" not in r.stderr
 
     def test_nonfinite_loss_exits_three(self, tiny_setup):
         from svt import model as M, optim as O

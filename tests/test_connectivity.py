@@ -64,7 +64,7 @@ class TestDependencyGraph:
 
     def test_never_reaches_forward(self):
         rep = dependency_graph((2, 4, 4), blocks_of([(2, 4, 4), (1, 2, 2)]), (3, 3, 3))
-        P = rep.n_positions
+        P = len(rep.reach)
         assert not (np.triu(np.ones((P, P), dtype=bool)) & rep.reach).any()
 
     def test_adding_layers_is_monotone(self):

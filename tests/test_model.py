@@ -222,9 +222,9 @@ class TestLosses:
 class TestBuildVariant:
     def test_spatiotemporal_geometry(self):
         cfg = M.build_variant("spatiotemporal", (16, 64, 64))
-        assert cfg.s.as_tuple() == (4, 2, 2)
+        assert cfg.s == (4, 2, 2)
         assert cfg.n_slices == 16 and cfg.slice_shape == (4, 32, 32)
-        blocks = [s.block.as_tuple() for s in cfg.enc_schedule]
+        blocks = [s.block for s in cfg.enc_schedule]
         assert blocks[:4] == [(4, 8, 4), (4, 4, 8), (1, 32, 4), (1, 4, 32)]
         assert blocks[4:] == blocks[:4][::-1]
         assert cfg.d_e == 128 and cfg.d == 512
@@ -232,17 +232,17 @@ class TestBuildVariant:
 
     def test_spatial_geometry(self):
         cfg = M.build_variant("spatial", (4, 64, 64))
-        assert cfg.s.as_tuple() == (1, 2, 2)
+        assert cfg.s == (1, 2, 2)
         assert cfg.n_slices == 4 and cfg.slice_shape == (4, 32, 32)
 
     def test_single_frame_geometry(self):
         from svt.subscale import context_padding
         cfg = M.build_variant("single_frame", (16, 64, 64))
-        assert cfg.s.as_tuple() == (16, 1, 1)
+        assert cfg.s == (16, 1, 1)
         assert cfg.kernel == (6, 1, 1)
         for a in range(4):
             assert context_padding(cfg.kernel, (a, 0, 0)) == (3 - a, 0, 0)
-        blocks = [s.block.as_tuple() for s in cfg.enc_schedule]
+        blocks = [s.block for s in cfg.enc_schedule]
         assert blocks[:4] == [(1, 8, 16), (1, 16, 8), (1, 2, 64), (1, 64, 2)]
 
     def test_large_preset_widths(self):
@@ -264,7 +264,7 @@ class TestBuildVariant:
 
     def test_desk_preset_proportional(self):
         cfg = M.build_variant("spatiotemporal", (4, 16, 16))
-        assert cfg.s.as_tuple() == (2, 2, 2)
+        assert cfg.s == (2, 2, 2)
         assert cfg.slice_shape == (2, 8, 8)
 
     def test_indivisible_geometry_rejected(self):
@@ -278,11 +278,11 @@ class TestBuildVariant:
     def test_unset_axes_derived_per_axis(self):
         cfg = M.build_variant("spatiotemporal", (16, 64, 64), s=(4, 0, 0), kernel=(5, 0, 0),
                               d=64, layers=0)
-        assert cfg.s.as_tuple() == (4, 2, 2)
+        assert cfg.s == (4, 2, 2)
         assert cfg.kernel == (5, 2, 2)
         assert (cfg.d_e, cfg.d, len(cfg.dec_schedule)) == (128, 64, 8)
         frame = M.build_variant("single_frame", (4, 8, 8), s=(0, 0, 0), kernel=(0, 0, 0))
-        assert frame.s.as_tuple() == (4, 1, 1) and frame.kernel == (6, 1, 1)
+        assert frame.s == (4, 1, 1) and frame.kernel == (6, 1, 1)
 
     def test_first_slice_decoder_needs_layers(self):
         with pytest.raises(ConfigError, match="first_slice_layers"):
@@ -299,7 +299,7 @@ class TestSingleFrameVariant:
 
     def test_uniform_start_and_shapes(self):
         cfg = self.make()
-        assert cfg.s.as_tuple() == (4, 1, 1) and cfg.kernel == (6, 1, 1)
+        assert cfg.s == (4, 1, 1) and cfg.kernel == (6, 1, 1)
         ps = M.init_params(cfg)
         video = np.random.default_rng(20).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
         z = encode_slice(ps, cfg, video, (2, 0, 0))

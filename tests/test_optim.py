@@ -110,7 +110,7 @@ class TestBatching:
         # light clustering; simulation oracle puts the mean near 1.13
         sim = np.random.default_rng(0)
         oracle = []
-        population = [(v, i) for v in range(n_videos) for i in range(s.count)]
+        population = [(v, i) for v in range(n_videos) for i in range(s.size)]
         for _ in range(500):
             picks = sim.choice(len(population), size=batch, replace=False)
             vids = [population[i][0] for i in picks]
@@ -130,7 +130,7 @@ class TestBatching:
         divide the epoch (its last batch is short)."""
         s = SubscaleFactor(*s)
         stream = make_batches(n_videos, s, batch, seed=4)
-        for step in range(3 * -(-n_videos * s.count // batch)):
+        for step in range(3 * -(-n_videos * s.size // batch)):
             assert O.batch_at(n_videos, s, batch, 4, step) == next(stream), step
 
 
@@ -328,10 +328,9 @@ class TestTrainLoop:
     def test_log_file_format(self, tmp_path, capsys):
         cfg = tiny_config()
         videos = [np.random.default_rng(11).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)]
-        log = tmp_path / "train.log"
         tcfg = O.TrainConfig(steps=2, batch_slices=1, seed=0, prime_frames=1)
-        O.train(cfg, tcfg, videos, log_path=str(log))
-        lines = log.read_text().strip().splitlines()
+        lines = []
+        O.train(cfg, tcfg, videos, log_fn=lambda rec: lines.append(O.LOG_FORMAT % rec))
         assert len(lines) == 2
         for i, line in enumerate(lines):
             fields = dict(kv.split("=") for kv in line.split())

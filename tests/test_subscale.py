@@ -1,10 +1,13 @@
-"""Subscale geometry: ordering, extraction, merging, visibility, padding."""
+"""Subscale geometry: (t, h, w) extents, ordering, extraction, merging,
+visibility, padding."""
+
+import re
 
 import numpy as np
 import pytest
 
 from helpers import mask_preceding
-from svt.subscale import (SubscaleFactor, context_padding, extract_slice,
+from svt.subscale import (BlockShape, SubscaleFactor, context_padding, extract_slice,
                           merge_slice, primed_plane_mask, slice_key,
                           slice_order, slice_rank, visibility_mask)
 from svt.tensor import ConfigError
@@ -29,7 +32,7 @@ class TestSliceOrder:
         s = SubscaleFactor(2, 3, 2)
         order = slice_order(s)
         assert order == sorted(order)
-        assert [slice_rank(s, idx) for idx in order] == list(range(s.count))
+        assert [slice_rank(s, idx) for idx in order] == list(range(s.size))
 
 
 class TestExtractMerge:
@@ -69,7 +72,7 @@ class TestExtractMerge:
         v = np.zeros((4, 4, 4, 1), dtype=np.uint8)
         slc = np.ones((2, 2, 2, 1), dtype=np.uint8)
         out = merge_slice(v, s, (1, 0, 1), slc)
-        assert int(out.sum()) == 4 * 4 * 4 // s.count
+        assert int(out.sum()) == 4 * 4 * 4 // s.size
 
     @pytest.mark.parametrize("factor", [(2, 2, 2), (4, 2, 2)])
     def test_slice_key_matches_extract_slice(self, factor):
@@ -81,7 +84,7 @@ class TestExtractMerge:
             got = v[slice_key(s, idx)]
             assert np.array_equal(got, extract_slice(v, s, idx))
             t, h, w = (np.arange(n) * f + o for n, f, o in
-                       zip(s.slice_shape(v.shape), factor, idx))
+                       zip(s.divide(v.shape), factor, idx))
             assert np.array_equal(got, v[np.ix_(t, h, w)])
 
     def test_slice_key_checks_the_index(self):
@@ -130,7 +133,7 @@ class TestMaskPreceding:
             n_pix = int(np.prod(shape))
             for idx in slice_order(s):
                 vis = visibility_mask(shape, s, idx)
-                assert int(vis.sum()) == slice_rank(s, idx) * n_pix // s.count
+                assert int(vis.sum()) == slice_rank(s, idx) * n_pix // s.size
 
     def test_monotone_along_order(self):
         s = SubscaleFactor(2, 2, 1)
@@ -176,3 +179,23 @@ class TestPrimedPlanes:
 
     def test_no_priming(self):
         assert not primed_plane_mask(SubscaleFactor(2, 1, 1), (0, 0, 0), 2, 0).any()
+
+
+class TestExtents:
+    @pytest.mark.parametrize("kind, name, target", [
+        (SubscaleFactor, "subscale factor", "video shape"),
+        (BlockShape, "block shape", "slice shape")])
+    def test_errors_name_the_kind_and_the_value(self, kind, name, target):
+        for bad in [(0, 1, 1), (1, -2, 1), (1, 1, 0)]:
+            with pytest.raises(ConfigError, match=re.escape(f"{name} must be positive, got {bad}")):
+                kind(*bad)
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{name} (2, 3, 2) does not divide {target} (4, 6, 5)")):
+            kind(2, 3, 2).divide((4, 6, 5, 3))
+
+    def test_a_tuple_with_fields_a_size_and_a_quotient(self):
+        s = SubscaleFactor(4, 2, 2)
+        assert isinstance(s, tuple) and s == (4, 2, 2) and str(s) == "(4, 2, 2)"
+        assert (s.t, s.h, s.w, s.size) == (4, 2, 2, 16)
+        assert s.divide((16, 64, 64, 3)) == (4, 32, 32)
+        assert BlockShape(*s) == s and hash(BlockShape(*s)) == hash((4, 2, 2))

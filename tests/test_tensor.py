@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from helpers import (add_at_conv_input_grad, add_at_gather_grad, batched_matmul,
                      einsum_conv_kernel_grad, grad_check, out_of_place_layernorm,
-                     out_of_place_layernorm_array, two_temporary_softmax)
+                     out_of_place_layernorm_array, put_along_axis_one_hot, three_exp_sigmoid,
+                     two_temporary_softmax)
 from svt import cli
 from svt import model as M
 from svt import tensor as tc
@@ -770,3 +771,38 @@ class TestInPlaceForms:
             got = tc.layernorm_array(row, gain, bias)
             assert np.array_equal(row, before)
             assert np.array_equal(got, out_of_place_layernorm_array(row, gain, bias))
+
+
+class TestOneExpForms:
+    """``one_hot`` is one indexing expression and ``sigmoid`` computes one
+    exp; both equal their former forms bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 8, 8, 6), (16, 64, 64, 6)])
+    @pytest.mark.parametrize("in_dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_one_hot(self, shape, in_dtype, dtype):
+        values = np.random.default_rng(3).integers(0, 16, shape).astype(in_dtype)
+        got, want = tc.one_hot(values, 16, dtype), put_along_axis_one_hot(values, 16, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_one_hot_out_of_range(self):
+        for op in (tc.one_hot, put_along_axis_one_hot):
+            with pytest.raises(IndexError):
+                op(np.array([3, 16]), 16)
+        values = np.array([-1, 0])
+        assert np.array_equal(tc.one_hot(values, 16), put_along_axis_one_hot(values, 16))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_sigmoid(self, dtype):
+        rng = np.random.default_rng(4)
+        specials = [0.0, -0.0, 1e-30, -1e-30, 5e-324, 1.0, -1.0, 88.0, -88.0, 750.0, -750.0,
+                    np.finfo(dtype).max, -np.finfo(dtype).max, np.inf, -np.inf]
+        x = np.concatenate([np.array(specials, dtype=dtype),
+                            (rng.standard_normal(4096) * 20).astype(dtype)])
+        a = Tensor(x.copy(), requires_grad=True)
+        y = tc.sigmoid(a)
+        want = three_exp_sigmoid(x)
+        assert y.data.dtype == want.dtype and np.array_equal(y.data, want)
+        tc.backward(y, np.ones_like(x))
+        assert np.array_equal(a.grad, want * (1.0 - want))
