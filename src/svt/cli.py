@@ -9,7 +9,9 @@ unresolved.  The echo round-trips through the parser.
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numeric error.
 The --threads flag (or the SVT_THREADS environment variable), a positive
 integer, pins the BLAS thread pools before numpy loads; --threads 1 is the
-reproducibility reference.  Config files are UTF-8.
+reproducibility reference.  Config files are UTF-8, with or without a
+byte-order mark.  Every output path (--out, --out-ckpt, --log, --ppm) must
+name an existing directory; this is checked before any work starts.
 """
 
 import argparse
@@ -25,15 +27,23 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
+def _int_at_least(text, lo):
+    """int(``text``) if it is an integer >= ``lo`` (0 or 1), else an
+    ArgumentTypeError, which argparse reports as a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < lo:
+        kind = "positive" if lo else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+    return n
+
+
 def _thread_count(text):
     """``text`` as typed, if it is a positive integer: OpenBLAS reads 0 and
     negative counts as unset."""
-    try:
-        ok = int(text) >= 1
-    except ValueError:
-        ok = False
-    if not ok:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    _int_at_least(text, 1)
     return text
 
 
@@ -115,7 +125,7 @@ def load_config(path):
 
     conf = {k: v for k, (_, v) in _SCHEMA.items()}
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             lines = f.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
@@ -228,6 +238,19 @@ def _cmd_import_raw(args):
     write_container(args.out, videos)
     print(f"imported {len(videos)} videos from {args.raw} to {args.out}")
     return EXIT_OK
+
+
+_OUTPUT_ARGS = ("out", "out_ckpt", "log", "ppm")  # every flag that names a file to write
+
+
+def _check_output_dirs(paths):
+    """Raise DataError naming the first given path whose directory does not
+    exist, so that a command fails before its work rather than after."""
+    from .data import DataError
+
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"cannot write {path}: no directory {os.path.dirname(path)}")
 
 
 def _load_for(args):
@@ -396,7 +419,8 @@ def build_parser():
     a = sub.add_parser("analyze", help="connectivity and blind spots of the schedules")
     a.add_argument("--config", required=True)
     a.add_argument("--stack", default="both", choices=["encoder", "decoder", "both"])
-    a.add_argument("--max-blind", type=int, default=16, help="blind pairs to list")
+    a.add_argument("--max-blind", type=lambda text: _int_at_least(text, 0), default=16,
+                   help="blind pairs to list, a non-negative integer")
     a.add_argument("--out", default=None, help="also write the report here")
     a.add_argument("--dump-config", action="store_true", help="echo config and exit")
     a.set_defaults(fn=_cmd_analyze)
@@ -419,6 +443,7 @@ def main(argv=None):
         if getattr(args, "dump_config", False):
             sys.stdout.write(dump_config(load_config(args.config)))
             return EXIT_OK
+        _check_output_dirs(getattr(args, name, None) for name in _OUTPUT_ARGS)
         return args.fn(args)
     except ConfigError as e:
         print(f"error[config]: {e}", file=sys.stderr)

@@ -104,16 +104,17 @@ def dependency_graph(slice_shape, schedule, kernel=(3, 3, 3)):
 
 
 def find_blind_spots(report, max_report=32):
-    """Blind pairs (p, q) as coordinate tuples, nearest raster distance first."""
+    """At most ``max_report`` blind pairs (p, q) as coordinate tuples,
+    nearest raster distance first."""
     P = len(report.reach)
     out = []
     for d in range(1, P):
         ps = np.arange(d, P)
         blind = ~report.reach[ps, ps - d]
         for p in ps[blind]:
-            out.append((report.raster_coords(int(p)), report.raster_coords(int(p - d))))
             if len(out) >= max_report:
                 return out
+            out.append((report.raster_coords(int(p)), report.raster_coords(int(p - d))))
     return out
 
 

@@ -433,12 +433,16 @@ def _add_positional(x, pt, ph, pw):
 
 
 def encode_slices(params, cfg, onehots, idxs):
-    """Encode a batch of slices -> (B, T', H', W', d).
+    """Encode a batch of one decoder's slices -> (B, T', H', W', d), or None
+    for the stand-alone first-slice decoder's, which sees no encoder output.
 
     ``onehots[b]`` is the (T,H,W,n_channels,16) one-hot Tensor of the video
     (``video_onehot``) whose slice ``idxs[b]`` is encoded; only the slices
     preceding it in the generation order are visible to the encoder.
     """
+    ranks = np.array([slice_rank(cfg.s, idx) for idx in idxs])
+    if _first_slice_decoder(cfg, ranks[0]):
+        return None
     z0 = []
     for oh, idx in zip(onehots, idxs, strict=True):
         vis = visibility_mask(cfg.video_shape, cfg.s, idx).astype(oh.data.dtype)[..., None]
@@ -447,7 +451,6 @@ def encode_slices(params, cfg, onehots, idxs):
                             cfg.s, context_padding(cfg.kernel, idx), cfg.slice_shape))
     z = z0[0] if len(z0) == 1 else tc.concat(z0, axis=0)
     z = _add_positional(z, params["enc/pos_t"], params["enc/pos_h"], params["enc/pos_w"])
-    ranks = np.array([slice_rank(cfg.s, idx) for idx in idxs])
     se = tc.gather(params["enc/slice_embed"], ranks)  # (B, d_e)
     z = tc.add(z, tc.reshape(se, (len(idxs), 1, 1, 1, cfg.d_e)))
     z = tc.matmul(z, params["enc/in_proj"])
@@ -456,13 +459,17 @@ def encode_slices(params, cfg, onehots, idxs):
     return z
 
 
+def _first_slice_decoder(cfg, rank):
+    """Whether slices of ``rank`` use the stand-alone first-slice decoder."""
+    return bool(cfg.first_slice_schedule) and rank == 0
+
+
 def decoder_for(cfg, rank):
-    """(parameter prefix, layer schedule, whether the encoder runs) of the
-    decoder for slices of ``rank``: the stand-alone first-slice decoder for
-    rank 0 when the config has one, else the main decoder."""
-    if cfg.first_slice_schedule and rank == 0:
-        return "dec0", cfg.first_slice_schedule, False
-    return "dec", cfg.dec_schedule, True
+    """(parameter prefix, layer schedule) of the decoder for slices of
+    ``rank``: the stand-alone first-slice decoder or the main decoder."""
+    if _first_slice_decoder(cfg, rank):
+        return "dec0", cfg.first_slice_schedule
+    return "dec", cfg.dec_schedule
 
 
 def decode_slices(params, cfg, x, z, rank, record=None):
@@ -474,7 +481,7 @@ def decode_slices(params, cfg, x, z, rank, record=None):
     first-slice decoder.  ``record`` is passed to every attention layer
     (see ``attention.block_attention``).
     """
-    prefix, schedule, _ = decoder_for(cfg, rank)
+    prefix, schedule = decoder_for(cfg, rank)
     emb = tc.matmul(x, params[f"{prefix}/chan_embed"])  # summed channel embeddings
     y = tc.masked_conv3d(emb, params[f"{prefix}/mconv_kernel"],
                          params[f"{prefix}/mconv_bias"], cfg.mconv)
@@ -503,7 +510,7 @@ class SliceDecoder:
     """
 
     def __init__(self, params, cfg, rank, values, z):
-        prefix, schedule, _ = decoder_for(cfg, rank)
+        prefix, schedule = decoder_for(cfg, rank)
         records = []
         oh = tc.one_hot(values, N_VALUES).reshape(1, *cfg.slice_shape, cfg.input_channels)
         y = decode_slices(params, cfg, Tensor(oh), z, rank, record=records)
@@ -621,23 +628,33 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, onehots=None):
     Returns (loss Tensor in nats, n_pixels, logits-or-intensity Tensor).
     The model sees one ``video_onehot`` Tensor per video (``onehots``, if
     given: gradient leaves that let tests trace what reaches a logit) and
-    cuts each slice from it; the uint8 videos give the targets.  All slices
-    must use the same decoder (``decoder_for``); training groups by decoder.
+    cuts each slice from it; the uint8 videos give the targets.  A mixed
+    batch runs the first-slice decoder's slices, then the rest, each in batch
+    order; the loss is ``tc.add`` of the two, and outputs are in batch order.
     """
-    ranks = [slice_rank(cfg.s, i) for i in idxs]
-    if len({decoder_for(cfg, r)[0] for r in ranks}) > 1:
-        raise ConfigError("rank-0 slices must be decoded in their own batch")
-    _, _, encoded = decoder_for(cfg, ranks[0])
     if onehots is None:
         onehots = [Tensor(video_onehot(cfg, v)) for v in videos]
+    first = [_first_slice_decoder(cfg, slice_rank(cfg.s, idx)) for idx in idxs]
+    groups = [[b for b, f in enumerate(first) if f == want] for want in (True, False)]
+    if not all(groups):
+        return _forward_group(params, cfg, videos, idxs, prime_frames, onehots)
+    (loss0, pix0, out0), (loss1, pix1, out1) = (
+        _forward_group(params, cfg, [videos[b] for b in g], [idxs[b] for b in g],
+                       prime_frames, [onehots[b] for b in g]) for g in groups)
+    rows = np.argsort(groups[0] + groups[1])  # batch entry -> row of the group outputs
+    return tc.add(loss0, loss1), pix0 + pix1, tc.gather(tc.concat([out0, out1], axis=0), rows)
+
+
+def _forward_group(params, cfg, videos, idxs, prime_frames, onehots):
+    """``forward_slices`` on slices that all use one decoder."""
     B = len(idxs)
     P = int(np.prod(cfg.slice_shape))
     cuts = [tc.reshape(tc.index(oh, slice_key(cfg.s, idx)),
                        (1, *cfg.slice_shape, cfg.input_channels))
             for oh, idx in zip(onehots, idxs, strict=True)]
     x = cuts[0] if B == 1 else tc.concat(cuts, axis=0)
-    z = encode_slices(params, cfg, onehots, idxs) if encoded else None
-    y = decode_slices(params, cfg, x, z, ranks[0])
+    z = encode_slices(params, cfg, onehots, idxs)
+    y = decode_slices(params, cfg, x, z, slice_rank(cfg.s, idxs[0]))
     mask = np.stack([pixel_loss_mask(cfg, idx, prime_frames) for idx in idxs]).reshape(B, P)
     targets = np.stack([extract_slice(v, cfg.s, idx).reshape(P, cfg.bytes_per_pixel)
                         for v, idx in zip(videos, idxs, strict=True)])

@@ -25,7 +25,7 @@ import numpy as np
 from . import model as M
 from . import tensor as tc
 from .data import DataError
-from .subscale import slice_order, slice_rank
+from .subscale import slice_order
 from .tensor import ConfigError
 
 LOG_FORMAT = "step=%d nats=%r dims=%d bits_per_dim=%r wall_ms=%d"  # one train record
@@ -165,6 +165,9 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
         raise ConfigError(f"train_seed must be >= 0, got {tcfg.seed}")
     if tcfg.steps < start_step:
         raise ConfigError(f"steps must be >= the start step {start_step}, got {tcfg.steps}")
+    if not 0 <= tcfg.prime_frames < cfg.video_shape[0]:
+        raise ConfigError(f"prime_frames must be in 0..{cfg.video_shape[0] - 1} to leave a "
+                          f"frame to train on, got {tcfg.prime_frames}")
     _check_rmsprop(opt.hyper if opt is not None else tcfg.rmsprop)
     for v in videos:
         cfg.check_video(v, crop=True)
@@ -181,16 +184,11 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
                  for v, _ in batch]
         idxs = [idx for _, idx in batch]
         params.zero_grads()
-        nats = 0.0
-        n_pix = 0.0
-        for g_clips, g_idxs in _decoder_groups(cfg, clips, idxs):
-            loss, pix, _ = M.forward_slices(params, cfg, g_clips, g_idxs,
-                                            prime_frames=tcfg.prime_frames)
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite loss at step {step}: {loss.data!r}")
-            tc.backward(loss)
-            nats += loss.item()
-            n_pix += pix
+        loss, n_pix, _ = M.forward_slices(params, cfg, clips, idxs, prime_frames=tcfg.prime_frames)
+        if not np.isfinite(loss.data):
+            raise NumericError(f"non-finite loss at step {step}: {loss.data!r}")
+        tc.backward(loss)
+        nats = loss.item()
         rmsprop_step(params, params.grads(), opt)
         dims = cfg.bytes_per_pixel * n_pix
         bpd = nats / (math.log(2.0) * dims) if dims else float("nan")
@@ -209,17 +207,6 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
     if ckpt_path:
         save_training_checkpoint(ckpt_path, params, opt, records[-1][0] + 1 if records else start_step)
     return params, opt, records
-
-
-def _decoder_groups(cfg, clips, idxs):
-    """Split a batch by the decoder each slice uses (``M.decoder_for``),
-    keeping batch order within a group.  The group of rank 0's decoder comes
-    first: group order is the order gradients are summed in."""
-    prefixes = [M.decoder_for(cfg, slice_rank(cfg.s, idx))[0] for idx in idxs]
-    first = M.decoder_for(cfg, 0)[0]
-    for prefix in sorted(dict.fromkeys(prefixes), key=lambda p: p != first):
-        group = [i for i, p in enumerate(prefixes) if p == prefix]
-        yield [clips[i] for i in group], [idxs[i] for i in group]
 
 
 def save_training_checkpoint(path, params, opt, step):

@@ -395,10 +395,8 @@ def reference_sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
     chans[~primed] = 0  # not yet generated
     if primed.all():
         return chans
-    _, _, encoded = M.decoder_for(cfg, rank)
     with tc.no_grad():
-        z = (M.encode_slices(params, cfg, [Tensor(M.video_onehot(cfg, canvas))], [idx])
-             if encoded else None)
+        z = M.encode_slices(params, cfg, [Tensor(M.video_onehot(cfg, canvas))], [idx])
         for t in range(Ts):
             if primed[t]:
                 continue

@@ -97,6 +97,14 @@ class TestConfig:
         resolved = cli.model_config_from(cli.load_config(cfg))
         assert {"s": resolved.s, "kernel": resolved.kernel}[key] == derived
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        """A UTF-8 byte-order mark, as some editors write, is not part of the
+        first key."""
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text("variant = spatial\n" + TINY_CONFIG)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert cli.load_config(bom) == cli.load_config(plain)
+
     def test_geometry_checked_at_load(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("variant = spatiotemporal\nvideo_t = 5\nsubscale_t = 2\n")
@@ -206,7 +214,8 @@ class TestExitCodes:
         ("empty-prime", 1), ("gen-data-negative-frames", 1),
         ("gen-data-negative-vel-max", 1), ("gen-data-negative-seed", 1),
         ("import-raw-negative-frames", 1), ("sample-negative-count", 1),
-        ("eval-negative-prime", 1), ("negative-steps", 1), ("config-not-utf8", 1)])
+        ("eval-negative-prime", 1), ("negative-steps", 1), ("config-not-utf8", 1),
+        ("train-prime-all-frames", 1)])
     def test_malformed_input_exits_cleanly(self, tiny_setup, case, code):
         """Each input disagrees with the config or is malformed: a one-line
         error and exit 1 (config) or 2 (io), never a traceback."""
@@ -220,7 +229,8 @@ class TestExitCodes:
                        "negative-ckpt-every": "ckpt_every = -1",
                        "negative-train-seed": "train_seed = -1",
                        "negative-model-seed": "model_seed = -1",
-                       "zero-stop-window": "stop_window = 0\nstop_bits_per_dim = 0.5"}
+                       "zero-stop-window": "stop_window = 0\nstop_bits_per_dim = 0.5",
+                       "train-prime-all-frames": "prime_frames = 4"}
         if case in edits:
             config.write_text(TINY_CONFIG + edits[case] + "\n")
             argv = ["analyze", "--config", config]
@@ -229,7 +239,8 @@ class TestExitCodes:
             argv = ["analyze", "--config", config]
         elif case in train_edits or case == "negative-steps":
             config.write_text(TINY_CONFIG + train_edits.get(case, "") + "\n")
-            argv = ["train", "--config", config, "--data", data, "--out-ckpt", tmp / "out.ckpt"]
+            argv = ["train", "--config", config, "--data", data, "--out-ckpt", tmp / "out.ckpt",
+                    "--log", tmp / "train.log"]
             argv += ["--steps", -1] if case == "negative-steps" else []
         elif case.startswith("gen-data"):
             flag = "--" + case[len("gen-data-negative-"):]
@@ -274,7 +285,7 @@ class TestExitCodes:
         r = run_cli(*argv)
         assert r.returncode == code
         assert "error[" in r.stderr and "Traceback" not in r.stderr
-        assert not (tmp / "out.ckpt").exists()
+        assert not (tmp / "out.ckpt").exists() and not (tmp / "train.log").exists()
         if case == "config-not-utf8":
             assert f"error[config]: config {config} is not UTF-8" in r.stderr
 
@@ -307,6 +318,34 @@ class TestExitCodes:
         assert "error[config]" in r.stderr and "Traceback" not in r.stderr
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--out-ckpt"), ("train", "--log"), ("sample", "--out"), ("sample", "--ppm")])
+    def test_missing_output_directory_fails_before_the_work(self, tiny_setup, monkeypatch,
+                                                          capsys, command, flag):
+        """An output path in a directory that does not exist is an I/O error
+        that names the path as given, raised before training or sampling
+        starts; nothing is written."""
+        from svt import model as M, optim as O, sampler as S
+        tmp, config, data = tiny_setup
+        ckpt = tmp / "m.ckpt"
+        M.save_checkpoint(ckpt, M.init_params(cli.model_config_from(
+            cli.load_config(config))).arrays())
+
+        def never(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        monkeypatch.setattr(O, "train", never)
+        monkeypatch.setattr(S, "sample_video", never)
+        inputs = {"train": ["--data", data], "sample": ["--ckpt", ckpt, "--prime-video", data]}
+        outputs = {"train": {"--out-ckpt": "out.ckpt", "--log": "train.log"},
+                   "sample": {"--out": "o.svt", "--ppm": "frames"}}[command]
+        paths = {f: tmp / ("nodir" if f == flag else "") / name for f, name in outputs.items()}
+        before = sorted(tmp.iterdir())
+        argv = [command, "--config", config, *inputs[command], *sum(paths.items(), ())]
+        assert cli.main([str(a) for a in argv]) == cli.EXIT_IO
+        assert f"error[io]: cannot write {paths[flag]}: no directory" in capsys.readouterr().err
+        assert sorted(tmp.iterdir()) == before
+
     def test_success_is_zero(self, tiny_setup):
         tmp, config, data = tiny_setup
         r = run_cli("analyze", "--config", config, "--max-blind", 4)
@@ -329,6 +368,18 @@ class TestCommands:
         assert r.returncode == 0
         assert "blind pairs:" in r.stdout
         assert "encoder connectivity: connected" in r.stdout
+
+    def test_max_blind_lists_at_most_that_many_pairs(self, tiny_setup):
+        tmp, config, _ = tiny_setup
+        listed = {n: run_cli("analyze", "--config", config, "--max-blind", n).stdout
+                  .count("  blind: ") for n in (1, 0)}
+        assert listed == {1: 1, 0: 0}
+
+    def test_negative_max_blind_is_a_usage_error(self, tiny_setup):
+        tmp, config, _ = tiny_setup
+        r = run_cli("analyze", "--config", config, "--max-blind", -3)
+        assert r.returncode == 2
+        assert "usage:" in r.stderr and "non-negative integer" in r.stderr
 
     def test_train_eval_sample_pipeline(self, tiny_setup):
         tmp, config, data = tiny_setup

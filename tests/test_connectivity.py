@@ -102,6 +102,11 @@ class TestBlindSpots:
         rep = dependency_graph((1, 4, 4), blocks_of([(1, 1, 2)]), (1, 3, 3))
         assert len(find_blind_spots(rep, max_report=3)) == 3
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_non_positive_cap_lists_nothing(self, cap):
+        rep = dependency_graph((1, 4, 4), blocks_of([(1, 1, 2)]), (1, 3, 3))
+        assert find_blind_spots(rep, max_report=cap) == []
+
 
 class TestEncoderConnectivity:
     def test_single_position_blocks_disconnected(self):

@@ -476,11 +476,13 @@ class TestComposite:
         ps = M.init_params(cfg, head_init="normal")
         assert any(n.startswith("dec0/") for n in ps.names())
         video = np.random.default_rng(18).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
-        loss0, _, _ = M.forward_slices(ps, cfg, [video], [(0, 0, 0)], 0)
-        loss1, _, _ = M.forward_slices(ps, cfg, [video], [(0, 0, 1)], 0)
+        loss0, pix0, out0 = M.forward_slices(ps, cfg, [video], [(0, 0, 0)], 0)
+        loss1, pix1, out1 = M.forward_slices(ps, cfg, [video], [(0, 0, 1)], 0)
         assert np.isfinite(loss0.item()) and np.isfinite(loss1.item())
-        with pytest.raises(ConfigError):
-            M.forward_slices(ps, cfg, [video, video], [(0, 0, 0), (0, 0, 1)], 0)
+        # a mixed batch: the first-slice group's loss plus the rest's, rows in batch order
+        loss, pix, out = M.forward_slices(ps, cfg, [video, video], [(0, 0, 1), (0, 0, 0)], 0)
+        assert np.array_equal(loss.data, tc.add(loss0, loss1).data) and pix == pix0 + pix1
+        assert np.array_equal(out.data, np.concatenate([out1.data, out0.data]))
 
     def test_first_slice_decoder_causality(self):
         """The deeper stand-alone decoder obeys the order on its slice too."""

@@ -1,8 +1,15 @@
-"""The benchmark's tracer against the library it wraps."""
+"""The benchmark's tracer and checks against the library it wraps."""
 
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_tracer_patches_and_restores_every_binding(monkeypatch):
@@ -23,3 +30,19 @@ def test_tracer_patches_and_restores_every_binding(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is original for owner, attr, original in patched)
+
+
+@pytest.mark.parametrize("workload", ["desk-sample", "desk-train"])
+def test_traced_desk_workload_passes_its_checks(tmp_path, workload):
+    """``perfbench/run.py --trace 1`` on a copy of the checkout, so that its
+    output stays out of the tree: the coverage guard, the repeat-call check,
+    the replay of sampled videos and the training checks all pass."""
+    for sub in ("src", "configs", "perfbench"):
+        shutil.copytree(ROOT / sub, tmp_path / sub,
+                        ignore=shutil.ignore_patterns("__pycache__", ".perfbench-out"))
+    r = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                        "--seconds", "1", "--trace", "1"],
+                       cwd=tmp_path, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    result = json.loads(r.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, r.stderr
