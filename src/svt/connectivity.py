@@ -17,6 +17,18 @@ composition of those window edges with the attention reachability, where a
 causal layer lets information flow from j to p iff both share a block and
 j's raster index is <= p's.  Residual connections make every layer keep what
 a position already reached.
+
+Reach sets are packed bit rows.  Row p holds ``np.packbits`` of the P-long
+bool set of inputs that influence p: ceil(P/8) bytes, with bit q in byte
+``q >> 3`` under mask ``0x80 >> (q & 7)`` and the pad bits of the last byte
+always zero.  An attention layer gathers its blocks' rows into a (blocks,
+slots, bytes) array and merges whole rows with byte-wise ORs: a causal layer
+makes one ``rows[:, i] |= rows[:, i - 1]`` per block slot, in raster order,
+and an unmasked layer gives every slot its block's ``np.bitwise_or.reduce``.
+A layer so touches P * P / 8 bytes where a bool matrix took P * P.  The
+conv edges and the identity are built packed, the no-forward-influence check
+reads the packed rows, and ``dependency_graph`` unpacks once, into the (P, P)
+bool ``DependencyReport.reach``.
 """
 
 from dataclasses import dataclass
@@ -44,25 +56,45 @@ def _block_index_groups(slice_shape, bs):
     return groups
 
 
+def _bit(q):
+    """(byte column, uint8 mask) of bit q in a packed row."""
+    q = np.asarray(q)
+    return q >> 3, (0x80 >> (q & 7)).astype(np.uint8)
+
+
+def _packed_zeros(P):
+    return np.zeros((P, (P + 7) // 8), dtype=np.uint8)
+
+
 def conv_window_edges(slice_shape, kernel):
-    """(P, P) bool: [p, q] True iff q is a strictly-preceding window tap of p."""
+    """(P, ceil(P/8)) packed rows: bit q of row p set iff q is a
+    strictly-preceding window tap of p."""
     windows = masked_conv_windows(kernel, slice_shape)
     P = len(windows)
-    edges = np.zeros((P, P), dtype=bool)
+    edges = _packed_zeros(P)
     rows, taps = np.nonzero(windows < P)  # row P of the window is zero padding
-    edges[rows, windows[rows, taps]] = True
+    col, mask = _bit(windows[rows, taps])
+    np.bitwise_or.at(edges, (rows, col), mask)
     return edges
 
 
 def _apply_attention(reach, groups, causal):
-    """One attention layer over per-position reach sets, in place."""
-    flat = groups.reshape(-1)
-    rows = reach[flat].reshape(groups.shape[0], groups.shape[1], -1)
+    """One attention layer over packed reach rows, in place."""
+    rows = reach[groups]  # (num_blocks, n_p, bytes)
     if causal:
-        np.logical_or.accumulate(rows, axis=1, out=rows)
+        for i in range(1, groups.shape[1]):
+            rows[:, i] |= rows[:, i - 1]
     else:
-        rows |= rows.any(axis=1, keepdims=True)
-    reach[flat] = rows.reshape(len(flat), -1)
+        rows[:] = np.bitwise_or.reduce(rows, axis=1, keepdims=True)
+    reach[groups] = rows
+
+
+def _reaches_forward(reach):
+    """Does any packed row p hold a bit q >= p?"""
+    p = np.arange(len(reach))
+    col, _ = _bit(p)
+    later = np.arange(reach.shape[1]) > col[:, None]
+    return bool((reach[p, col] & (0xFF >> (p & 7))).any() or np.any(reach, where=later))
 
 
 @dataclass
@@ -93,14 +125,14 @@ def dependency_graph(slice_shape, schedule, kernel=(3, 3, 3)):
     layer then merges reach sets forward in raster order within its blocks.
     """
     blocks = _blocks(schedule)
-    reach = conv_window_edges(tuple(slice_shape), tuple(kernel))
+    packed = conv_window_edges(tuple(slice_shape), tuple(kernel))
     for bs in blocks:
         groups = _block_index_groups(tuple(slice_shape), bs)
-        _apply_attention(reach, groups, causal=True)
-    report = DependencyReport(tuple(slice_shape), blocks, tuple(kernel), reach)
+        _apply_attention(packed, groups, causal=True)
     # masking can never create forward influence
-    assert not np.triu(reach).any()
-    return report
+    assert not _reaches_forward(packed)
+    reach = np.unpackbits(packed, axis=1, count=len(packed)).view(bool)
+    return DependencyReport(tuple(slice_shape), blocks, tuple(kernel), reach)
 
 
 def find_blind_spots(report, max_report=32):
@@ -125,13 +157,17 @@ def verify_encoder_connectivity(slice_shape, schedule):
     in raster coordinates.
     """
     P = int(np.prod(slice_shape))
-    reach = np.eye(P, dtype=bool)
+    reach = _packed_zeros(P)
+    col, mask = _bit(np.arange(P))
+    reach[np.arange(P), col] = mask
     for bs in _blocks(schedule):
         groups = _block_index_groups(tuple(slice_shape), bs)
         _apply_attention(reach, groups, causal=False)
-    if reach.all():
+    full = (reach == np.packbits(np.ones(P, dtype=bool))).all(axis=1)
+    if full.all():
         return True, None
-    p, q = np.argwhere(~reach)[0]
+    p = int(np.argmin(full))
+    q = int(np.argmin(np.unpackbits(reach[p], count=P)))
     return False, (_raster_coords(slice_shape, p), _raster_coords(slice_shape, q))
 
 

@@ -81,6 +81,10 @@ def evaluate(params, cfg, videos, prime_frames):
     Slices are visited in a fixed canonical order and accumulated in float64,
     so the result is independent of any batch partitioning.
     """
+    T = cfg.video_shape[0]
+    if not 0 <= prime_frames < T:
+        raise ConfigError(f"prime_frames must be in 0..{T - 1} to leave a frame to "
+                          f"evaluate, got {prime_frames}")
     total = 0.0
     pixels = 0.0
     for video in videos:
@@ -95,7 +99,6 @@ def evaluate(params, cfg, videos, prime_frames):
         dims = cfg.bytes_per_pixel * pixels
         return EvalResult(total, pixels, dims,
                           bits_per_dim=bits_per_dim(total, pixels, cfg.bytes_per_pixel))
-    T = cfg.video_shape[0]
     frames = len(videos) * (T - prime_frames)
     return EvalResult(total, pixels, pixels,
                       frames=frames,

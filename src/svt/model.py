@@ -680,7 +680,7 @@ def save_checkpoint(path, arrays):
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(names)))
         for name in names:
-            arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+            arr = np.asarray(arrays[name], dtype="<f4")  # keeps a 0-d array 0-d
             enc = name.encode("utf-8")
             f.write(struct.pack("<I", len(enc)))
             f.write(enc)

@@ -1,7 +1,7 @@
 """Shared test harnesses: the finite-difference gradient checker, causality
-sweeps, analyzer gradient oracles, the full-recompute reference sampler, and
-the reference and single-slice forms of library functions that only tests
-use."""
+sweeps, analyzer gradient oracles and bool-matrix analyzer references, the
+full-recompute reference sampler, and the reference and single-slice forms
+of library functions that only tests use."""
 
 import numpy as np
 
@@ -9,9 +9,11 @@ from svt import model as M
 from svt import sampler
 from svt import tensor as tc
 from svt.attention import AttentionLayerSpec, attention_layer
+from svt.connectivity import (DependencyReport, _block_index_groups, _blocks,
+                              _raster_coords)
 from svt.subscale import (extract_slice, primed_plane_mask, slice_order, slice_rank,
                           visibility_mask)
-from svt.tensor import Tensor
+from svt.tensor import Tensor, masked_conv_windows
 
 
 def grad_check(fn, inputs, eps=1e-3, max_entries=None, seed=0):
@@ -216,6 +218,55 @@ def gradient_reachability(slice_shape, blocks, kernel, seed, d_in=3, d=6):
         tc.backward(yf, seed_grad)
         reach[p] = np.abs(x.grad[0]).sum(axis=-1).reshape(P) > 0.0
     return reach
+
+
+def bool_conv_window_edges(slice_shape, kernel):
+    """(P, P) bool: [p, q] True iff q is a strictly-preceding window tap of p.
+    The bool form of ``connectivity.conv_window_edges``."""
+    windows = masked_conv_windows(kernel, slice_shape)
+    P = len(windows)
+    edges = np.zeros((P, P), dtype=bool)
+    rows, taps = np.nonzero(windows < P)  # row P of the window is zero padding
+    edges[rows, windows[rows, taps]] = True
+    return edges
+
+
+def bool_apply_attention(reach, groups, causal):
+    """One attention layer over per-position reach sets, in place: the bool
+    reference for the packed rows of ``connectivity._apply_attention``."""
+    flat = groups.reshape(-1)
+    rows = reach[flat].reshape(groups.shape[0], groups.shape[1], -1)
+    if causal:
+        np.logical_or.accumulate(rows, axis=1, out=rows)
+    else:
+        rows |= rows.any(axis=1, keepdims=True)
+    reach[flat] = rows.reshape(len(flat), -1)
+
+
+def bool_dependency_graph(slice_shape, schedule, kernel=(3, 3, 3)):
+    """``connectivity.dependency_graph`` on a (P, P) bool matrix."""
+    blocks = _blocks(schedule)
+    reach = bool_conv_window_edges(tuple(slice_shape), tuple(kernel))
+    for bs in blocks:
+        groups = _block_index_groups(tuple(slice_shape), bs)
+        bool_apply_attention(reach, groups, causal=True)
+    report = DependencyReport(tuple(slice_shape), blocks, tuple(kernel), reach)
+    # masking can never create forward influence
+    assert not np.triu(reach).any()
+    return report
+
+
+def bool_verify_encoder_connectivity(slice_shape, schedule):
+    """``connectivity.verify_encoder_connectivity`` on a (P, P) bool matrix."""
+    P = int(np.prod(slice_shape))
+    reach = np.eye(P, dtype=bool)
+    for bs in _blocks(schedule):
+        groups = _block_index_groups(tuple(slice_shape), bs)
+        bool_apply_attention(reach, groups, causal=False)
+    if reach.all():
+        return True, None
+    p, q = np.argwhere(~reach)[0]
+    return False, (_raster_coords(slice_shape, p), _raster_coords(slice_shape, q))
 
 
 def add_at_conv_input_grad(x, kernel, g, taps, stride, pad):

@@ -16,6 +16,7 @@ from svt.data import read_container, write_container
 from svt.tensor import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 TINY_CONFIG = """
 # tiny spatiotemporal model for CLI tests
@@ -215,7 +216,7 @@ class TestExitCodes:
         ("gen-data-negative-vel-max", 1), ("gen-data-negative-seed", 1),
         ("import-raw-negative-frames", 1), ("sample-negative-count", 1),
         ("eval-negative-prime", 1), ("negative-steps", 1), ("config-not-utf8", 1),
-        ("train-prime-all-frames", 1)])
+        ("train-prime-all-frames", 1), ("eval-prime-all-frames", 1)])
     def test_malformed_input_exits_cleanly(self, tiny_setup, case, code):
         """Each input disagrees with the config or is malformed: a one-line
         error and exit 1 (config) or 2 (io), never a traceback."""
@@ -251,16 +252,16 @@ class TestExitCodes:
             argv = ["import-raw", "--raw", raw, "--out", tmp / "o.svt", "--frames", -4,
                     "--height", 16, "--width", 16]
         elif case in ("eval-gray-data", "empty-prime", "sample-negative-count",
-                      "eval-negative-prime"):
+                      "eval-negative-prime", "eval-prime-all-frames"):
             ckpt, videos = tmp / "m.ckpt", tmp / "videos.svt"
             M.save_checkpoint(ckpt, M.init_params(cli.model_config_from(
                 cli.load_config(config))).arrays())
             if case == "eval-gray-data":
                 write_container(videos, [np.zeros((4, 8, 8, 1), dtype=np.uint8)] * 4)
                 argv = ["eval", "--config", config, "--ckpt", ckpt, "--data", videos]
-            elif case == "eval-negative-prime":
+            elif case in ("eval-negative-prime", "eval-prime-all-frames"):
                 argv = ["eval", "--config", config, "--ckpt", ckpt, "--data", data,
-                        "--prime", -1]
+                        "--prime", -1 if case == "eval-negative-prime" else 4]
             elif case == "sample-negative-count":
                 argv = ["sample", "--config", config, "--ckpt", ckpt, "--prime-video", data,
                         "--out", tmp / "sampled.svt", "--count", -1]
@@ -288,6 +289,8 @@ class TestExitCodes:
         assert not (tmp / "out.ckpt").exists() and not (tmp / "train.log").exists()
         if case == "config-not-utf8":
             assert f"error[config]: config {config} is not UTF-8" in r.stderr
+        if case == "eval-prime-all-frames":
+            assert "error[config]: prime_frames must be in 0..3" in r.stderr
 
     @pytest.mark.parametrize("edit, message", [
         ("subscale_t = -2", "subscale factor must be positive, got (-2, 2, 2)"),
@@ -368,6 +371,18 @@ class TestCommands:
         assert r.returncode == 0
         assert "blind pairs:" in r.stdout
         assert "encoder connectivity: connected" in r.stdout
+
+    @pytest.mark.parametrize("name, flags", [
+        ("base-16x64x64", ["--stack", "both", "--max-blind", "8"]),
+        ("sprites-rgb", []), ("sprites-gray", [])])
+    def test_analyze_prints_the_recorded_text(self, name, flags):
+        """``analyze`` on the shipped configs prints, byte for byte, the text
+        recorded in ``tests/golden``; the canonical one is the 2307893 blind
+        pairs of 8386560 and a connected encoder."""
+        r = subprocess.run([sys.executable, "-m", "svt.cli", "analyze", "--config",
+                            CONFIGS / f"{name}.cfg", *flags], capture_output=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == (GOLDEN / f"analyze-{name}.txt").read_bytes()
 
     def test_max_blind_lists_at_most_that_many_pairs(self, tiny_setup):
         tmp, config, _ = tiny_setup

@@ -1,12 +1,17 @@
 """Dependency analyzer: reachability vs gradients, blind spots, encoder
 connectivity, monotonicity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import gradient_reachability
+from helpers import (bool_conv_window_edges, bool_dependency_graph,
+                     bool_verify_encoder_connectivity, gradient_reachability)
 from svt.attention import BlockShape
-from svt.connectivity import (dependency_graph,
+from svt.connectivity import (_reaches_forward, conv_window_edges, dependency_graph,
                               find_blind_spots, report_text,
                               verify_encoder_connectivity)
 
@@ -141,3 +146,81 @@ class TestReportText:
         text = report_text((2, 2, 2), blocks_of([(1, 1, 1)]), (3, 3, 3),
                            enc_schedule=blocks_of([(1, 1, 1)]), stack="encoder")
         assert "DISCONNECTED" in text
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def analyzer_cases(draw):
+    """(slice shape, decoder schedule, encoder schedule, masked conv kernel)."""
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(3))
+
+    def schedule():
+        return [BlockShape(*(draw(st.sampled_from(_divisors(n))) for n in shape))
+                for _ in range(draw(st.integers(0, 3)))]
+
+    # (1, 1, 1) leaves the masked conv no taps; the config rejects it
+    kernel = draw(st.tuples(*[st.sampled_from((1, 3, 5))] * 3).filter(lambda k: k != (1, 1, 1)))
+    return shape, schedule(), schedule(), kernel
+
+
+class TestPackedRows:
+    """The packed-row analyzer against the bool-matrix references in
+    ``helpers``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=analyzer_cases())
+    # P < 8, one block spanning the slice, single-position encoder blocks
+    @example(case=((1, 1, 5), blocks_of([(1, 1, 5)]), blocks_of([(1, 1, 1)]), (1, 3, 5)))
+    # P = 27, not a multiple of 8; an encoder that never mixes along h and w
+    @example(case=((3, 3, 3), blocks_of([(1, 3, 3), (3, 1, 3)]), blocks_of([(3, 1, 1)]),
+                   (3, 3, 3)))
+    @example(case=((2, 4, 4), blocks_of([(2, 4, 4), (1, 1, 1)]), blocks_of([(2, 4, 4)]),
+                   (5, 5, 5)))
+    @example(case=((1, 1, 1), blocks_of([(1, 1, 1)]), blocks_of([(1, 1, 1)]), (3, 3, 3)))
+    def test_matches_the_bool_reference(self, case):
+        shape, dec, enc, kernel = case
+        fast = dependency_graph(shape, dec, kernel)
+        ref = bool_dependency_graph(shape, dec, kernel)
+        assert fast.reach.dtype == bool and fast.reach.shape == ref.reach.shape
+        assert np.array_equal(fast.reach, ref.reach)
+        assert fast.blind_count() == ref.blind_count()
+        every = fast.ordered_pair_count()
+        assert find_blind_spots(fast, every) == find_blind_spots(ref, every)
+        assert (verify_encoder_connectivity(shape, enc)
+                == bool_verify_encoder_connectivity(shape, enc))
+
+    @pytest.mark.parametrize("shape, kernel", [((1, 1, 5), (1, 3, 5)), ((3, 3, 3), (3, 3, 3)),
+                                               ((2, 4, 4), (5, 5, 5)), ((2, 3, 5), (3, 5, 3))])
+    def test_edges_are_the_packed_bool_edges(self, shape, kernel):
+        bool_edges = bool_conv_window_edges(shape, kernel)
+        assert np.array_equal(conv_window_edges(shape, kernel),
+                              np.packbits(bool_edges, axis=1))
+
+    @pytest.mark.parametrize("P", [1, 5, 8, 13, 16])
+    def test_forward_check_is_the_upper_triangle(self, P):
+        """Every single bit on or above the diagonal trips the check, and no
+        bit below it does: the check is ``np.triu(reach).any()``."""
+        assert not _reaches_forward(np.zeros((P, (P + 7) // 8), dtype=np.uint8))
+        for p in range(P):
+            for q in range(P):
+                one = np.zeros((P, P), dtype=bool)
+                one[p, q] = True
+                assert _reaches_forward(np.packbits(one, axis=1)) == (q >= p), (p, q)
+
+    def test_peak_memory_is_about_one_reach_matrix(self):
+        """The packed rows are an eighth of the (P, P) bool ``reach``, so the
+        only full-size array ``dependency_graph`` builds is the one it
+        returns."""
+        shape = (4, 16, 32)
+        blocks = blocks_of([(4, 4, 8), (1, 16, 4), (2, 8, 8), (4, 4, 8)])
+        tracemalloc.start()
+        try:
+            rep = dependency_graph(shape, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.reach.nbytes == 2048 * 2048
+        assert peak <= 1.5 * rep.reach.nbytes, peak / rep.reach.nbytes

@@ -102,6 +102,120 @@ class TestContainer:
         assert np.array_equal(read_container(path)[0], v)
 
 
+# Small extents most of the time, so that headers often parse; any u32 now and then.
+_COUNT = st.one_of(st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+_VIDEO_BYTES = st.builds(
+    lambda ext, c, tag, payload: struct.pack("<IIIIB", *ext, c, tag) + payload,
+    st.tuples(_COUNT, _COUNT, _COUNT), st.one_of(st.sampled_from([1, 3]), _COUNT),
+    st.one_of(st.just(0), st.integers(0, 255)), st.binary(max_size=64))
+_CONTAINER_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda version, count, videos, tail:
+              b"SVT1" + struct.pack("<II", version, count) + b"".join(videos) + tail,
+              st.one_of(st.just(1), _COUNT), _COUNT, st.lists(_VIDEO_BYTES, max_size=3),
+              st.binary(max_size=8)))
+_ENTRY_BYTES = st.builds(
+    lambda name, rank, dims, payload: (struct.pack("<I", len(name)) + name
+                                       + struct.pack("<I", rank)
+                                       + struct.pack(f"<{len(dims)}Q", *dims) + payload),
+    st.binary(max_size=8), st.one_of(st.integers(0, 4), _COUNT),
+    st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2 ** 64 - 1)), max_size=5),
+    st.binary(max_size=64))
+_CHECKPOINT_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda version, count, entries, tail:
+              M.CHECKPOINT_MAGIC + struct.pack("<II", version, count) + b"".join(entries) + tail,
+              st.one_of(st.just(M.CHECKPOINT_VERSION), _COUNT), _COUNT,
+              st.lists(_ENTRY_BYTES, max_size=3), st.binary(max_size=8)))
+_VIDEOS = st.lists(st.builds(
+    lambda shape, seed: np.random.default_rng(seed).integers(0, 256, shape).astype(np.uint8),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 3])),
+    st.integers(0, 2 ** 32)), max_size=3)
+_ARRAYS = st.dictionaries(
+    st.text(max_size=6),
+    st.builds(lambda shape, seed: np.random.default_rng(seed).standard_normal(shape)
+              .astype(np.float32),
+              st.lists(st.integers(0, 3), max_size=3).map(tuple), st.integers(0, 2 ** 32)),
+    max_size=3)
+
+
+def _read_or_data_error(reader, path, raw):
+    """``reader(path)`` on ``raw``; None when it raises DataError.  Any other
+    exception propagates and fails the test."""
+    path.write_bytes(raw)
+    try:
+        return reader(path)
+    except DataError:
+        return None
+
+
+def _is_container(out):
+    return isinstance(out, list) and all(
+        isinstance(v, np.ndarray) and v.dtype == np.uint8 and v.ndim == 4
+        and v.shape[3] in (1, 3) for v in out)
+
+
+def _is_checkpoint(out):
+    return isinstance(out, dict) and all(
+        isinstance(k, str) and isinstance(a, np.ndarray) and a.dtype == np.float32
+        for k, a in out.items())
+
+
+class TestParserFuzz:
+    """``read_container`` and ``load_checkpoint`` on any bytes: a valid
+    result or ``DataError``, and nothing else."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=_CONTAINER_BYTES)
+    def test_any_bytes_give_videos_or_data_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "f.svt"
+        out = _read_or_data_error(read_container, path, raw)
+        assert out is None or _is_container(out)
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=_CHECKPOINT_BYTES)
+    def test_any_bytes_give_arrays_or_data_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
+        out = _read_or_data_error(M.load_checkpoint, path, raw)
+        assert out is None or _is_checkpoint(out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(videos=_VIDEOS, edit=st.data())
+    def test_every_truncation_and_an_edit_of_a_container(self, tmp_path_factory, videos,
+                                                        edit):
+        path = tmp_path_factory.mktemp("fuzz") / "f.svt"
+        write_container(path, videos)
+        raw = path.read_bytes()
+        for size in range(len(raw)):
+            assert _read_or_data_error(read_container, path, raw[:size]) is None
+        back = _read_or_data_error(read_container, path, raw)
+        assert len(back) == len(videos)
+        assert all(np.array_equal(a, b) for a, b in zip(back, videos))
+        i = edit.draw(st.integers(0, len(raw)))
+        j = edit.draw(st.integers(i, len(raw)))
+        out = _read_or_data_error(read_container, path,
+                                  raw[:i] + edit.draw(st.binary(max_size=24)) + raw[j:])
+        assert out is None or _is_container(out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays=_ARRAYS, edit=st.data())
+    def test_every_truncation_and_an_edit_of_a_checkpoint(self, tmp_path_factory, arrays,
+                                                         edit):
+        path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
+        M.save_checkpoint(path, arrays)
+        raw = path.read_bytes()
+        for size in range(len(raw)):
+            assert _read_or_data_error(M.load_checkpoint, path, raw[:size]) is None
+        back = _read_or_data_error(M.load_checkpoint, path, raw)
+        assert sorted(back) == sorted(arrays)
+        assert all(np.array_equal(back[k], a) for k, a in arrays.items())
+        i = edit.draw(st.integers(0, len(raw)))
+        j = edit.draw(st.integers(i, len(raw)))
+        out = _read_or_data_error(M.load_checkpoint, path,
+                                  raw[:i] + edit.draw(st.binary(max_size=24)) + raw[j:])
+        assert out is None or _is_checkpoint(out)
+
+
 class Exploding:
     """Passes the writers' checks, then raises when its bytes are taken."""
     ndim, shape, dtype = 4, (1, 2, 2, 1), np.dtype(np.uint8)

@@ -117,3 +117,20 @@ class TestEvaluate:
         assert res.nats_per_frame == pytest.approx(8 * 8 * math.log(2.0), rel=1e-4)
         assert res.baseline_nats_per_frame > 0
         assert any("nats_per_frame" in ln for ln in res.lines())
+
+    @pytest.mark.parametrize("prime", [-1, 4, 5])
+    def test_prime_out_of_range_rejected_before_any_forward(self, monkeypatch, prime):
+        """With every frame primed there is nothing to evaluate: ``evaluate``
+        says so before it runs a single forward."""
+        cfg = tiny_config()
+        ps = M.init_params(cfg)
+        calls = []
+        forward = M.forward_slices
+        monkeypatch.setattr(M, "forward_slices",
+                            lambda *a, **k: calls.append(1) or forward(*a, **k))
+        video = np.zeros((4, 8, 8, 3), dtype=np.uint8)
+        with pytest.raises(ConfigError, match="prime_frames must be in 0..3"):
+            metrics.evaluate(ps, cfg, [video], prime_frames=prime)
+        assert calls == []
+        metrics.evaluate(ps, cfg, [video], prime_frames=3)
+        assert len(calls) == len(slice_order(cfg.s))
