@@ -294,7 +294,7 @@ def _cmd_eval(args):
     videos = read_container(args.data)
     prime = args.prime if args.prime is not None else conf["prime_frames"]
     result = metrics.evaluate(params, cfg, videos, prime)
-    text = "\n".join(result.lines()) + "\n"
+    text = (result.as_json() if args.json else "\n".join(result.lines())) + "\n"
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w") as f:
@@ -400,6 +400,8 @@ def build_parser():
     e.add_argument("--data", required=True)
     e.add_argument("--prime", type=int, default=None, help="primed frame count")
     e.add_argument("--out", default=None, help="also write the report here")
+    e.add_argument("--json", action="store_true",
+                   help="report as one JSON object, with bits/dim per slice rank")
     e.add_argument("--dump-config", action="store_true", help="echo config and exit")
     e.set_defaults(fn=_cmd_eval)
 

@@ -6,18 +6,25 @@ sum into the numerator while the denominator counts 3 byte dimensions per
 pixel (1 for grayscale).  Primed frames are excluded from both numerator and
 denominator.  The deterministic head reports total binary cross-entropy per
 predicted frame, plus a copy-last-frame baseline computed by the evaluator
-itself.
+itself.  Both also report nats and dimensions per slice rank.
 """
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import model as M
 from . import tensor as tc
-from .subscale import slice_order
+from .subscale import slice_order, slice_rank
 from .tensor import ConfigError
+
+# Slice positions per forward_slices call in evaluate: one canonical 4x32x32
+# slice.  A canonical no-grad forward peaks near 435 MB RSS for one slice and
+# grows about 200 MB per extra slice while its time stays linear, so larger
+# chunks buy nothing there; a 2x8x8 desk slice fits 32 to a call.
+EVAL_POSITIONS = 4096
 
 
 @dataclass
@@ -29,6 +36,18 @@ class EvalResult:
     frames: float = None       # deterministic head only
     nats_per_frame: float = None
     baseline_nats_per_frame: float = None
+    rank_nats: list = None     # float64 nats per slice rank, summed over videos
+    rank_dims: list = None     # byte dimensions per slice rank
+
+    def rank_bits_per_dim(self):
+        """bits/dim of each slice rank; None for a rank with nothing evaluated."""
+        return [n / (math.log(2.0) * d) if d else None
+                for n, d in zip(self.rank_nats, self.rank_dims, strict=True)]
+
+    def as_json(self):
+        """Every field, plus ``rank_bits_per_dim``, as one JSON object."""
+        return json.dumps(dict(asdict(self),
+                               rank_bits_per_dim=self.rank_bits_per_dim()))
 
     def lines(self):
         out = [f"nats={self.total_nats!r}", f"pixels={int(self.n_pixels)}",
@@ -78,29 +97,51 @@ def copy_last_frame_baseline(videos, prime_frames):
 def evaluate(params, cfg, videos, prime_frames):
     """Teacher-forced evaluation over every (video, slice) pair.
 
-    Slices are visited in a fixed canonical order and accumulated in float64,
-    so the result is independent of any batch partitioning.
+    Under teacher forcing the slices of a video are independent, so the pairs
+    (video by video, ``slice_order`` within each) run in chunks of
+    ``max(1, EVAL_POSITIONS // P')`` slices, one ``model.forward_slices`` call
+    per chunk.  Each pair's loss is scored from its own rows of that call's
+    output and added in float64 in that fixed order, so the totals equal a
+    one-slice-per-call loop's and do not depend on the chunking or on how the
+    videos are split between calls.
     """
     T = cfg.video_shape[0]
     if not 0 <= prime_frames < T:
         raise ConfigError(f"prime_frames must be in 0..{T - 1} to leave a frame to "
                           f"evaluate, got {prime_frames}")
-    total = 0.0
-    pixels = 0.0
     for video in videos:
         cfg.check_video(video)
-        for idx in slice_order(cfg.s):
-            with tc.no_grad():
-                loss, n_pix, _ = M.forward_slices(params, cfg, [video], [idx],
-                                                  prime_frames=prime_frames)
-            total += loss.item()
-            pixels += n_pix
+    order = slice_order(cfg.s)
+    pairs = [(video, idx) for video in videos for idx in order]
+    per_call = max(1, EVAL_POSITIONS // int(np.prod(cfg.slice_shape)))
+    rank_nats = np.zeros(len(order))
+    rank_pixels = np.zeros(len(order))
+    total = 0.0
+    pixels = 0.0
+    for lo in range(0, len(pairs), per_call):
+        chunk_videos, idxs = zip(*pairs[lo:lo + per_call])
+        with tc.no_grad():
+            _, _, out = M.forward_slices(params, cfg, chunk_videos, idxs,
+                                         prime_frames=prime_frames)
+            targets, mask = M.slice_targets(cfg, chunk_videos, idxs, prime_frames)
+            for b, idx in enumerate(idxs):
+                rows = slice(b, b + 1)
+                loss, n_pix = M.slice_loss(cfg, tc.index(out, rows), targets[rows], mask[rows])
+                nats = loss.item()
+                rank = slice_rank(cfg.s, idx)
+                rank_nats[rank] += nats
+                rank_pixels[rank] += n_pix
+                total += nats
+                pixels += n_pix
     if cfg.head == "categorical":
         dims = cfg.bytes_per_pixel * pixels
         return EvalResult(total, pixels, dims,
-                          bits_per_dim=bits_per_dim(total, pixels, cfg.bytes_per_pixel))
+                          bits_per_dim=bits_per_dim(total, pixels, cfg.bytes_per_pixel),
+                          rank_nats=rank_nats.tolist(),
+                          rank_dims=(cfg.bytes_per_pixel * rank_pixels).tolist())
     frames = len(videos) * (T - prime_frames)
     return EvalResult(total, pixels, pixels,
                       frames=frames,
                       nats_per_frame=nats_per_frame(total, frames),
-                      baseline_nats_per_frame=copy_last_frame_baseline(videos, prime_frames))
+                      baseline_nats_per_frame=copy_last_frame_baseline(videos, prime_frames),
+                      rank_nats=rank_nats.tolist(), rank_dims=rank_pixels.tolist())

@@ -626,14 +626,17 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, onehots=None):
     """Teacher-forced forward for a batch of (video, slice index) pairs.
 
     Returns (loss Tensor in nats, n_pixels, logits-or-intensity Tensor).
-    The model sees one ``video_onehot`` Tensor per video (``onehots``, if
-    given: gradient leaves that let tests trace what reaches a logit) and
-    cuts each slice from it; the uint8 videos give the targets.  A mixed
-    batch runs the first-slice decoder's slices, then the rest, each in batch
-    order; the loss is ``tc.add`` of the two, and outputs are in batch order.
+    The model sees one ``video_onehot`` Tensor per distinct video object
+    (``onehots``, if given: one per batch entry, gradient leaves that let
+    tests trace what reaches a logit) and cuts each slice from it; the uint8
+    videos give the targets.  A mixed batch runs the first-slice decoder's
+    slices, then the rest, each in batch order; the loss is ``tc.add`` of the
+    two, and outputs are in batch order.
     """
     if onehots is None:
-        onehots = [Tensor(video_onehot(cfg, v)) for v in videos]
+        distinct = {id(v): v for v in videos}
+        by_id = {key: Tensor(video_onehot(cfg, v)) for key, v in distinct.items()}
+        onehots = [by_id[id(v)] for v in videos]
     first = [_first_slice_decoder(cfg, slice_rank(cfg.s, idx)) for idx in idxs]
     groups = [[b for b, f in enumerate(first) if f == want] for want in (True, False)]
     if not all(groups):
@@ -655,16 +658,31 @@ def _forward_group(params, cfg, videos, idxs, prime_frames, onehots):
     x = cuts[0] if B == 1 else tc.concat(cuts, axis=0)
     z = encode_slices(params, cfg, onehots, idxs)
     y = decode_slices(params, cfg, x, z, slice_rank(cfg.s, idxs[0]))
-    mask = np.stack([pixel_loss_mask(cfg, idx, prime_frames) for idx in idxs]).reshape(B, P)
+    if cfg.head == "categorical":
+        out = head_logits(params, cfg, y, tc.reshape(x, (B, P, cfg.input_channels)))
+    else:
+        out = head_intensity(params, cfg, y)
+    loss, n_pix = slice_loss(cfg, out, *slice_targets(cfg, videos, idxs, prime_frames))
+    return loss, n_pix, out
+
+
+def slice_targets(cfg, videos, idxs, prime_frames):
+    """(B, P', bytes) uint8 target values and (B, P') float32 loss mask of a
+    batch of (video, slice index) pairs."""
+    P = int(np.prod(cfg.slice_shape))
+    mask = np.stack([pixel_loss_mask(cfg, idx, prime_frames) for idx in idxs])
     targets = np.stack([extract_slice(v, cfg.s, idx).reshape(P, cfg.bytes_per_pixel)
                         for v, idx in zip(videos, idxs, strict=True)])
+    return targets, mask.reshape(len(idxs), P)
+
+
+def slice_loss(cfg, out, targets, mask):
+    """(loss Tensor in nats, n_pixels) of the head output ``out`` (logits or
+    intensities, (B, P', ...)) against ``slice_targets`` rows of the same B."""
     if cfg.head == "categorical":
-        logits = head_logits(params, cfg, y, tc.reshape(x, (B, P, cfg.input_channels)))
-        loss, n_pix = nll_loss(logits, split_channels(targets).astype(np.int64), mask)
-        return loss, n_pix, logits
-    pred = head_intensity(params, cfg, y)
-    loss = deterministic_loss(pred, targets.astype(np.float32) / 255.0, mask)
-    return loss, float(mask.sum()), pred
+        return nll_loss(out, split_channels(targets).astype(np.int64), mask)
+    loss = deterministic_loss(out, targets.astype(np.float32) / 255.0, mask)
+    return loss, float(mask.sum())
 
 
 # ---------------------------------------------------------------------------

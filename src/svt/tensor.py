@@ -472,7 +472,7 @@ def _conv_index_map(in_shape, taps, stride, pad, out_shape):
     ot, oh, ow = np.meshgrid(np.arange(out_shape[0]), np.arange(out_shape[1]),
                              np.arange(out_shape[2]), indexing="ij")
     outs = np.stack([ot.ravel(), oh.ravel(), ow.ravel()], axis=1)  # (P_out, 3)
-    taps = np.asarray(taps)  # (K, 3)
+    taps = np.asarray(taps, dtype=np.int64).reshape(-1, 3)  # (K, 3); K = 0 has no taps
     coords = outs[:, None, :] * np.asarray(stride) - np.asarray(pad) + taps[None, :, :]
     inb = ((coords >= 0) & (coords < np.asarray([T, H, W]))).all(axis=2)
     flat = coords[..., 0] * (H * W) + coords[..., 1] * W + coords[..., 2]

@@ -1,7 +1,7 @@
 """Shared test harnesses: the finite-difference gradient checker, causality
 sweeps, analyzer gradient oracles and bool-matrix analyzer references, the
-full-recompute reference sampler, and the reference and single-slice forms
-of library functions that only tests use."""
+full-recompute reference sampler, the one-slice-per-call evaluator, and the
+reference and single-slice forms of library functions that only tests use."""
 
 import numpy as np
 
@@ -11,6 +11,7 @@ from svt import tensor as tc
 from svt.attention import AttentionLayerSpec, attention_layer
 from svt.connectivity import (DependencyReport, _block_index_groups, _blocks,
                               _raster_coords)
+from svt.metrics import EvalResult, bits_per_dim, copy_last_frame_baseline, nats_per_frame
 from svt.subscale import (extract_slice, primed_plane_mask, slice_order, slice_rank,
                           visibility_mask)
 from svt.tensor import Tensor, masked_conv_windows
@@ -474,3 +475,32 @@ def reference_sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
                         byte = round(float(x.data[0, 0, 0]) * 255.0)
                         chans[t, h, w] = M.split_channels(np.array([byte], dtype=np.uint8))
     return chans
+
+
+def reference_evaluate(params, cfg, videos, prime_frames):
+    """The one-slice-per-call form of ``metrics.evaluate``: one B=1
+    ``forward_slices`` per (video, slice) pair, losses added in float64 in
+    canonical order.  Reports no per-rank fields."""
+    T = cfg.video_shape[0]
+    if not 0 <= prime_frames < T:
+        raise tc.ConfigError(f"prime_frames must be in 0..{T - 1} to leave a frame to "
+                             f"evaluate, got {prime_frames}")
+    total = 0.0
+    pixels = 0.0
+    for video in videos:
+        cfg.check_video(video)
+        for idx in slice_order(cfg.s):
+            with tc.no_grad():
+                loss, n_pix, _ = M.forward_slices(params, cfg, [video], [idx],
+                                                  prime_frames=prime_frames)
+            total += loss.item()
+            pixels += n_pix
+    if cfg.head == "categorical":
+        dims = cfg.bytes_per_pixel * pixels
+        return EvalResult(total, pixels, dims,
+                          bits_per_dim=bits_per_dim(total, pixels, cfg.bytes_per_pixel))
+    frames = len(videos) * (T - prime_frames)
+    return EvalResult(total, pixels, pixels,
+                      frames=frames,
+                      nats_per_frame=nats_per_frame(total, frames),
+                      baseline_nats_per_frame=copy_last_frame_baseline(videos, prime_frames))

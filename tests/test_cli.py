@@ -1,6 +1,7 @@
 """Command-line interface: config handling, commands, exit codes,
 determinism of whole runs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -409,6 +410,14 @@ class TestCommands:
                     "--prime", 1)
         assert r.returncode == 0, r.stderr
         assert "bits_per_dim=" in r.stdout
+        text = dict(line.split("=") for line in r.stdout.splitlines())
+        r = run_cli("eval", "--config", config, "--ckpt", ckpt, "--data", data,
+                    "--prime", 1, "--json")
+        assert r.returncode == 0, r.stderr
+        report = json.loads(r.stdout)
+        assert report["total_nats"] == float(text["nats"])
+        assert report["bits_per_dim"] == float(text["bits_per_dim"])
+        assert len(report["rank_bits_per_dim"]) == len(report["rank_nats"]) == 8
 
         out = tmp / "samples.svt"
         r = run_cli("sample", "--config", config, "--ckpt", ckpt,

@@ -1,11 +1,12 @@
 """Evaluation metrics: bits/dim, nats/frame, baseline, batching invariance."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from helpers import tiny_config
+from helpers import reference_evaluate, tiny_config
 from svt import metrics, model as M, tensor as tc
 from svt.subscale import extract_slice, slice_order
 from svt.tensor import ConfigError
@@ -133,4 +134,82 @@ class TestEvaluate:
             metrics.evaluate(ps, cfg, [video], prime_frames=prime)
         assert calls == []
         metrics.evaluate(ps, cfg, [video], prime_frames=3)
-        assert len(calls) == len(slice_order(cfg.s))
+        assert len(calls) == 1   # all 8 slices of 32 positions in one call
+
+    @pytest.mark.parametrize("config", ["rgb", "gray-deterministic", "first-slice-decoder"])
+    @pytest.mark.parametrize("prime", [0, 1, 3])
+    @pytest.mark.parametrize("n_videos", [1, 5])
+    @pytest.mark.parametrize("budget", [None, 96])
+    def test_matches_per_slice_reference(self, monkeypatch, config, prime, n_videos, budget):
+        """Chunked evaluation reports exactly the totals of one B=1 forward
+        per slice; a budget of 96 positions (3 slices) splits every video
+        across calls."""
+        cfg = EVAL_CONFIGS[config]()
+        ps = M.init_params(cfg, head_init="normal")
+        rng = np.random.default_rng(n_videos + prime)
+        videos = [rng.integers(0, 256, (4, 8, 8, cfg.bytes_per_pixel)).astype(np.uint8)
+                  for _ in range(n_videos)]
+        if budget is not None:
+            monkeypatch.setattr(metrics, "EVAL_POSITIONS", budget)
+        got = metrics.evaluate(ps, cfg, videos, prime_frames=prime)
+        ref = reference_evaluate(ps, cfg, videos, prime_frames=prime)
+        for name in ("total_nats", "n_pixels", "dims", "bits_per_dim", "frames",
+                     "nats_per_frame", "baseline_nats_per_frame"):
+            assert getattr(got, name) == getattr(ref, name), name
+
+    @pytest.mark.parametrize("budget", [1, 64, 96, 256, 4096])
+    @pytest.mark.parametrize("n_videos", [1, 3])
+    def test_one_forward_per_chunk(self, monkeypatch, budget, n_videos):
+        """``forward_slices`` runs once per chunk of max(1, budget // P')
+        (video, slice) pairs."""
+        cfg = tiny_config()
+        ps = M.init_params(cfg)
+        calls = []
+        forward = M.forward_slices
+        monkeypatch.setattr(M, "forward_slices",
+                            lambda *a, **k: calls.append(len(a[3])) or forward(*a, **k))
+        monkeypatch.setattr(metrics, "EVAL_POSITIONS", budget)
+        videos = [np.zeros((4, 8, 8, 3), dtype=np.uint8)] * n_videos
+        metrics.evaluate(ps, cfg, videos, prime_frames=1)
+        pairs = n_videos * len(slice_order(cfg.s))
+        per_call = max(1, budget // 32)
+        assert len(calls) == math.ceil(pairs / per_call)
+        assert sum(calls) == pairs and max(calls) == min(per_call, pairs)
+
+    @pytest.mark.parametrize("config", ["rgb", "gray-deterministic"])
+    def test_per_rank_nats(self, config):
+        """Per-rank nats sum to the total, and on one video each rank's value
+        is the loss of that slice's own forward."""
+        cfg = EVAL_CONFIGS[config]()
+        ps = M.init_params(cfg, head_init="normal")
+        rng = np.random.default_rng(4)
+        videos = [rng.integers(0, 256, (4, 8, 8, cfg.bytes_per_pixel)).astype(np.uint8)
+                  for _ in range(3)]
+        res = metrics.evaluate(ps, cfg, videos, prime_frames=1)
+        assert math.isclose(sum(res.rank_nats), res.total_nats, rel_tol=1e-9)
+        assert sum(res.rank_dims) == res.dims
+        one = metrics.evaluate(ps, cfg, videos[:1], prime_frames=1)
+        for rank, idx in enumerate(slice_order(cfg.s)):
+            with tc.no_grad():
+                loss, n_pix, _ = M.forward_slices(ps, cfg, videos[:1], [idx], prime_frames=1)
+            assert one.rank_nats[rank] == loss.item()
+            assert one.rank_dims[rank] == n_pix * (cfg.bytes_per_pixel
+                                                   if cfg.head == "categorical" else 1)
+        bpd = one.rank_bits_per_dim()
+        assert bpd[0] == one.rank_nats[0] / (math.log(2.0) * one.rank_dims[0])
+        assert json.loads(one.as_json())["rank_bits_per_dim"] == bpd
+
+    def test_fully_primed_rank_has_no_bits_per_dim(self):
+        """With frames 0..2 primed, the slices on even frames (0 and 2) have
+        nothing left to score."""
+        cfg = tiny_config()
+        res = metrics.evaluate(M.init_params(cfg), cfg, [np.zeros((4, 8, 8, 3), np.uint8)], 3)
+        bpd = res.rank_bits_per_dim()
+        assert bpd[:4] == [None] * 4 and all(b is not None for b in bpd[4:])
+
+
+EVAL_CONFIGS = {
+    "rgb": tiny_config,
+    "gray-deterministic": lambda: tiny_config(channels="gray", head="deterministic"),
+    "first-slice-decoder": lambda: tiny_config(first_slice_decoder=True, first_slice_layers=2),
+}

@@ -433,6 +433,31 @@ class TestComposite:
         assert np.array_equal(loss.data, loss2.data) and n_pix == n_pix2
         assert out.data.shape[0] == len(idxs) and np.array_equal(out.data, out2.data)
 
+    def test_one_onehot_per_distinct_video(self, monkeypatch):
+        """A batch that repeats a video builds its one-hot once, and trains
+        exactly as with one one-hot per batch entry: same loss, outputs and
+        parameter gradients."""
+        cfg = tiny_config()
+        rng = np.random.default_rng(24)
+        a, b = (rng.integers(0, 256, (4, 8, 8, 3)).astype(np.uint8) for _ in range(2))
+        videos = [a, b, a, a, b]
+        idxs = slice_order(cfg.s)[2:7]
+        per_entry = [Tensor(M.video_onehot(cfg, v)) for v in videos]
+        runs = []
+        for onehots in (None, per_entry):
+            ps = M.init_params(cfg, head_init="normal")
+            built = []
+            onehot = M.video_onehot
+            monkeypatch.setattr(M, "video_onehot", lambda c, v: built.append(1) or onehot(c, v))
+            loss, n_pix, out = M.forward_slices(ps, cfg, videos, idxs, 1, onehots=onehots)
+            monkeypatch.setattr(M, "video_onehot", onehot)
+            tc.backward(loss)
+            runs.append((len(built), loss.data, n_pix, out.data, ps.grads()))
+        (built, loss, n_pix, out, grads), (_, loss2, n_pix2, out2, grads2) = runs
+        assert built == 2
+        assert np.array_equal(loss, loss2) and n_pix == n_pix2 and np.array_equal(out, out2)
+        assert all(np.array_equal(grads[n], grads2[n]) for n in grads)
+
     def test_onehot_cut_is_onehot_of_extracted_slice(self, monkeypatch):
         """The decoder input that ``forward_slices`` cuts from each video's
         one-hot tensor is ``video_onehot`` of that video's extracted slice."""

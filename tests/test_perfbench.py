@@ -46,3 +46,6 @@ def test_traced_desk_workload_passes_its_checks(tmp_path, workload):
     assert r.returncode == 0, r.stderr
     result = json.loads(r.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, r.stderr
+    if workload == "desk-train":
+        # evaluate runs a desk video's 8 slices in one forward_slices call
+        assert result["metrics"]["metrics.forward_calls_per_video"]["value"] == 1.0
