@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as tc
-from .subscale import slice_order, slice_rank
+from .subscale import check_frame_left, slice_order, slice_rank
 from .tensor import ConfigError
 
 # Slice positions per forward_slices call in evaluate: one canonical 4x32x32
@@ -106,9 +106,7 @@ def evaluate(params, cfg, videos, prime_frames):
     videos are split between calls.
     """
     T = cfg.video_shape[0]
-    if not 0 <= prime_frames < T:
-        raise ConfigError(f"prime_frames must be in 0..{T - 1} to leave a frame to "
-                          f"evaluate, got {prime_frames}")
+    check_frame_left(prime_frames, T, "evaluate")
     for video in videos:
         cfg.check_video(video)
     order = slice_order(cfg.s)

@@ -10,7 +10,8 @@ channels are predicted before the fine ones.  A slice is generated by
   * decoding the slice pixels through a center-excluded masked convolution
     plus causal block-local attention, conditioned on the encoder output;
   * predicting each 4-bit channel with a one-hidden-layer MLP that sees the
-    decoder state and the one-hot values of the channels before it.
+    decoder state and the one-hot values of the channels before it
+    (``channel_logits``, one loop for teacher forcing and sampling).
 
 Parameters live in a flat name -> Tensor store; the checkpoint format is a
 simple little-endian container of named float32 arrays.
@@ -551,30 +552,27 @@ def head_norm(params, y):
     return tc.layernorm(y, params["head/ln_gain"], params["head/ln_bias"])
 
 
-def head_channel_logits(params, ln, prev, k):
-    """Channel k's logits (..., 16) from layernormed decoder state ``ln``
-    (..., d) and ``prev``, the one-hot values of channels < k (..., 16k;
-    None for k = 0).  The output projection is shared across channels."""
-    inp = ln if prev is None else tc.concat([ln, prev], axis=-1)
-    u = tc.relu(tc.matmul(inp, params[f"head/u{k}"]))
-    return tc.matmul(u, params["head/p"])
+def channel_logits(params, y, onehots):
+    """Yield each channel's logits (..., 16) from ``head_norm(y)``, y (..., d),
+    and the one-hots of the channels before it, read from ``onehots`` (...,
+    n_channels*16) only when that channel is asked for: the targets under
+    teacher forcing, or the draws a sampler writes in between.  The output
+    projection is shared across channels."""
+    ln = head_norm(params, y)
+    for k in range(onehots.data.shape[-1] // N_VALUES):
+        inp = ln if k == 0 else tc.concat(
+            [ln, tc.index(onehots, (..., slice(0, k * N_VALUES)))], axis=-1)
+        u = tc.relu(tc.matmul(inp, params[f"head/u{k}"]))
+        yield tc.matmul(u, params["head/p"])
 
 
 def head_logits(params, cfg, y, slice_onehots_flat):
-    """Channel MLP heads -> logits (B, P', n_channels, 16).
-
-    Channel k conditions on layernormed decoder state plus the one-hot values
-    of channels < k.
-    """
+    """Teacher-forced ``channel_logits`` of decoded slices ``y`` on their own
+    one-hots (B, P', n_channels*16) -> logits (B, P', n_channels, 16)."""
     B = y.data.shape[0]
     P = int(np.prod(cfg.slice_shape))
-    ln = head_norm(params, tc.reshape(y, (B, P, cfg.d)))
-    per_channel = []
-    for k in range(cfg.n_channels):
-        prev = tc.index(slice_onehots_flat, (..., slice(0, k * N_VALUES))) if k else None
-        logits = head_channel_logits(params, ln, prev, k)
-        per_channel.append(tc.reshape(logits, (B, P, 1, N_VALUES)))
-    return tc.concat(per_channel, axis=2)
+    per_channel = channel_logits(params, tc.reshape(y, (B, P, cfg.d)), slice_onehots_flat)
+    return tc.concat([tc.reshape(lg, (B, P, 1, N_VALUES)) for lg in per_channel], axis=2)
 
 
 def head_intensity(params, cfg, y):
@@ -630,8 +628,8 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, onehots=None):
     (``onehots``, if given: one per batch entry, gradient leaves that let
     tests trace what reaches a logit) and cuts each slice from it; the uint8
     videos give the targets.  A mixed batch runs the first-slice decoder's
-    slices, then the rest, each in batch order; the loss is ``tc.add`` of the
-    two, and outputs are in batch order.
+    slices, then the rest, each in batch order; their outputs are merged
+    into batch order and one ``slice_loss`` scores the whole batch.
     """
     if onehots is None:
         distinct = {id(v): v for v in videos}
@@ -639,17 +637,16 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, onehots=None):
         onehots = [by_id[id(v)] for v in videos]
     first = [_first_slice_decoder(cfg, slice_rank(cfg.s, idx)) for idx in idxs]
     groups = [[b for b, f in enumerate(first) if f == want] for want in (True, False)]
-    if not all(groups):
-        return _forward_group(params, cfg, videos, idxs, prime_frames, onehots)
-    (loss0, pix0, out0), (loss1, pix1, out1) = (
-        _forward_group(params, cfg, [videos[b] for b in g], [idxs[b] for b in g],
-                       prime_frames, [onehots[b] for b in g]) for g in groups)
+    outs = [_forward_group(params, cfg, [onehots[b] for b in g], [idxs[b] for b in g])
+            for g in groups if g]
     rows = np.argsort(groups[0] + groups[1])  # batch entry -> row of the group outputs
-    return tc.add(loss0, loss1), pix0 + pix1, tc.gather(tc.concat([out0, out1], axis=0), rows)
+    out = outs[0] if len(outs) == 1 else tc.gather(tc.concat(outs, axis=0), rows)
+    loss, n_pix = slice_loss(cfg, out, *slice_targets(cfg, videos, idxs, prime_frames))
+    return loss, n_pix, out
 
 
-def _forward_group(params, cfg, videos, idxs, prime_frames, onehots):
-    """``forward_slices`` on slices that all use one decoder."""
+def _forward_group(params, cfg, onehots, idxs):
+    """Head outputs of a batch of slices that all use one decoder."""
     B = len(idxs)
     P = int(np.prod(cfg.slice_shape))
     cuts = [tc.reshape(tc.index(oh, slice_key(cfg.s, idx)),
@@ -659,11 +656,8 @@ def _forward_group(params, cfg, videos, idxs, prime_frames, onehots):
     z = encode_slices(params, cfg, onehots, idxs)
     y = decode_slices(params, cfg, x, z, slice_rank(cfg.s, idxs[0]))
     if cfg.head == "categorical":
-        out = head_logits(params, cfg, y, tc.reshape(x, (B, P, cfg.input_channels)))
-    else:
-        out = head_intensity(params, cfg, y)
-    loss, n_pix = slice_loss(cfg, out, *slice_targets(cfg, videos, idxs, prime_frames))
-    return loss, n_pix, out
+        return head_logits(params, cfg, y, tc.reshape(x, (B, P, cfg.input_channels)))
+    return head_intensity(params, cfg, y)
 
 
 def slice_targets(cfg, videos, idxs, prime_frames):

@@ -25,7 +25,7 @@ import numpy as np
 from . import model as M
 from . import tensor as tc
 from .data import DataError
-from .subscale import slice_order
+from .subscale import check_frame_left, slice_order
 from .tensor import ConfigError
 
 LOG_FORMAT = "step=%d nats=%r dims=%d bits_per_dim=%r wall_ms=%d"  # one train record
@@ -165,9 +165,7 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
         raise ConfigError(f"train_seed must be >= 0, got {tcfg.seed}")
     if tcfg.steps < start_step:
         raise ConfigError(f"steps must be >= the start step {start_step}, got {tcfg.steps}")
-    if not 0 <= tcfg.prime_frames < cfg.video_shape[0]:
-        raise ConfigError(f"prime_frames must be in 0..{cfg.video_shape[0] - 1} to leave a "
-                          f"frame to train on, got {tcfg.prime_frames}")
+    check_frame_left(tcfg.prime_frames, cfg.video_shape[0], "train on")
     _check_rmsprop(opt.hyper if opt is not None else tcfg.rmsprop)
     for v in videos:
         cfg.check_video(v, crop=True)

@@ -141,13 +141,11 @@ def sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
         for pixel in range(first, len(values)):
             y = decoder.prefill[pixel] if pixel == first else decoder.column(pixel)
             if cfg.head == "categorical":
-                ln = M.head_norm(params, Tensor(y[None]))
-                vals = values[pixel]
-                onehot = np.zeros((1, cfg.input_channels), dtype=np.float32)
-                for c in range(cfg.n_channels):
-                    prev = Tensor(onehot[:, :c * M.N_VALUES]) if c else None
-                    logits = M.head_channel_logits(params, ln, prev, c).data[0]
-                    vals[c] = categorical_from_uniform(logits, scfg.temperature, u[pixel, c])
+                vals, onehot = values[pixel], np.zeros((1, cfg.input_channels), np.float32)
+                heads = M.channel_logits(params, Tensor(y[None]), Tensor(onehot))
+                for c, logits in enumerate(heads):  # draw c enters onehot before channel c+1
+                    vals[c] = categorical_from_uniform(logits.data[0], scfg.temperature,
+                                                       u[pixel, c])
                     onehot[0, c * M.N_VALUES + vals[c]] = 1.0
             else:
                 x = float(M.head_intensity(params, cfg, Tensor(y[None, None])).data[0, 0, 0])

@@ -126,6 +126,13 @@ def check_prime_frames(prime_frames, video_t):
         raise ConfigError(f"prime frame count {prime_frames} out of range 0..{video_t}")
 
 
+def check_frame_left(prime_frames, video_t, task):
+    """Raise ConfigError unless 0 <= prime_frames < video_t: a frame to ``task``."""
+    if not 0 <= prime_frames < video_t:
+        raise ConfigError(f"prime_frames must be in 0..{video_t - 1} to leave a frame to "
+                          f"{task}, got {prime_frames}")
+
+
 def primed_plane_mask(s, idx, t_len, prime_frames):
     """Boolean (T'_slice,): True for planes that fall in primed global frames.
     Every train, eval and sample path calls this, so it checks the count."""

@@ -12,8 +12,8 @@ from svt.attention import AttentionLayerSpec, attention_layer
 from svt.connectivity import (DependencyReport, _block_index_groups, _blocks,
                               _raster_coords)
 from svt.metrics import EvalResult, bits_per_dim, copy_last_frame_baseline, nats_per_frame
-from svt.subscale import (extract_slice, primed_plane_mask, slice_order, slice_rank,
-                          visibility_mask)
+from svt.subscale import (check_frame_left, extract_slice, primed_plane_mask, slice_order,
+                          slice_rank, visibility_mask)
 from svt.tensor import Tensor, masked_conv_windows
 
 
@@ -438,8 +438,10 @@ def tiny_config(**overrides):
 
 def reference_sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
     """The full-recompute form of ``sampler.sample_slice``: the whole decoder
-    runs again for every pixel, with no cache.  Same streams, head and
-    output; draws go through ``sampler.sample_categorical``."""
+    runs again for every pixel, with no cache, and channel c's logits come
+    from the teacher-forced ``model.head_logits`` on the values drawn so
+    far.  Same streams and output; draws go through
+    ``sampler.sample_categorical``."""
     Ts, Hs, Ws = cfg.slice_shape
     rank = slice_rank(cfg.s, idx)
     primed = primed_plane_mask(cfg.s, idx, Ts, scfg.prime_frames)
@@ -458,19 +460,18 @@ def reference_sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
                     oh = tc.one_hot(chans, M.N_VALUES)
                     x = Tensor(oh.reshape(1, Ts, Hs, Ws, cfg.input_channels))
                     y = M.decode_slices(params, cfg, x, z, rank)
-                    y_vec = y.data.reshape(Ts * Hs * Ws, cfg.d)[pixel]
                     if cfg.head == "categorical":
-                        ln = M.head_norm(params, Tensor(y_vec[None]))
                         vals = chans[t, h, w]
                         for c in range(cfg.n_channels):
-                            prev = (Tensor(tc.one_hot(vals[:c], M.N_VALUES).reshape(1, -1))
-                                    if c else None)
-                            logits = M.head_channel_logits(params, ln, prev, c).data[0]
+                            # teacher forcing on the values drawn so far
+                            oh = tc.one_hot(chans, M.N_VALUES).reshape(1, -1, cfg.input_channels)
+                            logits = M.head_logits(params, cfg, y, Tensor(oh)).data[0, pixel, c]
                             stream = sampler._position_stream(scfg.seed, video_index,
                                                               rank, pixel, c)
                             vals[c] = sampler.sample_categorical(logits, scfg.temperature,
                                                                  stream)
                     else:
+                        y_vec = y.data.reshape(Ts * Hs * Ws, cfg.d)[pixel]
                         x = M.head_intensity(params, cfg, Tensor(y_vec[None, None]))
                         byte = round(float(x.data[0, 0, 0]) * 255.0)
                         chans[t, h, w] = M.split_channels(np.array([byte], dtype=np.uint8))
@@ -482,9 +483,7 @@ def reference_evaluate(params, cfg, videos, prime_frames):
     ``forward_slices`` per (video, slice) pair, losses added in float64 in
     canonical order.  Reports no per-rank fields."""
     T = cfg.video_shape[0]
-    if not 0 <= prime_frames < T:
-        raise tc.ConfigError(f"prime_frames must be in 0..{T - 1} to leave a frame to "
-                             f"evaluate, got {prime_frames}")
+    check_frame_left(prime_frames, T, "evaluate")
     total = 0.0
     pixels = 0.0
     for video in videos:

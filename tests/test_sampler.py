@@ -1,15 +1,29 @@
-"""Sampling: temperature semantics, priming, determinism, prefix consistency."""
+"""Sampling: temperature semantics, priming, determinism, prefix consistency,
+the cached sampler against full recompute, and teacher-forced replay."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_sample_slice, tiny_config
+from helpers import (clear_graph_grads, grad_check, reference_evaluate, reference_sample_slice,
+                     tiny_config)
+from svt import metrics
 from svt import model as M
 from svt import sampler
-from svt.sampler import (SampleConfig, apply_temperature, sample_categorical,
-                         sample_slice, sample_video, slice_uniforms, _position_stream)
-from svt.subscale import extract_slice, primed_plane_mask, slice_order
-from svt.tensor import ConfigError
+from svt import tensor as tc
+from svt.attention import AttentionLayerSpec
+from svt.connectivity import dependency_graph
+from svt.sampler import (SampleConfig, apply_temperature, categorical_from_uniform,
+                         sample_categorical, sample_slice, sample_video, slice_uniforms,
+                         _position_stream)
+from svt.subscale import (BlockShape, SubscaleFactor, extract_slice, primed_plane_mask,
+                          slice_key, slice_order, slice_rank)
+from svt.tensor import ConfigError, Tensor
+from test_connectivity import _divisors
+from test_model import _params_float64
 
 
 def make_model(seed=23, **overrides):
@@ -291,3 +305,207 @@ class TestCachedDecoding:
         sampled = sum(not primed_plane_mask(cfg.s, idx, Ts, prime).all()
                       for idx in slice_order(cfg.s))
         assert calls == {"encode_slices": sampled, "decode_slices": sampled}
+
+
+REPLAY_TOL = 1e-5  # a redraw may differ only this close to a CDF step or .5 boundary
+
+
+def replay_slice(params, cfg, video, split, idx, scfg, video_index):
+    """Redraw every unprimed value of slice ``idx`` of a sampled video from
+    teacher-forced ``forward_slices`` outputs and the slice's uniforms.
+
+    Returns (draws, mismatches admitted within ``REPLAY_TOL``); a mismatch
+    beyond it fails."""
+    Ts, Hs, Ws = cfg.slice_shape
+    P, rank = Ts * Hs * Ws, slice_rank(cfg.s, idx)
+    _, _, out = M.forward_slices(params, cfg, [video], [idx], scfg.prime_frames)
+    unprimed = np.repeat(~primed_plane_mask(cfg.s, idx, Ts, scfg.prime_frames), Hs * Ws)
+    draws = admitted = 0
+    if cfg.head == "deterministic":
+        sampled = extract_slice(video, cfg.s, idx).reshape(P)
+        for pixel in np.flatnonzero(unprimed):
+            x = float(out.data[0, pixel, 0]) * 255.0
+            draws += 1
+            got, want = round(x), int(sampled[pixel])
+            if got != want:
+                assert abs(got - want) == 1 and abs(x - (got + want) / 2) <= REPLAY_TOL, \
+                    (idx, pixel, got, want)
+                admitted += 1
+        return draws, admitted
+    logits = out.data.reshape(P, cfg.n_channels, M.N_VALUES)
+    sampled = extract_slice(split, cfg.s, idx).reshape(P, cfg.n_channels)
+    u = slice_uniforms(scfg.seed, video_index, rank, P, cfg.n_channels)
+    for pixel in np.flatnonzero(unprimed):
+        for c in range(cfg.n_channels):
+            got = categorical_from_uniform(logits[pixel, c], scfg.temperature, u[pixel, c])
+            want = int(sampled[pixel, c])
+            draws += 1
+            if got != want:
+                z = apply_temperature(logits[pixel, c], scfg.temperature)
+                cdf = np.cumsum(np.exp(z - z.max()) / np.exp(z - z.max()).sum())
+                lo, hi = min(got, want), max(got, want)
+                assert (abs(u[pixel, c] - cdf[lo]) <= REPLAY_TOL
+                        and cdf[hi - 1] - cdf[lo] <= REPLAY_TOL), (idx, pixel, c, got, want)
+                admitted += 1
+    return draws, admitted
+
+
+class TestTeacherForcedReplay:
+    """Sampling and teacher forcing share one channel-head loop, so the
+    teacher-forced outputs on a sampled video redraw every sampled value."""
+
+    @pytest.mark.parametrize("prime", [0, 1])
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
+    def test_replay_redraws_every_value(self, name, prime):
+        cfg = DIFFERENTIAL_CONFIGS[name]()
+        ps = randomized_params(cfg, 37)
+        T, H, W = cfg.video_shape
+        canvas = np.random.default_rng(6).integers(
+            0, 256, (T, H, W, cfg.bytes_per_pixel)).astype(np.uint8)
+        scfg = SampleConfig(prime_frames=prime, temperature=0.9, seed=4)
+        video, split = sample_video(ps, cfg, canvas, scfg, video_index=2)
+        with tc.no_grad():
+            counts = [replay_slice(ps, cfg, video, split, idx, scfg, 2)
+                      for idx in slice_order(cfg.s)]
+        draws, admitted = np.sum(counts, axis=0)
+        per_pixel = cfg.n_channels if cfg.head == "categorical" else 1
+        assert draws == (T - prime) * H * W * per_pixel
+        assert admitted <= 0.01 * draws
+
+
+@st.composite
+def model_configs(draw):
+    """Small valid ModelConfigs: variant, s, encoder kernel, divisor block
+    schedules (1-2 encoder and decoder layers, 0-2 first-slice decoder
+    layers, 0 meaning none), mconv 3 or 5 per axis, head and channels, at
+    tiny widths."""
+    variant = draw(st.sampled_from(M.VARIANTS))
+    shape = tuple(draw(st.sampled_from((2, 4))) for _ in range(3))
+    if variant == "single_frame":
+        s, kernel = (shape[0], 1, 1), (6, 1, 1)
+    else:
+        s = tuple(draw(st.sampled_from(_divisors(n))) for n in shape)
+        s = (1, *s[1:]) if variant == "spatial" else s
+        kernel = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    slice_shape = tuple(n // f for n, f in zip(shape, s))
+
+    def schedule(least):
+        return [AttentionLayerSpec(BlockShape(*(draw(st.sampled_from(_divisors(n)))
+                                                for n in slice_shape)),
+                                   draw(st.integers(1, 2)), 4)
+                for _ in range(draw(st.integers(least, 2)))]
+
+    channels, head = draw(st.sampled_from([("rgb", "categorical"), ("gray", "categorical"),
+                                           ("gray", "deterministic")]))
+    return M.ModelConfig(
+        variant, shape, channels=channels, head=head, s=SubscaleFactor(*s), kernel=kernel,
+        d_e=4, d=8, enc_schedule=schedule(1), dec_schedule=schedule(1),
+        mconv=tuple(draw(st.sampled_from((3, 5))) for _ in range(3)),
+        first_slice_schedule=schedule(0), seed=draw(st.integers(0, 99))).validate()
+
+
+def tiny_model(variant, video_shape, s, enc, dec, first=(), channels="rgb",
+               head="categorical"):
+    """A ``model_configs`` config with the given blocks, kernel s, mconv 3."""
+    def schedule(blocks):
+        return [AttentionLayerSpec(BlockShape(*b), 1, 4) for b in blocks]
+
+    return M.ModelConfig(variant, video_shape, channels=channels, head=head,
+                         s=SubscaleFactor(*s), kernel=s, d_e=4, d=8,
+                         enc_schedule=schedule(enc), dec_schedule=schedule(dec),
+                         first_slice_schedule=schedule(first)).validate()
+
+
+def decoder_reach(params, cfg, video, idx):
+    """(P', P') bool: [p, q] True iff the decoder output at slice position p
+    has a nonzero gradient in the one-hot of slice position q, traced
+    through ``forward_slices``'s ``onehots=`` leaf."""
+    leaf = Tensor(M.video_onehot(cfg, video), requires_grad=True)
+    decoded = []
+    decode = M.decode_slices
+
+    def recorded(*args, **kwargs):
+        decoded.append(decode(*args, **kwargs))
+        return decoded[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(M, "decode_slices", recorded)
+        M.forward_slices(params, cfg, [video], [idx], 0, onehots=[leaf])
+    y = decoded[0]
+    P = int(np.prod(cfg.slice_shape))
+    rng = np.random.default_rng(0)
+    reach = np.zeros((P, P), dtype=bool)
+    for p in range(P):
+        clear_graph_grads(y)
+        seed = np.zeros((P, cfg.d), dtype=y.data.dtype)
+        seed[p] = rng.standard_normal(cfg.d)
+        tc.backward(y, seed.reshape(y.data.shape))
+        if leaf.grad is not None:
+            grad = leaf.grad[slice_key(cfg.s, idx)].reshape(P, -1)
+            reach[p] = np.abs(grad).sum(axis=-1) > 0.0
+    return reach
+
+
+class TestRandomConfigs:
+    """The four guarantees on generated configs, each against its reference:
+    the analyzer against gradients, the cached sampler against full
+    recompute, chunked evaluation against one slice per call, and backward
+    against finite differences.  The example sequence is fixed, so the
+    suite's time and outcome do not vary between runs."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=model_configs(), prime=st.integers(0, 1), seed=st.integers(0, 2**16))
+    # one-position slices
+    @example(cfg=tiny_model("spatiotemporal", (2, 2, 4), (2, 2, 4), [(1, 1, 1)], [(1, 1, 1)]),
+             prime=1, seed=3)
+    # a first-slice decoder and the deterministic head on two-position slices
+    @example(cfg=tiny_model("spatial", (2, 4, 4), (1, 4, 2), [(2, 1, 2)], [(1, 1, 2)],
+                            first=[(2, 1, 1), (1, 1, 2)], channels="gray",
+                            head="deterministic"), prime=0, seed=5)
+    def test_matches_references(self, cfg, prime, seed):
+        rng = np.random.default_rng(seed)
+        T, H, W = cfg.video_shape
+        videos = [rng.integers(0, 256, (T, H, W, cfg.bytes_per_pixel)).astype(np.uint8)
+                  for _ in range(2)]
+        ps = randomized_params(cfg, seed)
+        order = slice_order(cfg.s)
+        # (i) the analyzer's reach is the gradient reach of each slice's decoder
+        for idx in order:
+            schedule = M.decoder_for(cfg, slice_rank(cfg.s, idx))[1]
+            want = dependency_graph(cfg.slice_shape, schedule, cfg.mconv).reach
+            assert np.array_equal(decoder_reach(ps, cfg, videos[0], idx), want), idx
+        # (ii) the cached sampler draws the full-recompute reference's video
+        scfg = SampleConfig(prime_frames=prime, temperature=0.9, seed=seed)
+        cached = sample_video(ps, cfg, videos[0], scfg, video_index=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "sample_slice", reference_sample_slice)
+            full = sample_video(ps, cfg, videos[0], scfg, video_index=1)
+        assert np.array_equal(cached[0], full[0]) and np.array_equal(cached[1], full[1])
+        # (iii) chunked evaluation reports the one-slice-per-call totals, bit
+        # for bit where every product is matrix by matrix.  BLAS computes the
+        # rows of a matrix-vector product (a one-position slice's, or the
+        # deterministic head's (d, 1) projection) differently for different
+        # row counts, so there the totals agree to float32 rounding only.
+        ref = reference_evaluate(ps, cfg, videos, prime)
+        P = int(np.prod(cfg.slice_shape))
+        exact = P > 1 and cfg.head == "categorical"
+        for budget in (2 * P, 3 * P):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metrics, "EVAL_POSITIONS", budget)
+                got = metrics.evaluate(ps, cfg, videos, prime)
+            for name in ("total_nats", "n_pixels", "dims", "bits_per_dim", "frames",
+                         "nats_per_frame", "baseline_nats_per_frame"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a == b or not exact and math.isclose(a, b, rel_tol=1e-6), (budget, name)
+        # (iv) the gradient of a mixed batch's loss on a random parameter subset
+        ps64 = _params_float64(cfg, seed)
+        probe = list(rng.choice(ps64.names(), 3, replace=False))
+        batch = [order[-1], order[0], order[len(order) // 2]]
+
+        def loss(*tensors):
+            store = M.ParamStore({**dict(ps64.items()), **dict(zip(probe, tensors))})
+            return M.forward_slices(store, cfg, [videos[0], videos[1], videos[0]], batch,
+                                    prime)[0]
+
+        assert grad_check(loss, [ps64[n] for n in probe], eps=1e-6, max_entries=6,
+                          seed=seed) < 1e-4
