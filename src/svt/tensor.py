@@ -295,28 +295,40 @@ def _fold_matmul(a, b):
     return _make(out, (a, b), back)
 
 
+def _flush_subnormals(x):
+    """Zero, in place, the entries of ``x`` below its dtype's smallest normal
+    magnitude, on which BLAS and numpy take slow paths; returns ``x``."""
+    x[np.abs(x) < np.finfo(x.dtype).tiny] = 0
+    return x
+
+
 def softmax(a, axis=-1):
     """Exp-normalize along ``axis``, stabilized by max subtraction.  The
-    shifted copy of the input is exponentiated and normalised in place."""
+    shifted copy of the input is exponentiated and normalised in place.
+    Subnormal exponentials and input gradients are flushed to 0: a row's
+    largest weight is at least 1/n, so the sums they would enter drop them."""
     y = a.data - a.data.max(axis=axis, keepdims=True)
+    y[y < np.log(np.finfo(y.dtype).tiny)] = -np.inf
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
     def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(a, y * (g - dot))
+        r = g - (g * y).sum(axis=axis, keepdims=True)
+        r *= y
+        _accumulate(a, _flush_subnormals(r))
 
     return _make(y, (a,), back)
 
 
 def log_softmax(a, axis=-1):
+    """Log of ``softmax``, with the input gradient flushed likewise."""
     x = a.data
     m = x.max(axis=axis, keepdims=True)
     s = x - m
     ls = s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
 
     def back(g):
-        _accumulate(a, g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
+        _accumulate(a, _flush_subnormals(g - np.exp(ls) * g.sum(axis=axis, keepdims=True)))
 
     return _make(ls, (a,), back)
 

@@ -326,7 +326,8 @@ def batched_matmul(a, b):
 
 def two_temporary_softmax(a, axis=-1):
     """``tensor.softmax`` with one new array for the exponentials and one for
-    the quotient: the reference for the in-place form."""
+    the quotient, and no flush of subnormal values: the reference for the
+    in-place, flushing form."""
     x = a.data
     m = x.max(axis=axis, keepdims=True)
     e = np.exp(x - m)
@@ -337,6 +338,25 @@ def two_temporary_softmax(a, axis=-1):
         tc._accumulate(a, y * (g - dot))
 
     return tc._make(y, (a,), back)
+
+
+def unflushed_log_softmax(a, axis=-1):
+    """``tensor.log_softmax`` without the flush of subnormal gradient
+    entries: its reference."""
+    x = a.data
+    s = x - x.max(axis=axis, keepdims=True)
+    ls = s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
+
+    def back(g):
+        tc._accumulate(a, g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
+
+    return tc._make(ls, (a,), back)
+
+
+def is_subnormal(x):
+    """Where ``x`` is nonzero and smaller in magnitude than its dtype's
+    smallest normal number."""
+    return (x != 0) & (np.abs(x) < np.finfo(x.dtype).tiny)
 
 
 def out_of_place_normalize(x, eps):
@@ -390,7 +410,7 @@ def three_exp_sigmoid(x):
 
 
 REFERENCE_OPS = {"matmul": batched_matmul, "softmax": two_temporary_softmax,
-                 "layernorm": out_of_place_layernorm,
+                 "log_softmax": unflushed_log_softmax, "layernorm": out_of_place_layernorm,
                  "layernorm_array": out_of_place_layernorm_array}
 
 

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (REFERENCE_OPS, clear_graph_grads, decode_slice, encode_slice, grad_check,
-                     predict_channels, tiny_config)
-from svt import cli, data, sampler
+                     is_subnormal, predict_channels, reference_sample_slice, tiny_config,
+                     two_temporary_softmax)
+from svt import cli, data, metrics, optim, sampler
 from svt import model as M
 from svt import tensor as tc
 from svt.subscale import SubscaleFactor, extract_slice, slice_key, slice_order, slice_rank
@@ -535,21 +536,29 @@ class TestComposite:
 
 class TestReferenceOps:
     """The desk model computes the same bits with ``tc.matmul``,
-    ``tc.softmax`` and ``tc.layernorm`` (and ``tc.layernorm_array``) as with
-    their reference forms in ``helpers``, in the teacher-forced forward and
-    in the sampler.  Both runs share one process, so one BLAS build."""
+    ``tc.softmax``, ``tc.log_softmax`` and ``tc.layernorm`` (and
+    ``tc.layernorm_array``) as with their reference forms in ``helpers``, in
+    the teacher-forced forward and in the sampler, and with all but
+    ``tc.matmul`` in training and evaluation, also where attention weights
+    are subnormal.  Both runs share one process, so one BLAS build."""
 
     @staticmethod
-    def desk():
+    def desk(qkv_scale=1.0):
+        """Desk config, normal-init parameters with every ``w_qkv`` scaled by
+        ``qkv_scale``, and two videos."""
         conf = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "sprites-rgb.cfg")
         cfg = cli.model_config_from(conf)
         videos = data.gen_sprites(*cfg.video_shape, 2, channels=cfg.bytes_per_pixel, seed=7)
-        return conf, cfg, M.init_params(cfg, head_init="normal"), videos
+        params = M.init_params(cfg, head_init="normal")
+        for name, t in params.items():
+            if name.endswith("/w_qkv"):
+                t.data *= np.float32(qkv_scale)
+        return conf, cfg, params, videos
 
     @staticmethod
-    def shipped_and_reference(monkeypatch, run):
+    def shipped_and_reference(monkeypatch, run, ops=REFERENCE_OPS):
         shipped = run()
-        for name, op in REFERENCE_OPS.items():
+        for name, op in ops.items():
             monkeypatch.setattr(tc, name, op)
         return shipped, run()
 
@@ -576,6 +585,55 @@ class TestReferenceOps:
         shipped, reference = self.shipped_and_reference(
             monkeypatch, lambda: sampler.sample_video(params, cfg, videos[0], scfg)[0])
         assert np.array_equal(shipped, reference)
+
+    # scales the desk's q.k scores by SHARP**2, so that attention weights fall
+    # below float32's smallest normal number and ``tc.softmax`` flushes them
+    SHARP = 48
+
+    def test_train_and_evaluate_with_subnormal_weights(self, monkeypatch):
+        conf, cfg, params, videos = self.desk(self.SHARP)
+        counts = []
+
+        def counted_softmax(a, axis=-1):
+            y = two_temporary_softmax(a, axis)
+            counts.append(int(is_subnormal(y.data).sum()))
+            return y
+
+        with pytest.MonkeyPatch.context() as mp:  # step 0's forward, unflushed
+            mp.setattr(tc, "softmax", counted_softmax)
+            batch = optim.batch_at(len(videos), cfg.s, conf["batch_slices"],
+                                   conf["train_seed"], 0)
+            M.forward_slices(params, cfg, [videos[v] for v, _ in batch],
+                             [idx for _, idx in batch], conf["prime_frames"])
+        assert sum(counts) > 0
+        tcfg = optim.TrainConfig(steps=3, batch_slices=conf["batch_slices"],
+                                 seed=conf["train_seed"], prime_frames=conf["prime_frames"],
+                                 rmsprop=optim.RmsPropConfig(lr=conf["lr"]))
+
+        def run():
+            ps, opt, records = optim.train(cfg, tcfg, videos, params=self.desk(self.SHARP)[2])
+            result = metrics.evaluate(ps, cfg, videos, conf["prime_frames"])
+            return [r[1] for r in records], ps.arrays(), opt.acc, opt.mom, result
+
+        # the one-GEMM weight product's gradients differ from the batch loop's
+        # in the last ulp, a declared change, so training keeps ``tc.matmul``
+        ops = {name: op for name, op in REFERENCE_OPS.items() if name != "matmul"}
+        shipped, reference = self.shipped_and_reference(monkeypatch, run, ops)
+        (losses, *arrays, result), (ref_losses, *ref_arrays, ref_result) = shipped, reference
+        assert len(losses) == tcfg.steps
+        assert losses == ref_losses and result == ref_result
+        for got, want in zip(arrays, ref_arrays):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[n], want[n]) for n in got)
+
+    @pytest.mark.parametrize("prime", [0, 1])
+    def test_sample_video_with_subnormal_weights(self, monkeypatch, prime):
+        conf, cfg, params, videos = self.desk(self.SHARP)
+        scfg = sampler.SampleConfig(prime_frames=prime, temperature=conf["temperature"], seed=3)
+        cached = sampler.sample_video(params, cfg, videos[0], scfg)
+        monkeypatch.setattr(sampler, "sample_slice", reference_sample_slice)
+        full = sampler.sample_video(params, cfg, videos[0], scfg)
+        assert np.array_equal(cached[0], full[0]) and np.array_equal(cached[1], full[1])
 
 
 def _params_float64(cfg, seed):

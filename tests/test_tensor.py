@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from helpers import (add_at_conv_input_grad, add_at_gather_grad, batched_matmul,
                      einsum_conv_kernel_grad, grad_check, out_of_place_layernorm,
-                     out_of_place_layernorm_array, put_along_axis_one_hot, three_exp_sigmoid,
-                     two_temporary_softmax)
+                     is_subnormal, out_of_place_layernorm_array, put_along_axis_one_hot,
+                     three_exp_sigmoid, two_temporary_softmax, unflushed_log_softmax)
 from svt import cli
 from svt import model as M
 from svt import tensor as tc
@@ -731,7 +731,8 @@ def masked_scores(dtype):
 class TestInPlaceForms:
     """``softmax`` and ``layernorm`` work in place only on their own
     temporaries: forward and backward leave every input unchanged, and the
-    results equal the reference forms bit for bit."""
+    results equal the reference forms bit for bit.  These inputs give no
+    subnormal weight, which ``softmax`` would flush (``TestSubnormalFlush``)."""
 
     @pytest.mark.parametrize("axis", [-1, 0])
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -771,6 +772,61 @@ class TestInPlaceForms:
             got = tc.layernorm_array(row, gain, bias)
             assert np.array_equal(row, before)
             assert np.array_equal(got, out_of_place_layernorm_array(row, gain, bias))
+
+
+def underflow_scores(dtype, rows=64, n=32):
+    """(rows, n) scores: per row one maximum and the rest 79.3-103.9 below it
+    in float32 (700.4-745.1 in float64), so their exponentials run from just
+    above the smallest normal number through the subnormal band to 0.  Every
+    row sums to exactly 1, so the weights are the exponentials."""
+    rng = np.random.default_rng(41)
+    lo = -np.log(np.finfo(dtype).tiny) - 8
+    hi = np.log(2) - np.log(float(np.finfo(dtype).smallest_subnormal))
+    x = rng.uniform(lo, hi, (rows, n))
+    x[:, 0] = 0
+    return -rng.permuted(x, axis=1).astype(dtype)
+
+
+class TestSubnormalFlush:
+    """``softmax`` and ``log_softmax`` flush subnormal values: the softmax
+    output and both input gradients hold none, equal the unflushed reference
+    wherever its value is not subnormal, and are exactly 0 where it is.  (A
+    row sum above 1 can still turn a normal exponential into a subnormal
+    weight; these rows sum to exactly 1.)"""
+
+    @staticmethod
+    def check_flushed(got, want):
+        sub = is_subnormal(want)
+        small = ~sub & (np.abs(want) < 1e3 * np.finfo(want.dtype).tiny)
+        assert sub.any() and small.any() and not is_subnormal(got).any()
+        assert np.array_equal(got[~sub], want[~sub]) and not got[sub].any()
+
+    @staticmethod
+    def run(op, x, g):
+        a = Tensor(x, requires_grad=True)
+        y = op(a, axis=-1)
+        tc.backward(y, g)
+        return y.data, a.grad
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_softmax(self, dtype):
+        x = underflow_scores(dtype)
+        # |g - (g . y)| < 1, so a subnormal weight's gradient is subnormal too
+        g = np.random.default_rng(2).uniform(-0.5, 0.5, x.shape).astype(dtype)
+        (y, ga), (ry, rga) = (self.run(op, x, g) for op in (tc.softmax, two_temporary_softmax))
+        self.check_flushed(y, ry)
+        self.check_flushed(ga, rga)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_log_softmax(self, dtype):
+        x = underflow_scores(dtype)
+        # an NLL-style gradient: -1 at one target per row, 0 elsewhere
+        g = -tc.one_hot(np.random.default_rng(3).integers(0, x.shape[1], len(x)),
+                        x.shape[1], dtype)
+        (ls, ga), (rls, rga) = (self.run(op, x, g)
+                                for op in (tc.log_softmax, unflushed_log_softmax))
+        assert np.array_equal(ls, rls)
+        self.check_flushed(ga, rga)
 
 
 class TestOneExpForms:
