@@ -20,7 +20,6 @@ import numpy as np
 
 from . import tensor as tc
 from .subscale import BlockShape
-from .tensor import Tensor
 
 MASK_NEG = -1e9  # additive pre-softmax value for disallowed pairs
 
@@ -61,13 +60,52 @@ def relative_bias_indices(bs):
                  for axis, extent in enumerate(bs))
 
 
-def relative_bias_matrix(bs, table_t, table_h, table_w):
-    """(n_heads, n_p, n_p) additive bias: sum of the per-axis distance terms."""
-    it, ih, iw = relative_bias_indices(bs)
-    bt = tc.gather(table_t, it, axis=1)
-    bh = tc.gather(table_h, ih, axis=1)
-    bw = tc.gather(table_w, iw, axis=1)
-    return tc.add(tc.add(bt, bh), bw)
+@cache
+def _axis_distance_indices(bs):
+    """Per axis of extent e, the (e, e) index matrix i - j + e - 1 into that
+    axis's bias table.  Cached per block shape; the arrays are read-only."""
+    return tuple(tc.read_only(np.subtract.outer(np.arange(e), np.arange(e)) + e - 1)
+                 for e in bs)
+
+
+@cache
+def _bias_table_entries(bs, n_heads):
+    """Per table, the flat table entry each element of the (n_heads, n_p,
+    n_p) bias reads, flattened.  Cached per block shape and head count; the
+    arrays are read-only."""
+    return tuple(tc.read_only((np.arange(n_heads)[:, None, None] * (2 * e - 1) + idx).ravel())
+                 for e, idx in zip(bs, relative_bias_indices(bs)))
+
+
+def relative_bias_matrix(bs, table_t, table_h, table_w, mask=None):
+    """(n_heads, n_p, n_p) additive bias: the sum of the per-axis distance
+    terms, plus ``MASK_NEG`` where the boolean (n_p, n_p) ``mask``
+    (``causal_mask``) forbids a pair.
+
+    One graph node.  The forward broadcast-adds each axis's (e, e) terms
+    over the block's (t, h, w) x (t, h, w) grid, so the t and h terms are
+    added before the w term, as three (n_p, n_p) gathers would.  The
+    backward sums each table's gradient with one float64 ``np.bincount``
+    over the flat table entries, as ``tc.gather`` does.
+    """
+    tables = (table_t, table_h, table_w)
+    n_heads = table_t.data.shape[0]
+    it, ih, iw = _axis_distance_indices(bs)
+    bt = np.take(table_t.data, it, axis=1)[:, :, None, None, :, None, None]
+    bh = np.take(table_h.data, ih, axis=1)[:, None, :, None, None, :, None]
+    bw = np.take(table_w.data, iw, axis=1)[:, None, None, :, None, None, :]
+    out = ((bt + bh) + bw).reshape(n_heads, bs.size, bs.size)
+    if mask is not None:
+        out += np.where(mask, 0.0, MASK_NEG).astype(out.dtype)
+
+    def back(g):
+        g = g.reshape(-1).astype(np.float64)
+        for table, dest in zip(tables, _bias_table_entries(bs, n_heads)):
+            if table.requires_grad:
+                gt = np.bincount(dest, weights=g, minlength=table.data.size)
+                tc._accumulate(table, gt.reshape(table.data.shape).astype(table.data.dtype))
+
+    return tc._make(out, tables, back)
 
 
 @cache
@@ -82,16 +120,18 @@ def causal_mask(bs):
     return tc.read_only(np.tril(np.ones((bs.size, bs.size), dtype=bool)))
 
 
-def block_attention(z, w_qkv, tables, n_heads, d_head, record=None):
+def block_attention(z, w_qkv, bias, n_heads, d_head, record=None):
     """Multi-head attention inside one block (or a stack of blocks).
 
-    z: (G, n_p, d) pre-normalized block representations; ``tables`` the
-    (n_heads, n_p, n_p) additive pre-softmax bias: ``relative_bias_matrix``,
-    plus the causal mask in a masked layer (``attention_layer``).  Returns
-    the concatenated head outputs (G, n_p, n_heads*d_head); projection and
-    residual are the caller's job.  ``record``, when given, is a list that
-    receives (keys, values, bias) arrays: keys and values (G, n_heads, n_p,
-    d_head), bias the (n_heads, n_p, n_p) ``tables`` values.
+    z: (G, n_p, d) pre-normalized block representations; ``bias`` the
+    (n_heads, n_p, n_p) additive pre-softmax Tensor from
+    ``relative_bias_matrix``, with the causal mask in a masked layer.  The
+    queries are scaled by 1/sqrt(d_head) before the product, and ``bias``
+    enters the softmax, so no pass over the scores is spent on either.
+    Returns the concatenated head outputs (G, n_p, n_heads*d_head);
+    projection and residual are the caller's job.  ``record``, when given,
+    is a list that receives (keys, values, bias) arrays: keys and values
+    (G, n_heads, n_p, d_head), bias the (n_heads, n_p, n_p) ``bias`` values.
     """
     G, n_p, d = z.data.shape
     qkv = tc.matmul(z, w_qkv)  # (G, n_p, 3*n_heads*d_head)
@@ -99,11 +139,12 @@ def block_attention(z, w_qkv, tables, n_heads, d_head, record=None):
     qkv = tc.transpose(qkv, (2, 0, 3, 1, 4))  # (3, G, heads, n_p, d_head)
     q, k, v = (tc.index(qkv, i) for i in range(3))
     if record is not None:
-        record.append((np.array(k.data), np.array(v.data), tables.data))
-    scores = tc.mul(tc.matmul(q, tc.transpose(k, (0, 1, 3, 2))),
-                    1.0 / np.sqrt(d_head))
-    scores = tc.add(scores, tables)  # (heads, n_p, n_p) broadcast over G
-    att = tc.softmax(scores, axis=-1)
+        record.append((np.array(k.data), np.array(v.data), bias.data))
+    # no name holds the scaled queries, so without a graph they are freed
+    # once the product is formed (on the canonical model they are as large
+    # as the scores)
+    scores = tc.matmul(tc.mul(q, 1.0 / np.sqrt(d_head)), tc.transpose(k, (0, 1, 3, 2)))
+    att = tc.softmax(scores, axis=-1, bias=bias)  # bias broadcast over G
     out = tc.matmul(att, v)  # (G, heads, n_p, d_head)
     out = tc.transpose(out, (0, 2, 1, 3))
     return tc.reshape(out, (G, n_p, n_heads * d_head))
@@ -113,20 +154,17 @@ def attention_layer(x, params, spec, causal, record=None):
     """One full block-local layer on a (B, T', H', W', d) tensor.
 
     params is a mapping with keys ln1_gain, ln1_bias, w_qkv, w_p, bias_t,
-    bias_h, bias_w, ln2_gain, ln2_bias, t1, t2.  A causal layer adds the
-    mask (0 where ``causal_mask`` allows a pair, ``MASK_NEG`` elsewhere) to
-    the relative bias once, so the scores get a single additive term.
-    ``record`` is passed to ``block_attention``.
+    bias_h, bias_w, ln2_gain, ln2_bias, t1, t2.  A causal layer folds the
+    mask (``causal_mask``) into the relative bias, so the scores get a
+    single additive term.  ``record`` is passed to ``block_attention``.
     """
     B = x.data.shape[0]
     slice_shape = x.data.shape[1:4]
     bs = spec.block
     zb = block_partition(x, bs)
     normed = tc.layernorm(zb, params["ln1_gain"], params["ln1_bias"])
-    bias = relative_bias_matrix(bs, params["bias_t"], params["bias_h"], params["bias_w"])
-    if causal:
-        mask = np.where(causal_mask(bs), 0.0, MASK_NEG).astype(bias.dtype)
-        bias = tc.add(bias, Tensor(mask))
+    bias = relative_bias_matrix(bs, params["bias_t"], params["bias_h"], params["bias_w"],
+                                causal_mask(bs) if causal else None)
     heads = block_attention(normed, params["w_qkv"], bias, spec.n_heads, spec.d_head,
                             record)
     ztil = tc.add(tc.matmul(heads, params["w_p"]), zb)
@@ -173,7 +211,7 @@ class CausalLayerStep:
         q, k, v = (normed @ w["w_qkv"]).reshape(self.shape)
         self.keys[g, :, i] = k
         self.values[g, :, i] = v
-        scores = (self.keys[g, :, :i + 1] @ q[:, :, None])[..., 0] * self.scale
+        scores = (self.keys[g, :, :i + 1] @ (q * self.scale)[:, :, None])[..., 0]
         scores += self.bias[:, i, :i + 1]
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         att = e / e.sum(axis=-1, keepdims=True)

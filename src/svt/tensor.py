@@ -16,6 +16,12 @@ analytic gradient against central finite differences (``tests/helpers.py``).
 several parents skips the gradient of every parent that does not require
 one (a one-hot input, a mask, a frozen weight), rather than forming it and
 dropping it.
+
+Float32 subnormals make BLAS and numpy take slow paths, so they are zeroed
+where they arise: softmax exponentials, the input gradients of softmax and
+log-softmax, ``mul``'s gradients and a batched ``matmul``'s ``b`` gradient
+(an attention layer's dk and dv), so the gradients an attention layer passes
+to its matrix products hold none.
 """
 
 from __future__ import annotations
@@ -186,14 +192,17 @@ def sub(a, b):
 
 
 def mul(a, b):
+    """Elementwise product.  A factor below 1 (an attention layer's query
+    scale) turns gradients just above the smallest normal number into
+    subnormals, so the backward flushes them (``_flush_subnormals``)."""
     a = a if isinstance(a, Tensor) else _wrap(a, b)
     b = _wrap(b, a)
 
     def back(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+            _accumulate(a, _unbroadcast(_flush_subnormals(g * b.data), a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+            _accumulate(b, _unbroadcast(_flush_subnormals(g * a.data), b.data.shape))
 
     return _make(a.data * b.data, (a, b), back)
 
@@ -269,8 +278,10 @@ def matmul(a, b):
             _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
                                         a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
-                                        b.data.shape))
+            # an attention layer's dk and dv: sums weighted by attention
+            # weights far below 1 can be subnormal
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            _accumulate(b, _flush_subnormals(gb))
 
     return _make(out, (a, b), back)
 
@@ -297,27 +308,36 @@ def _fold_matmul(a, b):
 
 def _flush_subnormals(x):
     """Zero, in place, the entries of ``x`` below its dtype's smallest normal
-    magnitude, on which BLAS and numpy take slow paths; returns ``x``."""
-    x[np.abs(x) < np.finfo(x.dtype).tiny] = 0
+    magnitude, on which BLAS and numpy take slow paths; returns ``x`` (a
+    numpy scalar, such as the product of two 0-d arrays, as a 0-d array)."""
+    x = np.asarray(x)
+    np.copyto(x, 0, where=np.abs(x) < np.finfo(x.dtype).tiny)
     return x
 
 
-def softmax(a, axis=-1):
-    """Exp-normalize along ``axis``, stabilized by max subtraction.  The
-    shifted copy of the input is exponentiated and normalised in place.
+def softmax(a, axis=-1, bias=None):
+    """Exp-normalize ``a + bias`` along ``axis``, stabilized by max
+    subtraction.  ``bias``, a Tensor that broadcasts against ``a`` (an
+    attention layer's (heads, n, n) bias), is added into the copy of the
+    input, which is then shifted, exponentiated and normalised in place; its
+    gradient is the input gradient summed over the broadcast axes.
     Subnormal exponentials and input gradients are flushed to 0: a row's
     largest weight is at least 1/n, so the sums they would enter drop them."""
-    y = a.data - a.data.max(axis=axis, keepdims=True)
-    y[y < np.log(np.finfo(y.dtype).tiny)] = -np.inf
+    y = a.data.copy() if bias is None else a.data + bias.data
+    y -= y.max(axis=axis, keepdims=True)
+    np.copyto(y, -np.inf, where=y < np.log(np.finfo(y.dtype).tiny))
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
     def back(g):
         r = g - (g * y).sum(axis=axis, keepdims=True)
         r *= y
-        _accumulate(a, _flush_subnormals(r))
+        _flush_subnormals(r)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, _unbroadcast(r, bias.data.shape))
+        _accumulate(a, r)
 
-    return _make(y, (a,), back)
+    return _make(y, (a,) if bias is None else (a, bias), back)
 
 
 def log_softmax(a, axis=-1):
@@ -335,10 +355,11 @@ def log_softmax(a, axis=-1):
 
 def _layernorm(x, gain, bias, eps):
     """(xhat * gain + bias, xhat, 1/std) with xhat zero-mean unit-variance
-    over the last axis; xhat is scaled in place in the centred copy of x."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xhat = x - mu
-    var = np.square(xhat).mean(axis=-1, keepdims=True)
+    over the last axis; xhat is scaled in place in the centred copy of x.
+    A mean is ``sum / n``, the same bits as ``np.mean`` at less overhead."""
+    n = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
     xhat *= inv
     out = xhat * gain
@@ -362,8 +383,9 @@ def layernorm(a, gain, bias, eps=1e-6):
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
         if a.requires_grad:
             dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            n = dxhat.shape[-1]
+            m1 = dxhat.sum(axis=-1, keepdims=True) / n
+            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
             _accumulate(a, inv * (dxhat - m1 - xhat * m2))
 
     return _make(out, (a, gain, bias), back)

@@ -1,14 +1,16 @@
 """Shared test harnesses: the finite-difference gradient checker, causality
 sweeps, analyzer gradient oracles and bool-matrix analyzer references, the
 full-recompute reference sampler, the one-slice-per-call evaluator, and the
-reference and single-slice forms of library functions that only tests use."""
+reference and single-slice forms of library functions that only tests use,
+among them the attention score chain with the scale and the bias as nodes of
+their own."""
 
 import numpy as np
 
 from svt import model as M
 from svt import sampler
 from svt import tensor as tc
-from svt.attention import AttentionLayerSpec, attention_layer
+from svt.attention import MASK_NEG, AttentionLayerSpec, attention_layer, relative_bias_indices
 from svt.connectivity import (DependencyReport, _block_index_groups, _blocks,
                               _raster_coords)
 from svt.metrics import EvalResult, bits_per_dim, copy_last_frame_baseline, nats_per_frame
@@ -324,20 +326,23 @@ def batched_matmul(a, b):
     return tc._make(out, (a, b), back)
 
 
-def two_temporary_softmax(a, axis=-1):
-    """``tensor.softmax`` with one new array for the exponentials and one for
-    the quotient, and no flush of subnormal values: the reference for the
-    in-place, flushing form."""
-    x = a.data
+def two_temporary_softmax(a, axis=-1, bias=None):
+    """``tensor.softmax`` with one new array for the sum with ``bias``, one
+    for the exponentials and one for the quotient, and no flush of subnormal
+    values: the reference for the in-place, flushing form."""
+    x = a.data if bias is None else a.data + bias.data
     m = x.max(axis=axis, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=axis, keepdims=True)
 
     def back(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        tc._accumulate(a, y * (g - dot))
+        r = y * (g - dot)
+        if bias is not None and bias.requires_grad:
+            tc._accumulate(bias, tc._unbroadcast(r, bias.data.shape))
+        tc._accumulate(a, r)
 
-    return tc._make(y, (a,), back)
+    return tc._make(y, (a,) if bias is None else (a, bias), back)
 
 
 def unflushed_log_softmax(a, axis=-1):
@@ -412,6 +417,48 @@ def three_exp_sigmoid(x):
 REFERENCE_OPS = {"matmul": batched_matmul, "softmax": two_temporary_softmax,
                  "log_softmax": unflushed_log_softmax, "layernorm": out_of_place_layernorm,
                  "layernorm_array": out_of_place_layernorm_array}
+
+
+def unflushed_scale(a, c):
+    """``tensor.mul`` of ``a`` by the constant ``c``, without the flush of
+    subnormal gradient entries."""
+    c = a.data.dtype.type(c)
+    return tc._make(a.data * c, (a,), lambda g: tc._accumulate(a, g * c))
+
+
+def gathered_relative_bias_matrix(bs, table_t, table_h, table_w, mask=None):
+    """``attention.relative_bias_matrix`` as three (n_heads, n_p, n_p)
+    ``tc.gather`` nodes, two ``tc.add`` nodes and, with ``mask``, a third
+    ``tc.add`` of the additive mask: its reference."""
+    it, ih, iw = relative_bias_indices(bs)
+    bias = tc.add(tc.add(tc.gather(table_t, it, axis=1), tc.gather(table_h, ih, axis=1)),
+                  tc.gather(table_w, iw, axis=1))
+    if mask is not None:
+        bias = tc.add(bias, Tensor(np.where(mask, 0.0, MASK_NEG).astype(bias.dtype)))
+    return bias
+
+
+def post_scaled_block_attention(z, w_qkv, bias, n_heads, d_head, record=None):
+    """``attention.block_attention`` with the scores scaled by 1/sqrt(d_head)
+    after the product, the bias added by its own ``tc.add`` node, and the
+    two score products and the scale through unflushed ops
+    (``batched_matmul``, ``unflushed_scale``): its reference."""
+    G, n_p, d = z.data.shape
+    qkv = tc.matmul(z, w_qkv)
+    qkv = tc.reshape(qkv, (G, n_p, 3, n_heads, d_head))
+    qkv = tc.transpose(qkv, (2, 0, 3, 1, 4))
+    q, k, v = (tc.index(qkv, i) for i in range(3))
+    if record is not None:
+        record.append((np.array(k.data), np.array(v.data), bias.data))
+    scores = unflushed_scale(batched_matmul(q, tc.transpose(k, (0, 1, 3, 2))),
+                             1.0 / np.sqrt(d_head))
+    att = tc.softmax(tc.add(scores, bias), axis=-1)
+    out = tc.transpose(batched_matmul(att, v), (0, 2, 1, 3))
+    return tc.reshape(out, (G, n_p, n_heads * d_head))
+
+
+REFERENCE_ATTENTION = {"block_attention": post_scaled_block_attention,
+                       "relative_bias_matrix": gathered_relative_bias_matrix}
 
 
 def make_batches(n_videos, s, batch_size, seed):

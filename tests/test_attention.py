@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import block_coordinates, grad_check, relative_bias
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import block_coordinates, gathered_relative_bias_matrix, grad_check, relative_bias
+from svt import cli
 from svt import tensor as tc
 from svt.attention import (MASK_NEG, AttentionLayerSpec, BlockShape, CausalLayerStep,
                            attention_layer, block_attention, block_merge,
@@ -109,6 +115,79 @@ class TestRelativeBias:
             for j, cj in enumerate(coords):
                 assert mat[i, j] == pytest.approx(
                     relative_bias(bs, [t_t[0], t_h[0], t_w[0]], ci, cj), abs=1e-6)
+
+
+def shipped_block_shapes():
+    """Every block shape of the shipped configs' attention schedules."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    shapes = set()
+    for path in sorted(configs.glob("*.cfg")):
+        cfg = cli.model_config_from(cli.load_config(path))
+        for schedule in (cfg.enc_schedule, cfg.dec_schedule, cfg.first_slice_schedule):
+            shapes.update(spec.block for spec in schedule)
+    return sorted(shapes)
+
+
+def bias_tables(rng, bs, n_heads, dtype):
+    return [Tensor(rng.standard_normal((n_heads, 2 * e - 1)), requires_grad=True, dtype=dtype)
+            for e in bs]
+
+
+class TestRelativeBiasNode:
+    """``relative_bias_matrix`` is one graph node whose forward and table
+    gradients equal the three-gather form (``gathered_relative_bias_matrix``)
+    bit for bit, with and without the causal mask."""
+
+    @staticmethod
+    def check_bit_equal(bs, n_heads, dtype, seed):
+        rng = np.random.default_rng(seed)
+        for mask in (None, causal_mask(bs)):
+            g = rng.standard_normal((n_heads, bs.size, bs.size)).astype(dtype)
+            results = []
+            for op in (relative_bias_matrix, gathered_relative_bias_matrix):
+                tables = bias_tables(np.random.default_rng(seed), bs, n_heads, dtype)
+                out = op(bs, *tables, mask)
+                tc.backward(out, g)
+                results.append([out.data] + [t.grad for t in tables])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_shipped_block_shapes(self):
+        shapes = shipped_block_shapes()
+        assert BlockShape(2, 8, 8) in shapes and len(shapes) > 2
+        for i, bs in enumerate(shapes):
+            for dtype in (np.float32, np.float64):
+                self.check_bit_equal(bs, 4, dtype, seed=i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
+           n_heads=st.integers(1, 3), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**16))
+    def test_drawn_block_shapes(self, shape, n_heads, dtype, seed):
+        self.check_bit_equal(BlockShape(*shape), n_heads, dtype, seed)
+
+    def test_one_node(self):
+        bs = BlockShape(2, 2, 3)
+        tables = bias_tables(np.random.default_rng(0), bs, 2, np.float32)
+        for mask in (None, causal_mask(bs)):
+            out = relative_bias_matrix(bs, *tables, mask)
+            assert out._parents == tuple(tables)
+        with tc.no_grad():
+            assert relative_bias_matrix(bs, *tables)._backward is None
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_grad_check(self, masked):
+        bs = BlockShape(2, 3, 2)
+        rng = np.random.default_rng(7 + masked)
+        tables = bias_tables(rng, bs, 2, np.float64)
+        mask = causal_mask(bs) if masked else None
+        w = Tensor(rng.standard_normal((2, bs.size, bs.size)), dtype=np.float64)
+        # masked entries sit at MASK_NEG, so weigh only the allowed pairs
+        allowed = Tensor(np.broadcast_to(causal_mask(bs) if masked else True,
+                                         w.data.shape).astype(np.float64))
+        err = grad_check(lambda *t: tc.sum_all(tc.mul(tc.mul(
+            relative_bias_matrix(bs, *t, mask), w), allowed)), tables)
+        assert err < 1e-4
 
 
 class TestCausalMask:

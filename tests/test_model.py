@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (REFERENCE_OPS, clear_graph_grads, decode_slice, encode_slice, grad_check,
-                     is_subnormal, predict_channels, reference_sample_slice, tiny_config,
-                     two_temporary_softmax)
-from svt import cli, data, metrics, optim, sampler
+import helpers
+from helpers import (REFERENCE_ATTENTION, REFERENCE_OPS, clear_graph_grads, decode_slice,
+                     encode_slice, grad_check, is_subnormal, predict_channels,
+                     reference_sample_slice, tiny_config, two_temporary_softmax)
+from svt import attention, cli, data, metrics, optim, sampler
 from svt import model as M
 from svt import tensor as tc
 from svt.subscale import SubscaleFactor, extract_slice, slice_key, slice_order, slice_rank
@@ -537,16 +538,20 @@ class TestComposite:
 class TestReferenceOps:
     """The desk model computes the same bits with ``tc.matmul``,
     ``tc.softmax``, ``tc.log_softmax`` and ``tc.layernorm`` (and
-    ``tc.layernorm_array``) as with their reference forms in ``helpers``, in
-    the teacher-forced forward and in the sampler, and with all but
-    ``tc.matmul`` in training and evaluation, also where attention weights
-    are subnormal.  Both runs share one process, so one BLAS build."""
+    ``tc.layernorm_array``) as with their reference forms in ``helpers``, and
+    with the lean attention score path (queries scaled before the product,
+    the bias inside ``tc.softmax``, one-node relative bias) as with the
+    reference chain (``helpers.REFERENCE_ATTENTION``): in the teacher-forced
+    forward and in the sampler, and with all but ``tc.matmul`` in training
+    and evaluation, at normal-init parameters and where attention weights are
+    subnormal.  The desk's d_head is 16, so its query scale 1/4 is exact.
+    Both runs share one process, so one BLAS build."""
 
     @staticmethod
-    def desk(qkv_scale=1.0):
+    def desk(qkv_scale=1.0, config="sprites-rgb.cfg"):
         """Desk config, normal-init parameters with every ``w_qkv`` scaled by
         ``qkv_scale``, and two videos."""
-        conf = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "sprites-rgb.cfg")
+        conf = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / config)
         cfg = cli.model_config_from(conf)
         videos = data.gen_sprites(*cfg.video_shape, 2, channels=cfg.bytes_per_pixel, seed=7)
         params = M.init_params(cfg, head_init="normal")
@@ -560,10 +565,14 @@ class TestReferenceOps:
         shipped = run()
         for name, op in ops.items():
             monkeypatch.setattr(tc, name, op)
+        for name, op in REFERENCE_ATTENTION.items():
+            monkeypatch.setattr(attention, name, op)
         return shipped, run()
 
-    def test_forward_slices(self, monkeypatch):
-        conf, cfg, params, videos = self.desk()
+    def teacher_forced(self, config):
+        """(shipped, reference) loss and logits of every slice of one video,
+        one slice per call, and of all slices of the other in one call."""
+        conf, cfg, params, videos = self.desk(config=config)
         order = slice_order(cfg.s)
 
         def run():
@@ -573,10 +582,44 @@ class TestReferenceOps:
                                         conf["prime_frames"]))
             return [(loss.data, logits.data) for loss, _, logits in out]
 
-        shipped, reference = self.shipped_and_reference(monkeypatch, run)
+        with pytest.MonkeyPatch.context() as mp:
+            shipped, reference = self.shipped_and_reference(mp, run)
         assert len(shipped) == len(order) + 1
+        return shipped, reference
+
+    def test_forward_slices(self):
+        shipped, reference = self.teacher_forced("sprites-rgb.cfg")
         for (loss, logits), (ref_loss, ref_logits) in zip(shipped, reference):
             assert np.array_equal(loss, ref_loss) and np.array_equal(logits, ref_logits)
+
+    def test_forward_slices_last_ulp(self):
+        """Where 1/sqrt(d_head) is not a power of two (sprites-gray's d_head
+        12), scaling the queries instead of the scores rounds differently:
+        a declared last-ulp change of some head outputs, far inside rtol 1e-6
+        of the loss."""
+        shipped, reference = self.teacher_forced("sprites-gray.cfg")
+        assert any(not np.array_equal(out, ref) for (_, out), (_, ref) in zip(shipped, reference))
+        for (loss, out), (ref_loss, ref_out) in zip(shipped, reference):
+            assert loss == pytest.approx(ref_loss, rel=1e-6)
+            assert np.abs(out - ref_out).max() <= 1e-6 * np.abs(ref_out).max()
+
+    def test_canonical_forward_last_ulp(self, monkeypatch):
+        """The canonical model's d_head is 128, so its query scale is not a
+        power of two either: one no-grad 4x32x32 slice (rank 3) keeps its
+        loss within rtol 1e-6 of the reference chain."""
+        conf = cli.load_config(Path(__file__).resolve().parents[1] / "configs"
+                               / "base-16x64x64.cfg")
+        cfg = cli.model_config_from(conf)
+        params = M.init_params(cfg, head_init="normal")
+        video = data.gen_sprites(*cfg.video_shape, 1, channels=cfg.bytes_per_pixel, seed=1)[0]
+        idx = slice_order(cfg.s)[3]
+
+        def run():
+            with tc.no_grad():
+                return M.forward_slices(params, cfg, [video], [idx], conf["prime_frames"])[0].item()
+
+        shipped, reference = self.shipped_and_reference(monkeypatch, run)
+        assert shipped == pytest.approx(reference, rel=1e-6)
 
     def test_sample_video(self, monkeypatch):
         conf, cfg, params, videos = self.desk()
@@ -590,12 +633,42 @@ class TestReferenceOps:
     # below float32's smallest normal number and ``tc.softmax`` flushes them
     SHARP = 48
 
+    # the one-GEMM weight product's gradients differ from the batch loop's
+    # in the last ulp, a declared change, so training keeps ``tc.matmul``
+    TRAIN_OPS = {name: op for name, op in REFERENCE_OPS.items() if name != "matmul"}
+
+    @staticmethod
+    def train_config(conf):
+        return optim.TrainConfig(steps=3, batch_slices=conf["batch_slices"],
+                                 seed=conf["train_seed"], prime_frames=conf["prime_frames"],
+                                 rmsprop=optim.RmsPropConfig(lr=conf["lr"]))
+
+    def train_and_evaluate(self, monkeypatch, qkv_scale):
+        conf, cfg, _, videos = self.desk(qkv_scale)
+        tcfg = self.train_config(conf)
+
+        def run():
+            ps, opt, records = optim.train(cfg, tcfg, videos, params=self.desk(qkv_scale)[2])
+            result = metrics.evaluate(ps, cfg, videos, conf["prime_frames"])
+            return [r[1] for r in records], ps.arrays(), opt.acc, opt.mom, result
+
+        shipped, reference = self.shipped_and_reference(monkeypatch, run, self.TRAIN_OPS)
+        (losses, *arrays, result), (ref_losses, *ref_arrays, ref_result) = shipped, reference
+        assert len(losses) == tcfg.steps
+        assert losses == ref_losses and result == ref_result
+        for got, want in zip(arrays, ref_arrays):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[n], want[n]) for n in got)
+
+    def test_train_and_evaluate(self, monkeypatch):
+        self.train_and_evaluate(monkeypatch, 1.0)
+
     def test_train_and_evaluate_with_subnormal_weights(self, monkeypatch):
         conf, cfg, params, videos = self.desk(self.SHARP)
         counts = []
 
-        def counted_softmax(a, axis=-1):
-            y = two_temporary_softmax(a, axis)
+        def counted_softmax(a, axis=-1, bias=None):
+            y = two_temporary_softmax(a, axis, bias)
             counts.append(int(is_subnormal(y.data).sum()))
             return y
 
@@ -606,34 +679,54 @@ class TestReferenceOps:
             M.forward_slices(params, cfg, [videos[v] for v, _ in batch],
                              [idx for _, idx in batch], conf["prime_frames"])
         assert sum(counts) > 0
-        tcfg = optim.TrainConfig(steps=3, batch_slices=conf["batch_slices"],
-                                 seed=conf["train_seed"], prime_frames=conf["prime_frames"],
-                                 rmsprop=optim.RmsPropConfig(lr=conf["lr"]))
-
-        def run():
-            ps, opt, records = optim.train(cfg, tcfg, videos, params=self.desk(self.SHARP)[2])
-            result = metrics.evaluate(ps, cfg, videos, conf["prime_frames"])
-            return [r[1] for r in records], ps.arrays(), opt.acc, opt.mom, result
-
-        # the one-GEMM weight product's gradients differ from the batch loop's
-        # in the last ulp, a declared change, so training keeps ``tc.matmul``
-        ops = {name: op for name, op in REFERENCE_OPS.items() if name != "matmul"}
-        shipped, reference = self.shipped_and_reference(monkeypatch, run, ops)
-        (losses, *arrays, result), (ref_losses, *ref_arrays, ref_result) = shipped, reference
-        assert len(losses) == tcfg.steps
-        assert losses == ref_losses and result == ref_result
-        for got, want in zip(arrays, ref_arrays):
-            assert got.keys() == want.keys()
-            assert all(np.array_equal(got[n], want[n]) for n in got)
+        self.train_and_evaluate(monkeypatch, self.SHARP)
 
     @pytest.mark.parametrize("prime", [0, 1])
     def test_sample_video_with_subnormal_weights(self, monkeypatch, prime):
         conf, cfg, params, videos = self.desk(self.SHARP)
         scfg = sampler.SampleConfig(prime_frames=prime, temperature=conf["temperature"], seed=3)
-        cached = sampler.sample_video(params, cfg, videos[0], scfg)
-        monkeypatch.setattr(sampler, "sample_slice", reference_sample_slice)
-        full = sampler.sample_video(params, cfg, videos[0], scfg)
-        assert np.array_equal(cached[0], full[0]) and np.array_equal(cached[1], full[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "sample_slice", reference_sample_slice)
+            full = sampler.sample_video(params, cfg, videos[0], scfg)
+        cached, reference = self.shipped_and_reference(
+            monkeypatch, lambda: sampler.sample_video(params, cfg, videos[0], scfg))
+        for other in (full, reference):
+            assert np.array_equal(cached[0], other[0]) and np.array_equal(cached[1], other[1])
+
+    def test_no_subnormal_gradient_enters_a_matmul_backward(self, monkeypatch):
+        """Census over 3 training steps of the SHARP desk model: no float32
+        subnormal reaches the backward of any matrix product, weight product
+        or score product.  The reference chain's score scale, applied after
+        the product, passes some to ``q @ kT``'s backward."""
+        conf, cfg, _, videos = self.desk(self.SHARP)
+        tcfg = self.train_config(conf)
+        census = []
+
+        def counting(op):
+            def product(a, b):
+                out = op(a, b)
+                if out._backward is not None:
+                    back = out._backward
+
+                    def counted(g):
+                        census.append(int(is_subnormal(g).sum()))
+                        back(g)
+
+                    out._backward = counted
+                return out
+            return product
+
+        def run():
+            census.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tc, "matmul", counting(tc.matmul))
+                mp.setattr(helpers, "batched_matmul", counting(helpers.batched_matmul))
+                optim.train(cfg, tcfg, videos, params=self.desk(self.SHARP)[2])
+            return list(census)
+
+        shipped, reference = self.shipped_and_reference(monkeypatch, run, self.TRAIN_OPS)
+        assert len(shipped) == len(reference) > 0
+        assert sum(shipped) == 0 and sum(reference) > 0
 
 
 def _params_float64(cfg, seed):

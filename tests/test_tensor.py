@@ -517,6 +517,25 @@ class TestGradients:
             fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.gather(a, idx), wg))), [x]
         assert grad_check(fn, inputs) < 1e-4
 
+    @pytest.mark.parametrize("bias_grad", [True, False])
+    def test_softmax_with_broadcast_bias(self, bias_grad):
+        """The bias broadcasts over a leading axis, as an attention layer's
+        (heads, n, n) bias does over its blocks; its gradient is summed."""
+        rng = np.random.default_rng(9 + bias_grad)
+        x = t64(rng, 3, 2, 4, 5)
+        bias = t64(rng, 2, 4, 5)
+        bias.requires_grad = bias_grad
+        w = Tensor(rng.standard_normal((3, 2, 4, 5)), dtype=np.float64)
+
+        def loss(a, b):
+            return tc.sum_all(tc.mul(tc.softmax(a, -1, bias=b), w))
+
+        if bias_grad:
+            assert grad_check(loss, [x, bias]) < 1e-4
+        else:
+            assert grad_check(lambda a: loss(a, bias), [x]) < 1e-4
+            assert bias.grad is None
+
     def test_conv_and_masked_conv(self):
         rng = np.random.default_rng(4)
         x = t64(rng, 1, 3, 4, 4, 2)
@@ -611,7 +630,7 @@ def weight_product_layouts(config, train):
 
     with pytest.MonkeyPatch.context() as mp, tc.no_grad():
         mp.setattr(tc, "matmul", record)
-        mp.setattr(tc, "softmax", lambda a, axis=-1: a)
+        mp.setattr(tc, "softmax", lambda a, axis=-1, bias=None: a)
         mp.setattr(tc, "layernorm", lambda a, gain, bias: a)
         for idxs in batches:
             M.forward_slices(params, cfg, [video] * len(idxs), idxs, prime_frames=1)
@@ -752,6 +771,25 @@ class TestInPlaceForms:
             assert y[0, 2, 0] == 1.0 and not y[0, 2, 1:].any()
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    def test_softmax_with_bias(self, dtype):
+        """The bias is added in the buffer of the shifted copy; results and
+        the bias gradient equal the reference's, which adds it in a new
+        array, bit for bit."""
+        x = masked_scores(dtype)
+        rng = np.random.default_rng(3)
+        b = (rng.standard_normal(x.shape[1:]) * 2).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        results = []
+        for op in (tc.softmax, two_temporary_softmax):
+            a, bias = Tensor(x.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+            y = op(a, axis=-1, bias=bias)
+            tc.backward(y, g)
+            assert np.array_equal(a.data, x) and np.array_equal(bias.data, b)
+            results.append((y.data, a.grad, bias.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     def test_layernorm(self, dtype):
         x = masked_scores(dtype)
         rng = np.random.default_rng(2)
@@ -827,6 +865,69 @@ class TestSubnormalFlush:
                                 for op in (tc.log_softmax, unflushed_log_softmax))
         assert np.array_equal(ls, rls)
         self.check_flushed(ga, rga)
+
+
+class TestSubnormalGradientFlush:
+    """``mul`` and the operand-``b`` gradient of a batched ``matmul`` (an
+    attention layer's dk and dv) hold no subnormal: they are 0 where the
+    unflushed product is subnormal, and equal to it elsewhere."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_mul(self, dtype):
+        tiny = np.finfo(dtype).tiny
+        g = (np.random.default_rng(5).uniform(1, 8, (6, 8)) * tiny).astype(dtype)
+        a = Tensor(np.ones_like(g), requires_grad=True)
+        tc.backward(tc.mul(a, 0.25), g)
+        want = g * dtype(0.25)
+        TestSubnormalFlush.check_flushed(a.grad, want)
+
+    def test_mul_of_0d(self):
+        """The product of two 0-d arrays is a numpy scalar; it is flushed too."""
+        a = Tensor(np.float32(2.0), requires_grad=True)
+        tc.backward(tc.mul(a, 3.0), np.float32(np.finfo(np.float32).tiny))
+        assert a.grad == 3 * np.finfo(np.float32).tiny
+        tc.zero_grads([a])
+        tc.backward(tc.mul(a, 0.25), np.float32(np.finfo(np.float32).tiny))
+        assert a.grad == 0
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_matmul_b_gradient(self, dtype):
+        tiny = np.finfo(dtype).tiny
+        rng = np.random.default_rng(6)
+        att = rng.uniform(0, 2, (2, 3, 4, 5)).astype(dtype)
+        att[..., 1:, :] *= tiny  # rows 1-3 of every block give subnormal sums
+        v = Tensor(rng.standard_normal((2, 3, 5, 2)).astype(dtype), requires_grad=True)
+        g = rng.uniform(-1, 1, (2, 3, 4, 2)).astype(dtype)
+        g[..., 0, :] = 0  # the only normal row reaches no gradient
+        a = Tensor(att, requires_grad=True)
+        tc.backward(tc.matmul(a, v), g)
+        want = np.matmul(np.swapaxes(att, -1, -2), g)
+        TestSubnormalFlush.check_flushed(v.grad, want)
+        assert np.array_equal(a.grad, np.matmul(g, np.swapaxes(v.data, -1, -2)))
+
+
+class TestMeanAsSumOverN:
+    """``tensor._layernorm`` forms its means as ``sum / n``: the same bits
+    as ``np.mean`` on float32 and float64 rows of the model's widths and of
+    odd widths, so ``layernorm`` and ``layernorm_array`` keep equal to their
+    ``np.mean`` references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.sampled_from([12, 16, 48, 64, 96, 512]) | st.integers(0, 300).map(
+               lambda k: 2 * k + 1),
+           rows=st.integers(1, 4), dtype=st.sampled_from(DTYPES),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+    def test_sum_over_n_is_mean(self, width, rows, dtype, scale, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((rows, width)) * scale + rng.standard_normal()).astype(dtype)
+        for keep in (x, x[0]):
+            got = keep.sum(axis=-1, keepdims=True) / keep.shape[-1]
+            want = keep.mean(axis=-1, keepdims=True)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        gain, bias = (rng.standard_normal(width).astype(dtype) for _ in range(2))
+        for row in (x, x[0]):
+            assert np.array_equal(tc.layernorm_array(row, gain, bias),
+                                  out_of_place_layernorm_array(row, gain, bias))
 
 
 class TestOneExpForms:
