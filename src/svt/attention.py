@@ -50,31 +50,11 @@ def block_merge(x, bs, slice_shape, batch):
 
 
 @cache
-def relative_bias_indices(bs):
-    """Index matrices (n_p, n_p) into the (2t-1), (2h-1), (2w-1) bias tables.
-
-    Cached per block shape; the arrays are read-only."""
-    loc = np.indices(bs).reshape(3, -1).T  # in-block raster order
-    delta = loc[:, None, :] - loc[None, :, :]  # i - j
-    return tuple(tc.read_only(delta[..., axis] + extent - 1)
-                 for axis, extent in enumerate(bs))
-
-
-@cache
 def _axis_distance_indices(bs):
     """Per axis of extent e, the (e, e) index matrix i - j + e - 1 into that
     axis's bias table.  Cached per block shape; the arrays are read-only."""
     return tuple(tc.read_only(np.subtract.outer(np.arange(e), np.arange(e)) + e - 1)
                  for e in bs)
-
-
-@cache
-def _bias_table_entries(bs, n_heads):
-    """Per table, the flat table entry each element of the (n_heads, n_p,
-    n_p) bias reads, flattened.  Cached per block shape and head count; the
-    arrays are read-only."""
-    return tuple(tc.read_only((np.arange(n_heads)[:, None, None] * (2 * e - 1) + idx).ravel())
-                 for e, idx in zip(bs, relative_bias_indices(bs)))
 
 
 def relative_bias_matrix(bs, table_t, table_h, table_w, mask=None):
@@ -85,8 +65,10 @@ def relative_bias_matrix(bs, table_t, table_h, table_w, mask=None):
     One graph node.  The forward broadcast-adds each axis's (e, e) terms
     over the block's (t, h, w) x (t, h, w) grid, so the t and h terms are
     added before the w term, as three (n_p, n_p) gathers would.  The
-    backward sums each table's gradient with one float64 ``np.bincount``
-    over the flat table entries, as ``tc.gather`` does.
+    backward reads the same layout: per axis, it sums the gradient in
+    float64 to (n_heads, e, e), as two products with the (n_p, e) one-hot of
+    each position's coordinate on that axis, then adds those entries into
+    the table with one small ``np.bincount``.
     """
     tables = (table_t, table_h, table_w)
     n_heads = table_t.data.shape[0]
@@ -99,10 +81,14 @@ def relative_bias_matrix(bs, table_t, table_h, table_w, mask=None):
         out += np.where(mask, 0.0, MASK_NEG).astype(out.dtype)
 
     def back(g):
-        g = g.reshape(-1).astype(np.float64)
-        for table, dest in zip(tables, _bias_table_entries(bs, n_heads)):
+        g = g.astype(np.float64)
+        loc = np.indices(bs).reshape(3, -1)  # each block position's (t, h, w)
+        for table, idx, e, coord in zip(tables, (it, ih, iw), bs, loc):
             if table.requires_grad:
-                gt = np.bincount(dest, weights=g, minlength=table.data.size)
+                sel = np.eye(e)[coord]  # (n_p, e): one-hot of each position's coordinate
+                ge = sel.T @ (g @ sel)  # (n_heads, e, e): g summed per axis pair
+                dest = idx + table.data.shape[1] * np.arange(n_heads)[:, None, None]
+                gt = np.bincount(dest.ravel(), weights=ge.ravel(), minlength=table.data.size)
                 tc._accumulate(table, gt.reshape(table.data.shape).astype(table.data.dtype))
 
     return tc._make(out, tables, back)

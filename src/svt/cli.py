@@ -131,6 +131,7 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise ConfigError(f"config {path} is not UTF-8 text: {e}") from e
+    seen = {}  # key -> the line that set it
     for ln_no, line in enumerate(lines, 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -140,6 +141,10 @@ def load_config(path):
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{ln_no}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{ln_no}: key {key!r} repeated (first set on line "
+                              f"{seen[key]})")
+        seen[key] = ln_no
         try:
             conf[key] = _parse_value(key, raw)
         except ValueError as e:

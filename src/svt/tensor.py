@@ -432,13 +432,15 @@ def concat(parts, axis=-1):
 def index(a, key):
     """``a[key]`` for a basic index: integers, slices and ``Ellipsis``.
 
-    Such a key reads each entry at most once, so the backward writes the
-    gradient into zeros at the same key.
+    The backward adds the gradient into ``a``'s own gradient buffer at the
+    same key, allocating that buffer (zeros) only if ``a`` has none yet, so
+    several index nodes on one parent (an attention layer's q, k and v)
+    share one buffer.
     """
     def back(g):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        _accumulate(a, full)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[key] += g
 
     return _make(a.data[key], (a,), back)
 

@@ -10,7 +10,7 @@ import numpy as np
 from svt import model as M
 from svt import sampler
 from svt import tensor as tc
-from svt.attention import MASK_NEG, AttentionLayerSpec, attention_layer, relative_bias_indices
+from svt.attention import MASK_NEG, AttentionLayerSpec, attention_layer
 from svt.connectivity import (DependencyReport, _block_index_groups, _blocks,
                               _raster_coords)
 from svt.metrics import EvalResult, bits_per_dim, copy_last_frame_baseline, nats_per_frame
@@ -414,9 +414,21 @@ def three_exp_sigmoid(x):
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(x.dtype)
 
 
+def zero_filled_index(a, key):
+    """``tensor.index`` with a backward that writes the gradient into a new
+    zero array of ``a``'s full shape and accumulates that: the reference for
+    the backward that adds into ``a``'s own gradient buffer."""
+    def back(g):
+        full = np.zeros_like(a.data)
+        full[key] = g
+        tc._accumulate(a, full)
+
+    return tc._make(a.data[key], (a,), back)
+
+
 REFERENCE_OPS = {"matmul": batched_matmul, "softmax": two_temporary_softmax,
                  "log_softmax": unflushed_log_softmax, "layernorm": out_of_place_layernorm,
-                 "layernorm_array": out_of_place_layernorm_array}
+                 "layernorm_array": out_of_place_layernorm_array, "index": zero_filled_index}
 
 
 def unflushed_scale(a, c):
@@ -424,6 +436,15 @@ def unflushed_scale(a, c):
     subnormal gradient entries."""
     c = a.data.dtype.type(c)
     return tc._make(a.data * c, (a,), lambda g: tc._accumulate(a, g * c))
+
+
+def relative_bias_indices(bs):
+    """Index matrices (n_p, n_p) into the (2t-1), (2h-1), (2w-1) bias tables:
+    entry [i, j] of axis a's matrix is i_a - j_a + e_a - 1, for in-block
+    raster positions i and j."""
+    loc = np.indices(bs).reshape(3, -1).T  # in-block raster order
+    delta = loc[:, None, :] - loc[None, :, :]  # i - j
+    return tuple(delta[..., axis] + extent - 1 for axis, extent in enumerate(bs))
 
 
 def gathered_relative_bias_matrix(bs, table_t, table_h, table_w, mask=None):

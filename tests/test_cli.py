@@ -49,6 +49,15 @@ sample_seed = 7
 """
 
 
+def tiny_config_with(edit):
+    """TINY_CONFIG with the ``key = value`` lines of ``edit``: each replaces
+    the line that sets its key, or is added, since a repeated key is a
+    config error."""
+    keys = {line.split("=", 1)[0].strip() for line in edit.splitlines()}
+    kept = [line for line in TINY_CONFIG.splitlines() if line.split("=", 1)[0].strip() not in keys]
+    return "\n".join(kept + [edit]) + "\n"
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "svt.cli", *map(str, args)],
                           capture_output=True, text=True)
@@ -70,6 +79,14 @@ class TestConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("variant = spatial\nbananas = 4\n")
         with pytest.raises(Exception, match="unknown key"):
+            cli.load_config(cfg)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        """A key set twice is an error naming the key and both lines, not a
+        silent last-one-wins."""
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("lr = 0.1\nvariant = spatial\n# again\nlr = 0.2\n")
+        with pytest.raises(ConfigError, match=r":4: key 'lr' repeated \(first set on line 1\)"):
             cli.load_config(cfg)
 
     def test_bad_value_rejected(self, tmp_path):
@@ -103,7 +120,7 @@ class TestConfig:
         """A UTF-8 byte-order mark, as some editors write, is not part of the
         first key."""
         plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
-        plain.write_text("variant = spatial\n" + TINY_CONFIG)
+        plain.write_text("variant = spatial\n" + TINY_CONFIG.replace("variant =", "# variant ="))
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert cli.load_config(bom) == cli.load_config(plain)
 
@@ -234,13 +251,13 @@ class TestExitCodes:
                        "zero-stop-window": "stop_window = 0\nstop_bits_per_dim = 0.5",
                        "train-prime-all-frames": "prime_frames = 4"}
         if case in edits:
-            config.write_text(TINY_CONFIG + edits[case] + "\n")
+            config.write_text(tiny_config_with(edits[case]))
             argv = ["analyze", "--config", config]
         elif case == "config-not-utf8":
             config.write_bytes(TINY_CONFIG.encode() + b"# \xff\xfe\n")
             argv = ["analyze", "--config", config]
         elif case in train_edits or case == "negative-steps":
-            config.write_text(TINY_CONFIG + train_edits.get(case, "") + "\n")
+            config.write_text(tiny_config_with(train_edits.get(case, "")))
             argv = ["train", "--config", config, "--data", data, "--out-ckpt", tmp / "out.ckpt",
                     "--log", tmp / "train.log"]
             argv += ["--steps", -1] if case == "negative-steps" else []
@@ -300,7 +317,7 @@ class TestExitCodes:
         ("dec_blocks = 2x3x4;2x4x4", "block shape (2, 3, 4) does not divide slice shape (2, 4, 4)")])
     def test_bad_geometry_names_the_kind_and_the_value(self, tiny_setup, edit, message):
         tmp, config, _ = tiny_setup
-        config.write_text(TINY_CONFIG + edit + "\n")
+        config.write_text(tiny_config_with(edit))
         r = run_cli("analyze", "--config", config)
         assert r.returncode == 1
         assert f"error[config]: {message}" in r.stderr and "Traceback" not in r.stderr
@@ -315,7 +332,7 @@ class TestExitCodes:
         with eps = 0 on the zero-initialised head) are a config error before
         the first step, so no checkpoint is written."""
         tmp, config, data = tiny_setup
-        config.write_text(TINY_CONFIG + "ckpt_every = 1\n" + edit + "\n")
+        config.write_text(tiny_config_with("ckpt_every = 1\n" + edit))
         ckpt = tmp / "out.ckpt"
         r = run_cli("train", "--config", config, "--data", data, "--out-ckpt", ckpt)
         assert r.returncode == 1

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from helpers import (add_at_conv_input_grad, add_at_gather_grad, batched_matmul,
                      einsum_conv_kernel_grad, grad_check, out_of_place_layernorm,
                      is_subnormal, out_of_place_layernorm_array, put_along_axis_one_hot,
-                     three_exp_sigmoid, two_temporary_softmax, unflushed_log_softmax)
+                     relative_bias_indices, three_exp_sigmoid, two_temporary_softmax,
+                     unflushed_log_softmax, zero_filled_index)
 from svt import cli
 from svt import model as M
 from svt import tensor as tc
-from svt.attention import MASK_NEG, BlockShape, relative_bias_indices
+from svt.attention import MASK_NEG, BlockShape
 from svt.subscale import SubscaleFactor, context_padding, slice_key, slice_order, slice_rank
 from svt.tensor import ConfigError, Tensor
 
@@ -404,6 +405,47 @@ class TestGatherBincount:
                 shape[:axis] + idx.shape + shape[axis + 1:]).astype(dtype)
             got = gather_grad(table, idx, g, axis)
             assert_matches_reference(got, add_at_gather_grad(table, idx, g, axis))
+
+
+class TestIndexIntoGradBuffer:
+    """``tc.index`` adds its gradient into the parent's own buffer; the
+    parent and leaf gradients are bit-equal to the zero-filled reference
+    (``helpers.zero_filled_index``) when three index nodes (an attention
+    layer's q, k and v) and another op read one parent, whichever of them
+    reaches the parent first."""
+
+    @staticmethod
+    def gradients(index, dtype, other_first):
+        rng = np.random.default_rng(int(other_first))
+        leaf = Tensor(rng.standard_normal((2, 5, 3, 4)), requires_grad=True, dtype=dtype)
+        parent = tc.transpose(leaf, (2, 0, 1, 3))  # (3, 2, 5, 4), as block_attention's qkv
+        seen = []
+        sweep = parent._backward
+        parent._backward = lambda g: (seen.append(g.copy()), sweep(g))
+        parts = [tc.mul(index(parent, i), rng.standard_normal((2, 5, 4))) for i in range(3)]
+        other = tc.mul(parent, rng.standard_normal((3, 2, 5, 4)))
+        terms = [other] + parts if other_first else parts + [other]
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = tc.add(loss, term)  # (3, 2, 5, 4): the parts broadcast
+        tc.backward(loss, rng.standard_normal(loss.data.shape).astype(dtype))
+        (g_parent,) = seen
+        return g_parent, leaf.grad
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("other_first", [False, True])
+    def test_bit_equal_to_zero_filled(self, dtype, other_first):
+        got = self.gradients(tc.index, dtype, other_first)
+        want = self.gradients(zero_filled_index, dtype, other_first)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype and np.array_equal(g, w)
+
+    def test_leaf_parent_accumulates(self):
+        """On a leaf, the index gradient adds to the gradient it holds."""
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, dtype=np.float64)
+        x.grad = np.ones((2, 3))
+        tc.backward(tc.index(x, (1, slice(0, 2))), np.array([5.0, 7.0]))
+        assert np.array_equal(x.grad, [[1, 1, 1], [6, 8, 1]])
 
 
 class TestDeadGradients:
