@@ -70,7 +70,7 @@ def relative_bias_matrix(bs, table_t, table_h, table_w, mask=None):
     each position's coordinate on that axis, then adds those entries into
     the table with one small ``np.bincount``.
     """
-    tables = (table_t, table_h, table_w)
+    nodes = (table_t.node, table_h.node, table_w.node)
     n_heads = table_t.data.shape[0]
     it, ih, iw = _axis_distance_indices(bs)
     bt = np.take(table_t.data, it, axis=1)[:, :, None, None, :, None, None]
@@ -83,15 +83,16 @@ def relative_bias_matrix(bs, table_t, table_h, table_w, mask=None):
     def back(g):
         g = g.astype(np.float64)
         loc = np.indices(bs).reshape(3, -1)  # each block position's (t, h, w)
-        for table, idx, e, coord in zip(tables, (it, ih, iw), bs, loc):
-            if table.requires_grad:
+        for node, idx, e, coord in zip(nodes, (it, ih, iw), bs, loc):
+            if node is not None:
                 sel = np.eye(e)[coord]  # (n_p, e): one-hot of each position's coordinate
                 ge = sel.T @ (g @ sel)  # (n_heads, e, e): g summed per axis pair
-                dest = idx + table.data.shape[1] * np.arange(n_heads)[:, None, None]
-                gt = np.bincount(dest.ravel(), weights=ge.ravel(), minlength=table.data.size)
-                tc._accumulate(table, gt.reshape(table.data.shape).astype(table.data.dtype))
+                dest = idx + node.shape[1] * np.arange(n_heads)[:, None, None]
+                gt = np.bincount(dest.ravel(), weights=ge.ravel(),
+                                 minlength=n_heads * node.shape[1])
+                tc._accumulate(node, gt.reshape(node.shape).astype(node.dtype))
 
-    return tc._make(out, tables, back)
+    return tc._make(out, nodes, back)
 
 
 @cache

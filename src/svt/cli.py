@@ -443,8 +443,7 @@ def main(argv=None):
         return EXIT_CONFIG
 
     from .data import DataError
-    from .optim import NumericError
-    from .tensor import ConfigError
+    from .tensor import ConfigError, NumericError
 
     try:
         if getattr(args, "dump_config", False):

@@ -30,7 +30,7 @@ from .subscale import (BlockShape, SubscaleFactor, context_padding, extract_slic
                        primed_plane_mask, slice_key, slice_rank, visibility_mask)
 # the benchmark calls M.extract_slice_u8; the one extractor lives in subscale
 from .subscale import extract_slice as extract_slice_u8  # noqa: F401
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError, NumericError, Tensor
 
 N_VALUES = 16  # each split channel holds a 4-bit value
 
@@ -318,12 +318,15 @@ class ParamStore:
 
 
 def trunc_normal(rng, shape, std=0.02):
-    """Normal(0, std) with draws beyond 2 std resampled."""
+    """Normal(0, std) with draws beyond 2 std resampled.  Each round
+    redraws the entries still out of range, in raster order, and checks
+    only those again."""
     x = rng.standard_normal(shape) * std
-    bad = np.abs(x) > 2 * std
-    while bad.any():
-        x[bad] = rng.standard_normal(int(bad.sum())) * std
-        bad = np.abs(x) > 2 * std
+    flat = x.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    while bad.size:
+        flat[bad] = rng.standard_normal(bad.size) * std
+        bad = bad[np.abs(flat[bad]) > 2 * std]
     return x.astype(np.float32)
 
 
@@ -751,6 +754,13 @@ def checkpoint_entries(cfg, arrays, prefix=""):
 
 
 def params_from_checkpoint(cfg, arrays):
-    """Rebuild a ParamStore, checking every expected name and shape."""
-    return ParamStore({n: Tensor(a, requires_grad=True)
-                       for n, a in checkpoint_entries(cfg, arrays).items()})
+    """Rebuild a ParamStore, checking every expected name and shape, and
+    that every value is finite (NumericError, naming the first parameter in
+    name order that holds a NaN or an infinity)."""
+    entries = checkpoint_entries(cfg, arrays)
+    for name in sorted(entries):
+        bad = np.count_nonzero(~np.isfinite(entries[name]))
+        if bad:
+            raise NumericError(f"non-finite parameter {name} in checkpoint: "
+                               f"{bad} of {entries[name].size} entries")
+    return ParamStore({n: Tensor(a, requires_grad=True) for n, a in entries.items()})

@@ -26,13 +26,9 @@ from . import model as M
 from . import tensor as tc
 from .data import DataError
 from .subscale import check_frame_left, slice_order
-from .tensor import ConfigError
+from .tensor import ConfigError, NumericError
 
 LOG_FORMAT = "step=%d nats=%r dims=%d bits_per_dim=%r wall_ms=%d"  # one train record
-
-
-class NumericError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
 
 
 @dataclass

@@ -1,10 +1,14 @@
 """Dense n-dimensional arrays with reverse-mode automatic differentiation.
 
 A ``Tensor`` wraps a row-major numpy array (float32 by default, float64 for
-verification runs) together with the operation that produced it.  Every op
-below records its parents and a closure that routes the output gradient back
-to them, so a forward pass implicitly builds a DAG and ``backward`` walks it
-once in reverse topological order.
+verification runs).  With gradients on, every op below also gives its output
+a graph ``Node``: the parents' nodes and a closure that routes the output
+gradient back to them, so a forward pass implicitly builds a DAG of nodes
+and ``backward`` walks it once in reverse topological order.  A node holds
+no value of its own; its closure keeps only the arrays its backward reads,
+and only for the gradients that are live (``matmul`` keeps ``a`` only if
+``b`` needs a gradient; ``softmax`` keeps its output, not its input), so a
+value that no backward reads is freed as soon as its caller drops it.
 
 Only the operations the video model actually needs are provided: batched
 matmul, softmax/log-softmax, layer normalization, ReLU, sigmoid, strided 3D
@@ -26,6 +30,7 @@ to its matrix products hold none.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -37,6 +42,11 @@ class ShapeError(ValueError):
 
 class ConfigError(ValueError):
     """A geometry or configuration parameter is invalid."""
+
+
+class NumericError(RuntimeError):
+    """A non-finite value: a training loss or gradient, or a parameter
+    loaded from a checkpoint."""
 
 
 _GRAD_ENABLED = True
@@ -57,8 +67,32 @@ class no_grad:
         return False
 
 
+class Node:
+    """A vertex of the autograd graph: the nodes of the parents a gradient
+    flows to, the backward closure, the gradient buffer, and the shape and
+    dtype of the value the node stands for.
+
+    A node holds no value.  Its closure keeps exactly the arrays its
+    backward reads, so a value that no backward reads is freed as soon as
+    the caller drops its Tensor.  A leaf's node has no parents and no
+    closure.
+    """
+
+    __slots__ = ("parents", "backward", "grad", "shape", "dtype")
+
+    def __init__(self, shape, dtype, parents=(), backward=None):
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
+        self.shape = shape
+        self.dtype = dtype
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """A value, and its graph ``node`` when a gradient can flow to it: a
+    leaf node for ``requires_grad=True``, an op's node for an op output."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -67,10 +101,37 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self.node = Node(arr.shape, arr.dtype) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self.node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        if bool(flag) != self.requires_grad:
+            self.node = Node(self.data.shape, self.data.dtype) if flag else None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self.node is not None:
+            self.node.grad = g
+        elif g is not None:
+            raise ValueError("a Tensor that requires no gradient holds none")
+
+    @property
+    def _backward(self):
+        """The backward closure of an op output's node; settable, so that a
+        tracer can wrap it."""
+        return None if self.node is None else self.node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self.node.backward = fn
 
     @property
     def shape(self):
@@ -88,24 +149,27 @@ class Tensor:
 
 
 def _make(data, parents, backward):
-    """Create an op output, keeping the graph only where gradients can flow."""
-    track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=track)
-    if track:
-        out._parents = tuple(parents)
-        out._backward = backward
+    """An op output: ``data`` with, when gradients are on and some parent
+    node (None for a parent that needs no gradient) exists, a node over the
+    parent nodes and ``backward``."""
+    out = Tensor(data)
+    if _GRAD_ENABLED:
+        live = tuple(p for p in parents if p is not None)
+        if live:
+            out.node = Node(out.data.shape, out.data.dtype, live, backward)
     return out
 
 
-def _accumulate(t, grad):
-    if not t.requires_grad:
+def _accumulate(node, grad):
+    """Add ``grad`` into ``node``'s gradient buffer; no-op for None."""
+    if node is None:
         return
-    if grad.shape != t.data.shape:
-        raise ShapeError(f"gradient shape {grad.shape} != value shape {t.data.shape}")
-    if t.grad is None:
-        t.grad = grad.astype(t.data.dtype, copy=True)
+    if grad.shape != node.shape:
+        raise ShapeError(f"gradient shape {grad.shape} != value shape {node.shape}")
+    if node.grad is None:
+        node.grad = grad.astype(node.dtype, copy=True)
     else:
-        t.grad += grad
+        node.grad += grad
 
 
 def _wrap(x, like):
@@ -131,33 +195,37 @@ def zero_grads(tensors):
 
 
 def backward(t, seed=None):
-    """Reverse-mode sweep from ``t``; accumulates into ``.grad`` of leaves.
+    """Reverse-mode sweep from ``t``'s node; accumulates into the ``.grad``
+    of leaves.
 
-    Visits each node exactly once, children before parents.  An op output's
+    Visits each node exactly once, children before parents.  An op node's
     gradient is freed once it has been passed on, since every node that
     adds to it has already run; only leaves keep theirs.
     """
+    root = t.node
+    if root is None:
+        return
     topo = []
     visited = set()
-    stack = [(t, False)]
+    stack = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
             topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+        for p in node.parents:
+            if p not in visited:
                 stack.append((p, False))
     if seed is None:
-        seed = np.ones_like(t.data)
-    _accumulate(t, np.asarray(seed, dtype=t.data.dtype))
+        seed = np.ones(root.shape, root.dtype)
+    _accumulate(root, np.asarray(seed, dtype=root.dtype))
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node.backward is not None and node.grad is not None:
+            node.backward(node.grad)
             node.grad = None
 
 
@@ -168,92 +236,112 @@ def backward(t, seed=None):
 def add(a, b):
     a = a if isinstance(a, Tensor) else _wrap(a, b)
     b = _wrap(b, a)
+    na, nb = a.node, b.node
 
     def back(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g, na.shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, nb.shape))
 
-    return _make(a.data + b.data, (a, b), back)
+    return _make(a.data + b.data, (na, nb), back)
 
 
 def sub(a, b):
     a = a if isinstance(a, Tensor) else _wrap(a, b)
     b = _wrap(b, a)
+    na, nb = a.node, b.node
 
     def back(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g, na.shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(-g, nb.shape))
 
-    return _make(a.data - b.data, (a, b), back)
+    return _make(a.data - b.data, (na, nb), back)
 
 
 def mul(a, b):
     """Elementwise product.  A factor below 1 (an attention layer's query
     scale) turns gradients just above the smallest normal number into
-    subnormals, so the backward flushes them (``_flush_subnormals``)."""
+    subnormals, so the backward flushes them (``_flush_subnormals``).  Each
+    factor is kept only for the other's gradient."""
     a = a if isinstance(a, Tensor) else _wrap(a, b)
     b = _wrap(b, a)
+    na, nb = a.node, b.node
+    av = a.data if nb is not None else None
+    bv = b.data if na is not None else None
 
     def back(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(_flush_subnormals(g * b.data), a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(_flush_subnormals(g * a.data), b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(_flush_subnormals(g * bv), na.shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(_flush_subnormals(g * av), nb.shape))
 
-    return _make(a.data * b.data, (a, b), back)
+    return _make(a.data * b.data, (na, nb), back)
 
 
 def neg(a):
-    def back(g):
-        _accumulate(a, -g)
+    na = a.node
 
-    return _make(-a.data, (a,), back)
+    def back(g):
+        _accumulate(na, -g)
+
+    return _make(-a.data, (na,), back)
 
 
 def relu(a):
-    def back(g):
-        _accumulate(a, g * (a.data > 0))
+    """max(a, 0); the backward reads the output, which is positive exactly
+    where the input is."""
+    na = a.node
+    y = np.maximum(a.data, 0)
 
-    return _make(np.maximum(a.data, 0), (a,), back)
+    def back(g):
+        _accumulate(na, g * (y > 0))
+
+    return _make(y, (na,), back)
 
 
 def sigmoid(a):
+    na = a.node
     x = a.data
     e = np.exp(-np.abs(x))
     y = (np.where(x >= 0, 1, e) / (1 + e)).astype(x.dtype)
 
     def back(g):
-        _accumulate(a, g * y * (1.0 - y))
+        _accumulate(na, g * y * (1.0 - y))
 
-    return _make(y, (a,), back)
+    return _make(y, (na,), back)
 
 
 def log(a):
-    def back(g):
-        _accumulate(a, g / a.data)
+    na = a.node
+    x = a.data
 
-    return _make(np.log(a.data), (a,), back)
+    def back(g):
+        _accumulate(na, g / x)
+
+    return _make(np.log(x), (na,), back)
 
 
 def clip(a, lo, hi):
     """Clamp values; gradient passes through only in the interior."""
-    y = np.clip(a.data, lo, hi)
+    na = a.node
+    x = a.data
 
     def back(g):
-        _accumulate(a, g * ((a.data >= lo) & (a.data <= hi)))
+        _accumulate(na, g * ((x >= lo) & (x <= hi)))
 
-    return _make(y, (a,), back)
+    return _make(np.clip(x, lo, hi), (na,), back)
 
 
 def sum_all(a):
-    def back(g):
-        _accumulate(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
+    na = a.node
 
-    return _make(a.data.sum(), (a,), back)
+    def back(g):
+        _accumulate(na, np.broadcast_to(g, na.shape).astype(na.dtype))
+
+    return _make(a.data.sum(), (na,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +353,27 @@ def matmul(a, b):
 
     A weight product (``b`` 2-D, ``a`` of more than two dims) folds ``a``'s
     leading extents into rows, so it runs as one 2-D GEMM forward and one
-    for each gradient (``_fold_matmul``).
+    for each gradient (``_fold_matmul``).  The graph keeps ``a`` only if
+    ``b`` needs a gradient, and ``b`` only if ``a`` does.
     """
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.data.shape} @ {b.data.shape}")
     if a.data.ndim > 2 and b.data.ndim == 2:
         return _fold_matmul(a, b)
-    out = np.matmul(a.data, b.data)
+    na, nb = a.node, b.node
+    av = a.data if nb is not None else None
+    bv = b.data if na is not None else None
 
     def back(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                                        a.data.shape))
-        if b.requires_grad:
+        if na is not None:
+            _accumulate(na, _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), na.shape))
+        if nb is not None:
             # an attention layer's dk and dv: sums weighted by attention
             # weights far below 1 can be subnormal
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
-            _accumulate(b, _flush_subnormals(gb))
+            gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), nb.shape)
+            _accumulate(nb, _flush_subnormals(gb))
 
-    return _make(out, (a, b), back)
+    return _make(np.matmul(a.data, b.data), (na, nb), back)
 
 
 def _fold_matmul(a, b):
@@ -295,15 +385,18 @@ def _fold_matmul(a, b):
     k, e = b.data.shape
     lead = a.data.shape[:-1]
     out = (a.data.reshape(-1, k) @ b.data).reshape(*lead, e)
+    na, nb = a.node, b.node
+    av = a.data if nb is not None else None
+    bv = b.data if na is not None else None
 
     def back(g):
         g2 = g.reshape(-1, e)
-        if a.requires_grad:
-            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, a.data.reshape(-1, k).T @ g2)
+        if na is not None:
+            _accumulate(na, (g2 @ bv.T).reshape(na.shape))
+        if nb is not None:
+            _accumulate(nb, av.reshape(-1, k).T @ g2)
 
-    return _make(out, (a, b), back)
+    return _make(out, (na, nb), back)
 
 
 def _flush_subnormals(x):
@@ -322,7 +415,9 @@ def softmax(a, axis=-1, bias=None):
     input, which is then shifted, exponentiated and normalised in place; its
     gradient is the input gradient summed over the broadcast axes.
     Subnormal exponentials and input gradients are flushed to 0: a row's
-    largest weight is at least 1/n, so the sums they would enter drop them."""
+    largest weight is at least 1/n, so the sums they would enter drop them.
+    The graph keeps the output, not the input."""
+    na, nbias = a.node, None if bias is None else bias.node
     y = a.data.copy() if bias is None else a.data + bias.data
     y -= y.max(axis=axis, keepdims=True)
     np.copyto(y, -np.inf, where=y < np.log(np.finfo(y.dtype).tiny))
@@ -333,24 +428,26 @@ def softmax(a, axis=-1, bias=None):
         r = g - (g * y).sum(axis=axis, keepdims=True)
         r *= y
         _flush_subnormals(r)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, _unbroadcast(r, bias.data.shape))
-        _accumulate(a, r)
+        if nbias is not None:
+            _accumulate(nbias, _unbroadcast(r, nbias.shape))
+        _accumulate(na, r)
 
-    return _make(y, (a,) if bias is None else (a, bias), back)
+    return _make(y, (na, nbias), back)
 
 
 def log_softmax(a, axis=-1):
-    """Log of ``softmax``, with the input gradient flushed likewise."""
+    """Log of ``softmax``, with the input gradient flushed likewise; the
+    graph keeps the output, not the input."""
+    na = a.node
     x = a.data
     m = x.max(axis=axis, keepdims=True)
     s = x - m
     ls = s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
 
     def back(g):
-        _accumulate(a, _flush_subnormals(g - np.exp(ls) * g.sum(axis=axis, keepdims=True)))
+        _accumulate(na, _flush_subnormals(g - np.exp(ls) * g.sum(axis=axis, keepdims=True)))
 
-    return _make(ls, (a,), back)
+    return _make(ls, (na,), back)
 
 
 def _layernorm(x, gain, bias, eps):
@@ -373,22 +470,25 @@ def layernorm_array(x, gain, bias, eps=1e-6):
 
 
 def layernorm(a, gain, bias, eps=1e-6):
-    """Zero-mean unit-variance over the last (feature) axis, then affine."""
+    """Zero-mean unit-variance over the last (feature) axis, then affine.
+    The graph keeps xhat and 1/std, not the input."""
     out, xhat, inv = _layernorm(a.data, gain.data, bias.data, eps)
+    na, ngain, nbias = a.node, gain.node, bias.node
+    gv = gain.data
 
     def back(g):
-        if gain.requires_grad:
-            _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
-        if a.requires_grad:
-            dxhat = g * gain.data
+        if ngain is not None:
+            _accumulate(ngain, _unbroadcast(g * xhat, ngain.shape))
+        if nbias is not None:
+            _accumulate(nbias, _unbroadcast(g, nbias.shape))
+        if na is not None:
+            dxhat = g * gv
             n = dxhat.shape[-1]
             m1 = dxhat.sum(axis=-1, keepdims=True) / n
             m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
-            _accumulate(a, inv * (dxhat - m1 - xhat * m2))
+            _accumulate(na, inv * (dxhat - m1 - xhat * m2))
 
-    return _make(out, (a, gain, bias), back)
+    return _make(out, (na, ngain, nbias), back)
 
 
 # ---------------------------------------------------------------------------
@@ -396,37 +496,39 @@ def layernorm(a, gain, bias, eps=1e-6):
 # ---------------------------------------------------------------------------
 
 def reshape(a, shape):
-    old = a.data.shape
+    na = a.node
 
     def back(g):
-        _accumulate(a, g.reshape(old))
+        _accumulate(na, g.reshape(na.shape))
 
-    return _make(a.data.reshape(shape), (a,), back)
+    return _make(a.data.reshape(shape), (na,), back)
 
 
 def transpose(a, axes):
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
+    na = a.node
 
     def back(g):
-        _accumulate(a, g.transpose(inv))
+        _accumulate(na, g.transpose(inv))
 
-    return _make(a.data.transpose(axes), (a,), back)
+    return _make(a.data.transpose(axes), (na,), back)
 
 
 def concat(parts, axis=-1):
     parts = list(parts)
     sizes = [p.data.shape[axis] for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
+    nodes = [p.node for p in parts]
 
     def back(g):
         offs = np.cumsum([0] + sizes)
-        for p, lo, hi in zip(parts, offs[:-1], offs[1:]):
+        for node, lo, hi in zip(nodes, offs[:-1], offs[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(sl)])
+            _accumulate(node, g[tuple(sl)])
 
-    return _make(out, tuple(parts), back)
+    return _make(out, nodes, back)
 
 
 def index(a, key):
@@ -435,14 +537,21 @@ def index(a, key):
     The backward adds the gradient into ``a``'s own gradient buffer at the
     same key, allocating that buffer (zeros) only if ``a`` has none yet, so
     several index nodes on one parent (an attention layer's q, k and v)
-    share one buffer.
+    share one buffer.  The buffer takes ``a``'s memory layout, as
+    ``np.zeros_like(a.data)`` would: for a transposed ``a`` (that qkv), the
+    gradient then reaches the op before the transpose in that op's layout.
     """
-    def back(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[key] += g
+    na = a.node
+    strides = a.data.strides
 
-    return _make(a.data[key], (a,), back)
+    def back(g):
+        if na.grad is None:
+            order = sorted(range(len(strides)), key=lambda i: -abs(strides[i]))
+            buf = np.zeros([na.shape[i] for i in order], na.dtype)
+            na.grad = buf.transpose(np.argsort(order))
+        na.grad[key] += g
+
+    return _make(a.data[key], (na,), back)
 
 
 def gather(table, idx, axis=0):
@@ -455,29 +564,31 @@ def gather(table, idx, axis=0):
     """
     idx = np.asarray(idx)
     out = np.take(table.data, idx, axis=axis)
+    nt = table.node
 
     def back(g):
-        size, shape = table.data.size, table.data.shape
+        size, shape = math.prod(nt.shape), nt.shape
         # the flat table entry each output element was read from
         dest = np.take(np.arange(size).reshape(shape), idx, axis=axis)
         gt = np.bincount(dest.reshape(-1), weights=g.reshape(-1).astype(np.float64),
                          minlength=size)
-        _accumulate(table, gt.reshape(shape).astype(table.data.dtype))
+        _accumulate(nt, gt.reshape(shape).astype(nt.dtype))
 
-    return _make(out, (table,), back)
+    return _make(out, (nt,), back)
 
 
 def take_index_last(a, idx):
     """Pick one entry along the last axis per position (for NLL targets)."""
     idx = np.asarray(idx)
     out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+    na = a.node
 
     def back(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(na.shape, na.dtype)
         np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-        _accumulate(a, full)
+        _accumulate(na, full)
 
-    return _make(out, (a,), back)
+    return _make(out, (na,), back)
 
 
 def one_hot(values, n, dtype=np.float32):
@@ -539,7 +650,8 @@ def _conv_core(x, kernel, bias, taps, stride, pad, out_shape):
 
     The backward forms the kernel gradient as one 2D GEMM of the
     (B*P_out, K*Cin) patches with the (B*P_out, Cout) output gradient, and
-    the input gradient by a per-tap scatter (``_scatter_taps``).
+    the input gradient by a per-tap scatter (``_scatter_taps``).  The
+    graph keeps the patches, for the kernel gradient, and not ``x``.
     """
     B, T, H, W, cin = x.data.shape
     k_rows = kernel.data.shape[0]  # K*Cin
@@ -554,20 +666,23 @@ def _conv_core(x, kernel, bias, taps, stride, pad, out_shape):
     patches = flat[:, idx, :].reshape(B, -1, K * cin)  # (B, P_out, K*Cin)
     out = np.matmul(patches, kernel.data) + bias.data
     p_out = out.shape[1]
+    nx, nk, nb = x.node, kernel.node, bias.node
+    pv = patches if nk is not None else None
+    kv = kernel.data if nx is not None else None
 
     def back(g):
         g2 = g.reshape(B, p_out, cout)
-        if bias.requires_grad:
-            _accumulate(bias, g2.sum(axis=(0, 1)))
-        if kernel.requires_grad:
-            gk = patches.reshape(-1, K * cin).T @ g2.reshape(-1, cout)
-            _accumulate(kernel, gk.astype(kernel.data.dtype, copy=False))
-        if x.requires_grad:
-            gp = np.matmul(g2, kernel.data.T).reshape(B, p_out, K, cin)
-            gx = _scatter_taps(gp, idx.reshape(p_out, K), n, x.data.dtype)
-            _accumulate(x, gx.reshape(x.data.shape))
+        if nb is not None:
+            _accumulate(nb, g2.sum(axis=(0, 1)))
+        if nk is not None:
+            gk = pv.reshape(-1, K * cin).T @ g2.reshape(-1, cout)
+            _accumulate(nk, gk.astype(nk.dtype, copy=False))
+        if nx is not None:
+            gp = np.matmul(g2, kv.T).reshape(B, p_out, K, cin)
+            gx = _scatter_taps(gp, idx.reshape(p_out, K), n, nx.dtype)
+            _accumulate(nx, gx.reshape(nx.shape))
 
-    return _make(out.reshape(B, *out_shape, cout), (x, kernel, bias), back)
+    return _make(out.reshape(B, *out_shape, cout), (nx, nk, nb), back)
 
 
 def kernel_taps(extents):

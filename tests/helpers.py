@@ -1,5 +1,6 @@
-"""Shared test harnesses: the finite-difference gradient checker, causality
-sweeps, analyzer gradient oracles and bool-matrix analyzer references, the
+"""Shared test harnesses: the finite-difference gradient checker, graph
+walks (the nodes, and the bytes a graph keeps alive), causality sweeps,
+analyzer gradient oracles and bool-matrix analyzer references, the
 full-recompute reference sampler, the one-slice-per-call evaluator, and the
 reference and single-slice forms of library functions that only tests use,
 among them the attention score chain with the scale and the bias as nodes of
@@ -56,18 +57,53 @@ def grad_check(fn, inputs, eps=1e-3, max_entries=None, seed=0):
     return worst
 
 
+def graph_nodes(t):
+    """Every graph node reachable from ``t``'s node, ``t``'s own first."""
+    nodes, seen = [], set()
+    stack = [] if t.node is None else [t.node]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        nodes.append(node)
+        stack.extend(node.parents)
+    return nodes
+
+
 def clear_graph_grads(t):
     """Reset .grad on every node reachable from ``t`` so the same graph can
     be swept backward again with a different seed."""
-    seen = set()
+    for node in graph_nodes(t):
+        node.grad = None
+
+
+def graph_bytes(t):
+    """Bytes of the distinct arrays that ``t``'s graph keeps alive: the
+    arrays its backward closures hold (following tuples, lists and nested
+    closures, not globals) and the gradient buffers, each view counted as
+    the array that owns its memory.  ``t``'s own value counts only if a
+    backward keeps it."""
+    arrays, seen = {}, set()
     stack = [t]
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
+        obj = stack.pop()
+        if id(obj) in seen:
             continue
-        seen.add(id(node))
-        node.grad = None
-        stack.extend(node._parents)
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            arrays[id(obj)] = obj
+        elif isinstance(obj, Tensor):
+            stack.append(obj.node)
+        elif isinstance(obj, tc.Node):
+            stack += [obj.backward, obj.grad, *obj.parents]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack += [cell.cell_contents for cell in obj.__closure__]
+    return sum(a.nbytes for a in arrays.values())
 
 
 def block_coordinates(slice_shape, bs):
@@ -314,16 +350,15 @@ def batched_matmul(a, b):
     if a.data.shape[-1] != b.data.shape[-2]:
         raise tc.ShapeError(f"matmul inner extents differ: {a.data.shape} @ {b.data.shape}")
     out = np.matmul(a.data, b.data)
+    na, nb, av, bv = a.node, b.node, a.data, b.data
 
     def back(g):
-        if a.requires_grad:
-            tc._accumulate(a, tc._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                                              a.data.shape))
-        if b.requires_grad:
-            tc._accumulate(b, tc._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
-                                              b.data.shape))
+        if na is not None:
+            tc._accumulate(na, tc._unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), na.shape))
+        if nb is not None:
+            tc._accumulate(nb, tc._unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), nb.shape))
 
-    return tc._make(out, (a, b), back)
+    return tc._make(out, (na, nb), back)
 
 
 def two_temporary_softmax(a, axis=-1, bias=None):
@@ -334,15 +369,16 @@ def two_temporary_softmax(a, axis=-1, bias=None):
     m = x.max(axis=axis, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=axis, keepdims=True)
+    na, nbias = a.node, None if bias is None else bias.node
 
     def back(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         r = y * (g - dot)
-        if bias is not None and bias.requires_grad:
-            tc._accumulate(bias, tc._unbroadcast(r, bias.data.shape))
-        tc._accumulate(a, r)
+        if nbias is not None:
+            tc._accumulate(nbias, tc._unbroadcast(r, nbias.shape))
+        tc._accumulate(na, r)
 
-    return tc._make(y, (a,) if bias is None else (a, bias), back)
+    return tc._make(y, (na, nbias), back)
 
 
 def unflushed_log_softmax(a, axis=-1):
@@ -351,11 +387,12 @@ def unflushed_log_softmax(a, axis=-1):
     x = a.data
     s = x - x.max(axis=axis, keepdims=True)
     ls = s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
+    na = a.node
 
     def back(g):
-        tc._accumulate(a, g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
+        tc._accumulate(na, g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
 
-    return tc._make(ls, (a,), back)
+    return tc._make(ls, (na,), back)
 
 
 def is_subnormal(x):
@@ -383,19 +420,20 @@ def out_of_place_layernorm(a, gain, bias, eps=1e-6):
     """The reference for ``tensor.layernorm``."""
     xhat, inv = out_of_place_normalize(a.data, eps)
     out = xhat * gain.data + bias.data
+    na, ngain, nbias, gv = a.node, gain.node, bias.node, gain.data
 
     def back(g):
-        if gain.requires_grad:
-            tc._accumulate(gain, tc._unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            tc._accumulate(bias, tc._unbroadcast(g, bias.data.shape))
-        if a.requires_grad:
-            dxhat = g * gain.data
+        if ngain is not None:
+            tc._accumulate(ngain, tc._unbroadcast(g * xhat, ngain.shape))
+        if nbias is not None:
+            tc._accumulate(nbias, tc._unbroadcast(g, nbias.shape))
+        if na is not None:
+            dxhat = g * gv
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            tc._accumulate(a, inv * (dxhat - m1 - xhat * m2))
+            tc._accumulate(na, inv * (dxhat - m1 - xhat * m2))
 
-    return tc._make(out, (a, gain, bias), back)
+    return tc._make(out, (na, ngain, nbias), back)
 
 
 def put_along_axis_one_hot(values, n, dtype=np.float32):
@@ -418,12 +456,14 @@ def zero_filled_index(a, key):
     """``tensor.index`` with a backward that writes the gradient into a new
     zero array of ``a``'s full shape and accumulates that: the reference for
     the backward that adds into ``a``'s own gradient buffer."""
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        tc._accumulate(a, full)
+    na, av = a.node, a.data
 
-    return tc._make(a.data[key], (a,), back)
+    def back(g):
+        full = np.zeros_like(av)
+        full[key] = g
+        tc._accumulate(na, full)
+
+    return tc._make(a.data[key], (na,), back)
 
 
 REFERENCE_OPS = {"matmul": batched_matmul, "softmax": two_temporary_softmax,
@@ -435,7 +475,8 @@ def unflushed_scale(a, c):
     """``tensor.mul`` of ``a`` by the constant ``c``, without the flush of
     subnormal gradient entries."""
     c = a.data.dtype.type(c)
-    return tc._make(a.data * c, (a,), lambda g: tc._accumulate(a, g * c))
+    na = a.node
+    return tc._make(a.data * c, (na,), lambda g: tc._accumulate(na, g * c))
 
 
 def relative_bias_indices(bs):
@@ -501,6 +542,18 @@ def make_batches(n_videos, s, batch_size, seed):
             chunk = perm[lo:lo + batch_size]
             yield [pairs[i] for i in chunk]
         epoch += 1
+
+
+def full_rescan_trunc_normal(rng, shape, std=0.02):
+    """``model.trunc_normal`` with every round rescanning the whole array
+    for out-of-range draws: the reference for the form that checks only the
+    redrawn entries."""
+    x = rng.standard_normal(shape) * std
+    bad = np.abs(x) > 2 * std
+    while bad.any():
+        x[bad] = rng.standard_normal(int(bad.sum())) * std
+        bad = np.abs(x) > 2 * std
+    return x.astype(np.float32)
 
 
 def tiny_config(**overrides):

@@ -185,7 +185,7 @@ class TestRelativeBiasNode:
         tables = bias_tables(np.random.default_rng(0), bs, 2, np.float32)
         for mask in (None, causal_mask(bs)):
             out = relative_bias_matrix(bs, *tables, mask)
-            assert out._parents == tuple(tables)
+            assert out.node.parents == tuple(t.node for t in tables)
         with tc.no_grad():
             assert relative_bias_matrix(bs, *tables)._backward is None
 

@@ -556,20 +556,48 @@ class TestThreadsAndNumeric:
         assert r.returncode == 1
         assert "error[config]: SVT_THREADS" in r.stderr and "Traceback" not in r.stderr
 
-    def test_nonfinite_loss_exits_three(self, tiny_setup):
-        from svt import model as M, optim as O
-        from svt.cli import load_config, model_config_from
+    def test_nonfinite_loss_exits_three(self, tiny_setup, monkeypatch, capsys):
+        """A NaN parameter that reaches training (a checkpoint's is stopped
+        at load, so here it comes from ``init_params``) gives a non-finite
+        loss: exit 3, and no checkpoint."""
+        from svt import model as M
 
         tmp, config, data = tiny_setup
-        cfg = model_config_from(load_config(config))
-        params = M.init_params(cfg)
-        params["enc/in_proj"].data[0, 0] = np.nan
-        poisoned = tmp / "poisoned.ckpt"
-        O.save_training_checkpoint(poisoned, params, O.OptimizerState(params), 0)
-        r = run_cli("train", "--config", config, "--data", data,
-                    "--out-ckpt", tmp / "out.ckpt", "--resume", poisoned)
+        init = M.init_params
+
+        def poisoned(cfg, *args, **kwargs):
+            params = init(cfg, *args, **kwargs)
+            params["enc/in_proj"].data[0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(M, "init_params", poisoned)
+        out = tmp / "out.ckpt"
+        code = cli.main(["train", "--config", str(config), "--data", str(data),
+                         "--out-ckpt", str(out)])
+        assert code == 3
+        assert "error[numeric]: non-finite loss at step 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sample", "train"])
+    def test_nonfinite_parameter_in_checkpoint_exits_three(self, tiny_setup, command):
+        """A checkpoint with one NaN parameter entry stops at load: exit 3,
+        naming the entry and the count, and no output is written."""
+        from svt import model as M, optim as O
+
+        tmp, config, data = tiny_setup
+        params = M.init_params(cli.model_config_from(cli.load_config(config)))
+        params["dec/l0/w_qkv"].data[0, 1] = np.nan
+        ckpt, out = tmp / "poisoned.ckpt", tmp / "out"
+        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 0)
+        args = {"eval": ["--ckpt", ckpt, "--data", data, "--out", out],
+                "sample": ["--ckpt", ckpt, "--prime-video", data, "--out", out],
+                "train": ["--data", data, "--resume", ckpt, "--out-ckpt", out]}[command]
+        r = run_cli(command, "--config", config, *args)
+        size = params["dec/l0/w_qkv"].data.size
         assert r.returncode == 3
-        assert "error[numeric]" in r.stderr
+        assert (f"error[numeric]: non-finite parameter dec/l0/w_qkv in checkpoint: "
+                f"1 of {size} entries") in r.stderr
+        assert "Traceback" not in r.stderr and r.stdout == "" and not out.exists()
 
     def test_nonfinite_gradient_exits_three(self, tiny_setup, monkeypatch, capsys):
         """NaN gradients behind a finite loss exit 3 and leave the previous

@@ -2,6 +2,7 @@
 variants, checkpoints."""
 
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ from svt import model as M
 from svt import tensor as tc
 from svt.subscale import SubscaleFactor, extract_slice, slice_key, slice_order, slice_rank
 from svt.tensor import ConfigError, Tensor
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestChannelCodec:
@@ -381,6 +384,22 @@ class TestCheckpoint:
             out = load(bytes(flipped))
             assert out is None or all(a.dtype == np.float32 for a in out.values())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_param_rejected(self, tmp_path, value):
+        """A non-finite parameter entry stops at load with NumericError,
+        naming the first such parameter in name order and its count."""
+        cfg = tiny_config()
+        arrays = M.init_params(cfg).arrays()
+        arrays["dec/l0/w_qkv"][0, :2] = value
+        arrays["head/u0"][1, 1] = value
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, arrays)
+        size = arrays["dec/l0/w_qkv"].size
+        with pytest.raises(tc.NumericError, match=f"parameter dec/l0/w_qkv in checkpoint: "
+                                                   f"2 of {size} entries"):
+            M.params_from_checkpoint(cfg, M.load_checkpoint(path))
+        assert optim.NumericError is tc.NumericError
+
     def test_missing_param_rejected(self, tmp_path):
         cfg = tiny_config()
         ps = M.init_params(cfg)
@@ -390,6 +409,30 @@ class TestCheckpoint:
         M.save_checkpoint(path, arrays)
         with pytest.raises(ConfigError):
             M.params_from_checkpoint(cfg, M.load_checkpoint(path))
+
+
+class TestTruncNormal:
+    """``trunc_normal`` redraws only the entries still out of range; the
+    parameters are bit-equal to the full-rescan reference
+    (``helpers.full_rescan_trunc_normal``)."""
+
+    @pytest.mark.parametrize("config", ["sprites-rgb.cfg", "sprites-gray.cfg", None])
+    def test_init_params_bit_equal_to_full_rescan(self, monkeypatch, config):
+        cfg = (tiny_config(seed=9) if config is None else
+               cli.model_config_from(cli.load_config(CONFIGS / config)))
+        got = M.init_params(cfg, head_init="normal").arrays()
+        monkeypatch.setattr(M, "trunc_normal", helpers.full_rescan_trunc_normal)
+        want = M.init_params(cfg, head_init="normal").arrays()
+        assert sorted(got) == sorted(want)
+        for name in got:
+            assert got[name].dtype == want[name].dtype == np.float32
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_many_rounds(self):
+        """A draw large enough to need several rounds, in range after them."""
+        got = M.trunc_normal(np.random.default_rng(4), (300, 400), std=0.5)
+        want = helpers.full_rescan_trunc_normal(np.random.default_rng(4), (300, 400), std=0.5)
+        assert np.array_equal(got, want) and np.abs(got).max() <= 1.0
 
 
 class TestComposite:
@@ -551,7 +594,7 @@ class TestReferenceOps:
     def desk(qkv_scale=1.0, config="sprites-rgb.cfg"):
         """Desk config, normal-init parameters with every ``w_qkv`` scaled by
         ``qkv_scale``, and two videos."""
-        conf = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / config)
+        conf = cli.load_config(CONFIGS / config)
         cfg = cli.model_config_from(conf)
         videos = data.gen_sprites(*cfg.video_shape, 2, channels=cfg.bytes_per_pixel, seed=7)
         params = M.init_params(cfg, head_init="normal")
@@ -607,8 +650,7 @@ class TestReferenceOps:
         """The canonical model's d_head is 128, so its query scale is not a
         power of two either: one no-grad 4x32x32 slice (rank 3) keeps its
         loss within rtol 1e-6 of the reference chain."""
-        conf = cli.load_config(Path(__file__).resolve().parents[1] / "configs"
-                               / "base-16x64x64.cfg")
+        conf = cli.load_config(CONFIGS / "base-16x64x64.cfg")
         cfg = cli.model_config_from(conf)
         params = M.init_params(cfg, head_init="normal")
         video = data.gen_sprites(*cfg.video_shape, 1, channels=cfg.bytes_per_pixel, seed=1)[0]
@@ -727,6 +769,57 @@ class TestReferenceOps:
         shipped, reference = self.shipped_and_reference(monkeypatch, run, self.TRAIN_OPS)
         assert len(shipped) == len(reference) > 0
         assert sum(shipped) == 0 and sum(reference) > 0
+
+
+class TestTrainingGraph:
+    """On a desk training batch the graph frees the values no backward
+    reads, among them every attention layer's scores (the softmax input)
+    and the encoder conv's masked input, keeps the attention weights (the
+    softmax output), and gives the same gradients as when the caller holds
+    every one of those values."""
+
+    @staticmethod
+    def step(monkeypatch, keep):
+        conf = cli.load_config(CONFIGS / "sprites-rgb.cfg")
+        cfg = cli.model_config_from(conf)
+        videos = data.gen_sprites(*cfg.video_shape, 4, channels=cfg.bytes_per_pixel, seed=2)
+        params = M.init_params(cfg, head_init="normal")
+        batch = optim.batch_at(len(videos), cfg.s, conf["batch_slices"], conf["train_seed"], 0)
+        refs = {"scores": [], "weights": [], "conv_input": []}
+        held = []
+        softmax, conv3d = tc.softmax, tc.conv3d
+
+        def watched_softmax(a, axis=-1, bias=None):
+            out = softmax(a, axis, bias)
+            refs["scores"].append(weakref.ref(a.data))
+            refs["weights"].append(weakref.ref(out.data))
+            held.extend([a, out] if keep else [])
+            return out
+
+        def watched_conv3d(x, *args):
+            refs["conv_input"].append(weakref.ref(x.data))
+            held.extend([x] if keep else [])
+            return conv3d(x, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(tc, "softmax", watched_softmax)
+            mp.setattr(tc, "conv3d", watched_conv3d)
+            loss = M.forward_slices(params, cfg, [videos[v] for v, _ in batch],
+                                    [idx for _, idx in batch], conf["prime_frames"])[0]
+        alive = {k: [r() is not None for r in rs] for k, rs in refs.items()}
+        tc.backward(loss)
+        return alive, {n: t.grad for n, t in params.items()}
+
+    def test_unread_values_freed_and_gradients_unchanged(self, monkeypatch):
+        alive, grads = self.step(monkeypatch, keep=False)
+        assert len(alive["scores"]) == 4 and len(alive["conv_input"]) == 8
+        assert not any(alive["scores"]) and not any(alive["conv_input"])
+        assert all(alive["weights"])
+        held, want = self.step(monkeypatch, keep=True)
+        assert all(all(v) for v in held.values())
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, want[name]), name
 
 
 def _params_float64(cfg, seed):

@@ -2,6 +2,7 @@
 reverse-mode gradients against central finite differences."""
 
 import tracemalloc
+import weakref
 import zlib
 from functools import cache
 from pathlib import Path
@@ -12,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (add_at_conv_input_grad, add_at_gather_grad, batched_matmul,
-                     einsum_conv_kernel_grad, grad_check, out_of_place_layernorm,
-                     is_subnormal, out_of_place_layernorm_array, put_along_axis_one_hot,
-                     relative_bias_indices, three_exp_sigmoid, two_temporary_softmax,
-                     unflushed_log_softmax, zero_filled_index)
+                     einsum_conv_kernel_grad, grad_check, graph_bytes, graph_nodes,
+                     out_of_place_layernorm, is_subnormal, out_of_place_layernorm_array,
+                     put_along_axis_one_hot, relative_bias_indices, three_exp_sigmoid,
+                     two_temporary_softmax, unflushed_log_softmax, zero_filled_index)
 from svt import cli
 from svt import model as M
 from svt import tensor as tc
@@ -622,12 +623,7 @@ class TestGraphMechanics:
         z = tc.add(tc.relu(y), y)
         loss = tc.sum_all(tc.mul(z, z))
         tc.backward(loss)
-        nodes, stack = [], [loss]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            stack.extend(node._parents)
-        assert all(n.grad is None for n in nodes if n._backward is not None)
+        assert all(n.grad is None for n in graph_nodes(loss) if n.backward is not None)
         gy = 2 * z.data * ((y.data > 0) + 1.0)
         assert np.allclose(x.grad, gy @ w.data.T, rtol=1e-12)
         assert np.allclose(w.grad, x.data.T @ gy, rtol=1e-12)
@@ -637,6 +633,99 @@ class TestGraphMechanics:
         with tc.no_grad():
             y = tc.add(x, x)
         assert y._backward is None and not y.requires_grad
+
+
+N_MASKED = len(tc.masked_taps((3, 3, 3)))
+
+# op family -> (shape of the watched op's input, the op on that input, which
+# value the graph must keep: "none", "input" or "output").  ``c(shape)``
+# makes a constant, ``p(shape)`` a leaf that needs a gradient.
+GRAPH_CASES = {
+    "add": ((2, 3, 4), lambda m, c, p: tc.add(m, c((3, 4))), "none"),
+    "sub": ((2, 3, 4), lambda m, c, p: tc.sub(c((3, 1)), m), "none"),
+    "mul_constant": ((2, 3, 4), lambda m, c, p: tc.mul(m, 0.5), "none"),
+    "mul_factor": ((2, 3, 4), lambda m, c, p: tc.mul(m, p((3, 4))), "input"),
+    "neg": ((2, 3, 4), lambda m, c, p: tc.neg(m), "none"),
+    "relu": ((2, 3, 4), lambda m, c, p: tc.relu(tc.sub(m, 2.0)), "output"),
+    "sigmoid": ((2, 3, 4), lambda m, c, p: tc.sigmoid(m), "output"),
+    "log": ((2, 3, 4), lambda m, c, p: tc.log(m), "input"),
+    "clip": ((2, 3, 4), lambda m, c, p: tc.clip(m, 1.5, 2.5), "input"),
+    "sum_all": ((2, 3, 4), lambda m, c, p: tc.sum_all(m), "none"),
+    "matmul_weight_constant": ((2, 3, 4), lambda m, c, p: tc.matmul(m, c((4, 5))), "none"),
+    "matmul_weight_leaf": ((2, 3, 4), lambda m, c, p: tc.matmul(m, p((4, 5))), "input"),
+    "matmul_batched_a": ((2, 3, 4), lambda m, c, p: tc.matmul(m, c((2, 4, 5))), "none"),
+    "matmul_batched_b": ((2, 3, 4), lambda m, c, p: tc.matmul(c((2, 5, 3)), m), "none"),
+    "softmax": ((2, 3, 4), lambda m, c, p: tc.softmax(m), "output"),
+    "softmax_bias": ((3, 4), lambda m, c, p: tc.softmax(c((2, 3, 4)), bias=m), "output"),
+    "log_softmax": ((2, 3, 4), lambda m, c, p: tc.log_softmax(m), "output"),
+    "layernorm": ((2, 3, 4), lambda m, c, p: tc.layernorm(m, p((4,)), p((4,))), "none"),
+    "reshape": ((2, 3, 4), lambda m, c, p: tc.reshape(m, (6, 4)), "none"),
+    "transpose": ((2, 3, 4), lambda m, c, p: tc.transpose(m, (2, 0, 1)), "none"),
+    "concat": ((2, 3, 4), lambda m, c, p: tc.concat([m, c((2, 3, 2))], axis=-1), "none"),
+    "index": ((2, 3, 4), lambda m, c, p: tc.index(m, (1, slice(0, 2))), "none"),
+    "gather": ((5, 4), lambda m, c, p: tc.gather(m, np.array([[0, 4], [4, 2]])), "none"),
+    "take_index_last": ((2, 3, 4), lambda m, c, p: tc.take_index_last(
+        m, np.arange(6).reshape(2, 3) % 4), "none"),
+    "conv3d": ((1, 3, 4, 4, 2), lambda m, c, p: tc.conv3d(
+        m, p((27 * 2, 3)), p((3,)), (3, 3, 3), (2, 2, 2), (1, 0, -1), (2, 2, 2)), "none"),
+    "masked_conv3d": ((1, 3, 4, 4, 2), lambda m, c, p: tc.masked_conv3d(
+        m, p((N_MASKED * 2, 3)), p((3,)), (3, 3, 3)), "none"),
+}
+
+
+class TestGraphKeepsWhatBackwardReads:
+    """A graph node holds no value of its own: a value that no backward
+    reads is freed once the caller drops its Tensor, one that a backward
+    reads survives, and dropping changes no gradient.  The watched value is
+    an op output (``m``, made from a leaf), so only the caller and the graph
+    can hold it."""
+
+    @staticmethod
+    def run(case, keep):
+        shape, op, _ = GRAPH_CASES[case]
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
+        x = Tensor(rng.uniform(0.5, 1.5, shape), requires_grad=True, dtype=np.float64)
+        leaves, held = [x], []
+
+        def c(s):
+            return Tensor(rng.standard_normal(s), dtype=np.float64)
+
+        def p(s):
+            leaves.append(Tensor(rng.standard_normal(s), requires_grad=True, dtype=np.float64))
+            return leaves[-1]
+
+        def build():
+            m = tc.mul(x, 2.0)
+            out = op(m, c, p)
+            refs = {"input": weakref.ref(m.data), "output": weakref.ref(out.data)}
+            if keep:
+                held.append((m, out))
+            return tc.sum_all(tc.mul(out, c(out.data.shape))), refs
+
+        loss, refs = build()
+        alive = {k: r() is not None for k, r in refs.items()}
+        tc.backward(loss)
+        return alive, [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("case", list(GRAPH_CASES))
+    def test_unread_values_are_freed(self, case):
+        alive, grads = self.run(case, keep=False)
+        kept = GRAPH_CASES[case][2]
+        assert alive == {"input": kept == "input", "output": kept == "output"}
+        _, want = self.run(case, keep=True)
+        assert len(grads) == len(want)
+        for g, w in zip(grads, want):
+            assert g is not None and np.array_equal(g, w)
+
+    def test_graph_bytes_counts_each_kept_array_once(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = rng.standard_normal((4, 5)).astype(np.float32)
+        y = tc.matmul(x, Tensor(w))  # keeps w, not x
+        loss = tc.sum_all(tc.add(tc.mul(y, Tensor(w[0])), tc.mul(y, Tensor(w[1]))))
+        assert graph_bytes(loss) == w.nbytes  # w[0] and w[1] are views of w
+        tc.backward(loss)
+        assert graph_bytes(loss) == w.nbytes + x.data.nbytes  # and x's gradient
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
