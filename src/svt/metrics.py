@@ -18,7 +18,7 @@ import numpy as np
 from . import model as M
 from . import tensor as tc
 from .subscale import check_frame_left, slice_order, slice_rank
-from .tensor import ConfigError
+from .tensor import ConfigError, NumericError
 
 # Slice positions per forward_slices call in evaluate: one canonical 4x32x32
 # slice.  A canonical no-grad forward peaks near 435 MB RSS for one slice and
@@ -103,21 +103,23 @@ def evaluate(params, cfg, videos, prime_frames):
     per chunk.  Each pair's loss is scored from its own rows of that call's
     output and added in float64 in that fixed order, so the totals equal a
     one-slice-per-call loop's and do not depend on the chunking or on how the
-    videos are split between calls.
+    videos are split between calls.  A pair whose loss is not finite raises
+    ``NumericError`` naming the video and the slice.
     """
     T = cfg.video_shape[0]
     check_frame_left(prime_frames, T, "evaluate")
     for video in videos:
         cfg.check_video(video)
     order = slice_order(cfg.s)
-    pairs = [(video, idx) for video in videos for idx in order]
+    pairs = [(v, idx) for v in range(len(videos)) for idx in order]
     per_call = max(1, EVAL_POSITIONS // int(np.prod(cfg.slice_shape)))
     rank_nats = np.zeros(len(order))
     rank_pixels = np.zeros(len(order))
     total = 0.0
     pixels = 0.0
     for lo in range(0, len(pairs), per_call):
-        chunk_videos, idxs = zip(*pairs[lo:lo + per_call])
+        chunk, idxs = zip(*pairs[lo:lo + per_call])
+        chunk_videos = [videos[v] for v in chunk]
         with tc.no_grad():
             _, _, out = M.forward_slices(params, cfg, chunk_videos, idxs,
                                          prime_frames=prime_frames)
@@ -126,6 +128,9 @@ def evaluate(params, cfg, videos, prime_frames):
                 rows = slice(b, b + 1)
                 loss, n_pix = M.slice_loss(cfg, tc.index(out, rows), targets[rows], mask[rows])
                 nats = loss.item()
+                if not math.isfinite(nats):
+                    raise NumericError(f"non-finite loss {nats!r} on video {chunk[b]}, "
+                                       f"slice {idx}")
                 rank = slice_rank(cfg.s, idx)
                 rank_nats[rank] += nats
                 rank_pixels[rank] += n_pix

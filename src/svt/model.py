@@ -442,17 +442,19 @@ def encode_slices(params, cfg, onehots, idxs):
 
     ``onehots[b]`` is the (T,H,W,n_channels,16) one-hot Tensor of the video
     (``video_onehot``) whose slice ``idxs[b]`` is encoded; only the slices
-    preceding it in the generation order are visible to the encoder.
+    preceding it in the generation order are visible to the encoder.  The
+    conv reads the one-hot itself through its visibility mask, so an entry
+    makes no masked copy, and the graph keeps one one-hot per video.
     """
     ranks = np.array([slice_rank(cfg.s, idx) for idx in idxs])
     if _first_slice_decoder(cfg, ranks[0]):
         return None
     z0 = []
     for oh, idx in zip(onehots, idxs, strict=True):
-        vis = visibility_mask(cfg.video_shape, cfg.s, idx).astype(oh.data.dtype)[..., None]
-        x = tc.mul(tc.reshape(oh, (1, *cfg.video_shape, cfg.input_channels)), Tensor(vis))
+        x = tc.reshape(oh, (1, *cfg.video_shape, cfg.input_channels))
         z0.append(tc.conv3d(x, params["enc/conv_kernel"], params["enc/conv_bias"], cfg.kernel,
-                            cfg.s, context_padding(cfg.kernel, idx), cfg.slice_shape))
+                            cfg.s, context_padding(cfg.kernel, idx), cfg.slice_shape,
+                            visible=visibility_mask(cfg.video_shape, cfg.s, idx)))
     z = z0[0] if len(z0) == 1 else tc.concat(z0, axis=0)
     z = _add_positional(z, params["enc/pos_t"], params["enc/pos_h"], params["enc/pos_w"])
     se = tc.gather(params["enc/slice_embed"], ranks)  # (B, d_e)

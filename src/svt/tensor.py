@@ -4,11 +4,13 @@ A ``Tensor`` wraps a row-major numpy array (float32 by default, float64 for
 verification runs).  With gradients on, every op below also gives its output
 a graph ``Node``: the parents' nodes and a closure that routes the output
 gradient back to them, so a forward pass implicitly builds a DAG of nodes
-and ``backward`` walks it once in reverse topological order.  A node holds
-no value of its own; its closure keeps only the arrays its backward reads,
-and only for the gradients that are live (``matmul`` keeps ``a`` only if
-``b`` needs a gradient; ``softmax`` keeps its output, not its input), so a
-value that no backward reads is freed as soon as its caller drops it.
+and ``backward`` walks it once in reverse topological order, releasing
+each closure as it runs.  A node holds no value of its own; its closure
+keeps only the arrays its backward reads, and only for the gradients that
+are live (``matmul`` keeps ``a`` only if ``b`` needs a gradient;
+``softmax`` keeps its output, not its input; a convolution its input, not
+its patches), so a value that no backward reads is freed as soon as its
+caller drops it, and a swept graph keeps only its bare nodes.
 
 Only the operations the video model actually needs are provided: batched
 matmul, softmax/log-softmax, layer normalization, ReLU, sigmoid, strided 3D
@@ -75,7 +77,7 @@ class Node:
     A node holds no value.  Its closure keeps exactly the arrays its
     backward reads, so a value that no backward reads is freed as soon as
     the caller drops its Tensor.  A leaf's node has no parents and no
-    closure.
+    closure; an op node loses its closure when ``backward`` runs it.
     """
 
     __slots__ = ("parents", "backward", "grad", "shape", "dtype")
@@ -198,9 +200,12 @@ def backward(t, seed=None):
     """Reverse-mode sweep from ``t``'s node; accumulates into the ``.grad``
     of leaves.
 
-    Visits each node exactly once, children before parents.  An op node's
-    gradient is freed once it has been passed on, since every node that
-    adds to it has already run; only leaves keep theirs.
+    Visits each node exactly once, children before parents.  The sweep
+    consumes the graph: an op node's closure is released once it has run,
+    and with it the arrays it kept, and its gradient is freed once passed
+    on, since every node that adds to it has already run; only leaves keep
+    theirs.  A second sweep through a consumed node raises ``RuntimeError``
+    before any gradient moves.
     """
     root = t.node
     if root is None:
@@ -215,6 +220,9 @@ def backward(t, seed=None):
             continue
         if node in visited:
             continue
+        if node.parents and node.backward is None:
+            raise RuntimeError("backward reached a node whose graph an earlier "
+                               "backward consumed; build the graph again")
         visited.add(node)
         stack.append((node, True))
         for p in node.parents:
@@ -224,8 +232,9 @@ def backward(t, seed=None):
         seed = np.ones(root.shape, root.dtype)
     _accumulate(root, np.asarray(seed, dtype=root.dtype))
     for node in reversed(topo):
-        if node.backward is not None and node.grad is not None:
-            node.backward(node.grad)
+        back, node.backward = node.backward, None
+        if back is not None and node.grad is not None:
+            back(node.grad)
             node.grad = None
 
 
@@ -645,13 +654,25 @@ def _scatter_taps(gp, idx_k, n, dtype):
     return gflat[:, :n]
 
 
-def _conv_core(x, kernel, bias, taps, stride, pad, out_shape):
+def _patches(x, idx, K):
+    """(B, P_out, K*Cin) patches of the (B, T, H, W, Cin) array ``x`` at the
+    flat index map ``idx``: a zero row is appended as the sentinel."""
+    B, cin = x.shape[0], x.shape[-1]
+    n = x.size // (B * cin)
+    flat = np.concatenate([x.reshape(B, n, cin), np.zeros((B, 1, cin), dtype=x.dtype)], axis=1)
+    return flat[:, idx, :].reshape(B, -1, K * cin)
+
+
+def _conv_core(x, kernel, bias, taps, stride, pad, out_shape, visible=None):
     """Shared gather-matmul convolution.  x: (B,T,H,W,Cin); taps: (K,3).
 
-    The backward forms the kernel gradient as one 2D GEMM of the
-    (B*P_out, K*Cin) patches with the (B*P_out, Cout) output gradient, and
-    the input gradient by a per-tap scatter (``_scatter_taps``).  The
-    graph keeps the patches, for the kernel gradient, and not ``x``.
+    ``visible``, a (T, H, W) bool array, reads every input where it is
+    False as zero: those taps point at the sentinel row.  The backward
+    forms the kernel gradient as one 2D GEMM of the (B*P_out, K*Cin)
+    patches, gathered again from ``x``, with the (B*P_out, Cout) output
+    gradient, and the input gradient by a per-tap scatter
+    (``_scatter_taps``).  The graph keeps ``x``, for the kernel gradient,
+    and not the patches, which are K times larger.
     """
     B, T, H, W, cin = x.data.shape
     k_rows = kernel.data.shape[0]  # K*Cin
@@ -661,13 +682,14 @@ def _conv_core(x, kernel, bias, taps, stride, pad, out_shape):
     cout = kernel.data.shape[1]
     idx = _conv_index_map((T, H, W), taps, stride, pad, out_shape)
     n = T * H * W
-    flat = np.concatenate(
-        [x.data.reshape(B, n, cin), np.zeros((B, 1, cin), dtype=x.data.dtype)], axis=1)
-    patches = flat[:, idx, :].reshape(B, -1, K * cin)  # (B, P_out, K*Cin)
-    out = np.matmul(patches, kernel.data) + bias.data
+    if visible is not None:
+        if visible.shape != (T, H, W):
+            raise ShapeError(f"visibility shape {visible.shape} != input extents {(T, H, W)}")
+        idx = np.where(np.append(visible.reshape(-1), False)[idx], idx, n)
+    out = np.matmul(_patches(x.data, idx, K), kernel.data) + bias.data
     p_out = out.shape[1]
     nx, nk, nb = x.node, kernel.node, bias.node
-    pv = patches if nk is not None else None
+    xv = x.data if nk is not None else None
     kv = kernel.data if nx is not None else None
 
     def back(g):
@@ -675,7 +697,7 @@ def _conv_core(x, kernel, bias, taps, stride, pad, out_shape):
         if nb is not None:
             _accumulate(nb, g2.sum(axis=(0, 1)))
         if nk is not None:
-            gk = pv.reshape(-1, K * cin).T @ g2.reshape(-1, cout)
+            gk = _patches(xv, idx, K).reshape(-1, K * cin).T @ g2.reshape(-1, cout)
             _accumulate(nk, gk.astype(nk.dtype, copy=False))
         if nx is not None:
             gp = np.matmul(g2, kv.T).reshape(B, p_out, K, cin)
@@ -692,16 +714,18 @@ def kernel_taps(extents):
                  zip(g[0].ravel(), g[1].ravel(), g[2].ravel()))
 
 
-def conv3d(x, kernel, bias, extents, stride, pad, out_shape):
+def conv3d(x, kernel, bias, extents, stride, pad, out_shape, visible=None):
     """Strided 3D convolution with signed padding and an explicit out shape.
 
     x: (B, T, H, W, Cin); kernel: flattened (K*Cin, Cout) with taps in raster
     order over ``extents``; ``pad`` components may be negative, which shifts
-    the window forward instead of padding.
+    the window forward instead of padding.  ``visible``, an optional
+    (T, H, W) bool array, zeroes the input where it is False, as
+    multiplying ``x`` by it would, without making the masked copy.
     output(o) = sum_taps kernel . input(o*stride - pad + tap) + bias
     """
     return _conv_core(x, kernel, bias, kernel_taps(extents), tuple(stride),
-                      tuple(pad), tuple(out_shape))
+                      tuple(pad), tuple(out_shape), visible)
 
 
 def masked_taps(extents):

@@ -1,5 +1,6 @@
 """Shared test harnesses: the finite-difference gradient checker, graph
-walks (the nodes, and the bytes a graph keeps alive), causality sweeps,
+walks (the nodes, the bytes a graph keeps alive, and the backward sweep that
+keeps the graph for tests that sweep it again), causality sweeps,
 analyzer gradient oracles and bool-matrix analyzer references, the
 full-recompute reference sampler, the one-slice-per-call evaluator, and the
 reference and single-slice forms of library functions that only tests use,
@@ -76,6 +77,38 @@ def clear_graph_grads(t):
     be swept backward again with a different seed."""
     for node in graph_nodes(t):
         node.grad = None
+
+
+def reference_backward(t, seed=None):
+    """The reverse-mode sweep of ``tc.backward`` that leaves the graph in
+    place: every closure stays, so tests that sweep one graph many times
+    (clearing its gradients with ``clear_graph_grads`` in between) can.
+    ``tc.backward`` releases each closure once it has run."""
+    root = t.node
+    if root is None:
+        return
+    topo = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if node in visited:
+            continue
+        visited.add(node)
+        stack.append((node, True))
+        for p in node.parents:
+            if p not in visited:
+                stack.append((p, False))
+    if seed is None:
+        seed = np.ones(root.shape, root.dtype)
+    tc._accumulate(root, np.asarray(seed, dtype=root.dtype))
+    for node in reversed(topo):
+        if node.backward is not None and node.grad is not None:
+            node.backward(node.grad)
+            node.grad = None
 
 
 def graph_bytes(t):
@@ -206,7 +239,7 @@ def causality_sweep(params, cfg, video, seed, on_violation=None):
                 clear_graph_grads(logits)
                 seed_grad = np.zeros_like(logits.data)
                 seed_grad[0, pixel, chan, :] = rng.standard_normal(M.N_VALUES)
-                tc.backward(logits, seed_grad)
+                reference_backward(logits, seed_grad)
                 grad = np.abs(leaf.grad).sum(axis=-1)  # (T,H,W,nc)
                 nonzero = grad > 0.0
                 allowed = allowed_influence_mask(cfg, idx, pixel, chan)
@@ -221,12 +254,10 @@ def causality_sweep(params, cfg, video, seed, on_violation=None):
     return checked
 
 
-def gradient_reachability(slice_shape, blocks, kernel, seed, d_in=3, d=6):
-    """Oracle for the connectivity analyzer: the exact nonzero-gradient
-    pattern of a random-parameter masked decoder stack, float64."""
+def masked_decoder_stack(slice_shape, blocks, kernel, rng, d_in=3, d=6):
+    """A random-parameter float64 masked decoder stack on a random input:
+    the (1, T, H, W, d_in) input leaf and the (P, d) output."""
     T, H, W = slice_shape
-    P = T * H * W
-    rng = np.random.default_rng(seed)
 
     def p64(*shape):
         return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
@@ -248,13 +279,21 @@ def gradient_reachability(slice_shape, blocks, kernel, seed, d_in=3, d=6):
     y = tc.masked_conv3d(x, kern, kb, kernel)
     for spec, lp in zip(specs, layers):
         y = attention_layer(y, lp, spec, causal=True)
-    yf = tc.reshape(y, (P, d))
+    return x, tc.reshape(y, (T * H * W, d))
+
+
+def gradient_reachability(slice_shape, blocks, kernel, seed, d_in=3, d=6):
+    """Oracle for the connectivity analyzer: the exact nonzero-gradient
+    pattern of a random-parameter masked decoder stack, float64."""
+    rng = np.random.default_rng(seed)
+    x, yf = masked_decoder_stack(slice_shape, blocks, kernel, rng, d_in, d)
+    P = yf.data.shape[0]
     reach = np.zeros((P, P), dtype=bool)
     for p in range(P):
         clear_graph_grads(yf)
         seed_grad = np.zeros((P, d))
         seed_grad[p] = rng.standard_normal(d)
-        tc.backward(yf, seed_grad)
+        reference_backward(yf, seed_grad)
         reach[p] = np.abs(x.grad[0]).sum(axis=-1).reshape(P) > 0.0
     return reach
 
@@ -320,6 +359,13 @@ def add_at_conv_input_grad(x, kernel, g, taps, stride, pad):
     gflat = np.zeros((B, n + 1, cin), dtype=x.dtype)
     np.add.at(gflat, (slice(None), idx), gp)
     return gflat[:, :n].reshape(x.shape)
+
+
+def mul_masked_conv3d(x, kernel, bias, extents, stride, pad, out_shape, visible):
+    """``tc.conv3d`` of ``x`` multiplied by the (T, H, W) bool ``visible``:
+    the masked copy that ``conv3d(..., visible=)`` reads without making."""
+    mask = Tensor(visible[..., None].astype(x.data.dtype))
+    return tc.conv3d(tc.mul(x, mask), kernel, bias, extents, stride, pad, out_shape)
 
 
 def einsum_conv_kernel_grad(x, g, taps, stride, pad):

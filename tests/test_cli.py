@@ -599,6 +599,26 @@ class TestThreadsAndNumeric:
                 f"1 of {size} entries") in r.stderr
         assert "Traceback" not in r.stderr and r.stdout == "" and not out.exists()
 
+    def test_nonfinite_eval_loss_exits_three(self, tiny_setup):
+        """Finite parameters can still give a non-finite loss: with the
+        head's output projection at +-3e38 the logits overflow.  ``svt
+        eval`` exits 3 naming the first such (video, slice) pair, and prints
+        and writes no bits/dim.  Run in a subprocess, where the overflow's
+        RuntimeWarnings are only printed."""
+        from svt import model as M, optim as O
+
+        tmp, config, data = tiny_setup
+        params = M.init_params(cli.model_config_from(cli.load_config(config)), head_init="normal")
+        p = params["head/p"].data
+        p[...] = np.where(np.arange(p.size).reshape(p.shape) % 2, 3e38, -3e38)
+        assert all(np.isfinite(t.data).all() for _, t in params.items())
+        ckpt, out = tmp / "huge.ckpt", tmp / "eval.txt"
+        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 0)
+        r = run_cli("eval", "--config", config, "--ckpt", ckpt, "--data", data, "--out", out)
+        assert r.returncode == 3, r.stderr
+        assert "error[numeric]: non-finite loss nan on video 0, slice (0, 0, 0)" in r.stderr
+        assert "Traceback" not in r.stderr and r.stdout == "" and not out.exists()
+
     def test_nonfinite_gradient_exits_three(self, tiny_setup, monkeypatch, capsys):
         """NaN gradients behind a finite loss exit 3 and leave the previous
         checkpoint in place."""

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import (REFERENCE_ATTENTION, REFERENCE_OPS, clear_graph_grads, decode_slice,
-                     encode_slice, grad_check, is_subnormal, predict_channels,
-                     reference_sample_slice, tiny_config, two_temporary_softmax)
+                     encode_slice, grad_check, graph_bytes, is_subnormal, predict_channels,
+                     reference_backward, reference_sample_slice, tiny_config,
+                     two_temporary_softmax)
 from svt import attention, cli, data, metrics, optim, sampler
 from svt import model as M
 from svt import tensor as tc
@@ -128,7 +129,7 @@ class TestDecoder:
             clear_graph_grads(yf)
             seed = np.zeros((P, cfg.d), dtype=np.float32)
             seed[p] = 1.0
-            tc.backward(yf, seed)
+            reference_backward(yf, seed)
             g = np.abs(leaf.grad[idx[0]::2, idx[1]::2, idx[2]::2]).sum(axis=(-1, -2))
             touched = np.nonzero(g.reshape(P))[0]
             assert all(q < p for q in touched)
@@ -457,7 +458,7 @@ class TestComposite:
             clear_graph_grads(logits)
             seed = np.zeros_like(logits.data)
             seed[0, pixel, chan, :] = rng.standard_normal(16)
-            tc.backward(logits, seed)
+            reference_backward(logits, seed)
             nonzero = np.abs(leaf.grad).sum(axis=-1) > 0
             assert np.array_equal(nonzero, allowed_influence_mask(cfg, idx, pixel, chan))
 
@@ -572,7 +573,7 @@ class TestComposite:
             clear_graph_grads(logits)
             seed = np.zeros_like(logits.data)
             seed[0, pixel, chan, :] = rng.standard_normal(16)
-            tc.backward(logits, seed)
+            reference_backward(logits, seed)
             nonzero = np.abs(leaf.grad).sum(axis=-1) > 0
             assert np.array_equal(nonzero,
                                   allowed_influence_mask(cfg, (0, 0, 0), pixel, chan))
@@ -773,20 +774,26 @@ class TestReferenceOps:
 
 class TestTrainingGraph:
     """On a desk training batch the graph frees the values no backward
-    reads, among them every attention layer's scores (the softmax input)
-    and the encoder conv's masked input, keeps the attention weights (the
-    softmax output), and gives the same gradients as when the caller holds
-    every one of those values."""
+    reads, among them every attention layer's scores (the softmax input);
+    it keeps the attention weights (the softmax output) and, as the encoder
+    conv's input, the one-hot that every entry of a video shares, not a
+    masked copy per entry; and it gives the same gradients as when the
+    caller holds every one of those values.  A swept graph keeps only the
+    parameters' gradients."""
 
     @staticmethod
-    def step(monkeypatch, keep):
+    def forward(watch=False, keep=False):
+        """(loss, params, refs, held, one-hot ids per conv call, distinct
+        videos) of one desk training batch; with ``watch``, ``refs`` holds
+        weak references to the watched values, and with ``keep`` ``held``
+        holds the values themselves."""
         conf = cli.load_config(CONFIGS / "sprites-rgb.cfg")
         cfg = cli.model_config_from(conf)
         videos = data.gen_sprites(*cfg.video_shape, 4, channels=cfg.bytes_per_pixel, seed=2)
         params = M.init_params(cfg, head_init="normal")
         batch = optim.batch_at(len(videos), cfg.s, conf["batch_slices"], conf["train_seed"], 0)
         refs = {"scores": [], "weights": [], "conv_input": []}
-        held = []
+        onehot_ids, held = [], []
         softmax, conv3d = tc.softmax, tc.conv3d
 
         def watched_softmax(a, axis=-1, bias=None):
@@ -796,30 +803,61 @@ class TestTrainingGraph:
             held.extend([a, out] if keep else [])
             return out
 
-        def watched_conv3d(x, *args):
-            refs["conv_input"].append(weakref.ref(x.data))
+        def watched_conv3d(x, *args, visible):
+            owner = x.data if x.data.base is None else x.data.base
+            assert owner.shape == (*cfg.video_shape, cfg.n_channels, M.N_VALUES)
+            assert visible.shape == cfg.video_shape and visible.dtype == bool
+            refs["conv_input"].append(weakref.ref(owner))
+            onehot_ids.append(id(owner))
             held.extend([x] if keep else [])
-            return conv3d(x, *args)
+            return conv3d(x, *args, visible=visible)
 
-        with monkeypatch.context() as mp:
-            mp.setattr(tc, "softmax", watched_softmax)
-            mp.setattr(tc, "conv3d", watched_conv3d)
+        with pytest.MonkeyPatch.context() as mp:
+            if watch:
+                mp.setattr(tc, "softmax", watched_softmax)
+                mp.setattr(tc, "conv3d", watched_conv3d)
             loss = M.forward_slices(params, cfg, [videos[v] for v, _ in batch],
                                     [idx for _, idx in batch], conf["prime_frames"])[0]
+        return loss, params, refs, held, onehot_ids, len({v for v, _ in batch})
+
+    def step(self, keep):
+        loss, params, refs, _held, onehot_ids, n_videos = self.forward(watch=True, keep=keep)
         alive = {k: [r() is not None for r in rs] for k, rs in refs.items()}
         tc.backward(loss)
-        return alive, {n: t.grad for n, t in params.items()}
+        return alive, len(set(onehot_ids)), n_videos, {n: t.grad for n, t in params.items()}
 
-    def test_unread_values_freed_and_gradients_unchanged(self, monkeypatch):
-        alive, grads = self.step(monkeypatch, keep=False)
+    def test_unread_values_freed_and_gradients_unchanged(self):
+        alive, n_onehots, n_videos, grads = self.step(keep=False)
         assert len(alive["scores"]) == 4 and len(alive["conv_input"]) == 8
-        assert not any(alive["scores"]) and not any(alive["conv_input"])
-        assert all(alive["weights"])
-        held, want = self.step(monkeypatch, keep=True)
+        assert not any(alive["scores"])
+        assert all(alive["weights"]) and all(alive["conv_input"])
+        assert n_onehots == n_videos < 8  # one kept one-hot per video, not per entry
+        held, _, _, want = self.step(keep=True)
         assert all(all(v) for v in held.values())
         assert grads.keys() == want.keys()
         for name, g in grads.items():
             assert np.array_equal(g, want[name]), name
+
+    def test_swept_graph_keeps_only_parameter_gradients(self):
+        loss, params, *_ = self.forward()
+        before = graph_bytes(loss)
+        tc.backward(loss)
+        grads = [t.grad for _, t in params.items() if t.grad is not None]
+        assert graph_bytes(loss) == sum(g.nbytes for g in grads) < before
+
+    def test_reference_sweep_matches_first_sweep(self):
+        """``helpers.reference_backward`` gives every parameter the
+        gradient ``tc.backward`` gives, bit for bit."""
+        grads = []
+        for sweep in (reference_backward, tc.backward):
+            loss, params, *_ = self.forward()
+            sweep(loss)
+            grads.append({n: t.grad for n, t in params.items()})
+        assert grads[0].keys() == grads[1].keys()
+        assert sum(g is not None for g in grads[0].values()) > 20
+        for name, g in grads[0].items():
+            want = grads[1][name]
+            assert (g is None and want is None) or np.array_equal(g, want), name
 
 
 def _params_float64(cfg, seed):

@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 
 from helpers import (add_at_conv_input_grad, add_at_gather_grad, batched_matmul,
                      einsum_conv_kernel_grad, grad_check, graph_bytes, graph_nodes,
-                     out_of_place_layernorm, is_subnormal, out_of_place_layernorm_array,
-                     put_along_axis_one_hot, relative_bias_indices, three_exp_sigmoid,
+                     masked_decoder_stack, mul_masked_conv3d, out_of_place_layernorm,
+                     is_subnormal, out_of_place_layernorm_array, put_along_axis_one_hot,
+                     reference_backward, relative_bias_indices, three_exp_sigmoid,
                      two_temporary_softmax, unflushed_log_softmax, zero_filled_index)
 from svt import cli
 from svt import model as M
 from svt import tensor as tc
 from svt.attention import MASK_NEG, BlockShape
-from svt.subscale import SubscaleFactor, context_padding, slice_key, slice_order, slice_rank
+from svt.subscale import (SubscaleFactor, context_padding, slice_key, slice_order, slice_rank,
+                          visibility_mask)
 from svt.tensor import ConfigError, Tensor
 
 
@@ -360,6 +362,74 @@ class TestConvKernelGemm:
             assert_matches_reference(got, einsum_conv_kernel_grad(x, g, taps, stride, pad))
 
 
+class TestConvVisible:
+    """``conv3d(x, visible=m)`` reads ``x`` as ``mul(x, m)`` would make it
+    (``helpers.mul_masked_conv3d``): the output and the kernel, bias and
+    input gradients equal that reference's, in float32 and float64."""
+
+    @staticmethod
+    def sweep(conv, x, kernel, bias, g):
+        """(output, kernel grad, bias grad, input grad) of ``conv`` swept
+        back from ``g``."""
+        xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kernel, bias))
+        out = conv(xt, kt, bt)
+        tc.backward(out, g)
+        return out.data, kt.grad, bt.grad, xt.grad
+
+    def check(self, rng, dtype, x_shape, cout, extents, stride, pad, out_shape, visible):
+        taps = tc.kernel_taps(extents)
+        x = rng.standard_normal(x_shape).astype(dtype)
+        kernel = rng.standard_normal((len(taps) * x_shape[-1], cout)).astype(dtype)
+        bias = rng.standard_normal(cout).astype(dtype)
+        g = rng.standard_normal((x_shape[0], *out_shape, cout)).astype(dtype)
+        got = self.sweep(lambda x, k, b: tc.conv3d(x, k, b, extents, stride, pad, out_shape,
+                                                   visible=visible), x, kernel, bias, g)
+        want = self.sweep(lambda x, k, b: mul_masked_conv3d(x, k, b, extents, stride, pad,
+                                                            out_shape, visible),
+                          x, kernel, bias, g)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+        return got
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("mask", ["preceding", "random", "none"])
+    def test_encoder_geometry(self, dtype, mask):
+        """Every slice of s = (4, 2, 2), whose later offsets pad negatively."""
+        rng = np.random.default_rng(DTYPES.index(dtype))
+        s, extents, video = SubscaleFactor(4, 2, 2), (3, 3, 3), (8, 8, 8)
+        slice_shape = s.divide(video)
+        pads = []
+        for idx in slice_order(s):
+            pad = context_padding(extents, idx)
+            pads += pad
+            visible = {"preceding": visibility_mask(video, s, idx),
+                       "random": rng.random(video) < 0.5,
+                       "none": np.zeros(video, dtype=bool)}[mask]
+            out, gk, _, gx = self.check(rng, dtype, (2, *video, 3), 4, extents, s, pad,
+                                         slice_shape, visible)
+            if not visible.any():  # the output is the bias at every position
+                assert not gk.any() and not gx.any()
+                assert np.array_equal(out, np.broadcast_to(out[0, 0, 0, 0], out.shape))
+        assert min(pads) == -2
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_random_shapes(self, dtype):
+        rng = np.random.default_rng(np.dtype(dtype).itemsize + 2)
+        for _ in range(30):
+            B, cin, cout = rng.integers(1, 4, size=3)
+            in_shape = tuple(int(n) for n in rng.integers(1, 6, size=3))
+            self.check(rng, dtype, (B, *in_shape, cin), cout, tuple(rng.integers(1, 4, size=3)),
+                       tuple(rng.integers(1, 4, size=3)), tuple(rng.integers(-2, 3, size=3)),
+                       tuple(rng.integers(1, 5, size=3)), rng.random(in_shape) < 0.5)
+
+    def test_visible_shape_mismatch_raises(self):
+        x = Tensor(np.zeros((1, 2, 2, 2, 1), dtype=np.float32))
+        k, b = Tensor(np.zeros((1, 1), dtype=np.float32)), Tensor(np.zeros(1, dtype=np.float32))
+        with pytest.raises(tc.ShapeError, match="visibility"):
+            tc.conv3d(x, k, b, (1, 1, 1), (1, 1, 1), (0, 0, 0), (2, 2, 2),
+                      visible=np.ones((2, 2, 1), dtype=bool))
+
+
 def gather_grad(table, idx, g, axis):
     """table.grad of ``gather(table, idx, axis)`` swept back from g."""
     t = Tensor(table, requires_grad=True)
@@ -635,6 +705,59 @@ class TestGraphMechanics:
         assert y._backward is None and not y.requires_grad
 
 
+class TestBackwardConsumesGraph:
+    """``tc.backward`` releases every closure it runs: a swept graph keeps
+    only its bare nodes and the leaves' gradients, and a second sweep
+    through it raises before any gradient moves, instead of returning
+    zeros.  Tests that sweep one graph again use
+    ``helpers.reference_backward``, which gives the same gradients."""
+
+    @staticmethod
+    def graph(rng):
+        x, w = t64(rng, 3, 4), t64(rng, 4, 2)
+        y = tc.matmul(x, w)
+        return x, w, y, tc.sum_all(tc.mul(tc.relu(y), y))
+
+    def test_swept_graph_keeps_only_leaf_gradients(self):
+        x, w, _, loss = self.graph(np.random.default_rng(0))
+        assert graph_bytes(loss) > 0
+        tc.backward(loss)
+        nodes = graph_nodes(loss)
+        assert all(n.backward is None for n in nodes)
+        assert all((n.grad is None) == bool(n.parents) for n in nodes)
+        assert graph_bytes(loss) == x.grad.nbytes + w.grad.nbytes
+
+    def test_second_backward_raises(self):
+        x, w, _, loss = self.graph(np.random.default_rng(1))
+        tc.backward(loss)
+        gx, gw = x.grad.copy(), w.grad.copy()
+        with pytest.raises(RuntimeError, match="earlier backward consumed"):
+            tc.backward(loss)
+        assert np.array_equal(x.grad, gx) and np.array_equal(w.grad, gw)
+
+    def test_new_op_on_consumed_output_raises(self):
+        x, w, y, loss = self.graph(np.random.default_rng(2))
+        tc.backward(loss)
+        tc.zero_grads([x, w])
+        with pytest.raises(RuntimeError, match="earlier backward consumed"):
+            tc.backward(tc.sum_all(tc.mul(y, 2.0)))
+        assert x.grad is None and w.grad is None
+
+    def test_reference_sweep_matches_first_sweep(self):
+        """On the ``gradient_reachability`` stack, every leaf's gradient
+        from ``reference_backward`` equals ``tc.backward``'s bit for bit."""
+        grads = []
+        for sweep in (reference_backward, tc.backward):
+            rng = np.random.default_rng(5)
+            _, yf = masked_decoder_stack((2, 4, 4), [BlockShape(1, 2, 2), BlockShape(2, 1, 2)],
+                                         (3, 3, 3), rng)
+            sweep(yf, rng.standard_normal(yf.data.shape))
+            grads.append([n.grad for n in graph_nodes(yf) if not n.parents])
+        assert len(grads[0]) == len(grads[1]) == 3 + 2 * 11  # x, the conv, 11 per layer
+        for a, b in zip(*grads, strict=True):
+            assert a is not None and np.array_equal(a, b)
+
+
 N_MASKED = len(tc.masked_taps((3, 3, 3)))
 
 # op family -> (shape of the watched op's input, the op on that input, which
@@ -667,9 +790,9 @@ GRAPH_CASES = {
     "take_index_last": ((2, 3, 4), lambda m, c, p: tc.take_index_last(
         m, np.arange(6).reshape(2, 3) % 4), "none"),
     "conv3d": ((1, 3, 4, 4, 2), lambda m, c, p: tc.conv3d(
-        m, p((27 * 2, 3)), p((3,)), (3, 3, 3), (2, 2, 2), (1, 0, -1), (2, 2, 2)), "none"),
+        m, p((27 * 2, 3)), p((3,)), (3, 3, 3), (2, 2, 2), (1, 0, -1), (2, 2, 2)), "input"),
     "masked_conv3d": ((1, 3, 4, 4, 2), lambda m, c, p: tc.masked_conv3d(
-        m, p((N_MASKED * 2, 3)), p((3,)), (3, 3, 3)), "none"),
+        m, p((N_MASKED * 2, 3)), p((3,)), (3, 3, 3)), "input"),
 }
 
 
@@ -725,7 +848,7 @@ class TestGraphKeepsWhatBackwardReads:
         loss = tc.sum_all(tc.add(tc.mul(y, Tensor(w[0])), tc.mul(y, Tensor(w[1]))))
         assert graph_bytes(loss) == w.nbytes  # w[0] and w[1] are views of w
         tc.backward(loss)
-        assert graph_bytes(loss) == w.nbytes + x.data.nbytes  # and x's gradient
+        assert graph_bytes(loss) == x.data.nbytes  # only the leaf's gradient
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
