@@ -171,38 +171,3 @@ def block_slots(slice_shape, bs):
     slot = ((t % bs.t) * bs.h + h % bs.h) * bs.w + w % bs.w
     return block, slot
 
-
-class CausalLayerStep:
-    """A causal ``attention_layer`` evaluated one position at a time.
-
-    Built from the keys, values and bias that ``block_attention`` recorded
-    in a forward pass over the whole slice.  Calling it with position p's
-    layer input writes p's key and value into its block slot and attends
-    over the slots up to p's own.  Within a block, slot order is raster
-    order, so those are exactly the positions the causal mask admits, and
-    each stale slot after p is rewritten when its own position comes.
-    """
-
-    def __init__(self, params, spec, slice_shape, record):
-        self.keys, self.values, self.bias = record
-        self.block, self.slot = block_slots(slice_shape, spec.block)
-        self.shape = (3, spec.n_heads, spec.d_head)
-        self.scale = float(1.0 / np.sqrt(spec.d_head))
-        self.w = {k: t.data for k, t in params.items()}
-
-    def __call__(self, x, p):
-        """Layer output (d,) at raster position p from its input x (d,)."""
-        w = self.w
-        g, i = self.block[p], self.slot[p]
-        normed = tc.layernorm_array(x, w["ln1_gain"], w["ln1_bias"])
-        q, k, v = (normed @ w["w_qkv"]).reshape(self.shape)
-        self.keys[g, :, i] = k
-        self.values[g, :, i] = v
-        scores = (self.keys[g, :, :i + 1] @ (q * self.scale)[:, :, None])[..., 0]
-        scores += self.bias[:, i, :i + 1]
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        att = e / e.sum(axis=-1, keepdims=True)
-        heads = (att[:, None, :] @ self.values[g, :, :i + 1])[:, 0]
-        ztil = heads.reshape(-1) @ w["w_p"] + x
-        ff = tc.layernorm_array(ztil, w["ln2_gain"], w["ln2_bias"])
-        return np.maximum(ff @ w["t1"], 0) @ w["t2"] + ztil

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tc
-from .attention import AttentionLayerSpec, CausalLayerStep, attention_layer
+from .attention import AttentionLayerSpec, attention_layer
 from .data import DataError, atomic_write
 from .subscale import (BlockShape, SubscaleFactor, context_padding, extract_slice,
                        primed_plane_mask, slice_key, slice_rank, visibility_mask)
@@ -501,57 +501,6 @@ def decode_slices(params, cfg, x, z, rank, record=None):
     return y
 
 
-class SliceDecoder:
-    """Exact decoder columns of one slice, one position at a time.
-
-    Construction is the prefill: one ``decode_slices`` pass over the slice
-    ``values`` (T',H',W',n_channels), recording every layer's keys and
-    values per block.  Its output ``prefill`` (P', d) is exact at every
-    position whose predecessors in raster order hold their final values.
-    Afterwards ``commit(p, ...)`` gives position p its final values and
-    ``column(p)`` recomputes p's column alone: the masked conv window of
-    earlier embeddings, the positional and encoder terms, then each layer
-    at p over the cached keys and values of p's block.  The column depends
-    only on positions before p, so it is exact once those are committed.
-    """
-
-    def __init__(self, params, cfg, rank, values, z):
-        prefix, schedule = decoder_for(cfg, rank)
-        records = []
-        oh = tc.one_hot(values, N_VALUES).reshape(1, *cfg.slice_shape, cfg.input_channels)
-        y = decode_slices(params, cfg, Tensor(oh), z, rank, record=records)
-        P = int(np.prod(cfg.slice_shape))
-        self.prefill = y.data.reshape(P, cfg.d)
-        self.embed = params[f"{prefix}/chan_embed"].data
-        # channel embeddings of every position, plus the zero padding row
-        emb = oh.reshape(P, cfg.input_channels) @ self.embed
-        self.emb = np.concatenate([emb, np.zeros((1, cfg.d_e), dtype=emb.dtype)])
-        self.windows = tc.masked_conv_windows(cfg.mconv, cfg.slice_shape)
-        self.kernel = params[f"{prefix}/mconv_kernel"].data
-        base = (params[f"{prefix}/mconv_bias"].data
-                + params[f"{prefix}/pos_t"].data[:, None, None]
-                + params[f"{prefix}/pos_h"].data[None, :, None]
-                + params[f"{prefix}/pos_w"].data[None, None, :])
-        self.base = base.reshape(P, cfg.d)
-        if z is not None:
-            self.base = self.base + z.data.reshape(P, cfg.d) @ params[f"{prefix}/z_proj"].data
-        self.layers = [CausalLayerStep(params.layer(prefix, i), spec, cfg.slice_shape, rec)
-                       for i, (spec, rec) in enumerate(zip(schedule, records))]
-
-    def commit(self, p, channel_values):
-        """Record the final (n_channels,) values of position p."""
-        oh = tc.one_hot(channel_values, N_VALUES).reshape(-1)
-        self.emb[p] = oh @ self.embed
-
-    def column(self, p):
-        """Decoder output (d,) at position p; every position before p must
-        hold its final values (primed at the prefill, or committed)."""
-        x = self.emb[self.windows[p]].reshape(-1) @ self.kernel + self.base[p]
-        for layer in self.layers:
-            x = layer(x, p)
-        return x
-
-
 def head_norm(params, y):
     """Layernormed decoder state, the input every head shares."""
     return tc.layernorm(y, params["head/ln_gain"], params["head/ln_bias"])
@@ -720,7 +669,13 @@ def load_checkpoint(path):
         for _ in range(count):
             (nlen,) = struct.unpack_from("<I", raw, off)
             off += 4
-            name = raw[off:off + nlen].decode("utf-8")
+            try:
+                name = raw[off:off + nlen].decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: entry name {raw[off:off + nlen]!r} "
+                                "is not UTF-8") from None
+            if name in out:
+                raise DataError(f"{path}: entry name {name!r} appears twice")
             off += nlen
             (rank,) = struct.unpack_from("<I", raw, off)
             off += 4

@@ -13,20 +13,23 @@ reproduce every sampled value.
 
 Positions inside primed frames are copied from the prime and never sampled.
 Each slice runs the decoder once over its canvas (a prefill that caches
-every layer's keys and values), then one decoder column per later pixel.
-This is exact: a pixel's column depends only on earlier pixels, through the
-center-excluded masked conv and causal attention within a block.
+every layer's keys and values), then one decoder column per sampled pixel
+(``SliceDecoder``).  This is exact: a pixel's column depends only on earlier
+pixels, through the center-excluded masked conv and causal attention within
+a block.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as M
 from . import tensor as tc
+from .attention import block_slots
 from .subscale import (check_prime_frames, extract_slice, merge_slice, primed_plane_mask,
                        slice_order, slice_rank)
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError, NumericError, Tensor
 
 # below this temperature the categorical collapses to argmax even in float64,
 # so we take the argmax directly and the position's uniform goes unused
@@ -105,12 +108,18 @@ def slice_uniforms(seed, video_index, rank, n_pixels, n_channels):
 
 def categorical_from_uniform(logits, tau, u):
     """Temperature-sample one value from unnormalized logits by inverting
-    the CDF at the uniform ``u`` (float64 path)."""
-    z = apply_temperature(logits, tau)
-    if tau <= ARGMAX_TEMPERATURE:
+    the CDF at the uniform ``u`` (float64 path).  At or below
+    ``ARGMAX_TEMPERATURE`` it returns the argmax of the logits themselves,
+    which scaling by 1/tau keeps but could overflow.  NumericError if the
+    logits hold a NaN or +inf, or are all -inf: their peak is not finite."""
+    argmax = 0 < tau <= ARGMAX_TEMPERATURE
+    z = np.asarray(logits, dtype=np.float64) if argmax else apply_temperature(logits, tau)
+    top = z.max()
+    if not math.isfinite(top):
+        raise NumericError(f"non-finite logits (peak {top})")
+    if argmax:
         return int(np.argmax(z))
-    z = z - z.max()
-    p = np.exp(z)
+    p = np.exp(z - top)
     p /= p.sum()
     return int(min(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1))
 
@@ -118,6 +127,71 @@ def categorical_from_uniform(logits, tau, u):
 def sample_categorical(logits, tau, stream):
     """``categorical_from_uniform`` at the next uniform of ``stream``."""
     return categorical_from_uniform(logits, tau, stream.random())
+
+
+class SliceDecoder:
+    """Exact decoder columns of one slice, one position at a time.
+
+    Construction is the prefill: one ``decode_slices`` pass over the slice
+    ``values`` (T',H',W',n_channels), recording every causal layer's keys,
+    values and masked bias per block.  ``commit(p, ...)`` gives position p
+    its final values.  ``column(p)`` computes p's decoder output alone: the
+    masked conv window of earlier embeddings, the positional and encoder
+    terms, then each layer, which writes p's key and value into its block
+    slot and attends over the slots up to p's own.  Slots are in raster
+    order, so those are what the causal mask admits, and a stale slot after
+    p is rewritten when its own position comes: the column is exact once
+    every position before p holds its final values.
+    """
+
+    def __init__(self, params, cfg, rank, values, z):
+        prefix, schedule = M.decoder_for(cfg, rank)
+        records = []
+        oh = tc.one_hot(values, M.N_VALUES).reshape(1, *cfg.slice_shape, cfg.input_channels)
+        M.decode_slices(params, cfg, Tensor(oh), z, rank, record=records)
+        P = int(np.prod(cfg.slice_shape))
+        self.embed = params[f"{prefix}/chan_embed"].data
+        # channel embeddings of every position, plus the zero padding row
+        emb = oh.reshape(P, cfg.input_channels) @ self.embed
+        self.emb = np.concatenate([emb, np.zeros((1, cfg.d_e), dtype=emb.dtype)])
+        self.windows = tc.masked_conv_windows(cfg.mconv, cfg.slice_shape)
+        self.kernel = params[f"{prefix}/mconv_kernel"].data
+        base = (params[f"{prefix}/mconv_bias"].data
+                + params[f"{prefix}/pos_t"].data[:, None, None]
+                + params[f"{prefix}/pos_h"].data[None, :, None]
+                + params[f"{prefix}/pos_w"].data[None, None, :])
+        self.base = base.reshape(P, cfg.d)
+        if z is not None:
+            self.base = self.base + z.data.reshape(P, cfg.d) @ params[f"{prefix}/z_proj"].data
+        # per layer: weights, cached keys, values and bias, each position's
+        # block and slot, the (q, k, v) split and the query scale
+        self.layers = [({k: t.data for k, t in params.layer(prefix, i).items()}, *record,
+                        *block_slots(cfg.slice_shape, spec.block),
+                        (3, spec.n_heads, spec.d_head), float(1.0 / np.sqrt(spec.d_head)))
+                       for i, (spec, record) in enumerate(zip(schedule, records, strict=True))]
+
+    def commit(self, p, channel_values):
+        """Record the final (n_channels,) values of position p."""
+        oh = tc.one_hot(channel_values, M.N_VALUES).reshape(-1)
+        self.emb[p] = oh @ self.embed
+
+    def column(self, p):
+        """Decoder output (d,) at position p; every position before p must
+        hold its final values."""
+        x = self.emb[self.windows[p]].reshape(-1) @ self.kernel + self.base[p]
+        for w, keys, values, bias, block, slot, qkv_shape, scale in self.layers:
+            g, i = block[p], slot[p]
+            normed = tc.layernorm_array(x, w["ln1_gain"], w["ln1_bias"])
+            q, keys[g, :, i], values[g, :, i] = (normed @ w["w_qkv"]).reshape(qkv_shape)
+            scores = (keys[g, :, :i + 1] @ (q * scale)[:, :, None])[..., 0]
+            scores += bias[:, i, :i + 1]
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            att = e / e.sum(axis=-1, keepdims=True)
+            heads = (att[:, None, :] @ values[g, :, :i + 1])[:, 0]
+            ztil = heads.reshape(-1) @ w["w_p"] + x
+            ff = tc.layernorm_array(ztil, w["ln2_gain"], w["ln2_bias"])
+            x = np.maximum(ff @ w["t1"], 0) @ w["t2"] + ztil
+        return x
 
 
 def sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
@@ -135,21 +209,26 @@ def sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
     first = int(np.argmin(primed)) * Hs * Ws  # primed planes lead the slice
     with tc.no_grad():
         z = M.encode_slices(params, cfg, [Tensor(M.video_onehot(cfg, canvas))], [idx])
-        decoder = M.SliceDecoder(params, cfg, rank, chans, z)
+        decoder = SliceDecoder(params, cfg, rank, chans, z)
         if cfg.head == "categorical":
             u = slice_uniforms(scfg.seed, video_index, rank, len(values), cfg.n_channels)
         for pixel in range(first, len(values)):
-            y = decoder.prefill[pixel] if pixel == first else decoder.column(pixel)
-            if cfg.head == "categorical":
-                vals, onehot = values[pixel], np.zeros((1, cfg.input_channels), np.float32)
-                heads = M.channel_logits(params, Tensor(y[None]), Tensor(onehot))
-                for c, logits in enumerate(heads):  # draw c enters onehot before channel c+1
-                    vals[c] = categorical_from_uniform(logits.data[0], scfg.temperature,
-                                                       u[pixel, c])
-                    onehot[0, c * M.N_VALUES + vals[c]] = 1.0
-            else:
-                x = float(M.head_intensity(params, cfg, Tensor(y[None, None])).data[0, 0, 0])
-                values[pixel] = M.split_channels(np.array([round(x * 255.0)], dtype=np.uint8))
+            y = decoder.column(pixel)
+            try:
+                if cfg.head == "categorical":
+                    vals, onehot = values[pixel], np.zeros((1, cfg.input_channels), np.float32)
+                    heads = M.channel_logits(params, Tensor(y[None]), Tensor(onehot))
+                    for c, logits in enumerate(heads):  # draw c enters onehot before channel c+1
+                        vals[c] = categorical_from_uniform(logits.data[0], scfg.temperature,
+                                                           u[pixel, c])
+                        onehot[0, c * M.N_VALUES + vals[c]] = 1.0
+                else:
+                    x = float(M.head_intensity(params, cfg, Tensor(y[None, None])).data[0, 0, 0])
+                    if not math.isfinite(x):
+                        raise NumericError(f"non-finite intensity {x}")
+                    values[pixel] = M.split_channels(np.array([round(x * 255.0)], dtype=np.uint8))
+            except NumericError as e:
+                raise NumericError(f"sampling slice {idx}, pixel {pixel}: {e}") from None
             decoder.commit(pixel, values[pixel])
     return chans
 

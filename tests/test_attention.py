@@ -12,10 +12,9 @@ from helpers import (block_coordinates, gathered_relative_bias_matrix, grad_chec
                      relative_bias, relative_bias_indices)
 from svt import cli
 from svt import tensor as tc
-from svt.attention import (MASK_NEG, AttentionLayerSpec, BlockShape, CausalLayerStep,
-                           attention_layer, block_attention, block_merge,
-                           _axis_distance_indices, block_partition, block_slots,
-                           causal_mask, relative_bias_matrix)
+from svt.attention import (MASK_NEG, AttentionLayerSpec, BlockShape, attention_layer,
+                           block_attention, block_merge, _axis_distance_indices,
+                           block_partition, block_slots, causal_mask, relative_bias_matrix)
 from svt.tensor import ConfigError, Tensor
 
 
@@ -398,23 +397,3 @@ class TestAttentionLayer:
                 touched = np.nonzero(np.abs(x.grad[0]).sum(-1).reshape(P))[0]
                 assert all(q <= p for q in touched)
 
-
-class TestCausalLayerStep:
-    @pytest.mark.parametrize("bs", [BlockShape(2, 2, 2), BlockShape(1, 4, 2),
-                                    BlockShape(2, 4, 4)])
-    def test_steps_match_full_layer_over_stale_cache(self, bs):
-        """Record keys and values on unrelated input, then step every
-        position in raster order: each stale slot is rewritten before it is
-        read, so the columns equal the full causal layer on the real input."""
-        rng = np.random.default_rng(7)
-        d, shape = 6, (2, 4, 4)
-        spec = AttentionLayerSpec(bs, 2, 3)
-        params = random_layer_params(rng, d, spec)
-        x = Tensor(rng.standard_normal((1, *shape, d)))
-        full = attention_layer(x, params, spec, causal=True).data.reshape(-1, d)
-        record = []
-        attention_layer(Tensor(rng.standard_normal((1, *shape, d))), params, spec,
-                        causal=True, record=record)
-        step = CausalLayerStep(params, spec, shape, record[0])
-        cols = [step(row, p) for p, row in enumerate(x.data.reshape(-1, d))]
-        np.testing.assert_allclose(np.stack(cols), full, rtol=1e-12, atol=1e-12)

@@ -619,6 +619,32 @@ class TestThreadsAndNumeric:
         assert "error[numeric]: non-finite loss nan on video 0, slice (0, 0, 0)" in r.stderr
         assert "Traceback" not in r.stderr and r.stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("name", ["sprites-rgb", "sprites-gray"])
+    def test_nonfinite_sample_exits_three(self, tmp_path, name):
+        """Finite head weights at +-3e38 give logits (sprites-rgb) or an
+        intensity (sprites-gray, the deterministic head) that are not
+        finite: ``svt sample`` exits 3 at the first sampled pixel, naming its
+        slice, and writes nothing.  Run in a subprocess, where the
+        overflow's RuntimeWarnings are only printed."""
+        from svt import model as M, optim as O
+
+        config = CONFIGS / f"{name}.cfg"
+        cfg = cli.model_config_from(cli.load_config(config))
+        params = M.init_params(cfg, head_init="normal")
+        rng = np.random.default_rng(0)
+        for key, t in params.items():
+            if key.startswith(("head/u", "head/p")):
+                t.data[...] = np.where(rng.random(t.data.shape) < 0.5, 3e38, -3e38)
+        ckpt, data, out = tmp_path / "huge.ckpt", tmp_path / "prime.svt", tmp_path / "out.svt"
+        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 0)
+        write_container(data, [rng.integers(0, 256, (*cfg.video_shape, cfg.bytes_per_pixel))
+                               .astype(np.uint8)])
+        r = run_cli("sample", "--config", config, "--ckpt", ckpt, "--prime-video", data,
+                    "--out", out)
+        assert r.returncode == 3, r.stderr
+        assert "error[numeric]: sampling slice (0, 0, 0), pixel 64: non-finite" in r.stderr
+        assert "Traceback" not in r.stderr and r.stdout == "" and not out.exists()
+
     def test_nonfinite_gradient_exits_three(self, tiny_setup, monkeypatch, capsys):
         """NaN gradients behind a finite loss exit 3 and leave the previous
         checkpoint in place."""

@@ -2,6 +2,7 @@
 variants, checkpoints."""
 
 import math
+import struct
 import weakref
 from pathlib import Path
 
@@ -384,6 +385,22 @@ class TestCheckpoint:
             flipped[rng.integers(len(raw))] ^= 1 << int(rng.integers(8))
             out = load(bytes(flipped))
             assert out is None or all(a.dtype == np.float32 for a in out.values())
+
+    @pytest.mark.parametrize("names, message", [
+        ([b"w", b"w"], "entry name 'w' appears twice"),
+        ([b"\xff\xfe"], r"entry name b'\\xff\\xfe' is not UTF-8")], ids=["repeated", "not-utf8"])
+    def test_bad_entry_name_rejected(self, tmp_path, names, message):
+        """A repeated name would let the last entry win silently; a name
+        that is not UTF-8 is a bad name, not a truncated file."""
+        from svt.data import DataError
+        raw = M.CHECKPOINT_MAGIC + struct.pack("<II", M.CHECKPOINT_VERSION, len(names))
+        for name in names:
+            raw += struct.pack("<I", len(name)) + name + struct.pack("<IQ", 1, 1)
+            raw += np.float32(3.0).tobytes()
+        path = tmp_path / "names.ckpt"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=message):
+            M.load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_param_rejected(self, tmp_path, value):

@@ -21,7 +21,7 @@ from svt.sampler import (SampleConfig, apply_temperature, categorical_from_unifo
                          _position_stream)
 from svt.subscale import (BlockShape, SubscaleFactor, extract_slice, primed_plane_mask,
                           slice_key, slice_order, slice_rank)
-from svt.tensor import ConfigError, Tensor
+from svt.tensor import ConfigError, NumericError, Tensor
 from test_connectivity import _divisors
 from test_model import _params_float64
 
@@ -45,6 +45,18 @@ class TestTemperature:
         logits = rng.standard_normal(16)
         stream = _position_stream(0, 0, 0, 0, 0)
         assert sample_categorical(logits, 1e-6, stream) == int(np.argmax(logits))
+
+    def test_argmax_of_logits_where_scaling_overflows(self):
+        """Dividing by tau = 1e-308 would take [2, 3, 1] to [inf, inf,
+        1e308], whose first maximum is index 0."""
+        assert categorical_from_uniform([2.0, 3.0, 1.0], 1e-308, 0.5) == 1
+
+    @pytest.mark.parametrize("tau", [0.9, 1e-6])
+    @pytest.mark.parametrize("logits", [[0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [-np.inf] * 3],
+                             ids=["nan", "inf", "all-minus-inf"])
+    def test_nonfinite_peak_raises(self, logits, tau):
+        with pytest.raises(NumericError, match="non-finite logits"):
+            categorical_from_uniform(logits, tau, 0.5)
 
     def test_point_nine_sharpens(self):
         """Max-probability mass strictly increases for non-uniform logits."""
@@ -140,6 +152,31 @@ class TestSampleSlice:
         b = sample_slice(ps, cfg, video, (0, 0, 0),
                          SampleConfig(prime_frames=0, temperature=1.5, seed=2))
         assert not np.array_equal(a, b)
+
+
+class TestSliceDecoder:
+    @pytest.mark.parametrize("bs", [BlockShape(2, 2, 2), BlockShape(1, 4, 2),
+                                    BlockShape(2, 4, 4)])
+    def test_columns_match_decode_over_stale_cache(self, bs):
+        """Prefill on unrelated values, then take every column in raster
+        order, committing each position's real values after its column:
+        each stale slot is rewritten before it is read, so the columns equal
+        ``decode_slices`` on the real values."""
+        cfg = M.build_variant("spatiotemporal", (4, 8, 8), s=(2, 2, 2), d_e=4, d=6,
+                              n_heads=2, d_head=3, layers=1, enc_blocks=[(2, 4, 4)],
+                              dec_blocks=[tuple(bs)])
+        ps = _params_float64(cfg, 7)
+        rng = np.random.default_rng(7)
+        real, stale = rng.integers(0, M.N_VALUES, (2, *cfg.slice_shape, cfg.n_channels))
+        z = Tensor(rng.standard_normal((1, *cfg.slice_shape, cfg.d)))
+        x = tc.one_hot(real, M.N_VALUES).reshape(1, *cfg.slice_shape, cfg.input_channels)
+        full = M.decode_slices(ps, cfg, Tensor(x), z, 1).data.reshape(-1, cfg.d)
+        decoder = sampler.SliceDecoder(ps, cfg, 1, stale, z)
+        cols = []
+        for p, values in enumerate(real.reshape(-1, cfg.n_channels)):
+            cols.append(decoder.column(p))
+            decoder.commit(p, values)
+        np.testing.assert_allclose(np.stack(cols), full, rtol=1e-12, atol=1e-12)
 
 
 class TestSampleVideo:
