@@ -442,6 +442,8 @@ def main(argv=None):
         print(f"error[config]: SVT_THREADS: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
+    import numpy as np
+
     from .data import DataError
     from .tensor import ConfigError, NumericError
 
@@ -450,7 +452,9 @@ def main(argv=None):
             sys.stdout.write(dump_config(load_config(args.config)))
             return EXIT_OK
         _check_output_dirs(getattr(args, name, None) for name in _OUTPUT_ARGS)
-        return args.fn(args)
+        # an overflow is reported once, by the non-finite check where it lands
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except ConfigError as e:
         print(f"error[config]: {e}", file=sys.stderr)
         return EXIT_CONFIG

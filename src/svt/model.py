@@ -544,24 +544,17 @@ def nll_loss(logits, targets, pixel_mask):
     logits (B,P,nc,16); targets (B,P,nc) ints; pixel_mask (B,P) with 1 where
     the pixel contributes.  Returns (loss Tensor, number of unmasked pixels).
     """
-    lp = tc.log_softmax(logits, axis=-1)
-    picked = tc.take_index_last(lp, targets)  # (B, P, nc)
-    m = np.asarray(pixel_mask, dtype=lp.data.dtype)
-    masked = tc.mul(picked, Tensor(m[..., None]))
-    return tc.neg(tc.sum_all(masked)), float(m.sum())
+    m = np.asarray(pixel_mask, dtype=logits.data.dtype)
+    return tc.cross_entropy(logits, targets, m[..., None]), float(m.sum())
 
 
-def deterministic_loss(pred, target, pixel_mask=None):
-    """Binary cross-entropy H(z, y) summed over pixels, y clamped away from
-    0 and 1.  pred: Tensor (B, P, 1) in (0,1); target: array-like in [0,1]."""
+def deterministic_loss(pred, target, pixel_mask):
+    """Binary cross-entropy H(z, y) summed over unmasked pixels, y clamped
+    away from 0 and 1.  pred: Tensor (B, P, 1) in (0,1); target: array-like
+    in [0,1]; pixel_mask (B, P) with 1 where the pixel contributes."""
     z = np.asarray(target, dtype=pred.data.dtype).reshape(pred.data.shape)
-    y = tc.clip(pred, 1e-7, 1.0 - 1e-7)
-    ll = tc.add(tc.mul(tc.log(y), Tensor(z)),
-                tc.mul(tc.log(tc.sub(1.0, y)), Tensor(1.0 - z)))
-    if pixel_mask is not None:
-        m = np.asarray(pixel_mask, dtype=pred.data.dtype).reshape(pred.data.shape[:2])
-        ll = tc.mul(ll, Tensor(m[..., None]))
-    return tc.neg(tc.sum_all(ll))
+    m = np.asarray(pixel_mask, dtype=pred.data.dtype).reshape(pred.data.shape[:2])
+    return tc.binary_cross_entropy(pred, z, m[..., None])
 
 
 def pixel_loss_mask(cfg, idx, prime_frames):
@@ -697,7 +690,8 @@ def load_checkpoint(path):
 def checkpoint_entries(cfg, arrays, prefix=""):
     """{parameter name: float32 copy of checkpoint entry ``prefix + name``}
     for every parameter of ``cfg``; a missing entry or one of another shape
-    is a ConfigError."""
+    is a ConfigError, and a NaN or an infinity a NumericError, naming the
+    first such entry in name order and its count."""
     out = {}
     for name, shape in parameter_shapes(cfg).items():
         entry = arrays.get(prefix + name)
@@ -707,17 +701,16 @@ def checkpoint_entries(cfg, arrays, prefix=""):
             raise ConfigError(
                 f"checkpoint entry {prefix + name} has shape {entry.shape}, expected {shape}")
         out[name] = entry.astype(np.float32)
+    for name in sorted(out):
+        bad = np.count_nonzero(~np.isfinite(out[name]))
+        if bad:
+            what = f"entry {prefix}{name}" if prefix else f"parameter {name}"
+            raise NumericError(f"non-finite {what} in checkpoint: "
+                               f"{bad} of {out[name].size} entries")
     return out
 
 
 def params_from_checkpoint(cfg, arrays):
-    """Rebuild a ParamStore, checking every expected name and shape, and
-    that every value is finite (NumericError, naming the first parameter in
-    name order that holds a NaN or an infinity)."""
+    """Rebuild a ParamStore from the checked ``checkpoint_entries``."""
     entries = checkpoint_entries(cfg, arrays)
-    for name in sorted(entries):
-        bad = np.count_nonzero(~np.isfinite(entries[name]))
-        if bad:
-            raise NumericError(f"non-finite parameter {name} in checkpoint: "
-                               f"{bad} of {entries[name].size} entries")
     return ParamStore({n: Tensor(a, requires_grad=True) for n, a in entries.items()})

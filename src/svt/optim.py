@@ -180,7 +180,7 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
         params.zero_grads()
         loss, n_pix, _ = M.forward_slices(params, cfg, clips, idxs, prime_frames=tcfg.prime_frames)
         if not np.isfinite(loss.data):
-            raise NumericError(f"non-finite loss at step {step}: {loss.data!r}")
+            raise NumericError(f"non-finite loss at step {step}: {loss.item()!r}")
         tc.backward(loss)
         nats = loss.item()
         rmsprop_step(params, params.grads(), opt)
@@ -213,15 +213,20 @@ def save_training_checkpoint(path, params, opt, step):
 def load_training_checkpoint(path, cfg, hyper=None):
     """Returns (params, opt, step); opt state is zero if absent, and so is
     the step, and the early-stop window is empty.  Entries are checked by
-    ``M.checkpoint_entries``; a step that is not one whole number in
-    [0, 2^24) (exact in float32), or a window that is not 1-D, is a
-    DataError."""
+    ``M.checkpoint_entries``; a negative second moment, a step that is not
+    one whole number in [0, 2^24) (exact in float32), or a window that is
+    not 1-D, is a DataError."""
     arrays = M.load_checkpoint(path)
     params = M.params_from_checkpoint(cfg, arrays)
     opt = OptimizerState(params, hyper)
     if any(n.startswith("opt/") for n in arrays):
         opt.acc = M.checkpoint_entries(cfg, arrays, "opt/acc/")
         opt.mom = M.checkpoint_entries(cfg, arrays, "opt/mom/")
+    for name in sorted(opt.acc):
+        neg = np.count_nonzero(opt.acc[name] < 0)
+        if neg:
+            raise DataError(f"{path}: negative second moment opt/acc/{name}: "
+                            f"{neg} of {opt.acc[name].size} entries")
     step = arrays.get("meta/step", np.zeros(1))
     if step.size != 1 or not (0 <= step.item() < 2 ** 24) or step.item() % 1:
         raise DataError(f"{path}: meta/step {step.tolist()} is not a whole number in [0, 2^24)")

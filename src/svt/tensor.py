@@ -13,9 +13,10 @@ its patches), so a value that no backward reads is freed as soon as its
 caller drops it, and a swept graph keeps only its bare nodes.
 
 Only the operations the video model actually needs are provided: batched
-matmul, softmax/log-softmax, layer normalization, ReLU, sigmoid, strided 3D
-convolution with signed padding, raster-causal masked 3D convolution,
-gathers, basic indexing, reshapes and concatenation.  The tests check every
+matmul, softmax, layer normalization, ReLU, sigmoid, strided 3D convolution
+with signed padding, raster-causal masked 3D convolution, gathers, basic
+indexing, reshapes and concatenation, and the model's two losses, each one
+node: the categorical and the binary cross-entropy.  The tests check every
 analytic gradient against central finite differences (``tests/helpers.py``).
 
 ``backward`` computes only the gradients some tensor needs: an op with
@@ -25,9 +26,9 @@ dropping it.
 
 Float32 subnormals make BLAS and numpy take slow paths, so they are zeroed
 where they arise: softmax exponentials, the input gradients of softmax and
-log-softmax, ``mul``'s gradients and a batched ``matmul``'s ``b`` gradient
-(an attention layer's dk and dv), so the gradients an attention layer passes
-to its matrix products hold none.
+``cross_entropy``, ``mul``'s gradients and a batched ``matmul``'s ``b``
+gradient (an attention layer's dk and dv), so the gradients an attention
+layer passes to its matrix products hold none.
 """
 
 from __future__ import annotations
@@ -256,20 +257,6 @@ def add(a, b):
     return _make(a.data + b.data, (na, nb), back)
 
 
-def sub(a, b):
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
-    b = _wrap(b, a)
-    na, nb = a.node, b.node
-
-    def back(g):
-        if na is not None:
-            _accumulate(na, _unbroadcast(g, na.shape))
-        if nb is not None:
-            _accumulate(nb, _unbroadcast(-g, nb.shape))
-
-    return _make(a.data - b.data, (na, nb), back)
-
-
 def mul(a, b):
     """Elementwise product.  A factor below 1 (an attention layer's query
     scale) turns gradients just above the smallest normal number into
@@ -288,15 +275,6 @@ def mul(a, b):
             _accumulate(nb, _unbroadcast(_flush_subnormals(g * av), nb.shape))
 
     return _make(a.data * b.data, (na, nb), back)
-
-
-def neg(a):
-    na = a.node
-
-    def back(g):
-        _accumulate(na, -g)
-
-    return _make(-a.data, (na,), back)
 
 
 def relu(a):
@@ -321,27 +299,6 @@ def sigmoid(a):
         _accumulate(na, g * y * (1.0 - y))
 
     return _make(y, (na,), back)
-
-
-def log(a):
-    na = a.node
-    x = a.data
-
-    def back(g):
-        _accumulate(na, g / x)
-
-    return _make(np.log(x), (na,), back)
-
-
-def clip(a, lo, hi):
-    """Clamp values; gradient passes through only in the interior."""
-    na = a.node
-    x = a.data
-
-    def back(g):
-        _accumulate(na, g * ((x >= lo) & (x <= hi)))
-
-    return _make(np.clip(x, lo, hi), (na,), back)
 
 
 def sum_all(a):
@@ -444,21 +401,6 @@ def softmax(a, axis=-1, bias=None):
     return _make(y, (na, nbias), back)
 
 
-def log_softmax(a, axis=-1):
-    """Log of ``softmax``, with the input gradient flushed likewise; the
-    graph keeps the output, not the input."""
-    na = a.node
-    x = a.data
-    m = x.max(axis=axis, keepdims=True)
-    s = x - m
-    ls = s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
-
-    def back(g):
-        _accumulate(na, _flush_subnormals(g - np.exp(ls) * g.sum(axis=axis, keepdims=True)))
-
-    return _make(ls, (na,), back)
-
-
 def _layernorm(x, gain, bias, eps):
     """(xhat * gain + bias, xhat, 1/std) with xhat zero-mean unit-variance
     over the last axis; xhat is scaled in place in the centred copy of x.
@@ -498,6 +440,62 @@ def layernorm(a, gain, bias, eps=1e-6):
             _accumulate(na, inv * (dxhat - m1 - xhat * m2))
 
     return _make(out, (na, ngain, nbias), back)
+
+
+# ---------------------------------------------------------------------------
+# losses
+# ---------------------------------------------------------------------------
+
+def cross_entropy(logits, targets, weights):
+    """Weighted negative log-likelihood, summed: -sum(weights * log
+    softmax(logits)[targets]), the softmax over the last axis.
+
+    ``targets`` (ints) has the shape of ``logits`` without the last axis and
+    ``weights`` broadcasts against it.  Subnormal entries of the per-target
+    gradient and of the logits' gradient are flushed to 0, as ``softmax``
+    flushes its own.  The graph keeps the log-softmax, not the logits.
+    """
+    na = logits.node
+    x = logits.data
+    idx = np.asarray(targets)[..., None]
+    w = np.asarray(weights, dtype=x.dtype)
+    s = x - x.max(axis=-1, keepdims=True)
+    ls = s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(ls, idx, axis=-1)[..., 0]
+
+    def back(g):
+        gp = _flush_subnormals(np.broadcast_to(-g, idx.shape[:-1]) * w)[..., None]
+        gx = np.zeros(na.shape, na.dtype)
+        np.put_along_axis(gx, idx, gp, axis=-1)
+        gx -= np.exp(ls) * gp
+        _accumulate(na, _flush_subnormals(gx))
+
+    return _make(-(picked * w).sum(), (na,), back)
+
+
+def binary_cross_entropy(pred, target, weights):
+    """Weighted binary cross-entropy, summed: -sum(weights * (z log y +
+    (1 - z) log(1 - y))) for targets z in [0, 1] and y = ``pred`` clamped to
+    [1e-7, 1 - 1e-7]; where the clamp holds ``pred`` gets no gradient.
+
+    ``target`` has the shape of ``pred`` and ``weights`` broadcasts against
+    it.  The per-term gradients are flushed of subnormals, as ``mul``'s are.
+    """
+    na = pred.node
+    x = pred.data
+    z = np.asarray(target, dtype=x.dtype)
+    w = np.asarray(weights, dtype=x.dtype)
+    lo, hi = 1e-7, 1.0 - 1e-7
+    y = np.clip(x, lo, hi)
+    y1, z1 = 1.0 - y, 1.0 - z
+    ll = np.log(y) * z + np.log(y1) * z1
+
+    def back(g):
+        gl = _flush_subnormals(np.broadcast_to(-g, x.shape) * w)
+        gy = _flush_subnormals(gl * z) / y - _flush_subnormals(gl * z1) / y1
+        _accumulate(na, gy * ((x >= lo) & (x <= hi)))
+
+    return _make(-(ll * w).sum(), (na,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -584,20 +582,6 @@ def gather(table, idx, axis=0):
         _accumulate(nt, gt.reshape(shape).astype(nt.dtype))
 
     return _make(out, (nt,), back)
-
-
-def take_index_last(a, idx):
-    """Pick one entry along the last axis per position (for NLL targets)."""
-    idx = np.asarray(idx)
-    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-    na = a.node
-
-    def back(g):
-        full = np.zeros(na.shape, na.dtype)
-        np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-        _accumulate(na, full)
-
-    return _make(out, (na,), back)
 
 
 def one_hot(values, n, dtype=np.float32):

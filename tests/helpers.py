@@ -427,18 +427,23 @@ def two_temporary_softmax(a, axis=-1, bias=None):
     return tc._make(y, (na, nbias), back)
 
 
-def unflushed_log_softmax(a, axis=-1):
-    """``tensor.log_softmax`` without the flush of subnormal gradient
+def unflushed_cross_entropy(logits, targets, weights):
+    """``tensor.cross_entropy`` without the flushes of subnormal gradient
     entries: its reference."""
-    x = a.data
-    s = x - x.max(axis=axis, keepdims=True)
-    ls = s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
-    na = a.node
+    x = logits.data
+    idx = np.asarray(targets)[..., None]
+    w = np.asarray(weights, dtype=x.dtype)
+    s = x - x.max(axis=-1, keepdims=True)
+    ls = s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
+    na = logits.node
 
     def back(g):
-        tc._accumulate(na, g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
+        gp = (np.broadcast_to(-g, idx.shape[:-1]) * w)[..., None]
+        gx = np.zeros(na.shape, na.dtype)
+        np.put_along_axis(gx, idx, gp, axis=-1)
+        tc._accumulate(na, gx - np.exp(ls) * gp)
 
-    return tc._make(ls, (na,), back)
+    return tc._make(-(np.take_along_axis(ls, idx, axis=-1)[..., 0] * w).sum(), (na,), back)
 
 
 def is_subnormal(x):
@@ -513,7 +518,7 @@ def zero_filled_index(a, key):
 
 
 REFERENCE_OPS = {"matmul": batched_matmul, "softmax": two_temporary_softmax,
-                 "log_softmax": unflushed_log_softmax, "layernorm": out_of_place_layernorm,
+                 "cross_entropy": unflushed_cross_entropy, "layernorm": out_of_place_layernorm,
                  "layernorm_array": out_of_place_layernorm_array, "index": zero_filled_index}
 
 

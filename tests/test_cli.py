@@ -575,7 +575,7 @@ class TestThreadsAndNumeric:
         code = cli.main(["train", "--config", str(config), "--data", str(data),
                          "--out-ckpt", str(out)])
         assert code == 3
-        assert "error[numeric]: non-finite loss at step 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error[numeric]: non-finite loss at step 0: nan\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "sample", "train"])
@@ -603,8 +603,7 @@ class TestThreadsAndNumeric:
         """Finite parameters can still give a non-finite loss: with the
         head's output projection at +-3e38 the logits overflow.  ``svt
         eval`` exits 3 naming the first such (video, slice) pair, and prints
-        and writes no bits/dim.  Run in a subprocess, where the overflow's
-        RuntimeWarnings are only printed."""
+        and writes no bits/dim."""
         from svt import model as M, optim as O
 
         tmp, config, data = tiny_setup
@@ -624,8 +623,7 @@ class TestThreadsAndNumeric:
         """Finite head weights at +-3e38 give logits (sprites-rgb) or an
         intensity (sprites-gray, the deterministic head) that are not
         finite: ``svt sample`` exits 3 at the first sampled pixel, naming its
-        slice, and writes nothing.  Run in a subprocess, where the
-        overflow's RuntimeWarnings are only printed."""
+        slice, and writes nothing."""
         from svt import model as M, optim as O
 
         config = CONFIGS / f"{name}.cfg"
@@ -644,6 +642,64 @@ class TestThreadsAndNumeric:
         assert r.returncode == 3, r.stderr
         assert "error[numeric]: sampling slice (0, 0, 0), pixel 64: non-finite" in r.stderr
         assert "Traceback" not in r.stderr and r.stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sample", "train"])
+    def test_overflow_prints_only_the_error_line(self, tmp_path, command):
+        """Head weights at +-3e38 overflow in the forward: ``eval``,
+        ``sample`` and ``train --resume`` exit 3 with one line on stderr,
+        the error, and no numpy warning ahead of it."""
+        from svt import model as M, optim as O
+
+        config = CONFIGS / "sprites-rgb.cfg"
+        cfg = cli.model_config_from(cli.load_config(config))
+        params = M.init_params(cfg, head_init="normal")
+        rng = np.random.default_rng(0)
+        for key, t in params.items():
+            if key.startswith(("head/u", "head/p")):
+                t.data[...] = np.where(rng.random(t.data.shape) < 0.5, 3e38, -3e38)
+        ckpt, data, out = tmp_path / "huge.ckpt", tmp_path / "videos.svt", tmp_path / "out"
+        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 0)
+        write_container(data, [rng.integers(0, 256, (*cfg.video_shape, cfg.bytes_per_pixel))
+                               .astype(np.uint8)])
+        args = {"eval": ["--ckpt", ckpt, "--data", data, "--out", out],
+                "sample": ["--ckpt", ckpt, "--prime-video", data, "--out", out],
+                "train": ["--data", data, "--resume", ckpt, "--out-ckpt", out]}[command]
+        r = run_cli(command, "--config", config, *args)
+        assert r.returncode == 3
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[numeric]: "), r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, value, code, line", [
+        ("opt/acc/dec/l0/w_qkv", np.nan, 3, "error[numeric]: non-finite entry "
+         "opt/acc/dec/l0/w_qkv in checkpoint: 1 of {size} entries"),
+        ("opt/mom/dec/l0/w_qkv", np.nan, 3, "error[numeric]: non-finite entry "
+         "opt/mom/dec/l0/w_qkv in checkpoint: 1 of {size} entries"),
+        ("opt/acc/dec/l0/w_qkv", -1.0, 2, "error[io]: {ckpt}: negative second moment "
+         "opt/acc/dec/l0/w_qkv: 1 of {size} entries")],
+        ids=["acc-nan", "mom-nan", "acc-negative"])
+    def test_corrupt_optimizer_state_stops_resume(self, tiny_setup, entry, value, code, line):
+        """A non-finite optimizer entry (exit 3) or a negative second moment
+        (exit 2, as RMSProp would take its square root) stops ``train
+        --resume`` at load, naming the entry: no step runs, and a
+        checkpoint written every step leaves the output file as it was."""
+        from svt import model as M, optim as O
+
+        tmp, config, data = tiny_setup
+        config.write_text(tiny_config_with("ckpt_every = 1"))
+        params = M.init_params(cli.model_config_from(cli.load_config(config)))
+        ckpt, out = tmp / "resume.ckpt", tmp / "out.ckpt"
+        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 1)
+        arrays = M.load_checkpoint(ckpt)
+        arrays[entry][0, 1] = value
+        M.save_checkpoint(ckpt, arrays)
+        out.write_bytes(b"previous")
+        r = run_cli("train", "--config", config, "--data", data, "--resume", ckpt,
+                    "--out-ckpt", out)
+        size = params["dec/l0/w_qkv"].data.size
+        assert r.returncode == code
+        assert out.read_bytes() == b"previous"
+        assert r.stderr == line.format(ckpt=ckpt, size=size) + "\n"
 
     def test_nonfinite_gradient_exits_three(self, tiny_setup, monkeypatch, capsys):
         """NaN gradients behind a finite loss exit 3 and leave the previous

@@ -154,9 +154,10 @@ class TestHeads:
         logits = predict_channels(ps, cfg, y, vals)
         assert not logits.data.any()
         # uniform over 16 values = 4 bits per channel
-        lp = tc.log_softmax(logits, axis=-1)
-        nll_bits = -lp.data[0, 0, 0] / math.log(2.0)
-        assert np.allclose(nll_bits, 4.0, atol=1e-5)
+        P, nc, _ = logits.data.shape
+        loss, n = M.nll_loss(tc.reshape(logits, (1, P, nc, 16)), vals.reshape(1, P, nc),
+                             np.ones((1, P)))
+        assert loss.item() / (n * nc * math.log(2.0)) == pytest.approx(4.0, abs=1e-5)
 
     def test_flipping_channel0_moves_channel1_only(self):
         cfg = tiny_config()
@@ -205,20 +206,20 @@ class TestLosses:
     def test_deterministic_half_gives_n_ln2(self):
         pred = Tensor(np.full((1, 64, 1), 0.5, dtype=np.float32))
         z = np.random.default_rng(10).random((1, 64, 1))
-        loss = M.deterministic_loss(pred, z)
+        loss = M.deterministic_loss(pred, z, np.ones((1, 64)))
         assert loss.item() == pytest.approx(64 * math.log(2.0), rel=1e-5)
 
     def test_deterministic_perfect_limits(self):
         z = np.array([0.0, 1.0, 1.0, 0.0]).reshape(1, 4, 1)
         pred = Tensor(z.astype(np.float32))
-        loss = M.deterministic_loss(pred, z)
+        loss = M.deterministic_loss(pred, z, np.ones((1, 4)))
         assert loss.item() <= 4 * 1e-7 * 16
 
     def test_deterministic_matches_scalar_loop(self):
         rng = np.random.default_rng(11)
         z = rng.random((1, 10, 1))
         y = rng.uniform(0.01, 0.99, (1, 10, 1))
-        loss = M.deterministic_loss(Tensor(y, dtype=np.float64), z)
+        loss = M.deterministic_loss(Tensor(y, dtype=np.float64), z, np.ones((1, 10)))
         expect = 0.0
         for i in range(10):
             yi, zi = y[0, i, 0], z[0, i, 0]
@@ -598,7 +599,7 @@ class TestComposite:
 
 class TestReferenceOps:
     """The desk model computes the same bits with ``tc.matmul``,
-    ``tc.softmax``, ``tc.log_softmax`` and ``tc.layernorm`` (and
+    ``tc.softmax``, ``tc.cross_entropy`` and ``tc.layernorm`` (and
     ``tc.layernorm_array``) as with their reference forms in ``helpers``, and
     with the lean attention score path (queries scaled before the product,
     the bias inside ``tc.softmax``, one-node relative bias) as with the

@@ -17,7 +17,7 @@ from helpers import (add_at_conv_input_grad, add_at_gather_grad, batched_matmul,
                      masked_decoder_stack, mul_masked_conv3d, out_of_place_layernorm,
                      is_subnormal, out_of_place_layernorm_array, put_along_axis_one_hot,
                      reference_backward, relative_bias_indices, three_exp_sigmoid,
-                     two_temporary_softmax, unflushed_log_softmax, zero_filled_index)
+                     two_temporary_softmax, unflushed_cross_entropy, zero_filled_index)
 from svt import cli
 from svt import model as M
 from svt import tensor as tc
@@ -531,7 +531,6 @@ class TestDeadGradients:
                           [(2, 3, 4, 4, 3), (N_MASKED * 3, 5), (5,)]),
         "matmul": (tc.matmul, [(2, 3, 4), (4, 5)]),
         "add": (tc.add, [(3, 4), (1, 4)]),
-        "sub": (tc.sub, [(3, 4), (3, 1)]),
         "mul": (tc.mul, [(2, 3, 4), (3, 1)]),
     }
 
@@ -571,12 +570,12 @@ class TestGradients:
         x = t64(rng, 4, 8)
         targets = rng.integers(0, 8, size=4)
         def nll(x):
-            return tc.neg(tc.sum_all(tc.take_index_last(tc.log_softmax(x, -1), targets)))
+            return tc.cross_entropy(x, targets, np.ones(4))
         assert grad_check(nll, [x]) < 1e-4
 
-    @pytest.mark.parametrize("op", ["add", "mul", "relu", "sigmoid", "log",
-                                    "clip", "concat", "index_int", "index_strided",
-                                    "index_ellipsis", "transpose", "reshape",
+    @pytest.mark.parametrize("op", ["add", "mul", "relu", "sigmoid", "cross_entropy",
+                                    "binary_cross_entropy", "concat", "index_int",
+                                    "index_strided", "index_ellipsis", "transpose", "reshape",
                                     "softmax", "layernorm", "gather"])
     def test_each_op(self, op):
         rng = np.random.default_rng(zlib.crc32(op.encode()))
@@ -592,12 +591,15 @@ class TestGradients:
             fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.relu(a), w))), [x]
         elif op == "sigmoid":
             fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.sigmoid(a), w))), [x]
-        elif op == "log":
-            pos = Tensor(np.abs(x.data) + 0.5, requires_grad=True, dtype=np.float64)
-            fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.log(a), w))), [pos]
-        elif op == "clip":
-            assert np.abs(np.abs(x.data) - 0.4).min() > 1e-3  # none within eps of a kink
-            fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.clip(a, -0.4, 0.4), w))), [x]
+        elif op == "cross_entropy":
+            targets = rng.integers(0, 4, size=3)
+            fn, inputs = (lambda a: tc.cross_entropy(a, targets, [0.5, 0.0, 2.0])), [x]
+        elif op == "binary_cross_entropy":
+            # 3 entries clamped at each end, the rest in [0.2, 0.8]
+            pred = Tensor(np.array([[-0.5, 0.2, 1.3, 0.5], [0.35, -0.1, 0.8, 1.05],
+                                    [0.65, 1.5, -0.3, 0.4]]), requires_grad=True)
+            z = rng.random((3, 4))
+            fn, inputs = (lambda a: tc.binary_cross_entropy(a, z, np.abs(w.data))), [pred]
         elif op == "concat":
             wc = Tensor(rng.standard_normal((3, 8)), dtype=np.float64)
             fn, inputs = (lambda a, b: tc.sum_all(tc.mul(tc.concat([a, b], -1), wc))), [x, y]
@@ -765,14 +767,10 @@ N_MASKED = len(tc.masked_taps((3, 3, 3)))
 # makes a constant, ``p(shape)`` a leaf that needs a gradient.
 GRAPH_CASES = {
     "add": ((2, 3, 4), lambda m, c, p: tc.add(m, c((3, 4))), "none"),
-    "sub": ((2, 3, 4), lambda m, c, p: tc.sub(c((3, 1)), m), "none"),
     "mul_constant": ((2, 3, 4), lambda m, c, p: tc.mul(m, 0.5), "none"),
     "mul_factor": ((2, 3, 4), lambda m, c, p: tc.mul(m, p((3, 4))), "input"),
-    "neg": ((2, 3, 4), lambda m, c, p: tc.neg(m), "none"),
-    "relu": ((2, 3, 4), lambda m, c, p: tc.relu(tc.sub(m, 2.0)), "output"),
+    "relu": ((2, 3, 4), lambda m, c, p: tc.relu(tc.add(m, -2.0)), "output"),
     "sigmoid": ((2, 3, 4), lambda m, c, p: tc.sigmoid(m), "output"),
-    "log": ((2, 3, 4), lambda m, c, p: tc.log(m), "input"),
-    "clip": ((2, 3, 4), lambda m, c, p: tc.clip(m, 1.5, 2.5), "input"),
     "sum_all": ((2, 3, 4), lambda m, c, p: tc.sum_all(m), "none"),
     "matmul_weight_constant": ((2, 3, 4), lambda m, c, p: tc.matmul(m, c((4, 5))), "none"),
     "matmul_weight_leaf": ((2, 3, 4), lambda m, c, p: tc.matmul(m, p((4, 5))), "input"),
@@ -780,15 +778,16 @@ GRAPH_CASES = {
     "matmul_batched_b": ((2, 3, 4), lambda m, c, p: tc.matmul(c((2, 5, 3)), m), "none"),
     "softmax": ((2, 3, 4), lambda m, c, p: tc.softmax(m), "output"),
     "softmax_bias": ((3, 4), lambda m, c, p: tc.softmax(c((2, 3, 4)), bias=m), "output"),
-    "log_softmax": ((2, 3, 4), lambda m, c, p: tc.log_softmax(m), "output"),
+    "cross_entropy": ((2, 3, 4), lambda m, c, p: tc.cross_entropy(
+        m, np.arange(6).reshape(2, 3) % 4, c((2, 3)).data), "none"),
+    "binary_cross_entropy": ((2, 3, 4), lambda m, c, p: tc.binary_cross_entropy(
+        m, np.full((2, 3, 4), 0.25), c((2, 3, 1)).data), "input"),
     "layernorm": ((2, 3, 4), lambda m, c, p: tc.layernorm(m, p((4,)), p((4,))), "none"),
     "reshape": ((2, 3, 4), lambda m, c, p: tc.reshape(m, (6, 4)), "none"),
     "transpose": ((2, 3, 4), lambda m, c, p: tc.transpose(m, (2, 0, 1)), "none"),
     "concat": ((2, 3, 4), lambda m, c, p: tc.concat([m, c((2, 3, 2))], axis=-1), "none"),
     "index": ((2, 3, 4), lambda m, c, p: tc.index(m, (1, slice(0, 2))), "none"),
     "gather": ((5, 4), lambda m, c, p: tc.gather(m, np.array([[0, 4], [4, 2]])), "none"),
-    "take_index_last": ((2, 3, 4), lambda m, c, p: tc.take_index_last(
-        m, np.arange(6).reshape(2, 3) % 4), "none"),
     "conv3d": ((1, 3, 4, 4, 2), lambda m, c, p: tc.conv3d(
         m, p((27 * 2, 3)), p((3,)), (3, 3, 3), (2, 2, 2), (1, 0, -1), (2, 2, 2)), "input"),
     "masked_conv3d": ((1, 3, 4, 4, 2), lambda m, c, p: tc.masked_conv3d(
@@ -849,6 +848,21 @@ class TestGraphKeepsWhatBackwardReads:
         assert graph_bytes(loss) == w.nbytes  # w[0] and w[1] are views of w
         tc.backward(loss)
         assert graph_bytes(loss) == x.data.nbytes  # only the leaf's gradient
+
+    def test_loss_graphs_keep_what_the_chains_kept(self):
+        """A loss keeps what the op chain it replaced kept: ``cross_entropy``
+        its log-softmax (the logits' size), the targets and the weights;
+        ``binary_cross_entropy`` its input, the clamped input y, 1 - y, the
+        targets z, 1 - z and the weights."""
+        rng = np.random.default_rng(1)
+        logits = Tensor(rng.standard_normal((2, 3, 16)), requires_grad=True)
+        targets, w = rng.integers(0, 16, (2, 3)), rng.random((2, 3))
+        loss = tc.cross_entropy(logits, targets, w)
+        assert graph_bytes(loss) == logits.data.nbytes + targets.nbytes + w.nbytes
+        pred = Tensor(rng.random((2, 3, 1)), requires_grad=True)
+        z, w = rng.random((2, 3, 1)), rng.random((2, 3, 1))
+        loss = tc.binary_cross_entropy(pred, z, w)
+        assert graph_bytes(loss) == 5 * pred.data.nbytes + w.nbytes
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -1080,7 +1094,7 @@ def underflow_scores(dtype, rows=64, n=32):
 
 
 class TestSubnormalFlush:
-    """``softmax`` and ``log_softmax`` flush subnormal values: the softmax
+    """``softmax`` and ``cross_entropy`` flush subnormal values: the softmax
     output and both input gradients hold none, equal the unflushed reference
     wherever its value is not subnormal, and are exactly 0 where it is.  (A
     row sum above 1 can still turn a normal exponential into a subnormal
@@ -1111,13 +1125,14 @@ class TestSubnormalFlush:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_log_softmax(self, dtype):
+        """The gradient ``cross_entropy`` passes through its log-softmax, at
+        one target per row."""
         x = underflow_scores(dtype)
-        # an NLL-style gradient: -1 at one target per row, 0 elsewhere
-        g = -tc.one_hot(np.random.default_rng(3).integers(0, x.shape[1], len(x)),
-                        x.shape[1], dtype)
-        (ls, ga), (rls, rga) = (self.run(op, x, g)
-                                for op in (tc.log_softmax, unflushed_log_softmax))
-        assert np.array_equal(ls, rls)
+        targets = np.random.default_rng(3).integers(0, x.shape[1], len(x))
+        (loss, ga), (rloss, rga) = (
+            self.run(lambda a, axis: op(a, targets, np.ones(len(x))), x, None)
+            for op in (tc.cross_entropy, unflushed_cross_entropy))
+        assert np.array_equal(loss, rloss)
         self.check_flushed(ga, rga)
 
 
