@@ -1,48 +1,63 @@
-"""Video containers and synthetic bouncing-sprite datasets.
+"""Video containers, the file format they share with checkpoints, and
+synthetic bouncing-sprite datasets.
 
-The container is a minimal little-endian format: magic "SVT1", a version and
-video count, then per video the (T, H, W, C) extents, a dtype tag and the raw
-row-major uint8 payload.  Validation is strict; a truncated file, a bad magic
-or a size mismatch each raise a distinct, descriptive error.  Containers and
-checkpoints are written through ``atomic_write``, so a crash mid-write
-leaves the previous file intact.
+Containers and checkpoints share one little-endian format of named arrays
+(``write_arrays``, ``read_arrays``): a 4-byte magic per file kind, version 2
+and the ``zlib.crc32`` of the body, which is an entry count and per entry
+the length-prefixed UTF-8 name, a dtype tag from ``DTYPES``, the rank, the
+u64 extents and the row-major payload.  The CRC is checked before parsing;
+a flipped bit, a truncation, a version-1 file, trailing bytes or a bad tag,
+name or extents each raise a descriptive ``DataError``.  A file is replaced
+atomically, so a crash mid-write leaves the previous file intact.
 
 The sprite generator stands in for external datasets: square sprites move
 with constant integer velocity and reflect off the canvas borders, so videos
 are deterministic given their seed and cheap to overfit.
 """
 
+import math
 import os
 import secrets
 import struct
-from contextlib import contextmanager
+import zlib
 
 import numpy as np
 
 from .tensor import ConfigError
 
-MAGIC = b"SVT1"
-VERSION = 1
-DTYPE_U8 = 0
+MAGIC = b"SVT1"  # containers; checkpoints have model.CHECKPOINT_MAGIC
+VERSION = 2
+HEADER = struct.Struct("<4sII")  # magic, version, CRC-32 of the body
+# dtype tag (the dtype's ``str``) -> the little-endian dtype of the payload
+DTYPES = {np.dtype(t).str.encode(): np.dtype(t) for t in ("u1", "<f4", "<i8")}
 
 
 class DataError(Exception):
     """A file failed validation (bad magic, size mismatch, truncation)."""
 
 
-@contextmanager
-def atomic_write(path):
-    """Binary file handle whose bytes replace ``path`` only once complete.
-
-    Writes go to a new temp file beside ``path``, which is flushed, fsynced
-    and renamed over it with ``os.replace``.  If the body raises, the temp
-    file is removed and ``path`` keeps its previous bytes."""
+def write_arrays(path, magic, entries):
+    """Write (name, array) ``entries`` in order, each array of a dtype in
+    ``DTYPES``, behind the header.  The bytes go to a new temp file beside
+    ``path``, which is flushed, fsynced and renamed over it with
+    ``os.replace``; if anything raises, the temp file is removed and
+    ``path`` keeps its previous bytes."""
     path = os.fspath(path)
     tmp = f"{path}.{secrets.token_hex(4)}.tmp"
     f = open(tmp, "xb")
     try:
         with f:
-            yield f
+            parts = [struct.pack("<I", len(entries))]
+            for name, arr in entries:
+                arr = np.asarray(arr, order="C")
+                enc = name.encode("utf-8")
+                parts += [struct.pack(f"<I{len(enc)}s3sI{arr.ndim}Q", len(enc), enc,
+                                      arr.dtype.str.encode(), arr.ndim, *arr.shape), arr]
+            crc = 0
+            for part in parts:
+                crc = zlib.crc32(part, crc)
+            f.write(HEADER.pack(magic, VERSION, crc))
+            f.writelines(parts)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -51,56 +66,75 @@ def atomic_write(path):
         raise
 
 
+def read_arrays(path, magic, kind):
+    """{name: array} of a file written by ``write_arrays`` with ``magic``, in
+    file order: fresh native-endian copies.  ``kind`` names the file in
+    every ``DataError``."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if len(raw) < HEADER.size:
+        raise DataError(f"{path}: truncated {kind} header ({len(raw)} bytes)")
+    got, version, crc = HEADER.unpack_from(raw)
+    if got != magic:
+        raise DataError(f"{path}: bad {kind} magic {got!r}")
+    if version != VERSION:
+        raise DataError(f"{path}: unsupported {kind} version {version}; regenerate the file")
+    if zlib.crc32(memoryview(raw)[HEADER.size:]) != crc:
+        raise DataError(f"{path}: {kind} fails its CRC-32 check (truncated or corrupt)")
+    out = {}
+    try:
+        (count,) = struct.unpack_from("<I", raw, HEADER.size)
+        off = HEADER.size + 4
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<I", raw, off)
+            off += 4
+            try:
+                name = raw[off:off + nlen].decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: entry name {raw[off:off + nlen]!r} "
+                                "is not UTF-8") from None
+            if name in out:
+                raise DataError(f"{path}: entry name {name!r} appears twice")
+            off += nlen
+            tag, rank = struct.unpack_from("<3sI", raw, off)
+            off += 7
+            dtype = DTYPES.get(tag)
+            if dtype is None:
+                raise DataError(f"{path}: entry {name!r} has unknown dtype tag {tag!r}")
+            shape = struct.unpack_from(f"<{rank}Q", raw, off)
+            off += 8 * rank
+            n = math.prod(shape)
+            size = n * dtype.itemsize
+            if size > len(raw) - off:
+                raise ValueError(f"entry {name!r} needs {size} bytes, {len(raw) - off} left")
+            try:  # an empty payload can still carry extents too big for any array
+                out[name] = np.frombuffer(raw, dtype, n, off).reshape(shape).astype(dtype.type)
+            except ValueError as e:
+                raise DataError(f"{path}: entry {name!r} extents {shape} unusable ({e})") from e
+            off += size
+    except (struct.error, ValueError) as e:
+        raise DataError(f"{path}: truncated {kind} ({e})") from e
+    if off != len(raw):
+        raise DataError(f"{path}: {len(raw) - off} trailing bytes in {kind}")
+    return out
+
+
 def write_container(path, videos):
     """Write a list of (T,H,W,C) uint8 arrays; C must be 1 or 3."""
     for v in videos:
-        if v.ndim != 4 or v.shape[3] not in (1, 3):
-            raise ConfigError(f"video shape {v.shape} unsupported (need T,H,W,C with C in 1|3)")
-        if v.dtype != np.uint8:
-            raise ConfigError(f"video dtype {v.dtype} unsupported (need uint8)")
-    with atomic_write(path) as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(videos)))
-        for v in videos:
-            f.write(struct.pack("<IIIIB", *v.shape, DTYPE_U8))
-            f.write(np.ascontiguousarray(v).tobytes())
+        if v.dtype != np.uint8 or v.ndim != 4 or v.shape[3] not in (1, 3):
+            raise ConfigError(f"video {v.dtype} {v.shape} unsupported (need uint8 T,H,W,C, C 1|3)")
+    write_arrays(path, MAGIC, [(f"video/{i}", v) for i, v in enumerate(videos)])
 
 
 def read_container(path):
-    """Read a container back into a list of uint8 arrays, validating sizes."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 12:
-        raise DataError(f"{path}: truncated header ({len(raw)} bytes)")
-    if raw[:4] != MAGIC:
-        raise DataError(f"{path}: bad magic {raw[:4]!r}")
-    version, count = struct.unpack_from("<II", raw, 4)
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported version {version}")
-    off = 12
-    videos = []
-    for i in range(count):
-        if off + 17 > len(raw):
-            raise DataError(f"{path}: truncated at video {i} header")
-        t, h, w, c, tag = struct.unpack_from("<IIIIB", raw, off)
-        off += 17
-        if tag != DTYPE_U8:
-            raise DataError(f"{path}: unknown dtype tag {tag}")
-        if c not in (1, 3):
-            raise DataError(f"{path}: channel count {c} not in (1, 3)")
-        n = t * h * w * c
-        if off + n > len(raw):
-            raise DataError(f"{path}: payload size mismatch at video {i} "
-                            f"(need {n} bytes, have {len(raw) - off})")
-        try:  # an empty payload can still carry extents too big for any array
-            videos.append(np.frombuffer(raw, dtype=np.uint8, count=n,
-                                        offset=off).reshape(t, h, w, c).copy())
-        except ValueError as e:
-            raise DataError(f"{path}: video {i} extents {(t, h, w, c)} unusable ({e})") from e
-        off += n
-    if off != len(raw):
-        raise DataError(f"{path}: {len(raw) - off} trailing bytes")
-    return videos
+    """Read a container back into its list of uint8 (T, H, W, 1|3) videos."""
+    videos = read_arrays(path, MAGIC, "container")
+    for name, v in videos.items():
+        if v.dtype != np.uint8 or v.ndim != 4 or v.shape[3] not in (1, 3):
+            raise DataError(f"{path}: entry {name!r} is {v.dtype} {v.shape}, "
+                            "not a uint8 (T, H, W, 1|3) video")
+    return list(videos.values())
 
 
 def import_raw(path, t, h, w, c):

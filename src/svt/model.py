@@ -13,19 +13,17 @@ channels are predicted before the fine ones.  A slice is generated by
     decoder state and the one-hot values of the channels before it
     (``channel_logits``, one loop for teacher forcing and sampling).
 
-Parameters live in a flat name -> Tensor store; the checkpoint format is a
-simple little-endian container of named float32 arrays.
+Parameters live in a flat name -> Tensor store; a checkpoint holds them as
+named float32 arrays in ``svt.data``'s file format, under its own magic.
 """
 
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as tc
 from .attention import AttentionLayerSpec, attention_layer
-from .data import DataError, atomic_write
+from .data import DataError, read_arrays, write_arrays
 from .subscale import (BlockShape, SubscaleFactor, context_padding, extract_slice,
                        primed_plane_mask, slice_key, slice_rank, visibility_mask)
 # the benchmark calls M.extract_slice_u8; the one extractor lives in subscale
@@ -35,7 +33,6 @@ from .tensor import ConfigError, NumericError, Tensor
 N_VALUES = 16  # each split channel holds a 4-bit value
 
 CHECKPOINT_MAGIC = b"SVTC"
-CHECKPOINT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -631,72 +628,32 @@ def slice_loss(cfg, out, targets, mask):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, arrays):
-    """Write named float32 arrays: magic, version, count, then per entry the
-    path, rank, extents and little-endian payload.  Bit-exact round trip;
-    the file is replaced atomically (``data.atomic_write``)."""
-    names = sorted(arrays)
-    with atomic_write(path) as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(names)))
-        for name in names:
-            arr = np.asarray(arrays[name], dtype="<f4")  # keeps a 0-d array 0-d
-            enc = name.encode("utf-8")
-            f.write(struct.pack("<I", len(enc)))
-            f.write(enc)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(arr.tobytes())
+    """Write named arrays in name order through ``data.write_arrays``, integer
+    arrays as int64 and others as float32: a bit-exact, atomic round trip."""
+    arrays = {name: np.asarray(arrays[name]) for name in sorted(arrays)}  # 0-d stays 0-d
+    write_arrays(path, CHECKPOINT_MAGIC, [
+        (name, a.astype("<i8" if a.dtype.kind in "iu" else "<f4", copy=False))
+        for name, a in arrays.items()])
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: bad checkpoint magic {raw[:4]!r}")
-    out = {}
-    try:
-        version, count = struct.unpack_from("<II", raw, 4)
-        off = 12
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            try:
-                name = raw[off:off + nlen].decode("utf-8")
-            except UnicodeDecodeError:
-                raise DataError(f"{path}: entry name {raw[off:off + nlen]!r} "
-                                "is not UTF-8") from None
-            if name in out:
-                raise DataError(f"{path}: entry name {name!r} appears twice")
-            off += nlen
-            (rank,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            shape = struct.unpack_from(f"<{rank}Q", raw, off)
-            off += 8 * rank
-            n = math.prod(shape)
-            if 4 * n > len(raw) - off:
-                raise ValueError(f"entry {name!r} needs {4 * n} bytes, {len(raw) - off} left")
-            arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off)
-            off += 4 * n
-            out[name] = arr.reshape(shape).astype(np.float32)
-    except (struct.error, ValueError) as e:
-        raise DataError(f"{path}: truncated checkpoint ({e})") from e
-    if off != len(raw):
-        raise DataError(f"{path}: {len(raw) - off} trailing bytes in checkpoint")
-    return out
+    """{name: array} of a checkpoint file, checked by ``data.read_arrays``."""
+    return read_arrays(path, CHECKPOINT_MAGIC, "checkpoint")
 
 
 def checkpoint_entries(cfg, arrays, prefix=""):
     """{parameter name: float32 copy of checkpoint entry ``prefix + name``}
     for every parameter of ``cfg``; a missing entry or one of another shape
-    is a ConfigError, and a NaN or an infinity a NumericError, naming the
-    first such entry in name order and its count."""
+    is a ConfigError, one that is not float32 a DataError, and a NaN or an
+    infinity a NumericError, naming the first such entry in name order and
+    its count."""
     out = {}
     for name, shape in parameter_shapes(cfg).items():
         entry = arrays.get(prefix + name)
         if entry is None:
             raise ConfigError(f"checkpoint is missing {prefix + name}")
+        if entry.dtype != np.float32:
+            raise DataError(f"checkpoint entry {prefix + name} is {entry.dtype}, not float32")
         if entry.shape != shape:
             raise ConfigError(
                 f"checkpoint entry {prefix + name} has shape {entry.shape}, expected {shape}")

@@ -206,7 +206,7 @@ def train(cfg, tcfg, videos, params=None, opt=None, start_step=0,
 def save_training_checkpoint(path, params, opt, step):
     arrays = dict(params.arrays())
     arrays.update(opt.arrays())
-    arrays["meta/step"] = np.array([step], dtype=np.float32)
+    arrays["meta/step"] = np.array([step], dtype=np.int64)
     M.save_checkpoint(path, arrays)
 
 
@@ -214,8 +214,7 @@ def load_training_checkpoint(path, cfg, hyper=None):
     """Returns (params, opt, step); opt state is zero if absent, and so is
     the step, and the early-stop window is empty.  Entries are checked by
     ``M.checkpoint_entries``; a negative second moment, a step that is not
-    one whole number in [0, 2^24) (exact in float32), or a window that is
-    not 1-D, is a DataError."""
+    one int64 >= 0, or a window that is not 1-D float32, is a DataError."""
     arrays = M.load_checkpoint(path)
     params = M.params_from_checkpoint(cfg, arrays)
     opt = OptimizerState(params, hyper)
@@ -227,10 +226,11 @@ def load_training_checkpoint(path, cfg, hyper=None):
         if neg:
             raise DataError(f"{path}: negative second moment opt/acc/{name}: "
                             f"{neg} of {opt.acc[name].size} entries")
-    step = arrays.get("meta/step", np.zeros(1))
-    if step.size != 1 or not (0 <= step.item() < 2 ** 24) or step.item() % 1:
-        raise DataError(f"{path}: meta/step {step.tolist()} is not a whole number in [0, 2^24)")
+    step = arrays.get("meta/step", np.zeros(1, np.int64))
+    if step.dtype != np.int64 or step.size != 1 or step.item() < 0:
+        raise DataError(f"{path}: meta/step {step.dtype} {step.tolist()} is not one int64 >= 0")
     opt.window = arrays.get("meta/stop_window", opt.window)
-    if opt.window.ndim != 1:
-        raise DataError(f"{path}: meta/stop_window has shape {opt.window.shape}, expected 1-D")
+    if opt.window.dtype != np.float32 or opt.window.ndim != 1:
+        raise DataError(f"{path}: meta/stop_window {opt.window.dtype} {opt.window.shape} "
+                        "is not 1-D float32")
     return params, opt, int(step.item())

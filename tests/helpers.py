@@ -5,7 +5,10 @@ analyzer gradient oracles and bool-matrix analyzer references, the
 full-recompute reference sampler, the one-slice-per-call evaluator, and the
 reference and single-slice forms of library functions that only tests use,
 among them the attention score chain with the scale and the bias as nodes of
-their own."""
+their own, and hand-built bytes of the framed file format."""
+
+import struct
+import zlib
 
 import numpy as np
 
@@ -605,6 +608,21 @@ def full_rescan_trunc_normal(rng, shape, std=0.02):
         x[bad] = rng.standard_normal(int(bad.sum())) * std
         bad = np.abs(x) > 2 * std
     return x.astype(np.float32)
+
+
+def entry_bytes(name, tag, dims, payload, rank=None):
+    """One entry of a framed file body, laid out by hand: the u32 name length,
+    the name, the 3-byte dtype tag, the u32 rank (``len(dims)`` unless
+    given), the u64 extents and ``payload``."""
+    rank = len(dims) if rank is None else rank
+    return (struct.pack(f"<I{len(name)}s3sI{len(dims)}Q", len(name), name, tag, rank, *dims)
+            + payload)
+
+
+def seal(magic, body, version=2):
+    """A framed file of ``body``: the header ``data.read_arrays`` checks
+    before it parses, with ``magic``, ``version`` and a valid CRC-32."""
+    return magic + struct.pack("<II", version, zlib.crc32(body)) + body
 
 
 def tiny_config(**overrides):

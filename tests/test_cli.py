@@ -3,6 +3,7 @@ determinism of whole runs."""
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,41 @@ class TestExitCodes:
             assert r.returncode == 2
             assert "error[io]" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_version_1_file_is_refused_in_one_line(self, tiny_setup, command):
+        """A checkpoint (``eval --ckpt``) or container (``train --data``) in
+        the version-1 layout, a 12-byte header of magic, version 1 and count
+        and no CRC, is refused with exit 2 and one stderr line that names
+        the version."""
+        from svt import model as M
+        tmp, config, data = tiny_setup
+        v1 = tmp / "v1"
+        if command == "eval":
+            arrays = M.init_params(cli.model_config_from(cli.load_config(config))).arrays()
+            raw = b"SVTC" + struct.pack("<II", 1, len(arrays))
+            for name in sorted(arrays):
+                a, enc = arrays[name], name.encode()
+                raw += struct.pack(f"<I{len(enc)}sI{a.ndim}Q", len(enc), enc, a.ndim, *a.shape)
+                raw += a.astype("<f4").tobytes()
+            kind, argv = "checkpoint", ["--ckpt", v1, "--data", data]
+        else:
+            videos = read_container(data)
+            raw = b"SVT1" + struct.pack("<II", 1, len(videos)) + b"".join(
+                struct.pack("<IIIIB", *v.shape, 0) + v.tobytes() for v in videos)
+            kind, argv = "container", ["--data", v1, "--out-ckpt", tmp / "out.ckpt"]
+        v1.write_bytes(raw)
+        r = run_cli(command, "--config", config, *argv)
+        assert r.returncode == 2
+        assert r.stderr == f"error[io]: {v1}: unsupported {kind} version 1; regenerate the file\n"
+
+    def test_container_as_checkpoint_is_bad_magic(self, tiny_setup):
+        """The two file kinds share a format but not a magic: a container
+        passed as ``--ckpt`` is refused by its magic."""
+        tmp, config, data = tiny_setup
+        r = run_cli("eval", "--config", config, "--ckpt", data, "--data", data)
+        assert r.returncode == 2
+        assert r.stderr == f"error[io]: {data}: bad checkpoint magic b'SVT1'\n"
+
     def test_resume_with_short_video_is_one(self, tiny_setup):
         from svt import model as M, optim as O
         tmp, config, _ = tiny_setup
@@ -294,8 +330,8 @@ class TestExitCodes:
             arrays = M.load_checkpoint(ckpt)
             if case == "resume-missing-mom":
                 del arrays["opt/mom/dec/l0/w_p"]
-            elif case == "resume-nan-step":
-                arrays["meta/step"][0] = np.nan
+            elif case == "resume-nan-step":  # a float step, let alone NaN, is a DataError
+                arrays["meta/step"] = np.array([np.nan], dtype=np.float32)
             else:
                 arrays["opt/acc/head/p"] = np.zeros(7, dtype=np.float32)
             M.save_checkpoint(ckpt, arrays)

@@ -1,4 +1,5 @@
-"""Containers, raw import, sprite generation, PPM dumps."""
+"""Containers, the framed file format they share with checkpoints, raw
+import, sprite generation, PPM dumps."""
 
 import os
 import struct
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import entry_bytes, seal
 from svt import model as M
-from svt.data import (DataError, gen_sprites, import_raw, read_container,
+from svt.data import (DTYPES, MAGIC, DataError, gen_sprites, import_raw, read_container,
                       write_container, write_ppm_frames)
 from svt.tensor import ConfigError
 
@@ -18,21 +20,41 @@ def rand_videos(rng, n=2, shape=(3, 4, 5, 3)):
     return [rng.integers(0, 256, shape).astype(np.uint8) for _ in range(n)]
 
 
+def body(*entries, count=None, tail=b""):
+    """A framed body: the u32 entry count (the number of entries unless
+    given), the entries and ``tail``."""
+    return struct.pack("<I", len(entries) if count is None else count) + b"".join(entries) + tail
+
+
+def _read_or_data_error(reader, path, raw):
+    """``reader(path)`` on ``raw``; None when it raises DataError.  Any other
+    exception propagates and fails the test."""
+    path.write_bytes(raw)
+    try:
+        return reader(path)
+    except DataError:
+        return None
+
+
 class TestContainer:
     def test_round_trip(self, tmp_path):
+        """Bit-exact, for 3 and 1 channels, zero-length extents and an empty
+        list."""
         rng = np.random.default_rng(0)
-        videos = rand_videos(rng) + rand_videos(rng, 1, (2, 2, 2, 1))
+        videos = (rand_videos(rng) + rand_videos(rng, 1, (2, 2, 2, 1))
+                  + [np.zeros((0, 2, 2, 3), dtype=np.uint8)])
         path = tmp_path / "v.svt"
-        write_container(path, videos)
-        back = read_container(path)
-        assert len(back) == 3
-        for a, b in zip(videos, back):
-            assert np.array_equal(a, b)
+        for written in (videos, []):
+            write_container(path, written)
+            back = read_container(path)
+            assert len(back) == len(written)
+            for a, b in zip(written, back):
+                assert a.shape == b.shape and b.dtype == np.uint8 and np.array_equal(a, b)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.svt"
         path.write_bytes(b"XXXX" + b"\x00" * 20)
-        with pytest.raises(DataError, match="magic"):
+        with pytest.raises(DataError, match="bad container magic b'XXXX'"):
             read_container(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -41,50 +63,48 @@ class TestContainer:
         write_container(path, rand_videos(rng, 1))
         raw = path.read_bytes()
         path.write_bytes(raw[:-1])
-        with pytest.raises(DataError, match="size mismatch|truncated"):
+        with pytest.raises(DataError, match=r"container fails its CRC-32 check \(truncated"):
             read_container(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
+        """An appended byte fails the CRC; resealed, it is still refused as
+        trailing bytes."""
         rng = np.random.default_rng(2)
         path = tmp_path / "v.svt"
         write_container(path, rand_videos(rng, 1))
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(DataError, match="trailing"):
+        raw = path.read_bytes() + b"\x00"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="CRC-32"):
+            read_container(path)
+        path.write_bytes(seal(MAGIC, raw[12:]))
+        with pytest.raises(DataError, match="1 trailing bytes"):
             read_container(path)
 
     def test_oversized_empty_extents_rejected(self, tmp_path):
-        """Extents (0, 2**32-1, 2**32-1, 3) hold no bytes but no array can
+        """Extents (0, 2**64-1, 2**64-1, 3) hold no bytes but no array can
         have them."""
         path = tmp_path / "v.svt"
-        path.write_bytes(b"SVT1" + struct.pack("<II", 1, 1)
-                         + struct.pack("<IIIIB", 0, 2**32 - 1, 2**32 - 1, 3, 0))
-        with pytest.raises(DataError, match="extents"):
+        path.write_bytes(seal(MAGIC, body(entry_bytes(
+            b"video/0", b"|u1", (0, 2 ** 64 - 1, 2 ** 64 - 1, 3), b""))))
+        # a message starts with the path, whose directory is named after the test
+        with pytest.raises(DataError, match=r"entry 'video/0' extents \(0, 1844"):
             read_container(path)
 
     def test_malformed_bytes_raise_data_error(self, tmp_path):
-        """Every truncation of a valid container, and seeded bit flips of it,
-        read to a list of uint8 videos or raise DataError."""
+        """Every truncation of a valid container and every single-bit flip of
+        it raise DataError: the CRC-32 catches each flip in the body."""
         rng = np.random.default_rng(3)
         path = tmp_path / "v.svt"
         write_container(path, rand_videos(rng, 2, (2, 2, 3, 3)) +
                         rand_videos(rng, 1, (1, 2, 1, 1)))
         raw = path.read_bytes()
-
-        def read(data):
-            path.write_bytes(data)
-            try:
-                return read_container(path)
-            except DataError:
-                return None
-
         for k in range(len(raw)):
-            assert read(raw[:k]) is None
-        assert len(read(raw)) == 3
-        for _ in range(1500):
+            assert _read_or_data_error(read_container, path, raw[:k]) is None
+        assert len(_read_or_data_error(read_container, path, raw)) == 3
+        for bit in range(8 * len(raw)):
             flipped = bytearray(raw)
-            flipped[rng.integers(len(raw))] ^= 1 << int(rng.integers(8))
-            out = read(bytes(flipped))
-            assert out is None or all(v.dtype == np.uint8 and v.ndim == 4 for v in out)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            assert _read_or_data_error(read_container, path, bytes(flipped)) is None, bit
 
     def test_unsupported_channels_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -102,31 +122,63 @@ class TestContainer:
         assert np.array_equal(read_container(path)[0], v)
 
 
-# Small extents most of the time, so that headers often parse; any u32 now and then.
+_F4 = np.float32(3.0).tobytes()
+_CONTAINER, _CHECKPOINT = (MAGIC, read_container), (M.CHECKPOINT_MAGIC, M.load_checkpoint)
+# file kind, body behind a valid CRC, the DataError it raises
+STRUCTURAL = {
+    "truncated-entry": (_CHECKPOINT, body(entry_bytes(b"w", b"<f4", (4,), _F4)),
+                        "truncated checkpoint .*needs 16 bytes, 4 left"),
+    "trailing-bytes": (_CHECKPOINT, body(entry_bytes(b"w", b"<f4", (1,), _F4), tail=b"\x00"),
+                       "1 trailing bytes in checkpoint"),
+    "unknown-dtype-tag": (_CHECKPOINT, body(entry_bytes(b"w", b"<f8", (1,), _F4 * 2)),
+                          "unknown dtype tag b'<f8'"),
+    "oversized-extents": (_CHECKPOINT, body(entry_bytes(b"w", b"<f4", (0, 2 ** 40, 2 ** 40), b"")),
+                          r"entry 'w' extents \(0, 1099511627776, 1099511627776\) unusable"),
+    "repeated-name": (_CHECKPOINT, body(*[entry_bytes(b"w", b"<f4", (1,), _F4)] * 2),
+                      "entry name 'w' appears twice"),
+    "non-utf8-name": (_CONTAINER, body(entry_bytes(b"\xff", b"|u1", (1, 1, 1, 1), b"\x00")),
+                      r"entry name b'\\xff' is not UTF-8"),
+    "container-float32": (_CONTAINER, body(entry_bytes(b"v", b"<f4", (1, 1, 1, 1), _F4)),
+                          r"entry 'v' is float32 \(1, 1, 1, 1\), not a uint8 \(T, H, W, 1\|3\)"),
+    "container-rank-3": (_CONTAINER, body(entry_bytes(b"v", b"|u1", (1, 1, 1), b"\x00")),
+                         r"entry 'v' is uint8 \(1, 1, 1\), not a uint8"),
+    "container-2-channels": (_CONTAINER, body(entry_bytes(b"v", b"|u1", (1, 1, 1, 2), b"\0\0")),
+                             r"entry 'v' is uint8 \(1, 1, 1, 2\), not a uint8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURAL))
+def test_structural_error_behind_a_valid_crc(tmp_path, case):
+    """The CRC passes, and the parser's own check still names the fault."""
+    (magic, reader), raw, message = STRUCTURAL[case]
+    path = tmp_path / "f"
+    path.write_bytes(seal(magic, raw))
+    with pytest.raises(DataError, match=message):
+        reader(path)
+
+
+# Small extents most of the time, so that headers often parse; any u32/u64 now and then.
 _COUNT = st.one_of(st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
-_VIDEO_BYTES = st.builds(
-    lambda ext, c, tag, payload: struct.pack("<IIIIB", *ext, c, tag) + payload,
-    st.tuples(_COUNT, _COUNT, _COUNT), st.one_of(st.sampled_from([1, 3]), _COUNT),
-    st.one_of(st.just(0), st.integers(0, 255)), st.binary(max_size=64))
-_CONTAINER_BYTES = st.one_of(
-    st.binary(max_size=200),
-    st.builds(lambda version, count, videos, tail:
-              b"SVT1" + struct.pack("<II", version, count) + b"".join(videos) + tail,
-              st.one_of(st.just(1), _COUNT), _COUNT, st.lists(_VIDEO_BYTES, max_size=3),
-              st.binary(max_size=8)))
 _ENTRY_BYTES = st.builds(
-    lambda name, rank, dims, payload: (struct.pack("<I", len(name)) + name
-                                       + struct.pack("<I", rank)
-                                       + struct.pack(f"<{len(dims)}Q", *dims) + payload),
-    st.binary(max_size=8), st.one_of(st.integers(0, 4), _COUNT),
+    entry_bytes, st.binary(max_size=8),
+    st.one_of(st.sampled_from(sorted(DTYPES)), st.binary(min_size=3, max_size=3)),
     st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2 ** 64 - 1)), max_size=5),
-    st.binary(max_size=64))
-_CHECKPOINT_BYTES = st.one_of(
-    st.binary(max_size=200),
-    st.builds(lambda version, count, entries, tail:
-              M.CHECKPOINT_MAGIC + struct.pack("<II", version, count) + b"".join(entries) + tail,
-              st.one_of(st.just(M.CHECKPOINT_VERSION), _COUNT), _COUNT,
-              st.lists(_ENTRY_BYTES, max_size=3), st.binary(max_size=8)))
+    st.binary(max_size=64), st.one_of(st.none(), _COUNT))
+_BODY = st.builds(lambda entries, count, tail: body(*entries, count=count, tail=tail),
+                  st.lists(_ENTRY_BYTES, max_size=3), st.one_of(st.none(), _COUNT),
+                  st.binary(max_size=8))
+
+
+def _file_bytes(magic):
+    """Any bytes; or a drawn body sealed with a valid CRC, which reaches the
+    parser's structural checks; or one behind any version and CRC."""
+    return st.one_of(
+        st.binary(max_size=200),
+        st.builds(seal, st.just(magic), _BODY),
+        st.builds(lambda version, crc, raw: magic + struct.pack("<II", version, crc) + raw,
+                  st.one_of(st.just(2), _COUNT), _COUNT, _BODY))
+
+
 _VIDEOS = st.lists(st.builds(
     lambda shape, seed: np.random.default_rng(seed).integers(0, 256, shape).astype(np.uint8),
     st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 3])),
@@ -139,16 +191,6 @@ _ARRAYS = st.dictionaries(
     max_size=3)
 
 
-def _read_or_data_error(reader, path, raw):
-    """``reader(path)`` on ``raw``; None when it raises DataError.  Any other
-    exception propagates and fails the test."""
-    path.write_bytes(raw)
-    try:
-        return reader(path)
-    except DataError:
-        return None
-
-
 def _is_container(out):
     return isinstance(out, list) and all(
         isinstance(v, np.ndarray) and v.dtype == np.uint8 and v.ndim == 4
@@ -157,7 +199,7 @@ def _is_container(out):
 
 def _is_checkpoint(out):
     return isinstance(out, dict) and all(
-        isinstance(k, str) and isinstance(a, np.ndarray) and a.dtype == np.float32
+        isinstance(k, str) and isinstance(a, np.ndarray) and a.dtype in DTYPES.values()
         for k, a in out.items())
 
 
@@ -166,14 +208,14 @@ class TestParserFuzz:
     result or ``DataError``, and nothing else."""
 
     @settings(max_examples=400, deadline=None)
-    @given(raw=_CONTAINER_BYTES)
+    @given(raw=_file_bytes(MAGIC))
     def test_any_bytes_give_videos_or_data_error(self, tmp_path_factory, raw):
         path = tmp_path_factory.mktemp("fuzz") / "f.svt"
         out = _read_or_data_error(read_container, path, raw)
         assert out is None or _is_container(out)
 
     @settings(max_examples=400, deadline=None)
-    @given(raw=_CHECKPOINT_BYTES)
+    @given(raw=_file_bytes(M.CHECKPOINT_MAGIC))
     def test_any_bytes_give_arrays_or_data_error(self, tmp_path_factory, raw):
         path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
         out = _read_or_data_error(M.load_checkpoint, path, raw)
@@ -194,7 +236,7 @@ class TestParserFuzz:
         i = edit.draw(st.integers(0, len(raw)))
         j = edit.draw(st.integers(i, len(raw)))
         out = _read_or_data_error(read_container, path,
-                                  raw[:i] + edit.draw(st.binary(max_size=24)) + raw[j:])
+                                 raw[:i] + edit.draw(st.binary(max_size=24)) + raw[j:])
         assert out is None or _is_container(out)
 
     @settings(max_examples=60, deadline=None)
@@ -212,7 +254,7 @@ class TestParserFuzz:
         i = edit.draw(st.integers(0, len(raw)))
         j = edit.draw(st.integers(i, len(raw)))
         out = _read_or_data_error(M.load_checkpoint, path,
-                                  raw[:i] + edit.draw(st.binary(max_size=24)) + raw[j:])
+                                 raw[:i] + edit.draw(st.binary(max_size=24)) + raw[j:])
         assert out is None or _is_checkpoint(out)
 
 

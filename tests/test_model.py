@@ -2,7 +2,6 @@
 variants, checkpoints."""
 
 import math
-import struct
 import weakref
 from pathlib import Path
 
@@ -13,9 +12,9 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import (REFERENCE_ATTENTION, REFERENCE_OPS, clear_graph_grads, decode_slice,
-                     encode_slice, grad_check, graph_bytes, is_subnormal, predict_channels,
-                     reference_backward, reference_sample_slice, tiny_config,
-                     two_temporary_softmax)
+                     encode_slice, entry_bytes, grad_check, graph_bytes, is_subnormal,
+                     predict_channels, reference_backward, reference_sample_slice, seal,
+                     tiny_config, two_temporary_softmax)
 from svt import attention, cli, data, metrics, optim, sampler
 from svt import model as M
 from svt import tensor as tc
@@ -356,12 +355,13 @@ class TestCheckpoint:
         from svt.data import DataError
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="bad checkpoint magic b'NOPE'"):
             M.load_checkpoint(path)
 
     def test_malformed_bytes_raise_data_error(self, tmp_path):
-        """Every truncation of a valid checkpoint, and seeded byte flips of
-        it, load to a dict of float32 arrays or raise DataError."""
+        """A 0-d, an empty and a 2-D entry round-trip bit for bit; every
+        truncation of the file and every single-bit flip of it raise
+        DataError (the CRC-32 catches each flip in the body)."""
         from svt.data import DataError
         arrays = {"a/scalar": np.float32(1.5), "b/row": np.arange(5, dtype=np.float32),
                   "c/empty": np.zeros((0, 3), dtype=np.float32),
@@ -379,27 +379,28 @@ class TestCheckpoint:
 
         for k in range(len(raw)):
             assert load(raw[:k]) is None
-        assert sorted(load(raw)) == sorted(arrays)
-        rng = np.random.default_rng(0)
-        for _ in range(1500):
+        back = load(raw)
+        assert sorted(back) == sorted(arrays)
+        for name, a in arrays.items():
+            assert back[name].dtype == np.float32 and back[name].shape == np.shape(a)
+            assert back[name].tobytes() == np.asarray(a).tobytes()
+        for bit in range(8 * len(raw)):
             flipped = bytearray(raw)
-            flipped[rng.integers(len(raw))] ^= 1 << int(rng.integers(8))
-            out = load(bytes(flipped))
-            assert out is None or all(a.dtype == np.float32 for a in out.values())
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            assert load(bytes(flipped)) is None, bit
 
     @pytest.mark.parametrize("names, message", [
         ([b"w", b"w"], "entry name 'w' appears twice"),
         ([b"\xff\xfe"], r"entry name b'\\xff\\xfe' is not UTF-8")], ids=["repeated", "not-utf8"])
     def test_bad_entry_name_rejected(self, tmp_path, names, message):
         """A repeated name would let the last entry win silently; a name
-        that is not UTF-8 is a bad name, not a truncated file."""
+        that is not UTF-8 is a bad name, not a truncated file.  Both behind
+        a valid CRC."""
         from svt.data import DataError
-        raw = M.CHECKPOINT_MAGIC + struct.pack("<II", M.CHECKPOINT_VERSION, len(names))
-        for name in names:
-            raw += struct.pack("<I", len(name)) + name + struct.pack("<IQ", 1, 1)
-            raw += np.float32(3.0).tobytes()
+        raw = len(names).to_bytes(4, "little") + b"".join(
+            entry_bytes(name, b"<f4", (1,), np.float32(3.0).tobytes()) for name in names)
         path = tmp_path / "names.ckpt"
-        path.write_bytes(raw)
+        path.write_bytes(seal(M.CHECKPOINT_MAGIC, raw))
         with pytest.raises(DataError, match=message):
             M.load_checkpoint(path)
 

@@ -282,37 +282,44 @@ class TestTrainLoop:
         assert not list(tmp_path.iterdir())
 
     def test_malformed_resume_checkpoint(self, tmp_path):
-        """Seeded fuzz: deleting or reshaping a parameter, opt/acc, opt/mom,
-        meta/step or meta/stop_window entry, or a step that is not a whole
-        number in [0, 2^24), loads to the saved state or raises
-        ConfigError/DataError (entry names and shapes: config; the step's
-        value and a window that is not 1-D: data).  A checkpoint without a
-        window resumes with an empty one."""
+        """Seeded fuzz: deleting, reshaping or retyping a parameter, opt/acc,
+        opt/mom, meta/step or meta/stop_window entry, or a step that is not
+        one int64 >= 0, loads to the saved state or raises
+        ConfigError/DataError (entry names and shapes: config; an entry
+        that is not float32, the step's type and value, and a window that
+        is not 1-D float32: data).  A checkpoint without a window resumes
+        with an empty one."""
         cfg = tiny_config()
         params = M.init_params(cfg, head_init="normal")
         path = tmp_path / "t.ckpt"
         O.save_training_checkpoint(path, params, O.OptimizerState(params), 3)
         good = M.load_checkpoint(path)
+        assert good["meta/step"].dtype == np.int64
         rng = np.random.default_rng(0)
-        cases = [("meta/step", None, None), ("meta/step", [[3.0]], None),
-                 ("meta/step", [3.0, 3.0], DataError)]
-        cases += [("meta/step", [v], DataError)
-                  for v in (np.nan, np.inf, -np.inf, -1.0, -0.5, 2.5, 2.0 ** 24)]
-        cases += [("meta/stop_window", None, None), ("meta/stop_window", [[[0.5], [0.25]]], DataError),
-                  ("meta/stop_window", [[0.5]], DataError)]
+        cases = [("meta/step", None, None), ("meta/step", np.array([[3]]), None),
+                 ("meta/step", np.array([3, 3]), DataError),
+                 ("meta/step", np.array([-1]), DataError)]
+        cases += [("meta/step", np.array([v], dtype=np.float32), DataError)
+                  for v in (np.nan, np.inf, -np.inf, -1.0, -0.5, 2.5, 2.0 ** 24, 3.0)]
+        cases += [("meta/step", np.array([[3.0]], dtype=np.float32), DataError)]
+        cases += [("meta/stop_window", None, None),
+                  ("meta/stop_window", np.array([[[0.5], [0.25]]], dtype=np.float32), DataError),
+                  ("meta/stop_window", np.array([[0.5]], dtype=np.float32), DataError),
+                  ("meta/stop_window", np.array([1]), DataError)]
         for prefix in ("", "opt/acc/", "opt/mom/"):
             for name in rng.choice(sorted(M.parameter_shapes(cfg)), 4, replace=False):
                 entry = good[prefix + name]
                 flat = entry.reshape(-1)
                 cases += [(prefix + name, None, ConfigError),
                           (prefix + name, flat, None if flat.shape == entry.shape else ConfigError),
-                          (prefix + name, np.append(flat, 1.0), ConfigError)]
+                          (prefix + name, np.append(flat, np.float32(1.0)), ConfigError),
+                          (prefix + name, entry.astype(np.int64), DataError)]
         for key, value, expect in cases:
             arrays = dict(good)
             if value is None:
                 del arrays[key]
             else:
-                arrays[key] = np.asarray(value, dtype=np.float32)
+                arrays[key] = value
             M.save_checkpoint(path, arrays)
             try:
                 loaded, opt, step = O.load_training_checkpoint(path, cfg)
@@ -324,6 +331,15 @@ class TestTrainLoop:
             saved = {**loaded.arrays(), **opt.arrays()}
             assert sorted(saved) == sorted(n for n in good if n != "meta/step")
             assert all(np.array_equal(a, good[n]) for n, a in saved.items())
+
+    def test_step_above_float32_range_resumes_exactly(self, tmp_path):
+        """``meta/step`` is int64: a checkpoint at step 2^24 + 1, which no
+        float32 holds, resumes at exactly that step."""
+        params = M.init_params(tiny_config())
+        path = tmp_path / "t.ckpt"
+        O.save_training_checkpoint(path, params, O.OptimizerState(params), 2 ** 24 + 1)
+        _, _, step = O.load_training_checkpoint(path, tiny_config())
+        assert step == 2 ** 24 + 1
 
     def test_log_file_format(self, tmp_path, capsys):
         cfg = tiny_config()
