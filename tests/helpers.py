@@ -1,11 +1,12 @@
 """Shared test harnesses: the finite-difference gradient checker, graph
 walks (the nodes, the bytes a graph keeps alive, and the backward sweep that
 keeps the graph for tests that sweep it again), causality sweeps,
-analyzer gradient oracles and bool-matrix analyzer references, the
-full-recompute reference sampler, the one-slice-per-call evaluator, and the
-reference and single-slice forms of library functions that only tests use,
-among them the attention score chain with the scale and the bias as nodes of
-their own, and hand-built bytes of the framed file format."""
+analyzer gradient oracles, bool-matrix analyzer references and the bool
+form of the analyzer's packed rows, the full-recompute reference sampler,
+the one-slice-per-call evaluator, and the reference and single-slice forms
+of library functions that only tests use, among them the attention score
+chain with the scale and the bias as nodes of their own, and hand-built bytes
+of the framed file format."""
 
 import struct
 import zlib
@@ -15,9 +16,8 @@ import numpy as np
 from svt import model as M
 from svt import sampler
 from svt import tensor as tc
-from svt.attention import MASK_NEG, AttentionLayerSpec, attention_layer
-from svt.connectivity import (DependencyReport, _block_index_groups, _blocks,
-                              _raster_coords)
+from svt.attention import MASK_NEG, AttentionLayerSpec, attention_layer, block_slots
+from svt.connectivity import _blocks, _raster_coords
 from svt.metrics import EvalResult, bits_per_dim, copy_last_frame_baseline, nats_per_frame
 from svt.subscale import (check_frame_left, extract_slice, primed_plane_mask, slice_order,
                           slice_rank, visibility_mask)
@@ -301,6 +301,29 @@ def gradient_reachability(slice_shape, blocks, kernel, seed, d_in=3, d=6):
     return reach
 
 
+def reach_matrix(report):
+    """(P, P) bool form of a ``DependencyReport``'s packed rows: [p, q] True
+    iff input q influences position p."""
+    return np.unpackbits(report.reach, axis=1, count=len(report.reach)).view(bool)
+
+
+def packed_rows(matrix):
+    """The analyzer's row layout of a (P, Q) bool matrix: ``np.packbits`` of
+    each row, zero-padded to whole 64-bit words."""
+    P, Q = matrix.shape
+    padded = np.zeros((P, 64 * -(-Q // 64)), dtype=bool)
+    padded[:, :Q] = matrix
+    return np.packbits(padded, axis=1)
+
+
+def block_index_groups(slice_shape, bs):
+    """(num_blocks, n_p) position ids, raster-ordered within each block."""
+    block, slot = block_slots(slice_shape, bs)
+    groups = np.empty((len(block) // bs.size, bs.size), dtype=np.int64)
+    groups[block, slot] = np.arange(len(block))
+    return groups
+
+
 def bool_conv_window_edges(slice_shape, kernel):
     """(P, P) bool: [p, q] True iff q is a strictly-preceding window tap of p.
     The bool form of ``connectivity.conv_window_edges``."""
@@ -313,8 +336,9 @@ def bool_conv_window_edges(slice_shape, kernel):
 
 
 def bool_apply_attention(reach, groups, causal):
-    """One attention layer over per-position reach sets, in place: the bool
-    reference for the packed rows of ``connectivity._apply_attention``."""
+    """One attention layer over per-position reach sets, in place: a causal
+    layer gives each block slot the union of the slots up to it, an unmasked
+    one gives every slot its block's union."""
     flat = groups.reshape(-1)
     rows = reach[flat].reshape(groups.shape[0], groups.shape[1], -1)
     if causal:
@@ -325,16 +349,26 @@ def bool_apply_attention(reach, groups, causal):
 
 
 def bool_dependency_graph(slice_shape, schedule, kernel=(3, 3, 3)):
-    """``connectivity.dependency_graph`` on a (P, P) bool matrix."""
-    blocks = _blocks(schedule)
+    """``connectivity.dependency_graph``'s reach as a (P, P) bool matrix."""
     reach = bool_conv_window_edges(tuple(slice_shape), tuple(kernel))
-    for bs in blocks:
-        groups = _block_index_groups(tuple(slice_shape), bs)
-        bool_apply_attention(reach, groups, causal=True)
-    report = DependencyReport(tuple(slice_shape), blocks, tuple(kernel), reach)
+    for bs in _blocks(schedule):
+        bool_apply_attention(reach, block_index_groups(tuple(slice_shape), bs), causal=True)
     # masking can never create forward influence
     assert not np.triu(reach).any()
-    return report
+    return reach
+
+
+def bool_find_blind_spots(slice_shape, reach, max_report):
+    """``connectivity.find_blind_spots`` on a (P, P) bool reach matrix."""
+    P = len(reach)
+    out = []
+    for d in range(1, P):
+        ps = np.arange(d, P)
+        for p in ps[~reach[ps, ps - d]]:
+            if len(out) >= max_report:
+                return out
+            out.append((_raster_coords(slice_shape, p), _raster_coords(slice_shape, p - d)))
+    return out
 
 
 def bool_verify_encoder_connectivity(slice_shape, schedule):
@@ -342,8 +376,7 @@ def bool_verify_encoder_connectivity(slice_shape, schedule):
     P = int(np.prod(slice_shape))
     reach = np.eye(P, dtype=bool)
     for bs in _blocks(schedule):
-        groups = _block_index_groups(tuple(slice_shape), bs)
-        bool_apply_attention(reach, groups, causal=False)
+        bool_apply_attention(reach, block_index_groups(tuple(slice_shape), bs), causal=False)
     if reach.all():
         return True, None
     p, q = np.argwhere(~reach)[0]

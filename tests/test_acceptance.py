@@ -13,7 +13,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import causality_sweep, grad_check, gradient_reachability, tiny_config
+from helpers import (causality_sweep, grad_check, gradient_reachability, reach_matrix,
+                     tiny_config)
 from svt import metrics, model as M, optim as O, tensor as tc
 from svt.attention import AttentionLayerSpec, BlockShape, attention_layer
 from svt.connectivity import (dependency_graph, find_blind_spots,
@@ -260,7 +261,7 @@ class TestAcceptance:
                 for seed in (0, 1, 2):
                     grad = gradient_reachability(shape, blocks_of(raw_blocks),
                                                  kernel, seed=seed)
-                    assert np.array_equal(rep.reach, grad), (shape, raw_blocks, seed)
+                    assert np.array_equal(reach_matrix(rep), grad), (shape, raw_blocks, seed)
 
             canonical = M.build_variant("spatiotemporal", (16, 64, 64))
             ok, witness = verify_encoder_connectivity(
@@ -272,7 +273,7 @@ class TestAcceptance:
             H = W = 32
             p = 1 * H * W  # (1, 0, 0)
             q = p - 1      # (0, 31, 31)
-            assert not rep3.reach[p, q], "App-C pair must be blind"
+            assert not reach_matrix(rep3)[p, q], "App-C pair must be blind"
             pairs = find_blind_spots(rep3, max_report=256)
             assert ((1, 0, 0), (0, H - 1, W - 1)) in pairs
 

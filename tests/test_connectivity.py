@@ -2,18 +2,24 @@
 connectivity, monotonicity."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (bool_conv_window_edges, bool_dependency_graph,
-                     bool_verify_encoder_connectivity, gradient_reachability)
+from helpers import (bool_conv_window_edges, bool_dependency_graph, bool_find_blind_spots,
+                     bool_verify_encoder_connectivity, gradient_reachability, packed_rows,
+                     reach_matrix)
 from svt.attention import BlockShape
-from svt.connectivity import (_reaches_forward, conv_window_edges, dependency_graph,
-                              find_blind_spots, report_text,
+from svt.connectivity import (DependencyReport, _reaches_forward, conv_window_edges,
+                              dependency_graph, find_blind_spots, report_text,
                               verify_encoder_connectivity)
+from svt.model import build_variant
+from svt.tensor import ConfigError
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # schedules over <= 4x4x4 slices used for the analyzer/gradient equivalence
@@ -38,12 +44,12 @@ def blocks_of(raw):
 
 class TestDependencyGraph:
     def test_zero_layers_equals_conv_window(self):
-        rep = dependency_graph((2, 3, 3), [], (3, 3, 3))
+        reach = reach_matrix(dependency_graph((2, 3, 3), [], (3, 3, 3)))
         # position (1,1,1) sees its 13 strictly-prior window taps, all in bounds
         p = 1 * 9 + 1 * 3 + 1
-        assert rep.reach[p].sum() == 13
+        assert reach[p].sum() == 13
         # origin sees nothing
-        assert rep.reach[0].sum() == 0
+        assert reach[0].sum() == 0
 
     def test_single_full_block_layer(self):
         """One full-volume causal layer: reach = union of strictly-prior conv
@@ -53,24 +59,23 @@ class TestDependencyGraph:
         shape = (2, 4, 4)
         rep = dependency_graph(shape, blocks_of([shape]), (3, 3, 3))
         grad = gradient_reachability(shape, blocks_of([shape]), (3, 3, 3), seed=0)
-        assert np.array_equal(rep.reach, grad)
+        assert np.array_equal(reach_matrix(rep), grad)
         assert rep.blind_count() > 0  # e.g. ((0,1,0),(0,0,3)) is structural
         p = 1 * 4 + 0  # (0,1,0)
         q = 0 * 4 + 3  # (0,0,3)
-        assert not rep.reach[p, q]
+        assert not reach_matrix(rep)[p, q]
 
     @pytest.mark.parametrize("case", CATALOG, ids=lambda c: f"{c[0]}-{len(c[1])}L-{c[2]}")
     def test_matches_gradient_sensitivity(self, case):
         shape, raw_blocks, kernel = case
         rep = dependency_graph(shape, blocks_of(raw_blocks), kernel)
         grad = gradient_reachability(shape, blocks_of(raw_blocks), kernel, seed=1)
-        assert np.array_equal(rep.reach, grad)
+        assert np.array_equal(reach_matrix(rep), grad)
         assert rep.blind_count() == np.count_nonzero(np.tril(~grad, k=-1))
 
     def test_never_reaches_forward(self):
         rep = dependency_graph((2, 4, 4), blocks_of([(2, 4, 4), (1, 2, 2)]), (3, 3, 3))
-        P = len(rep.reach)
-        assert not (np.triu(np.ones((P, P), dtype=bool)) & rep.reach).any()
+        assert not np.triu(reach_matrix(rep)).any()
 
     def test_adding_layers_is_monotone(self):
         shape = (2, 4, 4)
@@ -112,6 +117,13 @@ class TestBlindSpots:
         rep = dependency_graph((1, 4, 4), blocks_of([(1, 1, 2)]), (1, 3, 3))
         assert find_blind_spots(rep, max_report=cap) == []
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_non_positive_cap_scans_nothing(self, cap):
+        """A cap of zero or less returns before the first diagonal: a report
+        with no rows to read still lists nothing."""
+        rep = DependencyReport((1, 4, 4), [], (1, 3, 3), reach=None)
+        assert find_blind_spots(rep, max_report=cap) == []
+
 
 class TestEncoderConnectivity:
     def test_single_position_blocks_disconnected(self):
@@ -147,6 +159,39 @@ class TestReportText:
                            enc_schedule=blocks_of([(1, 1, 1)]), stack="encoder")
         assert "DISCONNECTED" in text
 
+    @pytest.mark.parametrize("stack", ["both ", "Encoder", ""])
+    def test_unknown_stack_is_a_config_error(self, stack):
+        """A misspelt stack is an error, not a report of the slice shape alone."""
+        with pytest.raises(ConfigError, match=repr(stack)):
+            report_text((2, 4, 4), blocks_of([(2, 4, 4)]), (3, 3, 3),
+                        enc_schedule=blocks_of([(2, 4, 4)]), stack=stack)
+
+    @pytest.mark.parametrize("stack", ["both", "encoder"])
+    def test_encoder_stack_needs_an_encoder_schedule(self, stack):
+        with pytest.raises(ConfigError, match="no encoder schedule"):
+            report_text((2, 4, 4), blocks_of([(2, 4, 4)]), (3, 3, 3), stack=stack)
+
+    def test_decoder_stack_needs_no_encoder_schedule(self):
+        text = report_text((2, 4, 4), blocks_of([(2, 4, 4)]), (3, 3, 3), stack="decoder")
+        assert "blind pairs:" in text and "encoder" not in text
+
+    def test_paper_scale_slice_matches_the_recorded_text(self):
+        """The default spatiotemporal build of a 16x128x128 video has a
+        4x64x64 slice, P = 16384.  Its analysis is the recorded text, and the
+        run's peak allocation is at most twice the packed rows (the bool
+        (P, P) matrix alone would be 256 MiB)."""
+        cfg = build_variant("spatiotemporal", (16, 128, 128))
+        P = int(np.prod(cfg.slice_shape))
+        tracemalloc.start()
+        try:
+            text = report_text(cfg.slice_shape, cfg.dec_schedule, cfg.mconv,
+                               enc_schedule=cfg.enc_schedule, max_pairs=8, stack="both")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.encode() == (GOLDEN / "analyze-16x128x128.txt").read_bytes()
+        assert peak <= 2 * P * -(-P // 64) * 8, peak / 2**20
+
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -181,40 +226,57 @@ class TestPackedRows:
     @example(case=((1, 1, 1), blocks_of([(1, 1, 1)]), blocks_of([(1, 1, 1)]), (3, 3, 3)))
     # a (1, 1, 1) kernel leaves the masked conv no taps, so no conv edges
     @example(case=((2, 2, 2), blocks_of([(2, 2, 2)]), blocks_of([]), (1, 1, 1)))
+    # P = 63, 64, 65, 127, 128 and 129: rows of one word, one word and a bit,
+    # two words, and two words and a bit
+    @example(case=((1, 7, 9), blocks_of([(1, 7, 3), (1, 1, 9)]), blocks_of([(1, 7, 1), (1, 1, 9)]),
+                   (3, 3, 3)))
+    @example(case=((1, 8, 8), blocks_of([(1, 8, 8)]), blocks_of([(1, 2, 8), (1, 8, 2)]),
+                   (1, 3, 3)))
+    @example(case=((1, 5, 13), blocks_of([(1, 5, 1), (1, 1, 13)]), blocks_of([(1, 5, 1)]),
+                   (3, 5, 5)))
+    @example(case=((1, 1, 127), blocks_of([(1, 1, 127)]), blocks_of([(1, 1, 127)]), (1, 1, 5)))
+    @example(case=((2, 8, 8), blocks_of([(2, 4, 4), (1, 8, 8)]), blocks_of([(2, 1, 1), (1, 8, 8)]),
+                   (3, 3, 3)))
+    @example(case=((1, 3, 43), blocks_of([(1, 3, 1), (1, 1, 43)]), blocks_of([(1, 1, 43)]),
+                   (1, 3, 3)))
     def test_matches_the_bool_reference(self, case):
         shape, dec, enc, kernel = case
         fast = dependency_graph(shape, dec, kernel)
         ref = bool_dependency_graph(shape, dec, kernel)
-        assert fast.reach.dtype == bool and fast.reach.shape == ref.reach.shape
-        assert np.array_equal(fast.reach, ref.reach)
-        assert fast.blind_count() == ref.blind_count()
+        P = len(ref)
+        assert fast.reach.dtype == np.uint8 and fast.reach.shape == (P, 8 * -(-P // 64))
+        assert np.array_equal(fast.reach, packed_rows(ref))  # pad bits included
+        assert fast.blind_count() == np.count_nonzero(np.tril(~ref, k=-1))
         every = fast.ordered_pair_count()
-        assert find_blind_spots(fast, every) == find_blind_spots(ref, every)
+        assert find_blind_spots(fast, every) == bool_find_blind_spots(shape, ref, every)
         assert (verify_encoder_connectivity(shape, enc)
                 == bool_verify_encoder_connectivity(shape, enc))
 
     @pytest.mark.parametrize("shape, kernel", [((1, 1, 5), (1, 3, 5)), ((3, 3, 3), (3, 3, 3)),
-                                               ((2, 4, 4), (5, 5, 5)), ((2, 3, 5), (3, 5, 3))])
+                                               ((2, 4, 4), (5, 5, 5)), ((2, 3, 5), (3, 5, 3)),
+                                               ((1, 5, 13), (3, 5, 5)), ((1, 3, 43), (3, 3, 3))])
     def test_edges_are_the_packed_bool_edges(self, shape, kernel):
         bool_edges = bool_conv_window_edges(shape, kernel)
-        assert np.array_equal(conv_window_edges(shape, kernel),
-                              np.packbits(bool_edges, axis=1))
+        assert np.array_equal(conv_window_edges(shape, kernel), packed_rows(bool_edges))
 
-    @pytest.mark.parametrize("P", [1, 5, 8, 13, 16])
+    @pytest.mark.parametrize("P", [1, 5, 8, 13, 16, 63, 64, 65, 127, 128, 129])
     def test_forward_check_is_the_upper_triangle(self, P):
         """Every single bit on or above the diagonal trips the check, and no
         bit below it does: the check is ``np.triu(reach).any()``."""
-        assert not _reaches_forward(np.zeros((P, (P + 7) // 8), dtype=np.uint8))
+        rows = packed_rows(np.zeros((P, P), dtype=bool))
+        assert not _reaches_forward(rows)
         for p in range(P):
             for q in range(P):
-                one = np.zeros((P, P), dtype=bool)
-                one[p, q] = True
-                assert _reaches_forward(np.packbits(one, axis=1)) == (q >= p), (p, q)
+                rows[p, q >> 3] = 0x80 >> (q & 7)  # the one bit (p, q), as np.packbits sets it
+                assert _reaches_forward(rows) == (q >= p), (p, q)
+                rows[p, q >> 3] = 0
 
     def test_peak_memory_is_about_one_reach_matrix(self):
-        """The packed rows are an eighth of the (P, P) bool ``reach``, so the
-        only full-size array ``dependency_graph`` builds is the one it
-        returns."""
+        """The packed rows are the one (P, P)-sized array ``dependency_graph``
+        builds; besides them it holds the (P, taps) conv index map, O(P)
+        per-tap indices and O(P^2 / 64) bytes of forward-check masks, here
+        less than two more row-sized arrays.  (The bool (P, P) matrix alone
+        would be 8 times the rows.)"""
         shape = (4, 16, 32)
         blocks = blocks_of([(4, 4, 8), (1, 16, 4), (2, 8, 8), (4, 4, 8)])
         tracemalloc.start()
@@ -223,5 +285,5 @@ class TestPackedRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.reach.nbytes == 2048 * 2048
-        assert peak <= 1.5 * rep.reach.nbytes, peak / rep.reach.nbytes
+        assert rep.reach.nbytes == 2048 * 2048 // 8
+        assert peak <= 3 * rep.reach.nbytes, peak / rep.reach.nbytes

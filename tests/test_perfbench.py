@@ -49,3 +49,34 @@ def test_traced_desk_workload_passes_its_checks(tmp_path, workload):
     if workload == "desk-train":
         # evaluate runs a desk video's 8 slices in one forward_slices call
         assert result["metrics"]["metrics.forward_calls_per_video"]["value"] == 1.0
+
+
+def test_tracer_sees_every_analyzer_call_on_canonical(monkeypatch):
+    """perfbench reports ``connectivity.*`` per-layer figures and
+    ``connectivity.reach_mb`` only for the canonical workload, whose traced
+    run tier-1 does not make.  Two traced analyze ops on the canonical
+    schedules must reach every wrapped analyzer function through the module
+    globals (``blind_count`` through the class body), make the same calls
+    each time, and give ``reach_mb`` a report with bytes in it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from svt import cli, connectivity
+
+    cfg = cli.model_config_from(cli.load_config(ROOT / "configs" / "base-16x64x64.cfg"))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for _ in range(2):
+            tracer.start_op("analyze")
+            text = connectivity.report_text(cfg.slice_shape, cfg.dec_schedule, cfg.mconv,
+                                            enc_schedule=cfg.enc_schedule, max_pairs=8,
+                                            stack="both")
+            assert "encoder connectivity: connected" in text
+    finally:
+        tracer.uninstall()
+    calls = tracer.aggregate(("analyze",))
+    for name in ("dependency_graph", "blind_count", "find_blind_spots",
+                 "verify_encoder_connectivity"):
+        assert calls.get(f"connectivity.{name}", [0])[0] == 2, name
+    assert tracer.reach_bytes > 0
+    assert tracer.repeat_errors() == []

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (clear_graph_grads, grad_check, reference_backward, reference_evaluate,
-                     reference_sample_slice, tiny_config)
+from helpers import (clear_graph_grads, grad_check, reach_matrix, reference_backward,
+                     reference_evaluate, reference_sample_slice, tiny_config)
 from svt import metrics
 from svt import model as M
 from svt import sampler
@@ -509,7 +509,7 @@ class TestRandomConfigs:
         # (i) the analyzer's reach is the gradient reach of each slice's decoder
         for idx in order:
             schedule = M.decoder_for(cfg, slice_rank(cfg.s, idx))[1]
-            want = dependency_graph(cfg.slice_shape, schedule, cfg.mconv).reach
+            want = reach_matrix(dependency_graph(cfg.slice_shape, schedule, cfg.mconv))
             assert np.array_equal(decoder_reach(ps, cfg, videos[0], idx), want), idx
         # (ii) the cached sampler draws the full-recompute reference's video
         scfg = SampleConfig(prime_frames=prime, temperature=0.9, seed=seed)
