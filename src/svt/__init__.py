@@ -1,11 +1,12 @@
 """Autoregressive video generation with block-local 3D self-attention and
 spatiotemporal subscaling, self-contained on numpy.
 
-Subpackages: tensor (arrays + reverse-mode gradients), subscale (slice
-geometry), attention (block-local layers), model (encoder/decoder/heads),
-optim (RMSProp training), sampler (autoregressive generation), connectivity
-(blind-spot analyzer), data (containers + synthetic sprites), metrics
-(bits/dim, nats/frame), cli (command line).
+Subpackages: config (the table of config keys and defaults), tensor (arrays
++ reverse-mode gradients), subscale (slice geometry), attention (block-local
+layers), model (encoder/decoder/heads), optim (RMSProp training), sampler
+(autoregressive generation), connectivity (blind-spot analyzer), data
+(containers + synthetic sprites), metrics (bits/dim, nats/frame), cli
+(command line).
 """
 
 import importlib

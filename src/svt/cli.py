@@ -1,10 +1,13 @@
 """Command-line entry point: gen-data, train, eval, sample, analyze.
 
-Configuration is a flat ``key = value`` text file ('#' starts a comment);
-unknown keys are rejected and all geometry checks run at load time.  Any
-command that takes --config also accepts --dump-config to echo every key and
-exit: the file's values, schema defaults for the rest, unset (0) values left
-unresolved.  The echo round-trips through the parser.
+Configuration is a flat ``key = value`` text file ('#' starts a comment),
+parsed against ``svt.config.SCHEMA``, the one table of keys, types and
+defaults; unknown keys are rejected and all geometry checks run at load
+time.  Any command that takes --config also accepts --dump-config to echo
+every key and exit: the file's values, schema defaults for the rest, unset
+(0) values left unresolved.  The echo round-trips through the parser.
+A checkpoint records the resolved model it was trained as; ``eval``,
+``sample`` and ``train --resume`` refuse one that records another model.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numeric error.
 The --threads flag (or the SVT_THREADS environment variable), a positive
@@ -15,8 +18,11 @@ name an existing directory; this is checked before any work starts.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
+
+from .config import DEFAULTS, SCHEMA
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -62,54 +68,8 @@ def _pin_threads(threads):
 # flat config files
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    # model
-    "variant": (str, "spatiotemporal"),
-    "preset": (str, "base"),
-    "video_t": (int, 16),
-    "video_h": (int, 64),
-    "video_w": (int, 64),
-    "channels": (str, "rgb"),
-    "head": (str, "categorical"),
-    "subscale_t": (int, 0),       # 0: derived from the variant, per axis
-    "subscale_h": (int, 0),
-    "subscale_w": (int, 0),
-    "kernel_t": (int, 0),         # 0: the subscale factor's axis; 6,1,1 for single_frame
-    "kernel_h": (int, 0),
-    "kernel_w": (int, 0),
-    "d_embed": (int, 0),          # 0: preset value
-    "d_model": (int, 0),
-    "n_heads": (int, 0),
-    "d_head": (int, 0),
-    "layers": (int, 0),
-    "enc_blocks": (str, ""),      # e.g. "2x8x8;2x8x8"; empty: derived
-    "dec_blocks": (str, ""),
-    "mconv": (int, 3),
-    "first_slice_decoder": (bool, False),
-    "first_slice_layers": (int, 16),
-    "model_seed": (int, 1),
-    # training
-    "batch_slices": (int, 64),
-    "steps": (int, 1000),
-    "train_seed": (int, 0),
-    "prime_frames": (int, 1),
-    "lr": (float, 2e-5),
-    "rms_decay": (float, 0.95),
-    "rms_momentum": (float, 0.9),
-    "rms_eps": (float, 1e-8),
-    "ckpt_every": (int, 0),
-    "log_every": (int, 1),
-    "stop_bits_per_dim": (float, 0.0),
-    "stop_window": (int, 20),
-    # sampling
-    "temperature": (float, 0.9),
-    "sample_seed": (int, 0),
-    "sample_count": (int, 1),
-}
-
-
 def _parse_value(key, raw):
-    kind = _SCHEMA[key][0]
+    kind = SCHEMA[key][0]
     raw = raw.strip()
     if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
@@ -123,7 +83,7 @@ def _parse_value(key, raw):
 def load_config(path):
     from .tensor import ConfigError
 
-    conf = {k: v for k, (_, v) in _SCHEMA.items()}
+    conf = dict(DEFAULTS)
     try:
         with open(path, encoding="utf-8-sig") as f:
             lines = f.readlines()
@@ -139,7 +99,7 @@ def load_config(path):
         if "=" not in stripped:
             raise ConfigError(f"{path}:{ln_no}: expected 'key = value', got {line.rstrip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in SCHEMA:
             raise ConfigError(f"{path}:{ln_no}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{path}:{ln_no}: key {key!r} repeated (first set on line "
@@ -154,7 +114,7 @@ def load_config(path):
 
 def dump_config(conf):
     return "".join(f"{k} = {str(conf[k]).lower() if isinstance(conf[k], bool) else conf[k]}\n"
-                   for k in _SCHEMA)
+                   for k in SCHEMA)
 
 
 def _parse_blocks(key, text):
@@ -179,43 +139,28 @@ def model_config_from(conf):
     """The file's model keys, passed unresolved to ``model.build_variant``."""
     from . import model as M
 
+    def axes(key):
+        return tuple(conf[f"{key}_{axis}"] for axis in "thw")
+
+    same = ("preset", "n_heads", "d_head", "layers", "channels", "head",
+            "first_slice_decoder", "first_slice_layers")
     return M.build_variant(
-        conf["variant"],
-        (conf["video_t"], conf["video_h"], conf["video_w"]),
-        preset=conf["preset"],
-        s=(conf["subscale_t"], conf["subscale_h"], conf["subscale_w"]),
-        kernel=(conf["kernel_t"], conf["kernel_h"], conf["kernel_w"]),
-        d_e=conf["d_embed"],
-        d=conf["d_model"],
-        n_heads=conf["n_heads"],
-        d_head=conf["d_head"],
-        layers=conf["layers"],
+        conf["variant"], axes("video"), s=axes("subscale"), kernel=axes("kernel"),
+        d_e=conf["d_embed"], d=conf["d_model"], mconv=(conf["mconv"],) * 3,
         enc_blocks=_parse_blocks("enc_blocks", conf["enc_blocks"]),
         dec_blocks=_parse_blocks("dec_blocks", conf["dec_blocks"]),
-        channels=conf["channels"],
-        head=conf["head"],
-        mconv=(conf["mconv"],) * 3,
-        first_slice_decoder=conf["first_slice_decoder"],
-        first_slice_layers=conf["first_slice_layers"],
-        seed=conf["model_seed"],
-    )
+        seed=conf["model_seed"], **{key: conf[key] for key in same})
 
 
 def train_config_from(conf, args):
-    from .optim import RmsPropConfig, TrainConfig
+    """The file's training keys as a TrainConfig, ``args.steps`` overriding
+    ``steps`` unless it is None."""
+    from .optim import TrainConfig
 
-    return TrainConfig(
-        steps=args.steps if args.steps is not None else conf["steps"],
-        batch_slices=conf["batch_slices"],
-        seed=conf["train_seed"],
-        prime_frames=conf["prime_frames"],
-        ckpt_every=conf["ckpt_every"],
-        log_every=conf["log_every"],
-        rmsprop=RmsPropConfig(lr=conf["lr"], decay=conf["rms_decay"],
-                              momentum=conf["rms_momentum"], eps=conf["rms_eps"]),
-        stop_bits_per_dim=conf["stop_bits_per_dim"],
-        stop_window=conf["stop_window"],
-    )
+    values = {f.name: conf[f.name] for f in dataclasses.fields(TrainConfig)}
+    if args.steps is not None:
+        values["steps"] = args.steps
+    return TrainConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +218,7 @@ def _cmd_train(args):
     params = opt = None
     start = 0
     if args.resume:
-        params, opt, start = optim.load_training_checkpoint(args.resume, cfg, tcfg.rmsprop)
+        params, opt, start = optim.load_training_checkpoint(args.resume, cfg)
 
     def log_fn(rec):
         line = optim.LOG_FORMAT % rec
@@ -295,7 +240,7 @@ def _cmd_eval(args):
     from .data import read_container
 
     conf, cfg = _load_for(args)
-    params = M.params_from_checkpoint(cfg, M.load_checkpoint(args.ckpt))
+    _, params = M.load_trained(args.ckpt, cfg)
     videos = read_container(args.data)
     prime = args.prime if args.prime is not None else conf["prime_frames"]
     result = metrics.evaluate(params, cfg, videos, prime)
@@ -314,7 +259,7 @@ def _cmd_sample(args):
     from .tensor import ConfigError
 
     conf, cfg = _load_for(args)
-    params = M.params_from_checkpoint(cfg, M.load_checkpoint(args.ckpt))
+    _, params = M.load_trained(args.ckpt, cfg)
     primes = read_container(args.prime_video)
     if not primes:
         raise ConfigError(f"{args.prime_video} holds no videos to prime samples with")

@@ -17,12 +17,13 @@ Parameters live in a flat name -> Tensor store; a checkpoint holds them as
 named float32 arrays in ``svt.data``'s file format, under its own magic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as tc
 from .attention import AttentionLayerSpec, attention_layer
+from .config import DEFAULTS
 from .data import DataError, read_arrays, write_arrays
 from .subscale import (BlockShape, SubscaleFactor, context_padding, extract_slice,
                        primed_plane_mask, slice_key, slice_rank, visibility_mask)
@@ -64,27 +65,29 @@ def join_channels(chans):
 
 VARIANTS = ("spatiotemporal", "spatial", "single_frame")
 
+# wide_heads: the head count of the last 4 layers of each stack, 0 for n_heads
 _PRESETS = {
-    "base": dict(d_e=128, d=512, n_heads=8, d_head=128, layers=8),
-    "large": dict(d_e=128, d=2048, n_heads=8, d_head=128, layers=8),
+    "base": dict(d_e=128, d=512, n_heads=8, d_head=128, layers=8, wide_heads=0),
+    "large": dict(d_e=128, d=2048, n_heads=8, d_head=128, layers=8, wide_heads=16),
 }
 
 
 @dataclass
 class ModelConfig:
+    """A resolved model, as ``build_variant`` assembles it; it keeps no defaults."""
     variant: str
     video_shape: tuple          # (T, H, W)
-    channels: str = "rgb"       # "rgb" | "gray"
-    head: str = "categorical"   # "categorical" | "deterministic"
-    s: SubscaleFactor = None
-    kernel: tuple = None
-    d_e: int = 128
-    d: int = 512
-    enc_schedule: list = field(default_factory=list)
-    dec_schedule: list = field(default_factory=list)
-    mconv: tuple = (3, 3, 3)
-    first_slice_schedule: list = field(default_factory=list)
-    seed: int = 1
+    channels: str               # "rgb" | "gray"
+    head: str                   # "categorical" | "deterministic"
+    s: SubscaleFactor
+    kernel: tuple
+    d_e: int
+    d: int
+    enc_schedule: list
+    dec_schedule: list
+    mconv: tuple
+    first_slice_schedule: list  # empty: no first-slice decoder
+    seed: int
 
     @property
     def bytes_per_pixel(self):
@@ -185,21 +188,20 @@ def default_block_pattern(variant, slice_shape):
     return _scaled_blocks(slice_shape, divisors)
 
 
-def schedule_for(variant, slice_shape, layers, n_heads, d_head, wide_heads=None):
-    """Length-``layers`` schedule: the 4-shape pattern followed by its reverse.
-
-    ``wide_heads`` doubles the head count on the last 4 layers (large preset).
-    """
+def derived_blocks(variant, slice_shape, layers):
+    """``layers`` block shapes: the 4-shape pattern followed by its reverse,
+    repeated."""
     pattern = default_block_pattern(variant, slice_shape)
     cycle = pattern + pattern[::-1]
-    blocks = [cycle[i % len(cycle)] for i in range(layers)]
-    sched = []
-    for i, b in enumerate(blocks):
-        heads = n_heads
-        if wide_heads and layers - i <= 4:
-            heads = wide_heads
-        sched.append(AttentionLayerSpec(b, heads, d_head))
-    return sched
+    return [cycle[i % len(cycle)] for i in range(layers)]
+
+
+def schedule_for(blocks, n_heads, d_head, wide_heads):
+    """One layer per (t, h, w) block, with ``n_heads`` heads of ``d_head``;
+    a non-zero ``wide_heads`` (large preset) replaces n_heads on the last 4."""
+    wide_from = len(blocks) - 4 if wide_heads else len(blocks)
+    return [AttentionLayerSpec(BlockShape(*b), wide_heads if i >= wide_from else n_heads, d_head)
+            for i, b in enumerate(blocks)]
 
 
 def default_subscale(variant, video_shape):
@@ -223,19 +225,24 @@ def _per_axis(given, derived):
     return tuple(g or d for g, d in zip(given or (0, 0, 0), derived, strict=True))
 
 
-def build_variant(variant, video_shape, preset="base", s=None, kernel=None,
-                  d_e=0, d=0, n_heads=0, d_head=0, layers=0, enc_blocks=None,
-                  dec_blocks=None, channels="rgb", head="categorical", mconv=(3, 3, 3),
-                  first_slice_decoder=False, first_slice_layers=16, seed=1, **unknown):
+def build_variant(variant, video_shape, preset=DEFAULTS["preset"], s=None, kernel=None, d_e=0,
+                  d=0, n_heads=0, d_head=0, layers=0, enc_blocks=None, dec_blocks=None,
+                  channels=DEFAULTS["channels"], head=DEFAULTS["head"],
+                  mconv=(DEFAULTS["mconv"],) * 3,
+                  first_slice_decoder=DEFAULTS["first_slice_decoder"],
+                  first_slice_layers=DEFAULTS["first_slice_layers"], seed=DEFAULTS["model_seed"],
+                  **unknown):
     """Assemble a ModelConfig for one of the named variants.
 
     Every unset value (0 or None) is resolved here, per axis for ``s`` and
     ``kernel``: ``s`` falls back to ``default_subscale``, ``kernel`` to ``s``
     ((6, 1, 1) for single_frame), the widths d_e, d, n_heads, d_head and
-    layers to the preset, and the schedules to ``schedule_for`` unless
-    enc_blocks/dec_blocks list their (t, h, w) blocks.  With
+    layers to the preset, and the blocks of each stack to ``derived_blocks``
+    unless enc_blocks/dec_blocks list their (t, h, w) blocks; a non-zero
+    ``layers`` must then equal the listed count.  Both kinds of stack take
+    the preset's wide heads through ``schedule_for``.  With
     ``first_slice_decoder``, rank-0 slices get a stand-alone decoder of
-    ``first_slice_layers`` layers.
+    ``first_slice_layers`` layers, which keeps n_heads on every layer.
     """
     if preset not in _PRESETS:
         raise ConfigError(f"unknown preset {preset!r}")
@@ -244,38 +251,29 @@ def build_variant(variant, video_shape, preset="base", s=None, kernel=None,
     if min(video_shape) < 1:
         raise ConfigError(f"video extents must be positive, got {tuple(video_shape)}")
     p = _PRESETS[preset]
-    d_e, d, layers = d_e or p["d_e"], d or p["d"], layers or p["layers"]
+    d_e, d = d_e or p["d_e"], d or p["d"]
     n_heads, d_head = n_heads or p["n_heads"], d_head or p["d_head"]
     s = SubscaleFactor(*_per_axis(s, default_subscale(variant, video_shape)))
     kernel = _per_axis(kernel, (6, 1, 1) if variant == "single_frame" else s)
     slice_shape = s.divide(video_shape)
 
-    def sched(blocks):
+    def sched(key, blocks):
         if blocks is None:
-            return schedule_for(variant, slice_shape, layers, n_heads, d_head,
-                                16 if preset == "large" else None)
-        return [AttentionLayerSpec(BlockShape(*b), n_heads, d_head) for b in blocks]
+            blocks = derived_blocks(variant, slice_shape, layers or p["layers"])
+        elif layers and layers != len(blocks):
+            raise ConfigError(f"layers = {layers}, but {key} lists {len(blocks)} blocks")
+        return schedule_for(blocks, n_heads, d_head, p["wide_heads"])
 
     if first_slice_decoder and first_slice_layers < 1:
         raise ConfigError(f"first-slice decoder needs first_slice_layers >= 1, "
                           f"got {first_slice_layers}")
-    first_sched = (schedule_for(variant, slice_shape, first_slice_layers, n_heads, d_head)
-                   if first_slice_decoder else [])
+    first_sched = (schedule_for(derived_blocks(variant, slice_shape, first_slice_layers),
+                                n_heads, d_head, 0) if first_slice_decoder else [])
     return ModelConfig(
-        variant=variant,
-        video_shape=tuple(video_shape),
-        channels=channels,
-        head=head,
-        s=s,
-        kernel=kernel,
-        d_e=d_e,
-        d=d,
-        enc_schedule=sched(enc_blocks),
-        dec_schedule=sched(dec_blocks),
-        mconv=tuple(mconv),
-        first_slice_schedule=first_sched,
-        seed=seed,
-    ).validate()
+        variant=variant, video_shape=tuple(video_shape), channels=channels, head=head, s=s,
+        kernel=kernel, d_e=d_e, d=d, enc_schedule=sched("enc_blocks", enc_blocks),
+        dec_schedule=sched("dec_blocks", dec_blocks), mconv=tuple(mconv),
+        first_slice_schedule=first_sched, seed=seed).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +626,12 @@ def slice_loss(cfg, out, targets, mask):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, arrays):
-    """Write named arrays in name order through ``data.write_arrays``, integer
-    arrays as int64 and others as float32: a bit-exact, atomic round trip."""
+    """Write named arrays in name order through ``data.write_arrays``, uint8 as
+    is, other integers as int64, the rest as float32: a bit-exact, atomic round trip."""
     arrays = {name: np.asarray(arrays[name]) for name in sorted(arrays)}  # 0-d stays 0-d
     write_arrays(path, CHECKPOINT_MAGIC, [
-        (name, a.astype("<i8" if a.dtype.kind in "iu" else "<f4", copy=False))
+        (name, a if a.dtype == np.uint8 else
+         a.astype("<i8" if a.dtype.kind in "iu" else "<f4", copy=False))
         for name, a in arrays.items()])
 
 
@@ -665,6 +664,29 @@ def checkpoint_entries(cfg, arrays, prefix=""):
             raise NumericError(f"non-finite {what} in checkpoint: "
                                f"{bad} of {out[name].size} entries")
     return out
+
+
+def model_record(cfg):
+    """A training checkpoint's ``meta/model``: UTF-8 ``field = repr`` lines of
+    every field of ``cfg`` but ``seed``, which only picks the initial draw."""
+    return np.frombuffer("".join(f"{f.name} = {getattr(cfg, f.name)!r}\n" for f in fields(cfg)
+                                 if f.name != "seed").encode(), dtype=np.uint8)
+
+
+def load_trained(path, cfg):
+    """(arrays, ParamStore) of checkpoint ``path``, whose ``model_record`` must
+    be ``cfg``'s; a ConfigError names a missing record or the first field that differs."""
+    arrays = load_checkpoint(path)
+    if "meta/model" not in arrays:
+        raise ConfigError(f"{path}: checkpoint has no meta/model record of its model")
+    got, want = (dict(line.partition(" = ")[::2] for line in
+                      a.tobytes().decode("utf-8", "replace").splitlines())
+                 for a in (arrays["meta/model"], model_record(cfg)))
+    for name in want:
+        if got.get(name) != want[name]:
+            raise ConfigError(f"{path}: checkpoint model has {name} = {got.get(name)}, "
+                              f"the config gives {want[name]}")
+    return arrays, params_from_checkpoint(cfg, arrays)
 
 
 def params_from_checkpoint(cfg, arrays):

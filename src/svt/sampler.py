@@ -27,6 +27,7 @@ import numpy as np
 from . import model as M
 from . import tensor as tc
 from .attention import block_slots
+from .config import DEFAULTS
 from .subscale import (check_prime_frames, extract_slice, merge_slice, primed_plane_mask,
                        slice_order, slice_rank)
 from .tensor import ConfigError, NumericError, Tensor
@@ -38,9 +39,9 @@ ARGMAX_TEMPERATURE = 1e-4
 
 @dataclass
 class SampleConfig:
-    prime_frames: int = 1
-    temperature: float = 0.9
-    seed: int = 0
+    prime_frames: int = DEFAULTS["prime_frames"]
+    temperature: float = DEFAULTS["temperature"]
+    seed: int = DEFAULTS["sample_seed"]
 
     def validate(self, video_t):
         if not (0 < self.temperature <= 2.0):

@@ -306,9 +306,8 @@ class TestAcceptance:
                 "spatiotemporal", (4, 16, 16), s=(2, 2, 2), kernel=(3, 3, 3),
                 d_e=32, d=64, n_heads=4, d_head=16, layers=2,
                 enc_blocks=[(2, 8, 8)] * 2, dec_blocks=[(2, 8, 8)] * 2, seed=11)
-            tcfg = O.TrainConfig(steps=5000, batch_slices=8, seed=1,
-                                 prime_frames=1,
-                                 rmsprop=O.RmsPropConfig(lr=1e-3),
+            tcfg = O.TrainConfig(steps=5000, batch_slices=8, train_seed=1,
+                                 prime_frames=1, lr=1e-3,
                                  stop_bits_per_dim=0.001, stop_window=10)
             params, _, records = O.train(cfg, tcfg, videos)
             last_step, bpd = records[-1][0], records[-1][3]
@@ -356,9 +355,8 @@ class TestAcceptance:
                 channels="gray", head="deterministic",
                 d_e=24, d=48, n_heads=4, d_head=12, layers=2,
                 enc_blocks=[(2, 8, 8)] * 2, dec_blocks=[(2, 8, 8)] * 2, seed=21)
-            tcfg = O.TrainConfig(steps=3000, batch_slices=8, seed=2,
-                                 prime_frames=1,
-                                 rmsprop=O.RmsPropConfig(lr=2e-4),
+            tcfg = O.TrainConfig(steps=3000, batch_slices=8, train_seed=2,
+                                 prime_frames=1, lr=2e-4,
                                  stop_bits_per_dim=0.2, stop_window=10)
             params, _, records = O.train(cfg, tcfg, videos)
             assert records[-1][0] < 3000

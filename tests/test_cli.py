@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svt import cli
+from svt.config import SCHEMA
 from svt.data import read_container, write_container
 from svt.tensor import ConfigError
 
@@ -50,12 +51,12 @@ sample_seed = 7
 """
 
 
-def tiny_config_with(edit):
-    """TINY_CONFIG with the ``key = value`` lines of ``edit``: each replaces
-    the line that sets its key, or is added, since a repeated key is a
-    config error."""
+def tiny_config_with(edit, base=TINY_CONFIG):
+    """``base`` config text with the ``key = value`` lines of ``edit``: each
+    replaces the line that sets its key, or is added, since a repeated key
+    is a config error."""
     keys = {line.split("=", 1)[0].strip() for line in edit.splitlines()}
-    kept = [line for line in TINY_CONFIG.splitlines() if line.split("=", 1)[0].strip() not in keys]
+    kept = [line for line in base.splitlines() if line.split("=", 1)[0].strip() not in keys]
     return "\n".join(kept + [edit]) + "\n"
 
 
@@ -140,7 +141,7 @@ def load_or_config_error(path):
         conf = cli.load_config(path)
     except ConfigError:
         return None
-    assert set(conf) == set(cli._SCHEMA)
+    assert set(conf) == set(SCHEMA)
     return conf
 
 
@@ -156,7 +157,7 @@ _VALUES = {
 # random bytes, and lines of schema keys with random byte values
 _CONFIG_BYTES = st.one_of(
     st.binary(max_size=200),
-    st.lists(st.tuples(st.sampled_from(sorted(cli._SCHEMA)), st.binary(max_size=12)),
+    st.lists(st.tuples(st.sampled_from(sorted(SCHEMA)), st.binary(max_size=12)),
              max_size=8).map(lambda kv: b"".join(k.encode() + b" = " + v + b"\n" for k, v in kv)))
 
 
@@ -178,7 +179,7 @@ class TestConfigFuzz:
         assert load_or_config_error(path) is not None  # the whole file is valid
 
     @settings(max_examples=100, deadline=None)
-    @given(conf=st.fixed_dictionaries({k: _VALUES[kind] for k, (kind, _) in cli._SCHEMA.items()}))
+    @given(conf=st.fixed_dictionaries({k: _VALUES[kind] for k, (kind, _) in SCHEMA.items()}))
     def test_dump_round_trips_generated_values(self, tmp_path_factory, conf):
         path = tmp_path_factory.mktemp("dump") / "dumped.cfg"
         path.write_text(cli.dump_config(conf), encoding="utf-8")
@@ -251,9 +252,10 @@ class TestExitCodes:
     def test_resume_with_short_video_is_one(self, tiny_setup):
         from svt import model as M, optim as O
         tmp, config, _ = tiny_setup
-        params = M.init_params(cli.model_config_from(cli.load_config(config)))
+        cfg = cli.model_config_from(cli.load_config(config))
+        params = M.init_params(cfg)
         ckpt, short = tmp / "m.ckpt", tmp / "short.svt"
-        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 2)
+        O.save_training_checkpoint(ckpt, cfg, params, O.OptimizerState(params), 2)
         write_container(short, [np.zeros((3, 8, 8, 3), dtype=np.uint8)])
         r = run_cli("train", "--config", config, "--data", short,
                     "--out-ckpt", tmp / "out.ckpt", "--resume", ckpt)
@@ -308,8 +310,9 @@ class TestExitCodes:
         elif case in ("eval-gray-data", "empty-prime", "sample-negative-count",
                       "eval-negative-prime", "eval-prime-all-frames"):
             ckpt, videos = tmp / "m.ckpt", tmp / "videos.svt"
-            M.save_checkpoint(ckpt, M.init_params(cli.model_config_from(
-                cli.load_config(config))).arrays())
+            cfg = cli.model_config_from(cli.load_config(config))
+            M.save_checkpoint(ckpt, {**M.init_params(cfg).arrays(),
+                                     "meta/model": M.model_record(cfg)})
             if case == "eval-gray-data":
                 write_container(videos, [np.zeros((4, 8, 8, 1), dtype=np.uint8)] * 4)
                 argv = ["eval", "--config", config, "--ckpt", ckpt, "--data", videos]
@@ -324,9 +327,10 @@ class TestExitCodes:
                 argv = ["sample", "--config", config, "--ckpt", ckpt, "--prime-video", videos,
                         "--out", tmp / "sampled.svt"]
         else:
-            params = M.init_params(cli.model_config_from(cli.load_config(config)))
+            cfg = cli.model_config_from(cli.load_config(config))
+            params = M.init_params(cfg)
             ckpt = tmp / "m.ckpt"
-            O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 2)
+            O.save_training_checkpoint(ckpt, cfg, params, O.OptimizerState(params), 2)
             arrays = M.load_checkpoint(ckpt)
             if case == "resume-missing-mom":
                 del arrays["opt/mom/dec/l0/w_p"]
@@ -621,10 +625,11 @@ class TestThreadsAndNumeric:
         from svt import model as M, optim as O
 
         tmp, config, data = tiny_setup
-        params = M.init_params(cli.model_config_from(cli.load_config(config)))
+        cfg = cli.model_config_from(cli.load_config(config))
+        params = M.init_params(cfg)
         params["dec/l0/w_qkv"].data[0, 1] = np.nan
         ckpt, out = tmp / "poisoned.ckpt", tmp / "out"
-        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 0)
+        O.save_training_checkpoint(ckpt, cfg, params, O.OptimizerState(params), 0)
         args = {"eval": ["--ckpt", ckpt, "--data", data, "--out", out],
                 "sample": ["--ckpt", ckpt, "--prime-video", data, "--out", out],
                 "train": ["--data", data, "--resume", ckpt, "--out-ckpt", out]}[command]
@@ -643,12 +648,13 @@ class TestThreadsAndNumeric:
         from svt import model as M, optim as O
 
         tmp, config, data = tiny_setup
-        params = M.init_params(cli.model_config_from(cli.load_config(config)), head_init="normal")
+        cfg = cli.model_config_from(cli.load_config(config))
+        params = M.init_params(cfg, head_init="normal")
         p = params["head/p"].data
         p[...] = np.where(np.arange(p.size).reshape(p.shape) % 2, 3e38, -3e38)
         assert all(np.isfinite(t.data).all() for _, t in params.items())
         ckpt, out = tmp / "huge.ckpt", tmp / "eval.txt"
-        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 0)
+        O.save_training_checkpoint(ckpt, cfg, params, O.OptimizerState(params), 0)
         r = run_cli("eval", "--config", config, "--ckpt", ckpt, "--data", data, "--out", out)
         assert r.returncode == 3, r.stderr
         assert "error[numeric]: non-finite loss nan on video 0, slice (0, 0, 0)" in r.stderr
@@ -670,7 +676,7 @@ class TestThreadsAndNumeric:
             if key.startswith(("head/u", "head/p")):
                 t.data[...] = np.where(rng.random(t.data.shape) < 0.5, 3e38, -3e38)
         ckpt, data, out = tmp_path / "huge.ckpt", tmp_path / "prime.svt", tmp_path / "out.svt"
-        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 0)
+        O.save_training_checkpoint(ckpt, cfg, params, O.OptimizerState(params), 0)
         write_container(data, [rng.integers(0, 256, (*cfg.video_shape, cfg.bytes_per_pixel))
                                .astype(np.uint8)])
         r = run_cli("sample", "--config", config, "--ckpt", ckpt, "--prime-video", data,
@@ -694,7 +700,7 @@ class TestThreadsAndNumeric:
             if key.startswith(("head/u", "head/p")):
                 t.data[...] = np.where(rng.random(t.data.shape) < 0.5, 3e38, -3e38)
         ckpt, data, out = tmp_path / "huge.ckpt", tmp_path / "videos.svt", tmp_path / "out"
-        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 0)
+        O.save_training_checkpoint(ckpt, cfg, params, O.OptimizerState(params), 0)
         write_container(data, [rng.integers(0, 256, (*cfg.video_shape, cfg.bytes_per_pixel))
                                .astype(np.uint8)])
         args = {"eval": ["--ckpt", ckpt, "--data", data, "--out", out],
@@ -723,9 +729,10 @@ class TestThreadsAndNumeric:
 
         tmp, config, data = tiny_setup
         config.write_text(tiny_config_with("ckpt_every = 1"))
-        params = M.init_params(cli.model_config_from(cli.load_config(config)))
+        cfg = cli.model_config_from(cli.load_config(config))
+        params = M.init_params(cfg)
         ckpt, out = tmp / "resume.ckpt", tmp / "out.ckpt"
-        O.save_training_checkpoint(ckpt, params, O.OptimizerState(params), 1)
+        O.save_training_checkpoint(ckpt, cfg, params, O.OptimizerState(params), 1)
         arrays = M.load_checkpoint(ckpt)
         arrays[entry][0, 1] = value
         M.save_checkpoint(ckpt, arrays)
@@ -752,6 +759,68 @@ class TestThreadsAndNumeric:
         assert code == cli.EXIT_NUMERIC == 3
         assert "error[numeric]: non-finite gradient" in capsys.readouterr().err
         assert out.read_bytes() == b"previous"
+
+
+class TestModelRecord:
+    """A training checkpoint records the resolved model it was trained as
+    (``meta/model``); ``eval``, ``sample`` and ``train --resume`` refuse a
+    checkpoint that records no model or another one, with exit 1."""
+
+    @staticmethod
+    def run(command, config, ckpt, data, out):
+        args = {"eval": ["--ckpt", ckpt, "--data", data, "--out", out],
+                "sample": ["--ckpt", ckpt, "--prime-video", data, "--out", out],
+                "train": ["--resume", ckpt, "--data", data, "--out-ckpt", out]}[command]
+        return cli.main([command, "--config", str(config), *map(str, args)])
+
+    @pytest.mark.parametrize("command", ["eval", "sample", "train"])
+    def test_other_geometry_is_refused(self, tmp_path, capsys, command):
+        """A sprites-rgb checkpoint (4x16x16, s = 2,2,2) under the same
+        config with 8x32 frames and s = 2,1,4: the slice shape, and so every
+        parameter shape, is the same, yet the record names the video shape."""
+        from svt.data import gen_sprites
+
+        config, data = tmp_path / "rgb.cfg", tmp_path / "train.svt"
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "out"
+        rgb = (CONFIGS / "sprites-rgb.cfg").read_text()
+        config.write_text(rgb)
+        write_container(data, gen_sprites(4, 16, 16, 2, seed=7))
+        assert cli.main(["train", "--config", str(config), "--data", str(data),
+                         "--out-ckpt", str(ckpt), "--steps", "1"]) == 0
+        capsys.readouterr()
+        config.write_text(tiny_config_with(
+            "video_h = 8\nvideo_w = 32\nsubscale_h = 1\nsubscale_w = 4", base=rgb))
+        assert self.run(command, config, ckpt, data, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error[config]: {ckpt}: checkpoint model has video_shape = (4, 16, 16), "
+            "the config gives (4, 8, 32)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sample", "train"])
+    def test_checkpoint_without_record_is_refused(self, tiny_setup, capsys, command):
+        from svt import model as M
+
+        tmp, config, data = tiny_setup
+        ckpt, out = tmp / "m.ckpt", tmp / "out"
+        M.save_checkpoint(ckpt, M.init_params(cli.model_config_from(cli.load_config(config)))
+                          .arrays())
+        assert self.run(command, config, ckpt, data, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error[config]: {ckpt}: checkpoint has no meta/model record of its model\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sample", "train"])
+    def test_unset_and_explicit_widths_are_one_model(self, tiny_setup, capsys, command):
+        """Trained with d_embed and layers unset, loaded with the values they
+        resolve to (the preset's 128, the two listed blocks): one model."""
+        tmp, config, data = tiny_setup
+        ckpt, out = tmp / "m.ckpt", tmp / "out"
+        config.write_text(tiny_config_with("d_embed = 0\nlayers = 0"))
+        assert cli.main(["train", "--config", str(config), "--data", str(data),
+                         "--out-ckpt", str(ckpt), "--steps", "1"]) == 0
+        config.write_text(tiny_config_with("d_embed = 128\nlayers = 2"))
+        assert self.run(command, config, ckpt, data, out) == cli.EXIT_OK
+        assert capsys.readouterr().err == "" and out.exists()
 
 
 class TestDeterminism:

@@ -258,6 +258,27 @@ class TestBuildVariant:
         heads = [s.n_heads for s in cfg.dec_schedule]
         assert heads == [8, 8, 8, 8, 16, 16, 16, 16]
 
+    def test_large_preset_widens_listed_blocks_too(self):
+        """One schedule rule for both kinds of stack: the listed encoder
+        gets the large preset's 16 heads on its last 4 layers, like the
+        derived decoder; the first-slice decoder keeps n_heads throughout."""
+        cfg = M.build_variant("spatiotemporal", (4, 16, 16), preset="large", d=16, d_head=4,
+                              enc_blocks=[(2, 8, 8)] * 6, first_slice_decoder=True,
+                              first_slice_layers=5)
+        assert [s.n_heads for s in cfg.enc_schedule] == [8, 8, 16, 16, 16, 16]
+        assert [s.n_heads for s in cfg.dec_schedule] == [8, 8, 8, 8, 16, 16, 16, 16]
+        assert [s.n_heads for s in cfg.first_slice_schedule] == [8] * 5
+        base = M.build_variant("spatiotemporal", (4, 16, 16), enc_blocks=[(2, 8, 8)] * 6)
+        assert [s.n_heads for s in base.enc_schedule] == [8] * 6
+
+    @pytest.mark.parametrize("key", ["enc_blocks", "dec_blocks"])
+    def test_layers_must_match_a_listed_stack(self, key):
+        with pytest.raises(ConfigError, match=f"layers = 2, but {key} lists 3 blocks"):
+            M.build_variant("spatiotemporal", (4, 16, 16), layers=2, **{key: [(2, 8, 8)] * 3})
+        listed = M.build_variant("spatiotemporal", (4, 16, 16), layers=0,
+                                 **{key: [(2, 8, 8)] * 3})
+        assert len(getattr(listed, key[:3] + "_schedule")) == 3
+
     def test_preset_parameter_counts(self):
         """Regression on assembled sizes: the base preset lands near 45M
         parameters and the large preset near 370M at 16x64x64 (embedding
@@ -702,8 +723,8 @@ class TestReferenceOps:
     @staticmethod
     def train_config(conf):
         return optim.TrainConfig(steps=3, batch_slices=conf["batch_slices"],
-                                 seed=conf["train_seed"], prime_frames=conf["prime_frames"],
-                                 rmsprop=optim.RmsPropConfig(lr=conf["lr"]))
+                                 train_seed=conf["train_seed"],
+                                 prime_frames=conf["prime_frames"], lr=conf["lr"])
 
     def train_and_evaluate(self, monkeypatch, qkv_scale):
         conf, cfg, _, videos = self.desk(qkv_scale)

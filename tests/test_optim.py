@@ -28,17 +28,17 @@ class TestRmsProp:
     def test_zero_gradient_no_motion(self):
         ps = scalar_params(1.5)
         state = O.OptimizerState(ps)
-        O.rmsprop_step(ps, {"w": np.zeros(1, dtype=np.float32)}, state)
+        O.rmsprop_step(ps, {"w": np.zeros(1, dtype=np.float32)}, state, O.TrainConfig())
         assert ps["w"].data[0] == 1.5
 
     def test_single_step_formula(self):
         g = 0.25
         ps = scalar_params(1.0)
-        h = O.RmsPropConfig()
-        state = O.OptimizerState(ps, h)
-        O.rmsprop_step(ps, {"w": np.array([g], dtype=np.float32)}, state)
-        acc = (1 - h.decay) * g * g
-        expect = 1.0 - h.lr * g / math.sqrt(acc + h.eps)
+        h = O.TrainConfig()
+        state = O.OptimizerState(ps)
+        O.rmsprop_step(ps, {"w": np.array([g], dtype=np.float32)}, state, h)
+        acc = (1 - h.rms_decay) * g * g
+        expect = 1.0 - h.lr * g / math.sqrt(acc + h.rms_eps)
         assert ps["w"].data[0] == pytest.approx(expect, rel=1e-5)
         assert state.acc["w"][0] == pytest.approx(acc, rel=1e-5)
 
@@ -47,12 +47,12 @@ class TestRmsProp:
         second-moment estimate settles (lr small enough that 100 steps stay
         on the approach; near the optimum momentum would overshoot)."""
         ps = scalar_params(0.0)
-        state = O.OptimizerState(ps, O.RmsPropConfig(lr=5e-4))
+        state, tcfg = O.OptimizerState(ps), O.TrainConfig(lr=5e-4)
         objective = []
         for _ in range(100):
             w = float(ps["w"].data[0])
             objective.append(0.5 * (w - 3.0) ** 2)
-            O.rmsprop_step(ps, {"w": np.array([w - 3.0], dtype=np.float32)}, state)
+            O.rmsprop_step(ps, {"w": np.array([w - 3.0], dtype=np.float32)}, state, tcfg)
         tail = objective[10:]
         assert all(b <= a + 1e-9 for a, b in zip(tail, tail[1:]))
         assert objective[-1] < 0.75 * objective[0]
@@ -61,7 +61,7 @@ class TestRmsProp:
         ps = scalar_params(0.0)
         state = O.OptimizerState(ps)
         with pytest.raises(ConfigError):
-            O.rmsprop_step(ps, {"w": np.zeros(2, dtype=np.float32)}, state)
+            O.rmsprop_step(ps, {"w": np.zeros(2, dtype=np.float32)}, state, O.TrainConfig())
 
     def test_elementwise_independence(self):
         """Permuting parameter order permutes updates identically."""
@@ -71,10 +71,10 @@ class TestRmsProp:
         perm = rng.permutation(6)
         a = ParamStore({"w": Tensor(vals.copy(), requires_grad=True)})
         sa = O.OptimizerState(a)
-        O.rmsprop_step(a, {"w": grads}, sa)
+        O.rmsprop_step(a, {"w": grads}, sa, O.TrainConfig())
         b = ParamStore({"w": Tensor(vals[perm].copy(), requires_grad=True)})
         sb = O.OptimizerState(b)
-        O.rmsprop_step(b, {"w": grads[perm]}, sb)
+        O.rmsprop_step(b, {"w": grads[perm]}, sb, O.TrainConfig())
         assert np.array_equal(a["w"].data[perm], b["w"].data)
 
 
@@ -163,14 +163,14 @@ class TestTrainLoop:
         cfg = tiny_config()
         videos = [np.random.default_rng(i).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)
                   for i in range(2)]
-        tcfg = O.TrainConfig(steps=1, batch_slices=4, seed=0, prime_frames=1)
+        tcfg = O.TrainConfig(steps=1, batch_slices=4, train_seed=0, prime_frames=1)
         _, _, records = O.train(cfg, tcfg, videos)
         assert records[0][3] == pytest.approx(8.0, abs=0.1)
 
     def test_seeded_run_reproduces_exactly(self):
         cfg = tiny_config()
         videos = [np.random.default_rng(7).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)]
-        tcfg = O.TrainConfig(steps=3, batch_slices=2, seed=5, prime_frames=1)
+        tcfg = O.TrainConfig(steps=3, batch_slices=2, train_seed=5, prime_frames=1)
         p1, _, r1 = O.train(cfg, tcfg, videos)
         p2, _, r2 = O.train(cfg, tcfg, videos)
         assert [r[:4] for r in r1] == [r[:4] for r in r2]
@@ -180,7 +180,7 @@ class TestTrainLoop:
     def test_longer_videos_are_cropped(self):
         cfg = tiny_config()
         videos = [np.random.default_rng(8).integers(0, 256, (7, 8, 8, 3)).astype(np.uint8)]
-        tcfg = O.TrainConfig(steps=2, batch_slices=2, seed=1, prime_frames=1)
+        tcfg = O.TrainConfig(steps=2, batch_slices=2, train_seed=1, prime_frames=1)
         _, _, records = O.train(cfg, tcfg, videos)
         assert len(records) == 2
 
@@ -189,7 +189,7 @@ class TestTrainLoop:
         ps = M.init_params(cfg)
         ps["enc/in_proj"].data[0, 0] = np.nan
         videos = [np.random.default_rng(9).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)]
-        tcfg = O.TrainConfig(steps=1, batch_slices=1, seed=0, prime_frames=0)
+        tcfg = O.TrainConfig(steps=1, batch_slices=1, train_seed=0, prime_frames=0)
         with pytest.raises(O.NumericError):
             O.train(cfg, tcfg, videos, params=ps)
 
@@ -202,7 +202,7 @@ class TestTrainLoop:
         cfg = tiny_config()
         videos = [np.random.default_rng(10).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)]
         ck = tmp_path / "t.ckpt"
-        tcfg = O.TrainConfig(steps=3, batch_slices=2, seed=2, prime_frames=1, ckpt_every=1)
+        tcfg = O.TrainConfig(steps=3, batch_slices=2, train_seed=2, prime_frames=1, ckpt_every=1)
         params, opt, _ = O.train(cfg, dataclasses.replace(tcfg, steps=1), videos,
                                  ckpt_path=str(ck))
         on_disk = ck.read_bytes()
@@ -239,7 +239,7 @@ class TestTrainLoop:
 
     def test_resume_rejects_short_video(self):
         videos = [np.zeros((3, 8, 8, 3), dtype=np.uint8)]
-        tcfg = O.TrainConfig(steps=4, batch_slices=2, seed=2, prime_frames=1)
+        tcfg = O.TrainConfig(steps=4, batch_slices=2, train_seed=2, prime_frames=1)
         with pytest.raises(ConfigError, match="3 frames"):
             O.train(tiny_config(), tcfg, videos, start_step=2)
 
@@ -250,9 +250,8 @@ class TestTrainLoop:
         as the uninterrupted run; 7-frame videos make every step draw crops."""
         cfg = tiny_config()
         videos = gen_sprites(7, 8, 8, 2, seed=4)
-        tcfg = O.TrainConfig(steps=40, batch_slices=2, seed=2, prime_frames=1, ckpt_every=1,
-                             rmsprop=O.RmsPropConfig(lr=0.01), stop_bits_per_dim=4.0,
-                             stop_window=3)
+        tcfg = O.TrainConfig(steps=40, batch_slices=2, train_seed=2, prime_frames=1,
+                             ckpt_every=1, lr=0.01, stop_bits_per_dim=4.0, stop_window=3)
         ck = tmp_path / "t.ckpt"
 
         def keep(rec):  # the file holds the checkpoint of step rec[0] when step rec[0] ends
@@ -263,7 +262,7 @@ class TestTrainLoop:
         stop = full[-1][0]
         assert stop == 8 and len(opt.window) == 3
         for k in range(1, stop + 1):
-            p, o, step = O.load_training_checkpoint(tmp_path / f"{k}.ckpt", cfg, tcfg.rmsprop)
+            p, o, step = O.load_training_checkpoint(tmp_path / f"{k}.ckpt", cfg)
             assert step == k
             p, o, resumed = O.train(cfg, tcfg, videos, params=p, opt=o, start_step=k)
             assert [r[:4] for r in resumed] == [r[:4] for r in full[k:]], k
@@ -275,7 +274,7 @@ class TestTrainLoop:
         """A step count below the resume step is a ConfigError before
         anything is written."""
         videos = [np.zeros((4, 8, 8, 3), dtype=np.uint8)]
-        tcfg = O.TrainConfig(steps=1, batch_slices=2, seed=2, prime_frames=1)
+        tcfg = O.TrainConfig(steps=1, batch_slices=2, train_seed=2, prime_frames=1)
         with pytest.raises(ConfigError, match="start step 2"):
             O.train(tiny_config(), tcfg, videos, start_step=2,
                     ckpt_path=str(tmp_path / "t.ckpt"))
@@ -292,7 +291,7 @@ class TestTrainLoop:
         cfg = tiny_config()
         params = M.init_params(cfg, head_init="normal")
         path = tmp_path / "t.ckpt"
-        O.save_training_checkpoint(path, params, O.OptimizerState(params), 3)
+        O.save_training_checkpoint(path, cfg, params, O.OptimizerState(params), 3)
         good = M.load_checkpoint(path)
         assert good["meta/step"].dtype == np.int64
         rng = np.random.default_rng(0)
@@ -329,7 +328,8 @@ class TestTrainLoop:
             assert expect is None, (key, value)
             assert step == (0 if key == "meta/step" and value is None else 3)
             saved = {**loaded.arrays(), **opt.arrays()}
-            assert sorted(saved) == sorted(n for n in good if n != "meta/step")
+            assert sorted(saved) == sorted(n for n in good
+                                           if n not in ("meta/step", "meta/model"))
             assert all(np.array_equal(a, good[n]) for n, a in saved.items())
 
     def test_step_above_float32_range_resumes_exactly(self, tmp_path):
@@ -337,14 +337,15 @@ class TestTrainLoop:
         float32 holds, resumes at exactly that step."""
         params = M.init_params(tiny_config())
         path = tmp_path / "t.ckpt"
-        O.save_training_checkpoint(path, params, O.OptimizerState(params), 2 ** 24 + 1)
+        O.save_training_checkpoint(path, tiny_config(), params, O.OptimizerState(params),
+                                   2 ** 24 + 1)
         _, _, step = O.load_training_checkpoint(path, tiny_config())
         assert step == 2 ** 24 + 1
 
     def test_log_file_format(self, tmp_path, capsys):
         cfg = tiny_config()
         videos = [np.random.default_rng(11).integers(0, 256, (4, 8, 8, 3)).astype(np.uint8)]
-        tcfg = O.TrainConfig(steps=2, batch_slices=1, seed=0, prime_frames=1)
+        tcfg = O.TrainConfig(steps=2, batch_slices=1, train_seed=0, prime_frames=1)
         lines = []
         O.train(cfg, tcfg, videos, log_fn=lambda rec: lines.append(O.LOG_FORMAT % rec))
         assert len(lines) == 2
@@ -369,11 +370,11 @@ def _assert_resume_continues_exactly(tmp_path, videos):
     run from step 3."""
     cfg = tiny_config()
     ck = tmp_path / "t.ckpt"
-    tcfg6 = O.TrainConfig(steps=6, batch_slices=2, seed=2, prime_frames=1)
+    tcfg6 = O.TrainConfig(steps=6, batch_slices=2, train_seed=2, prime_frames=1)
     _, _, full = O.train(cfg, tcfg6, videos)
-    tcfg3 = O.TrainConfig(steps=3, batch_slices=2, seed=2, prime_frames=1)
+    tcfg3 = O.TrainConfig(steps=3, batch_slices=2, train_seed=2, prime_frames=1)
     O.train(cfg, tcfg3, videos, ckpt_path=str(ck))
-    params, opt, step = O.load_training_checkpoint(str(ck), cfg, tcfg3.rmsprop)
+    params, opt, step = O.load_training_checkpoint(str(ck), cfg)
     assert step == 3
     _, _, resumed = O.train(cfg, tcfg6, videos, params=params, opt=opt,
                             start_step=step)
@@ -388,11 +389,11 @@ class TestFirstSliceDecoder:
         self.cfg = tiny_config(first_slice_decoder=True, first_slice_layers=2)
         self.videos = [np.random.default_rng(20 + i).integers(0, 256, (4, 8, 8, 3))
                        .astype(np.uint8) for i in range(2)]
-        self.tcfg = O.TrainConfig(steps=3, batch_slices=8, seed=2, prime_frames=1)
+        self.tcfg = O.TrainConfig(steps=3, batch_slices=8, train_seed=2, prime_frames=1)
 
     def batches(self, n):
         return [O.batch_at(len(self.videos), self.cfg.s, self.tcfg.batch_slices,
-                           self.tcfg.seed, step) for step in range(n)]
+                           self.tcfg.train_seed, step) for step in range(n)]
 
     def test_batches_mix_ranks(self):
         for batch in self.batches(self.tcfg.steps):

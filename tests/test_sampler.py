@@ -443,14 +443,15 @@ def model_configs(draw):
 
 def tiny_model(variant, video_shape, s, enc, dec, first=(), channels="rgb",
                head="categorical"):
-    """A ``model_configs`` config with the given blocks, kernel s, mconv 3."""
+    """A ``model_configs`` config with the given blocks, kernel s, mconv 3, seed 1."""
     def schedule(blocks):
         return [AttentionLayerSpec(BlockShape(*b), 1, 4) for b in blocks]
 
     return M.ModelConfig(variant, video_shape, channels=channels, head=head,
                          s=SubscaleFactor(*s), kernel=s, d_e=4, d=8,
                          enc_schedule=schedule(enc), dec_schedule=schedule(dec),
-                         first_slice_schedule=schedule(first)).validate()
+                         mconv=(3, 3, 3), first_slice_schedule=schedule(first),
+                         seed=1).validate()
 
 
 def decoder_reach(params, cfg, video, idx):
