@@ -123,15 +123,15 @@ def block_attention(z, w_qkv, bias, n_heads, d_head, record=None):
     G, n_p, d = z.data.shape
     qkv = tc.matmul(z, w_qkv)  # (G, n_p, 3*n_heads*d_head)
     qkv = tc.reshape(qkv, (G, n_p, 3, n_heads, d_head))
-    qkv = tc.transpose(qkv, (2, 0, 3, 1, 4))  # (3, G, heads, n_p, d_head)
-    q, k, v = (tc.index(qkv, i) for i in range(3))
+    # split before transposing, so the index nodes' parent is C-contiguous
+    q, k, v = (tc.transpose(tc.index(qkv, np.s_[:, :, i]), (0, 2, 1, 3)) for i in range(3))
     if record is not None:
         record.append((np.array(k.data), np.array(v.data), bias.data))
     # no name holds the scaled queries, so without a graph they are freed
     # once the product is formed (on the canonical model they are as large
     # as the scores)
     scores = tc.matmul(tc.mul(q, 1.0 / np.sqrt(d_head)), tc.transpose(k, (0, 1, 3, 2)))
-    att = tc.softmax(scores, axis=-1, bias=bias)  # bias broadcast over G
+    att = tc.softmax(scores, bias=bias)  # bias broadcast over G
     out = tc.matmul(att, v)  # (G, heads, n_p, d_head)
     out = tc.transpose(out, (0, 2, 1, 3))
     return tc.reshape(out, (G, n_p, n_heads * d_head))

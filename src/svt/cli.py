@@ -3,8 +3,10 @@
 Configuration is a flat ``key = value`` text file ('#' starts a comment),
 parsed against ``svt.config.SCHEMA``, the one table of keys, types and
 defaults; unknown keys are rejected and all geometry checks run at load
-time.  Any command that takes --config also accepts --dump-config to echo
-every key and exit: the file's values, schema defaults for the rest, unset
+time.  An override flag (--steps, --prime, --seed, ...) sets the key that is
+its argparse dest.  Any command that takes --config also accepts
+--dump-config to echo every key as the command would run with it, and exit:
+the file's values and the flags given, schema defaults for the rest, unset
 (0) values left unresolved.  The echo round-trips through the parser.
 A checkpoint records the resolved model it was trained as; ``eval``,
 ``sample`` and ``train --resume`` refuse one that records another model.
@@ -112,6 +114,12 @@ def load_config(path):
     return conf
 
 
+def with_flags(conf, args):
+    """``conf`` with each override flag of ``args`` that was given (its dest
+    a config key, its value not None) set."""
+    return {**conf, **{k: v for k, v in vars(args).items() if k in SCHEMA and v is not None}}
+
+
 def dump_config(conf):
     return "".join(f"{k} = {str(conf[k]).lower() if isinstance(conf[k], bool) else conf[k]}\n"
                    for k in SCHEMA)
@@ -153,14 +161,12 @@ def model_config_from(conf):
 
 
 def train_config_from(conf, args):
-    """The file's training keys as a TrainConfig, ``args.steps`` overriding
-    ``steps`` unless it is None."""
+    """The file's training keys, with the flags of ``args`` applied
+    (``with_flags``), as a TrainConfig."""
     from .optim import TrainConfig
 
-    values = {f.name: conf[f.name] for f in dataclasses.fields(TrainConfig)}
-    if args.steps is not None:
-        values["steps"] = args.steps
-    return TrainConfig(**values)
+    conf = with_flags(conf, args)
+    return TrainConfig(**{f.name: conf[f.name] for f in dataclasses.fields(TrainConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +210,7 @@ def _check_output_dirs(paths):
 
 
 def _load_for(args):
-    conf = load_config(args.config)
+    conf = with_flags(load_config(args.config), args)
     return conf, model_config_from(conf)
 
 
@@ -242,8 +248,7 @@ def _cmd_eval(args):
     conf, cfg = _load_for(args)
     _, params = M.load_trained(args.ckpt, cfg)
     videos = read_container(args.data)
-    prime = args.prime if args.prime is not None else conf["prime_frames"]
-    result = metrics.evaluate(params, cfg, videos, prime)
+    result = metrics.evaluate(params, cfg, videos, conf["prime_frames"])
     text = (result.as_json() if args.json else "\n".join(result.lines())) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -263,12 +268,9 @@ def _cmd_sample(args):
     primes = read_container(args.prime_video)
     if not primes:
         raise ConfigError(f"{args.prime_video} holds no videos to prime samples with")
-    scfg = SampleConfig(
-        prime_frames=args.prime_frames if args.prime_frames is not None else conf["prime_frames"],
-        temperature=args.temperature if args.temperature is not None else conf["temperature"],
-        seed=args.seed if args.seed is not None else conf["sample_seed"],
-    )
-    count = args.count if args.count is not None else conf["sample_count"]
+    scfg = SampleConfig(prime_frames=conf["prime_frames"], temperature=conf["temperature"],
+                        seed=conf["sample_seed"])
+    count = conf["sample_count"]
     if count < 0:
         raise ConfigError(f"sample count must not be negative, got {count}")
     outputs = []
@@ -338,7 +340,7 @@ def build_parser():
     t.add_argument("--config", required=True, help="flat key=value config file")
     t.add_argument("--data", required=True, help="training container")
     t.add_argument("--out-ckpt", required=True, help="checkpoint output path")
-    t.add_argument("--steps", type=int, default=None, help="override config steps")
+    t.add_argument("--steps", type=SCHEMA["steps"][0], help="override config steps")
     t.add_argument("--log", default=None, help="append metrics log here")
     t.add_argument("--resume", default=None, help="resume from this checkpoint")
     t.add_argument("--dump-config", action="store_true", help="echo config and exit")
@@ -348,7 +350,8 @@ def build_parser():
     e.add_argument("--config", required=True)
     e.add_argument("--ckpt", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--prime", type=int, default=None, help="primed frame count")
+    e.add_argument("--prime", dest="prime_frames", type=SCHEMA["prime_frames"][0],
+                   help="primed frame count")
     e.add_argument("--out", default=None, help="also write the report here")
     e.add_argument("--json", action="store_true",
                    help="report as one JSON object, with bits/dim per slice rank")
@@ -359,10 +362,11 @@ def build_parser():
     s.add_argument("--config", required=True)
     s.add_argument("--ckpt", required=True)
     s.add_argument("--prime-video", required=True, help="container with priming videos")
-    s.add_argument("--prime-frames", type=int, default=None)
-    s.add_argument("--temperature", type=float, default=None)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--count", type=int, default=None, help="number of samples")
+    s.add_argument("--prime-frames", type=SCHEMA["prime_frames"][0])
+    s.add_argument("--temperature", type=SCHEMA["temperature"][0])
+    s.add_argument("--seed", dest="sample_seed", type=SCHEMA["sample_seed"][0])
+    s.add_argument("--count", dest="sample_count", type=SCHEMA["sample_count"][0],
+                   help="number of samples")
     s.add_argument("--out", required=True, help="output container path")
     s.add_argument("--ppm", default=None, help="also dump frames with this prefix")
     s.add_argument("--dump-config", action="store_true", help="echo config and exit")
@@ -394,7 +398,7 @@ def main(argv=None):
 
     try:
         if getattr(args, "dump_config", False):
-            sys.stdout.write(dump_config(load_config(args.config)))
+            sys.stdout.write(dump_config(with_flags(load_config(args.config), args)))
             return EXIT_OK
         _check_output_dirs(getattr(args, name, None) for name in _OUTPUT_ARGS)
         # an overflow is reported once, by the non-finite check where it lands

@@ -18,7 +18,7 @@ import numpy as np
 from . import model as M
 from . import tensor as tc
 from .subscale import check_frame_left, slice_order, slice_rank
-from .tensor import ConfigError, NumericError
+from .tensor import ConfigError, NumericError, Tensor
 
 # Slice positions per forward_slices call in evaluate: one canonical 4x32x32
 # slice.  A canonical no-grad forward peaks near 435 MB RSS for one slice and
@@ -78,16 +78,16 @@ def nats_per_frame(total_nats, predicted_frames):
 def copy_last_frame_baseline(videos, prime_frames):
     """Binary cross-entropy of predicting each frame as its predecessor.
 
-    The predictor is the previous frame's intensities clamped away from 0/1;
-    only frames >= prime_frames are scored.  Returns nats per frame.
+    The predictor is the previous frame's intensities, scored in float64 by
+    ``tc.binary_cross_entropy`` (which clamps it away from 0/1); only frames
+    >= prime_frames are scored.  Returns nats per frame.
     """
     total = 0.0
     frames = 0
     for v in videos:
         z = v.astype(np.float64) / 255.0
         for t in range(max(prime_frames, 1), v.shape[0]):
-            y = np.clip(z[t - 1], 1e-7, 1.0 - 1e-7)
-            total += -(z[t] * np.log(y) + (1.0 - z[t]) * np.log(1.0 - y)).sum()
+            total += tc.binary_cross_entropy(Tensor(z[t - 1]), z[t], 1.0).item()
             frames += 1
     if frames == 0:
         raise ConfigError("no frames to evaluate")

@@ -25,7 +25,7 @@ from . import tensor as tc
 from .attention import AttentionLayerSpec, attention_layer
 from .config import DEFAULTS
 from .data import DataError, read_arrays, write_arrays
-from .subscale import (BlockShape, SubscaleFactor, context_padding, extract_slice,
+from .subscale import (BlockShape, SubscaleFactor, as_ints, context_padding, extract_slice,
                        primed_plane_mask, slice_key, slice_rank, visibility_mask)
 # the benchmark calls M.extract_slice_u8; the one extractor lives in subscale
 from .subscale import extract_slice as extract_slice_u8  # noqa: F401
@@ -243,18 +243,23 @@ def build_variant(variant, video_shape, preset=DEFAULTS["preset"], s=None, kerne
     the preset's wide heads through ``schedule_for``.  With
     ``first_slice_decoder``, rank-0 slices get a stand-alone decoder of
     ``first_slice_layers`` layers, which keeps n_heads on every layer.
+    Every integer becomes a Python int here (``as_ints``).
     """
     if preset not in _PRESETS:
         raise ConfigError(f"unknown preset {preset!r}")
     if unknown:
         raise ConfigError(f"unknown build_variant overrides: {sorted(unknown)}")
+    video_shape = as_ints(video_shape, "video extents")
     if min(video_shape) < 1:
-        raise ConfigError(f"video extents must be positive, got {tuple(video_shape)}")
+        raise ConfigError(f"video extents must be positive, got {video_shape}")
+    d_e, d, n_heads, d_head, layers, first_slice_layers, seed = as_ints(
+        (d_e, d, n_heads, d_head, layers, first_slice_layers, seed),
+        "d_e, d, n_heads, d_head, layers, first_slice_layers and seed")
     p = _PRESETS[preset]
     d_e, d = d_e or p["d_e"], d or p["d"]
     n_heads, d_head = n_heads or p["n_heads"], d_head or p["d_head"]
     s = SubscaleFactor(*_per_axis(s, default_subscale(variant, video_shape)))
-    kernel = _per_axis(kernel, (6, 1, 1) if variant == "single_frame" else s)
+    kernel = as_ints(_per_axis(kernel, (6, 1, 1) if variant == "single_frame" else s), "kernel")
     slice_shape = s.divide(video_shape)
 
     def sched(key, blocks):
@@ -270,9 +275,9 @@ def build_variant(variant, video_shape, preset=DEFAULTS["preset"], s=None, kerne
     first_sched = (schedule_for(derived_blocks(variant, slice_shape, first_slice_layers),
                                 n_heads, d_head, 0) if first_slice_decoder else [])
     return ModelConfig(
-        variant=variant, video_shape=tuple(video_shape), channels=channels, head=head, s=s,
+        variant=variant, video_shape=video_shape, channels=channels, head=head, s=s,
         kernel=kernel, d_e=d_e, d=d, enc_schedule=sched("enc_blocks", enc_blocks),
-        dec_schedule=sched("dec_blocks", dec_blocks), mconv=tuple(mconv),
+        dec_schedule=sched("dec_blocks", dec_blocks), mconv=as_ints(mconv, "mconv"),
         first_slice_schedule=first_sched, seed=seed).validate()
 
 

@@ -210,25 +210,28 @@ def save_training_checkpoint(path, cfg, params, opt, step):
 
 
 def load_training_checkpoint(path, cfg):
-    """Returns (params, opt, step); opt state is zero if absent, and so is
-    the step, and the early-stop window is empty.  ``M.load_trained`` checks
-    the model record, and ``M.checkpoint_entries`` the entries; a negative
-    second moment, a step that is not one int64 >= 0, or a window that is
-    not 1-D float32, is a DataError."""
+    """Returns (params, opt, step) from a checkpoint that
+    ``save_training_checkpoint`` wrote.  ``M.load_trained`` checks the model
+    record, and ``M.checkpoint_entries`` the parameter and optimizer entries,
+    a missing one included (ConfigError); a missing step or early-stop
+    window, a negative second moment, a step that is not one int64 >= 0, or
+    a window that is not 1-D float32, is a DataError."""
     arrays, params = M.load_trained(path, cfg)
     opt = OptimizerState(params)
-    if any(n.startswith("opt/") for n in arrays):
-        opt.acc = M.checkpoint_entries(cfg, arrays, "opt/acc/")
-        opt.mom = M.checkpoint_entries(cfg, arrays, "opt/mom/")
+    opt.acc = M.checkpoint_entries(cfg, arrays, "opt/acc/")
+    opt.mom = M.checkpoint_entries(cfg, arrays, "opt/mom/")
+    for key in ("meta/step", "meta/stop_window"):
+        if key not in arrays:
+            raise DataError(f"{path}: checkpoint is missing {key}")
     for name in sorted(opt.acc):
         neg = np.count_nonzero(opt.acc[name] < 0)
         if neg:
             raise DataError(f"{path}: negative second moment opt/acc/{name}: "
                             f"{neg} of {opt.acc[name].size} entries")
-    step = arrays.get("meta/step", np.zeros(1, np.int64))
+    step = arrays["meta/step"]
     if step.dtype != np.int64 or step.size != 1 or step.item() < 0:
         raise DataError(f"{path}: meta/step {step.dtype} {step.tolist()} is not one int64 >= 0")
-    opt.window = arrays.get("meta/stop_window", opt.window)
+    opt.window = arrays["meta/stop_window"]
     if opt.window.dtype != np.float32 or opt.window.ndim != 1:
         raise DataError(f"{path}: meta/stop_window {opt.window.dtype} {opt.window.shape} "
                         "is not 1-D float32")

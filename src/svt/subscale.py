@@ -11,11 +11,22 @@ current slice's pixels.
 All functions here are pure and operate on plain numpy arrays.
 """
 
+import operator
 from collections import namedtuple
 
 import numpy as np
 
 from .tensor import ConfigError
+
+
+def as_ints(values, what):
+    """``values`` as a tuple of Python ints, so that a config built from
+    numpy integers equals, and records as, one read from a file; a value
+    that is not an integer (4.5, "4") is a ConfigError, never truncated."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ConfigError(f"{what} must be integers, got {tuple(values)}") from None
 
 
 class Extents(namedtuple("Extents", "t h w")):
@@ -27,7 +38,7 @@ class Extents(namedtuple("Extents", "t h w")):
     kind, target = "extents", "shape"
 
     def __new__(cls, t, h, w):
-        self = super().__new__(cls, t, h, w)
+        self = super().__new__(cls, *as_ints((t, h, w), cls.kind))
         if min(self) < 1:
             raise ConfigError(f"{cls.kind} must be positive, got {self}")
         return self

@@ -13,11 +13,12 @@ its patches), so a value that no backward reads is freed as soon as its
 caller drops it, and a swept graph keeps only its bare nodes.
 
 Only the operations the video model actually needs are provided: batched
-matmul, softmax, layer normalization, ReLU, sigmoid, strided 3D convolution
-with signed padding, raster-causal masked 3D convolution, gathers, basic
-indexing, reshapes and concatenation, and the model's two losses, each one
-node: the categorical and the binary cross-entropy.  The tests check every
-analytic gradient against central finite differences (``tests/helpers.py``).
+matmul, softmax over the last axis, layer normalization, ReLU, sigmoid,
+strided 3D convolution with signed padding, raster-causal masked 3D
+convolution, row gathers, basic indexing, reshapes and concatenation, and
+the model's two losses, each one node: the categorical and the binary
+cross-entropy.  Forms that only tests use live in ``tests/helpers.py``, as
+does the finite-difference check of every analytic gradient.
 
 ``backward`` computes only the gradients some tensor needs: an op with
 several parents skips the gradient of every parent that does not require
@@ -109,11 +110,6 @@ class Tensor:
     @property
     def requires_grad(self):
         return self.node is not None
-
-    @requires_grad.setter
-    def requires_grad(self, flag):
-        if bool(flag) != self.requires_grad:
-            self.node = Node(self.data.shape, self.data.dtype) if flag else None
 
     @property
     def grad(self):
@@ -244,7 +240,7 @@ def backward(t, seed=None):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
+    """Elementwise sum; ``b`` may be a constant."""
     b = _wrap(b, a)
     na, nb = a.node, b.node
 
@@ -261,8 +257,7 @@ def mul(a, b):
     """Elementwise product.  A factor below 1 (an attention layer's query
     scale) turns gradients just above the smallest normal number into
     subnormals, so the backward flushes them (``_flush_subnormals``).  Each
-    factor is kept only for the other's gradient."""
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
+    factor is kept only for the other's gradient; ``b`` may be a constant."""
     b = _wrap(b, a)
     na, nb = a.node, b.node
     av = a.data if nb is not None else None
@@ -299,15 +294,6 @@ def sigmoid(a):
         _accumulate(na, g * y * (1.0 - y))
 
     return _make(y, (na,), back)
-
-
-def sum_all(a):
-    na = a.node
-
-    def back(g):
-        _accumulate(na, np.broadcast_to(g, na.shape).astype(na.dtype))
-
-    return _make(a.data.sum(), (na,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +360,8 @@ def _flush_subnormals(x):
     return x
 
 
-def softmax(a, axis=-1, bias=None):
-    """Exp-normalize ``a + bias`` along ``axis``, stabilized by max
+def softmax(a, bias=None):
+    """Exp-normalize ``a + bias`` along the last axis, stabilized by max
     subtraction.  ``bias``, a Tensor that broadcasts against ``a`` (an
     attention layer's (heads, n, n) bias), is added into the copy of the
     input, which is then shifted, exponentiated and normalised in place; its
@@ -385,13 +371,13 @@ def softmax(a, axis=-1, bias=None):
     The graph keeps the output, not the input."""
     na, nbias = a.node, None if bias is None else bias.node
     y = a.data.copy() if bias is None else a.data + bias.data
-    y -= y.max(axis=axis, keepdims=True)
+    y -= y.max(axis=-1, keepdims=True)
     np.copyto(y, -np.inf, where=y < np.log(np.finfo(y.dtype).tiny))
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def back(g):
-        r = g - (g * y).sum(axis=axis, keepdims=True)
+        r = g - (g * y).sum(axis=-1, keepdims=True)
         r *= y
         _flush_subnormals(r)
         if nbias is not None:
@@ -401,29 +387,32 @@ def softmax(a, axis=-1, bias=None):
     return _make(y, (na, nbias), back)
 
 
-def _layernorm(x, gain, bias, eps):
+LN_EPS = 1e-6  # the variance floor of every layer normalization
+
+
+def _layernorm(x, gain, bias):
     """(xhat * gain + bias, xhat, 1/std) with xhat zero-mean unit-variance
     over the last axis; xhat is scaled in place in the centred copy of x.
     A mean is ``sum / n``, the same bits as ``np.mean`` at less overhead."""
     n = x.shape[-1]
     xhat = x - x.sum(axis=-1, keepdims=True) / n
     var = np.square(xhat).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
     xhat *= inv
     out = xhat * gain
     out += bias
     return out, xhat, inv
 
 
-def layernorm_array(x, gain, bias, eps=1e-6):
+def layernorm_array(x, gain, bias):
     """The forward of ``layernorm`` on plain arrays (no graph)."""
-    return _layernorm(x, gain, bias, eps)[0]
+    return _layernorm(x, gain, bias)[0]
 
 
-def layernorm(a, gain, bias, eps=1e-6):
+def layernorm(a, gain, bias):
     """Zero-mean unit-variance over the last (feature) axis, then affine.
     The graph keeps xhat and 1/std, not the input."""
-    out, xhat, inv = _layernorm(a.data, gain.data, bias.data, eps)
+    out, xhat, inv = _layernorm(a.data, gain.data, bias.data)
     na, ngain, nbias = a.node, gain.node, bias.node
     gv = gain.data
 
@@ -544,25 +533,21 @@ def index(a, key):
     The backward adds the gradient into ``a``'s own gradient buffer at the
     same key, allocating that buffer (zeros) only if ``a`` has none yet, so
     several index nodes on one parent (an attention layer's q, k and v)
-    share one buffer.  The buffer takes ``a``'s memory layout, as
-    ``np.zeros_like(a.data)`` would: for a transposed ``a`` (that qkv), the
-    gradient then reaches the op before the transpose in that op's layout.
+    share one buffer.
     """
     na = a.node
-    strides = a.data.strides
 
     def back(g):
         if na.grad is None:
-            order = sorted(range(len(strides)), key=lambda i: -abs(strides[i]))
-            buf = np.zeros([na.shape[i] for i in order], na.dtype)
-            na.grad = buf.transpose(np.argsort(order))
+            na.grad = np.zeros(na.shape, na.dtype)
         na.grad[key] += g
 
     return _make(a.data[key], (na,), back)
 
 
-def gather(table, idx, axis=0):
-    """Differentiable lookup: entries of ``table`` along ``axis`` at ``idx``.
+def gather(table, idx):
+    """Differentiable lookup: the rows (entries along axis 0) of ``table``
+    at ``idx``.
 
     The backward adds every gradient element into the table entry it was
     read from with one ``np.bincount`` over the flat entry indices, so a
@@ -570,13 +555,13 @@ def gather(table, idx, axis=0):
     table's dtype.
     """
     idx = np.asarray(idx)
-    out = np.take(table.data, idx, axis=axis)
+    out = np.take(table.data, idx, axis=0)
     nt = table.node
 
     def back(g):
         size, shape = math.prod(nt.shape), nt.shape
         # the flat table entry each output element was read from
-        dest = np.take(np.arange(size).reshape(shape), idx, axis=axis)
+        dest = np.take(np.arange(size).reshape(shape), idx, axis=0)
         gt = np.bincount(dest.reshape(-1), weights=g.reshape(-1).astype(np.float64),
                          minlength=size)
         _accumulate(nt, gt.reshape(shape).astype(nt.dtype))

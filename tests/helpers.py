@@ -1,6 +1,7 @@
-"""Shared test harnesses: the finite-difference gradient checker, graph
-walks (the nodes, the bytes a graph keeps alive, and the backward sweep that
-keeps the graph for tests that sweep it again), causality sweeps,
+"""Shared test harnesses: the finite-difference gradient checker and the
+``sum_all`` loss it checks through, graph walks (the nodes, the bytes a
+graph keeps alive, and the backward sweep that keeps the graph for tests
+that sweep it again), causality sweeps,
 analyzer gradient oracles, bool-matrix analyzer references and the bool
 form of the analyzer's packed rows, the full-recompute reference sampler,
 the one-slice-per-call evaluator, and the reference and single-slice forms
@@ -59,6 +60,17 @@ def grad_check(fn, inputs, eps=1e-3, max_entries=None, seed=0):
             rel = abs(ana - num) / max(1.0, abs(ana), abs(num))
             worst = max(worst, rel)
     return worst
+
+
+def sum_all(a):
+    """The sum of every entry of ``a``, one graph node: the scalar loss of
+    the gradient checks."""
+    na = a.node
+
+    def back(g):
+        tc._accumulate(na, np.broadcast_to(g, na.shape).astype(na.dtype))
+
+    return tc._make(a.data.sum(), (na,), back)
 
 
 def graph_nodes(t):
@@ -417,11 +429,11 @@ def einsum_conv_kernel_grad(x, g, taps, stride, pad):
     return np.einsum("bpi,bpo->io", patches, g.reshape(B, -1, g.shape[-1]))
 
 
-def add_at_gather_grad(table, idx, g, axis):
+def add_at_gather_grad(table, idx, g):
     """Table gradient of ``tensor.gather`` in the ``np.add.at`` form: the
     reference for its ``np.bincount`` backward."""
     gt = np.zeros_like(table)
-    np.add.at(gt, (slice(None),) * axis + (np.asarray(idx),), g)
+    np.add.at(gt, np.asarray(idx), g)
     return gt
 
 
@@ -443,18 +455,18 @@ def batched_matmul(a, b):
     return tc._make(out, (na, nb), back)
 
 
-def two_temporary_softmax(a, axis=-1, bias=None):
+def two_temporary_softmax(a, bias=None):
     """``tensor.softmax`` with one new array for the sum with ``bias``, one
     for the exponentials and one for the quotient, and no flush of subnormal
     values: the reference for the in-place, flushing form."""
     x = a.data if bias is None else a.data + bias.data
-    m = x.max(axis=axis, keepdims=True)
+    m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     na, nbias = a.node, None if bias is None else bias.node
 
     def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         r = y * (g - dot)
         if nbias is not None:
             tc._accumulate(nbias, tc._unbroadcast(r, nbias.shape))
@@ -488,24 +500,24 @@ def is_subnormal(x):
     return (x != 0) & (np.abs(x) < np.finfo(x.dtype).tiny)
 
 
-def out_of_place_normalize(x, eps):
+def out_of_place_normalize(x):
     """(xhat, 1/std) over the last axis, each step a new array: the
     reference for the in-place normalisation of ``tensor.layernorm``."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(tc.LN_EPS, dtype=x.dtype))
     return xc * inv, inv
 
 
-def out_of_place_layernorm_array(x, gain, bias, eps=1e-6):
+def out_of_place_layernorm_array(x, gain, bias):
     """The reference for ``tensor.layernorm_array``."""
-    return out_of_place_normalize(x, eps)[0] * gain + bias
+    return out_of_place_normalize(x)[0] * gain + bias
 
 
-def out_of_place_layernorm(a, gain, bias, eps=1e-6):
+def out_of_place_layernorm(a, gain, bias):
     """The reference for ``tensor.layernorm``."""
-    xhat, inv = out_of_place_normalize(a.data, eps)
+    xhat, inv = out_of_place_normalize(a.data)
     out = xhat * gain.data + bias.data
     na, ngain, nbias, gv = a.node, gain.node, bias.node, gain.data
 
@@ -577,11 +589,14 @@ def relative_bias_indices(bs):
 
 def gathered_relative_bias_matrix(bs, table_t, table_h, table_w, mask=None):
     """``attention.relative_bias_matrix`` as three (n_heads, n_p, n_p)
-    ``tc.gather`` nodes, two ``tc.add`` nodes and, with ``mask``, a third
-    ``tc.add`` of the additive mask: its reference."""
+    ``tc.gather`` nodes (each of the rows of a transposed table), two
+    ``tc.add`` nodes and, with ``mask``, a third ``tc.add`` of the additive
+    mask: its reference."""
+    def gathered(table, idx):
+        return tc.transpose(tc.gather(tc.transpose(table, (1, 0)), idx), (2, 0, 1))
+
     it, ih, iw = relative_bias_indices(bs)
-    bias = tc.add(tc.add(tc.gather(table_t, it, axis=1), tc.gather(table_h, ih, axis=1)),
-                  tc.gather(table_w, iw, axis=1))
+    bias = tc.add(tc.add(gathered(table_t, it), gathered(table_h, ih)), gathered(table_w, iw))
     if mask is not None:
         bias = tc.add(bias, Tensor(np.where(mask, 0.0, MASK_NEG).astype(bias.dtype)))
     return bias
@@ -595,13 +610,12 @@ def post_scaled_block_attention(z, w_qkv, bias, n_heads, d_head, record=None):
     G, n_p, d = z.data.shape
     qkv = tc.matmul(z, w_qkv)
     qkv = tc.reshape(qkv, (G, n_p, 3, n_heads, d_head))
-    qkv = tc.transpose(qkv, (2, 0, 3, 1, 4))
-    q, k, v = (tc.index(qkv, i) for i in range(3))
+    q, k, v = (tc.transpose(tc.index(qkv, np.s_[:, :, i]), (0, 2, 1, 3)) for i in range(3))
     if record is not None:
         record.append((np.array(k.data), np.array(v.data), bias.data))
     scores = unflushed_scale(batched_matmul(q, tc.transpose(k, (0, 1, 3, 2))),
                              1.0 / np.sqrt(d_head))
-    att = tc.softmax(tc.add(scores, bias), axis=-1)
+    att = tc.softmax(tc.add(scores, bias))
     out = tc.transpose(batched_matmul(att, v), (0, 2, 1, 3))
     return tc.reshape(out, (G, n_p, n_heads * d_head))
 
@@ -719,6 +733,21 @@ def reference_sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
                         byte = round(float(x.data[0, 0, 0]) * 255.0)
                         chans[t, h, w] = M.split_channels(np.array([byte], dtype=np.uint8))
     return chans
+
+
+def clamped_baseline(videos, prime_frames):
+    """``metrics.copy_last_frame_baseline`` with its own clamped binary
+    cross-entropy formula in place of ``tc.binary_cross_entropy``: its
+    reference."""
+    total = 0.0
+    frames = 0
+    for v in videos:
+        z = v.astype(np.float64) / 255.0
+        for t in range(max(prime_frames, 1), v.shape[0]):
+            y = np.clip(z[t - 1], 1e-7, 1.0 - 1e-7)
+            total += -(z[t] * np.log(y) + (1.0 - z[t]) * np.log(1.0 - y)).sum()
+            frames += 1
+    return float(total / frames)
 
 
 def reference_evaluate(params, cfg, videos, prime_frames):

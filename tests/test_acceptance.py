@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (causality_sweep, grad_check, gradient_reachability, reach_matrix,
-                     tiny_config)
+                     sum_all, tiny_config)
 from svt import metrics, model as M, optim as O, tensor as tc
 from svt.attention import AttentionLayerSpec, BlockShape, attention_layer
 from svt.connectivity import (dependency_graph, find_blind_spots,
@@ -73,23 +73,23 @@ class TestAcceptance:
             hot = Tensor(tc.one_hot(np.array([1, 3]), 4, dtype=np.float64),
                          requires_grad=True)
             checks = {
-                "matmul": (lambda a: tc.sum_all(tc.matmul(a, w35)), [x]),
-                "add": (lambda a, c: tc.sum_all(tc.mul(tc.add(a, c), w34)), [x, y]),
-                "mul": (lambda a, c: tc.sum_all(tc.mul(tc.mul(a, c), w34)), [x, y]),
-                "relu": (lambda a: tc.sum_all(tc.mul(tc.relu(a), w34)), [x]),
-                "sigmoid": (lambda a: tc.sum_all(tc.mul(tc.sigmoid(a), w34)), [x]),
-                "sum_all": (lambda a: tc.sum_all(a), [x]),
-                "softmax": (lambda a: tc.sum_all(tc.mul(tc.softmax(a, -1), w34)), [x]),
-                "layernorm": (lambda a, gg, bb: tc.sum_all(tc.mul(tc.layernorm(a, gg, bb), w34)), [x, g, b]),
-                "reshape": (lambda a: tc.sum_all(tc.mul(tc.reshape(a, (4, 3)), w43)), [x]),
-                "transpose": (lambda a: tc.sum_all(tc.mul(tc.transpose(a, (1, 0)), w43)), [x]),
-                "concat": (lambda a, c: tc.sum_all(tc.mul(tc.concat([a, c], -1), w38)), [x, y]),
-                "index": (lambda a: tc.sum_all(tc.mul(tc.index(a, (..., slice(1, 3))), w32)), [x]),
-                "gather": (lambda a: tc.sum_all(tc.mul(tc.gather(a, idx), wg)), [x]),
+                "matmul": (lambda a: sum_all(tc.matmul(a, w35)), [x]),
+                "add": (lambda a, c: sum_all(tc.mul(tc.add(a, c), w34)), [x, y]),
+                "mul": (lambda a, c: sum_all(tc.mul(tc.mul(a, c), w34)), [x, y]),
+                "relu": (lambda a: sum_all(tc.mul(tc.relu(a), w34)), [x]),
+                "sigmoid": (lambda a: sum_all(tc.mul(tc.sigmoid(a), w34)), [x]),
+                "sum_all": (lambda a: sum_all(a), [x]),
+                "softmax": (lambda a: sum_all(tc.mul(tc.softmax(a), w34)), [x]),
+                "layernorm": (lambda a, gg, bb: sum_all(tc.mul(tc.layernorm(a, gg, bb), w34)), [x, g, b]),
+                "reshape": (lambda a: sum_all(tc.mul(tc.reshape(a, (4, 3)), w43)), [x]),
+                "transpose": (lambda a: sum_all(tc.mul(tc.transpose(a, (1, 0)), w43)), [x]),
+                "concat": (lambda a, c: sum_all(tc.mul(tc.concat([a, c], -1), w38)), [x, y]),
+                "index": (lambda a: sum_all(tc.mul(tc.index(a, (..., slice(1, 3))), w32)), [x]),
+                "gather": (lambda a: sum_all(tc.mul(tc.gather(a, idx), wg)), [x]),
                 "cross_entropy": (lambda a: tc.cross_entropy(a, targets, [0.5, 0.0, 2.0]), [x]),
                 "binary_cross_entropy": (lambda a: tc.binary_cross_entropy(
                     a, z34, np.abs(w34.data)), [pred]),
-                "one_hot_leaf": (lambda a: tc.sum_all(tc.mul(tc.matmul(a, w35), w25)), [hot]),
+                "one_hot_leaf": (lambda a: sum_all(tc.mul(tc.matmul(a, w35), w25)), [hot]),
             }
             for name, (fn, inputs) in checks.items():
                 worst[name] = grad_check(fn, inputs)
@@ -114,14 +114,14 @@ class TestAcceptance:
             bc = t64(rng, 3)
             wc = Tensor(rng.standard_normal((1, 2, 2, 2, 3)), dtype=np.float64)
             worst["conv3d"] = grad_check(
-                lambda a, k, bb: tc.sum_all(tc.mul(tc.conv3d(
+                lambda a, k, bb: sum_all(tc.mul(tc.conv3d(
                     a, k, bb, (2, 2, 2), (2, 2, 2), (1, 0, -1), (2, 2, 2)), wc)),
                 [xc, kc, bc])
             n_taps = len(tc.masked_taps((3, 3, 3)))
             km = t64(rng, n_taps * 2, 3)
             wm = Tensor(rng.standard_normal((1, 3, 4, 4, 3)), dtype=np.float64)
             worst["masked_conv3d"] = grad_check(
-                lambda a, k, bb: tc.sum_all(tc.mul(tc.masked_conv3d(a, k, bb, (3, 3, 3)), wm)),
+                lambda a, k, bb: sum_all(tc.mul(tc.masked_conv3d(a, k, bb, (3, 3, 3)), wm)),
                 [xc, km, bc])
 
             # strided index (slice extraction path)
@@ -129,7 +129,7 @@ class TestAcceptance:
             wv = Tensor(rng.standard_normal((2, 2, 2, 2)), dtype=np.float64)
             key = slice_key(SubscaleFactor(2, 2, 2), (0, 1, 0))
             worst["index_slice"] = grad_check(
-                lambda a: tc.sum_all(tc.mul(tc.index(a, key), wv)), [vol])
+                lambda a: sum_all(tc.mul(tc.index(a, key), wv)), [vol])
 
             # attention layer on a 2x2x2 block
             spec = AttentionLayerSpec(BlockShape(2, 2, 2), 2, 3)
@@ -142,7 +142,7 @@ class TestAcceptance:
             wa = Tensor(rng.standard_normal((1, 2, 2, 2, 4)), dtype=np.float64)
             names = sorted(lp)
             worst["attention_layer"] = grad_check(
-                lambda a, *ps: tc.sum_all(tc.mul(attention_layer(
+                lambda a, *ps: sum_all(tc.mul(attention_layer(
                     a, dict(zip(names, ps)), spec, causal=True), wa)),
                 [xa] + [lp[n] for n in names])
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (block_coordinates, gathered_relative_bias_matrix, grad_check,
-                     relative_bias, relative_bias_indices)
+                     relative_bias, relative_bias_indices, sum_all)
 from svt import cli
 from svt import tensor as tc
 from svt.attention import (MASK_NEG, AttentionLayerSpec, BlockShape, attention_layer,
@@ -198,7 +198,7 @@ class TestRelativeBiasNode:
         # masked entries sit at MASK_NEG, so weigh only the allowed pairs
         allowed = Tensor(np.broadcast_to(causal_mask(bs) if masked else True,
                                          w.data.shape).astype(np.float64))
-        err = grad_check(lambda *t: tc.sum_all(tc.mul(tc.mul(
+        err = grad_check(lambda *t: sum_all(tc.mul(tc.mul(
             relative_bias_matrix(bs, *t, mask), w), allowed)), tables)
         assert err < 1e-4
 
@@ -333,7 +333,7 @@ class TestAttentionLayer:
         names = sorted(params)
         def fn(x, *ps):
             p = dict(zip(names, ps))
-            return tc.sum_all(tc.mul(attention_layer(x, p, spec, causal=True), w))
+            return sum_all(tc.mul(attention_layer(x, p, spec, causal=True), w))
         err = grad_check(fn, [x] + [params[n] for n in names])
         assert err < 1e-4
 
@@ -393,7 +393,7 @@ class TestAttentionLayer:
                 for i in order:
                     y = attention_layer(y, params[i], specs[i], causal=True)
                 flat = tc.reshape(y, (P, 4))
-                tc.backward(tc.sum_all(tc.index(flat, p)))
+                tc.backward(sum_all(tc.index(flat, p)))
                 touched = np.nonzero(np.abs(x.grad[0]).sum(-1).reshape(P))[0]
                 assert all(q <= p for q in touched)
 

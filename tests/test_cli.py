@@ -522,6 +522,34 @@ class TestCommands:
         assert r.stdout == cli.dump_config(cli.load_config(config))
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, key, value", [
+        ("train", "--steps", "steps", "7"), ("eval", "--prime", "prime_frames", "2"),
+        ("sample", "--prime-frames", "prime_frames", "2"),
+        ("sample", "--temperature", "temperature", "0.5"),
+        ("sample", "--seed", "sample_seed", "3"), ("sample", "--count", "sample_count", "4")])
+    def test_dump_config_echoes_override_flags(self, tiny_setup, capsys, command, flag, key,
+                                               value):
+        """The echo is the config the command runs with: each override flag
+        replaces its key's line, and nothing else changes."""
+        tmp, config, data = tiny_setup
+        extra = {"train": ["--data", data, "--out-ckpt", tmp / "m.ckpt"],
+                 "eval": ["--ckpt", tmp / "m.ckpt", "--data", data],
+                 "sample": ["--ckpt", tmp / "m.ckpt", "--prime-video", data,
+                            "--out", tmp / "s.svt"]}[command]
+        argv = [command, "--config", config, *extra, flag, value, "--dump-config"]
+        assert cli.main([str(a) for a in argv]) == 0
+        echoed = capsys.readouterr().out
+        conf = cli.load_config(config)
+        assert f"{key} = {value}\n" in echoed and str(conf[key]) != value
+        assert echoed == cli.dump_config({**conf, key: SCHEMA[key][0](value)})
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_dump_config_without_flags_is_the_file(self, tmp_path, capsys, config):
+        assert cli.main(["sample", "--config", str(config), "--ckpt", "x.ckpt",
+                         "--prime-video", "x.svt", "--out", str(tmp_path / "s.svt"),
+                         "--dump-config"]) == 0
+        assert capsys.readouterr().out == cli.dump_config(cli.load_config(config))
+
     def test_help_lists_flags(self):
         r = run_cli("sample", "--help")
         assert r.returncode == 0

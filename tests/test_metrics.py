@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_evaluate, tiny_config
+from helpers import clamped_baseline, reference_evaluate, tiny_config
 from svt import metrics, model as M, tensor as tc
 from svt.subscale import extract_slice, slice_order
 from svt.tensor import ConfigError
@@ -71,6 +71,20 @@ class TestBaseline:
         a = metrics.copy_last_frame_baseline(videos, 1)
         b = metrics.copy_last_frame_baseline(gen_sprites(4, 8, 8, 3, channels=1, seed=8), 1)
         assert a == b
+
+    @pytest.mark.parametrize("prime", [0, 1, 2])
+    def test_equals_clamped_formula(self, prime):
+        """Scored by ``tc.binary_cross_entropy``, the baseline equals the
+        clamped formula it replaced bit for bit, on random videos (every
+        intensity, 0 and 255 among them, which the clamp holds) and on
+        sprites."""
+        from svt.data import gen_sprites
+        rng = np.random.default_rng(prime)
+        videos = [rng.integers(0, 256, (6, 8, 8, 1)).astype(np.uint8) for _ in range(3)]
+        videos[0][:, 0, 0, 0] = [0, 255, 255, 0, 0, 255]
+        videos += gen_sprites(4, 16, 16, 5, channels=1, seed=3)
+        for batch in (videos[:1], videos[3:], videos):
+            assert metrics.copy_last_frame_baseline(batch, prime) == clamped_baseline(batch, prime)
 
 
 class TestEvaluate:

@@ -14,7 +14,7 @@ import helpers
 from helpers import (REFERENCE_ATTENTION, REFERENCE_OPS, clear_graph_grads, decode_slice,
                      encode_slice, entry_bytes, grad_check, graph_bytes, is_subnormal,
                      predict_channels, reference_backward, reference_sample_slice, seal,
-                     tiny_config, two_temporary_softmax)
+                     sum_all, tiny_config, two_temporary_softmax)
 from svt import attention, cli, data, metrics, optim, sampler
 from svt import model as M
 from svt import tensor as tc
@@ -312,6 +312,31 @@ class TestBuildVariant:
         frame = M.build_variant("single_frame", (4, 8, 8), s=(0, 0, 0), kernel=(0, 0, 0))
         assert frame.s == (4, 1, 1) and frame.kernel == (6, 1, 1)
 
+    def test_numpy_integers_record_as_python_ints(self):
+        """A config built from numpy integers equals, and records as, the
+        one built from Python ints, so ``load_trained`` accepts either's
+        checkpoint under the other."""
+        kwargs = dict(d=8, n_heads=1, d_head=8, layers=1)
+        from_numpy = M.build_variant("spatiotemporal", tuple(np.array([4, 16, 16])),
+                                     s=(np.int64(2), 2, 2), d_e=np.int32(8),
+                                     kernel=(np.int64(3), 3, 3), mconv=np.array([3, 3, 3]),
+                                     enc_blocks=[tuple(np.array([2, 8, 8]))], **kwargs)
+        plain = M.build_variant("spatiotemporal", (4, 16, 16), s=(2, 2, 2), d_e=8,
+                                kernel=(3, 3, 3), mconv=(3, 3, 3), enc_blocks=[(2, 8, 8)],
+                                **kwargs)
+        assert from_numpy == plain
+        assert M.model_record(from_numpy).tobytes() == M.model_record(plain).tobytes()
+
+    @pytest.mark.parametrize("bad", [dict(video_shape=(4.5, 16, 16)), dict(s=(2.0, 2, 2)),
+                                     dict(kernel=(3, 3.5, 3)), dict(d_e=8.0),
+                                     dict(enc_blocks=[(2, 8, 8.0)]), dict(mconv=(3, "3", 3))])
+    def test_non_integer_is_rejected_not_truncated(self, bad):
+        kwargs = dict(video_shape=(4, 16, 16)) | bad
+        with pytest.raises(ConfigError, match="must be integers"):
+            M.build_variant("spatiotemporal", **kwargs)
+        with pytest.raises(ConfigError, match="subscale factor must be integers"):
+            SubscaleFactor(np.float64(2), 2, 2)
+
     def test_first_slice_decoder_needs_layers(self):
         with pytest.raises(ConfigError, match="first_slice_layers"):
             M.build_variant("spatiotemporal", (4, 16, 16), first_slice_decoder=True,
@@ -344,7 +369,7 @@ class TestSingleFrameVariant:
         for a in range(4):
             leaf = Tensor(M.video_onehot(cfg, video), requires_grad=True)
             z = M.encode_slices(ps, cfg, [leaf], [(a, 0, 0)])
-            tc.backward(tc.sum_all(z))
+            tc.backward(sum_all(z))
             touched = np.nonzero(np.abs(leaf.grad).sum(axis=(1, 2, 3, 4)))[0]
             expect = [t for t in range(4) if a - 3 <= t <= a - 1]
             assert touched.tolist() == expect
@@ -750,8 +775,8 @@ class TestReferenceOps:
         conf, cfg, params, videos = self.desk(self.SHARP)
         counts = []
 
-        def counted_softmax(a, axis=-1, bias=None):
-            y = two_temporary_softmax(a, axis, bias)
+        def counted_softmax(a, bias=None):
+            y = two_temporary_softmax(a, bias)
             counts.append(int(is_subnormal(y.data).sum()))
             return y
 
@@ -836,8 +861,8 @@ class TestTrainingGraph:
         onehot_ids, held = [], []
         softmax, conv3d = tc.softmax, tc.conv3d
 
-        def watched_softmax(a, axis=-1, bias=None):
-            out = softmax(a, axis, bias)
+        def watched_softmax(a, bias=None):
+            out = softmax(a, bias)
             refs["scores"].append(weakref.ref(a.data))
             refs["weights"].append(weakref.ref(out.data))
             held.extend([a, out] if keep else [])

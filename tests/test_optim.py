@@ -282,12 +282,12 @@ class TestTrainLoop:
 
     def test_malformed_resume_checkpoint(self, tmp_path):
         """Seeded fuzz: deleting, reshaping or retyping a parameter, opt/acc,
-        opt/mom, meta/step or meta/stop_window entry, or a step that is not
-        one int64 >= 0, loads to the saved state or raises
-        ConfigError/DataError (entry names and shapes: config; an entry
-        that is not float32, the step's type and value, and a window that
-        is not 1-D float32: data).  A checkpoint without a window resumes
-        with an empty one."""
+        opt/mom, meta/step or meta/stop_window entry, deleting every
+        optimizer entry, or a step that is not one int64 >= 0, loads to the
+        saved state or raises ConfigError/DataError (entry names and shapes:
+        config; an entry that is not float32, a missing step or window, the
+        step's type and value, and a window that is not 1-D float32: data).
+        No entry falls back to a default."""
         cfg = tiny_config()
         params = M.init_params(cfg, head_init="normal")
         path = tmp_path / "t.ckpt"
@@ -295,13 +295,13 @@ class TestTrainLoop:
         good = M.load_checkpoint(path)
         assert good["meta/step"].dtype == np.int64
         rng = np.random.default_rng(0)
-        cases = [("meta/step", None, None), ("meta/step", np.array([[3]]), None),
+        cases = [("meta/step", None, DataError), ("meta/step", np.array([[3]]), None),
                  ("meta/step", np.array([3, 3]), DataError),
                  ("meta/step", np.array([-1]), DataError)]
         cases += [("meta/step", np.array([v], dtype=np.float32), DataError)
                   for v in (np.nan, np.inf, -np.inf, -1.0, -0.5, 2.5, 2.0 ** 24, 3.0)]
         cases += [("meta/step", np.array([[3.0]], dtype=np.float32), DataError)]
-        cases += [("meta/stop_window", None, None),
+        cases += [("meta/stop_window", None, DataError),
                   ("meta/stop_window", np.array([[[0.5], [0.25]]], dtype=np.float32), DataError),
                   ("meta/stop_window", np.array([[0.5]], dtype=np.float32), DataError),
                   ("meta/stop_window", np.array([1]), DataError)]
@@ -313,10 +313,12 @@ class TestTrainLoop:
                           (prefix + name, flat, None if flat.shape == entry.shape else ConfigError),
                           (prefix + name, np.append(flat, np.float32(1.0)), ConfigError),
                           (prefix + name, entry.astype(np.int64), DataError)]
+        cases += [("opt/", None, ConfigError)]
         for key, value, expect in cases:
             arrays = dict(good)
-            if value is None:
-                del arrays[key]
+            if value is None:  # "opt/" deletes every optimizer entry
+                for n in [n for n in good if n == key or key == "opt/" and n.startswith(key)]:
+                    del arrays[n]
             else:
                 arrays[key] = value
             M.save_checkpoint(path, arrays)
@@ -326,7 +328,7 @@ class TestTrainLoop:
                 assert type(e) is expect, (key, value)
                 continue
             assert expect is None, (key, value)
-            assert step == (0 if key == "meta/step" and value is None else 3)
+            assert step == 3
             saved = {**loaded.arrays(), **opt.arrays()}
             assert sorted(saved) == sorted(n for n in good
                                            if n not in ("meta/step", "meta/model"))

@@ -1,11 +1,13 @@
 """Tensor core: forward semantics against independent oracles, and
 reverse-mode gradients against central finite differences."""
 
+import ast
 import tracemalloc
 import weakref
 import zlib
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from helpers import (add_at_conv_input_grad, add_at_gather_grad, batched_matmul,
                      einsum_conv_kernel_grad, grad_check, graph_bytes, graph_nodes,
                      masked_decoder_stack, mul_masked_conv3d, out_of_place_layernorm,
                      is_subnormal, out_of_place_layernorm_array, put_along_axis_one_hot,
-                     reference_backward, relative_bias_indices, three_exp_sigmoid,
+                     reference_backward, relative_bias_indices, sum_all, three_exp_sigmoid,
                      two_temporary_softmax, unflushed_cross_entropy, zero_filled_index)
-from svt import cli
+from svt import cli, data, optim
 from svt import model as M
 from svt import tensor as tc
 from svt.attention import MASK_NEG, BlockShape
@@ -68,23 +70,23 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform_logits(self):
-        out = tc.softmax(Tensor([0.0, 0.0, 0.0]), axis=-1)
+        out = tc.softmax(Tensor([0.0, 0.0, 0.0]))
         assert np.allclose(out.data, [1 / 3] * 3, atol=1e-7)
 
     def test_dominant_logit_is_stable(self):
-        out = tc.softmax(Tensor([1000.0, 0.0, 0.0]), axis=-1)
+        out = tc.softmax(Tensor([1000.0, 0.0, 0.0]))
         assert np.all(np.isfinite(out.data))
         assert np.allclose(out.data, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_against_exp_sum_oracle(self):
         x = np.array([1.0, 2.0, 3.0])
         expect = np.exp(x) / np.exp(x).sum()
-        got = tc.softmax(Tensor(x, dtype=np.float64), axis=-1).data
+        got = tc.softmax(Tensor(x, dtype=np.float64)).data
         assert np.abs(got - expect).max() < 1e-12
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        out = tc.softmax(Tensor(rng.standard_normal((8, 16)) * 5), axis=-1)
+        out = tc.softmax(Tensor(rng.standard_normal((8, 16)) * 5))
         assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-6
 
     @settings(max_examples=50, deadline=None)
@@ -92,8 +94,8 @@ class TestSoftmax:
            st.floats(-100, 100))
     def test_shift_invariance(self, logits, shift):
         x = np.array(logits)
-        a = tc.softmax(Tensor(x, dtype=np.float64), axis=-1).data
-        b = tc.softmax(Tensor(x + shift, dtype=np.float64), axis=-1).data
+        a = tc.softmax(Tensor(x, dtype=np.float64)).data
+        b = tc.softmax(Tensor(x + shift, dtype=np.float64)).data
         assert np.abs(a - b).max() < 1e-9
 
 
@@ -217,7 +219,7 @@ class TestMaskedConv3d:
                        requires_grad=True, dtype=np.float64)
             out = tc.masked_conv3d(x, k, b, (3, 3, 3))
             flat = tc.reshape(out, (P, 3))
-            tc.backward(tc.sum_all(tc.index(flat, p)))
+            tc.backward(sum_all(tc.index(flat, p)))
             touched = np.nonzero(np.abs(x.grad[0]).sum(axis=-1).reshape(P))[0]
             assert all(q < p for q in touched)
 
@@ -430,16 +432,16 @@ class TestConvVisible:
                       visible=np.ones((2, 2, 1), dtype=bool))
 
 
-def gather_grad(table, idx, g, axis):
-    """table.grad of ``gather(table, idx, axis)`` swept back from g."""
+def gather_grad(table, idx, g):
+    """table.grad of ``gather(table, idx)`` swept back from g."""
     t = Tensor(table, requires_grad=True)
-    tc.backward(tc.gather(t, idx, axis=axis), g)
+    tc.backward(tc.gather(t, idx), g)
     return t.grad
 
 
 class TestGatherBincount:
     """The ``np.bincount`` gather backward matches the ``np.add.at`` form
-    it replaced, on every axis."""
+    it replaced."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_axis_0_repeated_indices(self, dtype):
@@ -448,34 +450,35 @@ class TestGatherBincount:
         for idx in ([3, 3, 3, 0, 7, 3], rng.integers(0, 8, size=(4, 5)), [5]):
             idx = np.asarray(idx)
             g = rng.standard_normal(idx.shape + (32,)).astype(dtype)
-            got = gather_grad(table, idx, g, 0)
-            assert_matches_reference(got, add_at_gather_grad(table, idx, g, 0))
+            got = gather_grad(table, idx, g)
+            assert_matches_reference(got, add_at_gather_grad(table, idx, g))
             untouched = np.setdiff1d(np.arange(8), idx)
             assert not got[untouched].any()
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("block", [(2, 8, 8), (4, 4, 4), (1, 4, 4), (2, 2, 2), (4, 1, 8)])
     def test_axis_1_relative_bias(self, block, dtype):
+        """A relative-bias table's distance axis, axis 1, read as the rows of
+        the transposed table, as ``helpers.gathered_relative_bias_matrix``
+        reads it: a strided table whose every row is read many times."""
         bs = BlockShape(*block)
         rng = np.random.default_rng(int(np.prod(block)))
         for idx, extent in zip(relative_bias_indices(bs), block):
-            table = rng.standard_normal((4, 2 * extent - 1)).astype(dtype)
-            g = rng.standard_normal((4,) + idx.shape).astype(dtype)
-            assert_matches_reference(gather_grad(table, idx, g, 1),
-                                     add_at_gather_grad(table, idx, g, 1))
+            table = rng.standard_normal((4, 2 * extent - 1)).astype(dtype).T
+            g = rng.standard_normal(idx.shape + (4,)).astype(dtype)
+            assert_matches_reference(gather_grad(table, idx, g),
+                                     add_at_gather_grad(table, idx, g))
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_random_shapes(self, dtype):
         rng = np.random.default_rng(np.dtype(dtype).itemsize)
         for _ in range(30):
             shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
-            axis = int(rng.integers(0, len(shape)))
-            idx = rng.integers(0, shape[axis], size=tuple(rng.integers(1, 5, size=2)))
+            idx = rng.integers(0, shape[0], size=tuple(rng.integers(1, 5, size=2)))
             table = rng.standard_normal(shape).astype(dtype)
-            g = rng.standard_normal(
-                shape[:axis] + idx.shape + shape[axis + 1:]).astype(dtype)
-            got = gather_grad(table, idx, g, axis)
-            assert_matches_reference(got, add_at_gather_grad(table, idx, g, axis))
+            g = rng.standard_normal(idx.shape + shape[1:]).astype(dtype)
+            got = gather_grad(table, idx, g)
+            assert_matches_reference(got, add_at_gather_grad(table, idx, g))
 
 
 class TestIndexIntoGradBuffer:
@@ -489,7 +492,9 @@ class TestIndexIntoGradBuffer:
     def gradients(index, dtype, other_first):
         rng = np.random.default_rng(int(other_first))
         leaf = Tensor(rng.standard_normal((2, 5, 3, 4)), requires_grad=True, dtype=dtype)
-        parent = tc.transpose(leaf, (2, 0, 1, 3))  # (3, 2, 5, 4), as block_attention's qkv
+        # (3, 2, 5, 4), a transposed view: the buffer is C-contiguous
+        # whatever the parent's layout
+        parent = tc.transpose(leaf, (2, 0, 1, 3))
         seen = []
         sweep = parent._backward
         parent._backward = lambda g: (seen.append(g.copy()), sweep(g))
@@ -517,6 +522,49 @@ class TestIndexIntoGradBuffer:
         x.grad = np.ones((2, 3))
         tc.backward(tc.index(x, (1, slice(0, 2))), np.array([5.0, 7.0]))
         assert np.array_equal(x.grad, [[1, 1, 1], [6, 8, 1]])
+
+
+class TestIndexParents:
+    """Every ``tc.index`` whose parent needs a gradient gets a C-contiguous
+    parent in a desk training step: its backward's zero buffer, C-ordered,
+    then reaches the reshape before it as a view.  A transposed parent
+    would give the same bits through a copy, which nothing else catches."""
+
+    def test_desk_training_step(self, monkeypatch):
+        conf = cli.load_config(CONFIGS / "sprites-rgb.cfg")
+        cfg = cli.model_config_from(conf)
+        videos = data.gen_sprites(*cfg.video_shape, 2, channels=cfg.bytes_per_pixel, seed=0)
+        tcfg = cli.train_config_from(conf, SimpleNamespace(steps=1))
+        index, contiguous = tc.index, []
+
+        def recording(a, key):
+            if a.requires_grad:
+                contiguous.append(a.data.flags.c_contiguous)
+            return index(a, key)
+
+        monkeypatch.setattr(tc, "index", recording)
+        optim.train(cfg, tcfg, videos)
+        # q, k and v of every attention layer, at least
+        assert len(contiguous) >= 3 * (len(cfg.enc_schedule) + len(cfg.dec_schedule))
+        assert all(contiguous)
+
+
+def test_every_public_function_is_used_by_the_package():
+    """Static census: every public function of ``svt.tensor`` is referenced
+    from ``src/svt``, so no op that only tests use comes back; reference
+    forms that only tests use live in ``tests/helpers.py``."""
+    package = Path(tc.__file__).parent
+    defined = {node.name for node in ast.parse(Path(tc.__file__).read_text()).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+    assert len(defined) > 20 and "index" in defined
+    assert sorted(defined - used) == []
 
 
 class TestDeadGradients:
@@ -562,7 +610,7 @@ class TestGradients:
         rng = np.random.default_rng(0)
         w = Tensor(rng.standard_normal((6, 4)), dtype=np.float64)
         x = t64(rng, 3, 6)
-        err = grad_check(lambda x: tc.sum_all(tc.matmul(x, w)), [x])
+        err = grad_check(lambda x: sum_all(tc.matmul(x, w)), [x])
         assert err < 1e-8
 
     def test_softmax_nll_composite(self):
@@ -583,14 +631,14 @@ class TestGradients:
         x = t64(rng, 3, 4)
         y = t64(rng, 3, 4)
         if op == "add":
-            fn, inputs = (lambda a, b: tc.sum_all(tc.mul(tc.add(a, b), w))), [x, y]
+            fn, inputs = (lambda a, b: sum_all(tc.mul(tc.add(a, b), w))), [x, y]
         elif op == "mul":
-            fn, inputs = (lambda a, b: tc.sum_all(tc.mul(tc.mul(a, b), w))), [x, y]
+            fn, inputs = (lambda a, b: sum_all(tc.mul(tc.mul(a, b), w))), [x, y]
         elif op == "relu":
             assert np.abs(x.data).min() > 1e-3  # no input within eps of the kink
-            fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.relu(a), w))), [x]
+            fn, inputs = (lambda a: sum_all(tc.mul(tc.relu(a), w))), [x]
         elif op == "sigmoid":
-            fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.sigmoid(a), w))), [x]
+            fn, inputs = (lambda a: sum_all(tc.mul(tc.sigmoid(a), w))), [x]
         elif op == "cross_entropy":
             targets = rng.integers(0, 4, size=3)
             fn, inputs = (lambda a: tc.cross_entropy(a, targets, [0.5, 0.0, 2.0])), [x]
@@ -602,34 +650,34 @@ class TestGradients:
             fn, inputs = (lambda a: tc.binary_cross_entropy(a, z, np.abs(w.data))), [pred]
         elif op == "concat":
             wc = Tensor(rng.standard_normal((3, 8)), dtype=np.float64)
-            fn, inputs = (lambda a, b: tc.sum_all(tc.mul(tc.concat([a, b], -1), wc))), [x, y]
+            fn, inputs = (lambda a, b: sum_all(tc.mul(tc.concat([a, b], -1), wc))), [x, y]
         elif op == "index_int":
             wi = Tensor(rng.standard_normal(4), dtype=np.float64)
-            fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.index(a, 1), wi))), [x]
+            fn, inputs = (lambda a: sum_all(tc.mul(tc.index(a, 1), wi))), [x]
         elif op == "index_strided":
             vol = t64(rng, 4, 4, 4, 2)
             wv = Tensor(rng.standard_normal((2, 2, 2, 2)), dtype=np.float64)
             key = (slice(0, None, 2), slice(1, None, 2), slice(0, None, 2))
-            fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.index(a, key), wv))), [vol]
+            fn, inputs = (lambda a: sum_all(tc.mul(tc.index(a, key), wv))), [vol]
         elif op == "index_ellipsis":
             wn = Tensor(rng.standard_normal((3, 2)), dtype=np.float64)
-            fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.index(a, (..., slice(1, 3))), wn))), [x]
+            fn, inputs = (lambda a: sum_all(tc.mul(tc.index(a, (..., slice(1, 3))), wn))), [x]
         elif op == "transpose":
             wt = Tensor(rng.standard_normal((4, 3)), dtype=np.float64)
-            fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.transpose(a, (1, 0)), wt))), [x]
+            fn, inputs = (lambda a: sum_all(tc.mul(tc.transpose(a, (1, 0)), wt))), [x]
         elif op == "reshape":
             wr = Tensor(rng.standard_normal((2, 6)), dtype=np.float64)
-            fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.reshape(a, (2, 6)), wr))), [x]
+            fn, inputs = (lambda a: sum_all(tc.mul(tc.reshape(a, (2, 6)), wr))), [x]
         elif op == "softmax":
-            fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.softmax(a, -1), w))), [x]
+            fn, inputs = (lambda a: sum_all(tc.mul(tc.softmax(a), w))), [x]
         elif op == "layernorm":
             g = t64(rng, 4)
             b = t64(rng, 4)
-            fn, inputs = (lambda a, g, b: tc.sum_all(tc.mul(tc.layernorm(a, g, b), w))), [x, g, b]
+            fn, inputs = (lambda a, g, b: sum_all(tc.mul(tc.layernorm(a, g, b), w))), [x, g, b]
         elif op == "gather":
             idx = rng.integers(0, 3, size=(5,))
             wg = Tensor(rng.standard_normal((5, 4)), dtype=np.float64)
-            fn, inputs = (lambda a: tc.sum_all(tc.mul(tc.gather(a, idx), wg))), [x]
+            fn, inputs = (lambda a: sum_all(tc.mul(tc.gather(a, idx), wg))), [x]
         assert grad_check(fn, inputs) < 1e-4
 
     @pytest.mark.parametrize("bias_grad", [True, False])
@@ -639,11 +687,11 @@ class TestGradients:
         rng = np.random.default_rng(9 + bias_grad)
         x = t64(rng, 3, 2, 4, 5)
         bias = t64(rng, 2, 4, 5)
-        bias.requires_grad = bias_grad
+        bias = Tensor(bias.data, requires_grad=bias_grad)
         w = Tensor(rng.standard_normal((3, 2, 4, 5)), dtype=np.float64)
 
         def loss(a, b):
-            return tc.sum_all(tc.mul(tc.softmax(a, -1, bias=b), w))
+            return sum_all(tc.mul(tc.softmax(a, bias=b), w))
 
         if bias_grad:
             assert grad_check(loss, [x, bias]) < 1e-4
@@ -658,7 +706,7 @@ class TestGradients:
         b = t64(rng, 3)
         w = Tensor(rng.standard_normal((1, 2, 2, 2, 3)), dtype=np.float64)
         err = grad_check(
-            lambda x, k, b: tc.sum_all(tc.mul(tc.conv3d(
+            lambda x, k, b: sum_all(tc.mul(tc.conv3d(
                 x, k, b, (2, 2, 2), (2, 2, 2), (1, 0, -1), (2, 2, 2)), w)),
             [x, k, b])
         assert err < 1e-4
@@ -666,7 +714,7 @@ class TestGradients:
         km = t64(rng, n_taps * 2, 3)
         wm = Tensor(rng.standard_normal((1, 3, 4, 4, 3)), dtype=np.float64)
         err = grad_check(
-            lambda x, k, b: tc.sum_all(tc.mul(tc.masked_conv3d(x, k, b, (3, 3, 3)), wm)),
+            lambda x, k, b: sum_all(tc.mul(tc.masked_conv3d(x, k, b, (3, 3, 3)), wm)),
             [x, km, b])
         assert err < 1e-4
 
@@ -677,13 +725,13 @@ class TestGraphMechanics:
         x = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
         y = tc.add(x, x)
         z = tc.add(y, y)
-        tc.backward(tc.sum_all(z))
+        tc.backward(sum_all(z))
         assert x.grad[0] == 4.0  # (x+x)+(x+x): d/dx = 4, each node visited once
 
     def test_gradient_shape_matches_value(self):
         rng = np.random.default_rng(2)
         x = t64(rng, 3, 5)
-        tc.backward(tc.sum_all(tc.relu(x)))
+        tc.backward(sum_all(tc.relu(x)))
         assert x.grad.shape == x.data.shape
 
     def test_backward_frees_intermediate_grads(self):
@@ -693,7 +741,7 @@ class TestGraphMechanics:
         x, w = t64(rng, 3, 4), t64(rng, 4, 2)
         y = tc.matmul(x, w)
         z = tc.add(tc.relu(y), y)
-        loss = tc.sum_all(tc.mul(z, z))
+        loss = sum_all(tc.mul(z, z))
         tc.backward(loss)
         assert all(n.grad is None for n in graph_nodes(loss) if n.backward is not None)
         gy = 2 * z.data * ((y.data > 0) + 1.0)
@@ -705,6 +753,12 @@ class TestGraphMechanics:
         with tc.no_grad():
             y = tc.add(x, x)
         assert y._backward is None and not y.requires_grad
+
+    def test_requires_grad_is_read_only(self):
+        x = Tensor(np.ones(3))
+        with pytest.raises(AttributeError):
+            x.requires_grad = True
+        assert x.node is None
 
 
 class TestBackwardConsumesGraph:
@@ -718,7 +772,7 @@ class TestBackwardConsumesGraph:
     def graph(rng):
         x, w = t64(rng, 3, 4), t64(rng, 4, 2)
         y = tc.matmul(x, w)
-        return x, w, y, tc.sum_all(tc.mul(tc.relu(y), y))
+        return x, w, y, sum_all(tc.mul(tc.relu(y), y))
 
     def test_swept_graph_keeps_only_leaf_gradients(self):
         x, w, _, loss = self.graph(np.random.default_rng(0))
@@ -742,7 +796,7 @@ class TestBackwardConsumesGraph:
         tc.backward(loss)
         tc.zero_grads([x, w])
         with pytest.raises(RuntimeError, match="earlier backward consumed"):
-            tc.backward(tc.sum_all(tc.mul(y, 2.0)))
+            tc.backward(sum_all(tc.mul(y, 2.0)))
         assert x.grad is None and w.grad is None
 
     def test_reference_sweep_matches_first_sweep(self):
@@ -771,7 +825,7 @@ GRAPH_CASES = {
     "mul_factor": ((2, 3, 4), lambda m, c, p: tc.mul(m, p((3, 4))), "input"),
     "relu": ((2, 3, 4), lambda m, c, p: tc.relu(tc.add(m, -2.0)), "output"),
     "sigmoid": ((2, 3, 4), lambda m, c, p: tc.sigmoid(m), "output"),
-    "sum_all": ((2, 3, 4), lambda m, c, p: tc.sum_all(m), "none"),
+    "sum_all": ((2, 3, 4), lambda m, c, p: sum_all(m), "none"),
     "matmul_weight_constant": ((2, 3, 4), lambda m, c, p: tc.matmul(m, c((4, 5))), "none"),
     "matmul_weight_leaf": ((2, 3, 4), lambda m, c, p: tc.matmul(m, p((4, 5))), "input"),
     "matmul_batched_a": ((2, 3, 4), lambda m, c, p: tc.matmul(m, c((2, 4, 5))), "none"),
@@ -785,7 +839,7 @@ GRAPH_CASES = {
     "layernorm": ((2, 3, 4), lambda m, c, p: tc.layernorm(m, p((4,)), p((4,))), "none"),
     "reshape": ((2, 3, 4), lambda m, c, p: tc.reshape(m, (6, 4)), "none"),
     "transpose": ((2, 3, 4), lambda m, c, p: tc.transpose(m, (2, 0, 1)), "none"),
-    "concat": ((2, 3, 4), lambda m, c, p: tc.concat([m, c((2, 3, 2))], axis=-1), "none"),
+    "concat": ((2, 3, 4), lambda m, c, p: tc.concat([m, c((2, 3, 2))]), "none"),
     "index": ((2, 3, 4), lambda m, c, p: tc.index(m, (1, slice(0, 2))), "none"),
     "gather": ((5, 4), lambda m, c, p: tc.gather(m, np.array([[0, 4], [4, 2]])), "none"),
     "conv3d": ((1, 3, 4, 4, 2), lambda m, c, p: tc.conv3d(
@@ -822,7 +876,7 @@ class TestGraphKeepsWhatBackwardReads:
             refs = {"input": weakref.ref(m.data), "output": weakref.ref(out.data)}
             if keep:
                 held.append((m, out))
-            return tc.sum_all(tc.mul(out, c(out.data.shape))), refs
+            return sum_all(tc.mul(out, c(out.data.shape))), refs
 
         loss, refs = build()
         alive = {k: r() is not None for k, r in refs.items()}
@@ -844,7 +898,7 @@ class TestGraphKeepsWhatBackwardReads:
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = rng.standard_normal((4, 5)).astype(np.float32)
         y = tc.matmul(x, Tensor(w))  # keeps w, not x
-        loss = tc.sum_all(tc.add(tc.mul(y, Tensor(w[0])), tc.mul(y, Tensor(w[1]))))
+        loss = sum_all(tc.add(tc.mul(y, Tensor(w[0])), tc.mul(y, Tensor(w[1]))))
         assert graph_bytes(loss) == w.nbytes  # w[0] and w[1] are views of w
         tc.backward(loss)
         assert graph_bytes(loss) == x.data.nbytes  # only the leaf's gradient
@@ -898,7 +952,7 @@ def weight_product_layouts(config, train):
 
     with pytest.MonkeyPatch.context() as mp, tc.no_grad():
         mp.setattr(tc, "matmul", record)
-        mp.setattr(tc, "softmax", lambda a, axis=-1, bias=None: a)
+        mp.setattr(tc, "softmax", lambda a, bias=None: a)
         mp.setattr(tc, "layernorm", lambda a, gain, bias: a)
         for idxs in batches:
             M.forward_slices(params, cfg, [video] * len(idxs), idxs, prime_frames=1)
@@ -990,12 +1044,12 @@ class TestWeightGemm:
             base = t64(rng, 4, 4, 4, 2, 3)
             cut = lambda t: tc.reshape(tc.index(t, key), (1, 2, 2, 2, 6))  # noqa: E731
             assert not cut(base).data.flags.c_contiguous
-        base.requires_grad = a_grad
+        base = Tensor(base.data, requires_grad=a_grad)
         w = t64(rng, 6, 5)
         mix = Tensor(rng.standard_normal(cut(base).data.shape[:-1] + (5,)), dtype=np.float64)
 
         def loss(a, b):
-            return tc.sum_all(tc.mul(tc.matmul(cut(a), b), mix))
+            return sum_all(tc.mul(tc.matmul(cut(a), b), mix))
 
         if a_grad:
             assert grad_check(loss, [base, w]) < 1e-4
@@ -1024,12 +1078,14 @@ class TestInPlaceForms:
     @pytest.mark.parametrize("axis", [-1, 0])
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_softmax(self, dtype, axis):
-        x = masked_scores(dtype)
+        """``axis`` of the scores is normalized; axis 0 is moved last by a
+        transposed view, so the input is not contiguous."""
+        x = np.moveaxis(masked_scores(dtype), axis, -1)
         g = np.random.default_rng(1).standard_normal(x.shape).astype(dtype)
         results = []
         for op in (tc.softmax, two_temporary_softmax):
-            a = Tensor(x.copy(), requires_grad=True)
-            y = op(a, axis=axis)
+            a = Tensor(np.moveaxis(masked_scores(dtype), axis, -1), requires_grad=True)
+            y = op(a)
             tc.backward(y, g)
             assert np.array_equal(a.data, x)
             results.append((y.data, a.grad))
@@ -1050,7 +1106,7 @@ class TestInPlaceForms:
         results = []
         for op in (tc.softmax, two_temporary_softmax):
             a, bias = Tensor(x.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
-            y = op(a, axis=-1, bias=bias)
+            y = op(a, bias=bias)
             tc.backward(y, g)
             assert np.array_equal(a.data, x) and np.array_equal(bias.data, b)
             results.append((y.data, a.grad, bias.grad))
@@ -1110,7 +1166,7 @@ class TestSubnormalFlush:
     @staticmethod
     def run(op, x, g):
         a = Tensor(x, requires_grad=True)
-        y = op(a, axis=-1)
+        y = op(a)
         tc.backward(y, g)
         return y.data, a.grad
 
@@ -1130,7 +1186,7 @@ class TestSubnormalFlush:
         x = underflow_scores(dtype)
         targets = np.random.default_rng(3).integers(0, x.shape[1], len(x))
         (loss, ga), (rloss, rga) = (
-            self.run(lambda a, axis: op(a, targets, np.ones(len(x))), x, None)
+            self.run(lambda a: op(a, targets, np.ones(len(x))), x, None)
             for op in (tc.cross_entropy, unflushed_cross_entropy))
         assert np.array_equal(loss, rloss)
         self.check_flushed(ga, rga)
