@@ -10,6 +10,9 @@ the file's values and the flags given, schema defaults for the rest, unset
 (0) values left unresolved.  The echo round-trips through the parser.
 A checkpoint records the resolved model it was trained as; ``eval``,
 ``sample`` and ``train --resume`` refuse one that records another model.
+``train --log`` keeps the records of the steps before the run's first step
+(none on a fresh run) and appends the run's own, so the log of a run
+resumed after a kill holds each step once.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numeric error.
 The --threads flag (or the SVT_THREADS environment variable), a positive
@@ -150,8 +153,7 @@ def model_config_from(conf):
     def axes(key):
         return tuple(conf[f"{key}_{axis}"] for axis in "thw")
 
-    same = ("preset", "n_heads", "d_head", "layers", "channels", "head",
-            "first_slice_decoder", "first_slice_layers")
+    same = ("preset", "n_heads", "d_head", "layers", "channels", "head", "first_slice_layers")
     return M.build_variant(
         conf["variant"], axes("video"), s=axes("subscale"), kernel=axes("kernel"),
         d_e=conf["d_embed"], d=conf["d_model"], mconv=(conf["mconv"],) * 3,
@@ -214,6 +216,29 @@ def _load_for(args):
     return conf, model_config_from(conf)
 
 
+def _keep_log_before(path, start):
+    """Rewrite the train log ``path`` (``data.replace_file``) to its whole
+    record lines of steps before ``start``, the first step of the run that
+    then appends to it: a resumed run redoes the steps after its checkpoint,
+    and a fresh run (``start`` 0) starts an empty log.  A missing log is an
+    empty one; a torn last line is dropped."""
+    import re
+
+    from .data import replace_file
+    from .optim import LOG_FORMAT
+
+    # a whole LOG_FORMAT line, a float's repr as [-+.0-9a-z]+; group 1 is the step
+    record = re.compile(LOG_FORMAT.replace("%d", "([0-9]+)").replace("%r", "([-+.0-9a-z]+)")
+                        + "\n")
+    try:
+        with open(path, encoding="utf-8", errors="replace", newline="") as f:
+            lines = f.readlines()
+    except FileNotFoundError:
+        lines = []
+    keep = [ln for ln in lines if (m := record.fullmatch(ln)) and int(m[1]) < start]
+    replace_file(path, lambda f: f.write("".join(keep).encode()))
+
+
 def _cmd_train(args):
     from . import optim
     from .data import read_container
@@ -225,11 +250,16 @@ def _cmd_train(args):
     start = 0
     if args.resume:
         params, opt, start = optim.load_training_checkpoint(args.resume, cfg)
+    trim = bool(args.log)  # until the first record: a rejected run leaves the log as it was
 
     def log_fn(rec):
+        nonlocal trim
         line = optim.LOG_FORMAT % rec
         print(line)
         if args.log:
+            if trim:
+                _keep_log_before(args.log, start)
+                trim = False
             with open(args.log, "a") as f:
                 f.write(line + "\n")
 
@@ -341,7 +371,8 @@ def build_parser():
     t.add_argument("--data", required=True, help="training container")
     t.add_argument("--out-ckpt", required=True, help="checkpoint output path")
     t.add_argument("--steps", type=SCHEMA["steps"][0], help="override config steps")
-    t.add_argument("--log", default=None, help="append metrics log here")
+    t.add_argument("--log", default=None,
+                   help="metrics log; keeps the records of steps before the start step")
     t.add_argument("--resume", default=None, help="resume from this checkpoint")
     t.add_argument("--dump-config", action="store_true", help="echo config and exit")
     t.set_defaults(fn=_cmd_train)

@@ -30,8 +30,7 @@ SCHEMA = {
     "enc_blocks": (str, ""),      # e.g. "2x8x8;2x8x8"; empty: derived
     "dec_blocks": (str, ""),
     "mconv": (int, 3),
-    "first_slice_decoder": (bool, False),
-    "first_slice_layers": (int, 16),
+    "first_slice_layers": (int, 0),   # 0: no first-slice decoder
     "model_seed": (int, 1),
     # training
     "batch_slices": (int, 64),

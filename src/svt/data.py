@@ -36,34 +36,42 @@ class DataError(Exception):
     """A file failed validation (bad magic, size mismatch, truncation)."""
 
 
-def write_arrays(path, magic, entries):
-    """Write (name, array) ``entries`` in order, each array of a dtype in
-    ``DTYPES``, behind the header.  The bytes go to a new temp file beside
-    ``path``, which is flushed, fsynced and renamed over it with
-    ``os.replace``; if anything raises, the temp file is removed and
-    ``path`` keeps its previous bytes."""
+def replace_file(path, write):
+    """Replace ``path`` atomically with what ``write(f)`` writes to ``f``, a
+    new binary temp file beside ``path``, which is then flushed, fsynced and
+    renamed over ``path`` with ``os.replace``; if anything raises, the temp
+    file is removed and ``path`` keeps its previous bytes."""
     path = os.fspath(path)
     tmp = f"{path}.{secrets.token_hex(4)}.tmp"
     f = open(tmp, "xb")
     try:
         with f:
-            parts = [struct.pack("<I", len(entries))]
-            for name, arr in entries:
-                arr = np.asarray(arr, order="C")
-                enc = name.encode("utf-8")
-                parts += [struct.pack(f"<I{len(enc)}s3sI{arr.ndim}Q", len(enc), enc,
-                                      arr.dtype.str.encode(), arr.ndim, *arr.shape), arr]
-            crc = 0
-            for part in parts:
-                crc = zlib.crc32(part, crc)
-            f.write(HEADER.pack(magic, VERSION, crc))
-            f.writelines(parts)
+            write(f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_arrays(path, magic, entries):
+    """Write (name, array) ``entries`` in order, each array of a dtype in
+    ``DTYPES``, behind the header, through ``replace_file``."""
+    def write(f):
+        parts = [struct.pack("<I", len(entries))]
+        for name, arr in entries:
+            arr = np.asarray(arr, order="C")
+            enc = name.encode("utf-8")
+            parts += [struct.pack(f"<I{len(enc)}s3sI{arr.ndim}Q", len(enc), enc,
+                                  arr.dtype.str.encode(), arr.ndim, *arr.shape), arr]
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+        f.write(HEADER.pack(magic, VERSION, crc))
+        f.writelines(parts)
+
+    replace_file(path, write)
 
 
 def read_arrays(path, magic, kind):

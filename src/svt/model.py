@@ -32,6 +32,7 @@ from .subscale import extract_slice as extract_slice_u8  # noqa: F401
 from .tensor import ConfigError, NumericError, Tensor
 
 N_VALUES = 16  # each split channel holds a 4-bit value
+INIT_STD = 0.02  # the standard deviation of every random initial weight
 
 CHECKPOINT_MAGIC = b"SVTC"
 
@@ -229,7 +230,6 @@ def build_variant(variant, video_shape, preset=DEFAULTS["preset"], s=None, kerne
                   d=0, n_heads=0, d_head=0, layers=0, enc_blocks=None, dec_blocks=None,
                   channels=DEFAULTS["channels"], head=DEFAULTS["head"],
                   mconv=(DEFAULTS["mconv"],) * 3,
-                  first_slice_decoder=DEFAULTS["first_slice_decoder"],
                   first_slice_layers=DEFAULTS["first_slice_layers"], seed=DEFAULTS["model_seed"],
                   **unknown):
     """Assemble a ModelConfig for one of the named variants.
@@ -240,9 +240,9 @@ def build_variant(variant, video_shape, preset=DEFAULTS["preset"], s=None, kerne
     layers to the preset, and the blocks of each stack to ``derived_blocks``
     unless enc_blocks/dec_blocks list their (t, h, w) blocks; a non-zero
     ``layers`` must then equal the listed count.  Both kinds of stack take
-    the preset's wide heads through ``schedule_for``.  With
-    ``first_slice_decoder``, rank-0 slices get a stand-alone decoder of
-    ``first_slice_layers`` layers, which keeps n_heads on every layer.
+    the preset's wide heads through ``schedule_for``.  A non-zero
+    ``first_slice_layers`` gives rank-0 slices a stand-alone decoder of that
+    many layers, which keeps n_heads on every layer; 0 gives none.
     Every integer becomes a Python int here (``as_ints``).
     """
     if preset not in _PRESETS:
@@ -269,11 +269,10 @@ def build_variant(variant, video_shape, preset=DEFAULTS["preset"], s=None, kerne
             raise ConfigError(f"layers = {layers}, but {key} lists {len(blocks)} blocks")
         return schedule_for(blocks, n_heads, d_head, p["wide_heads"])
 
-    if first_slice_decoder and first_slice_layers < 1:
-        raise ConfigError(f"first-slice decoder needs first_slice_layers >= 1, "
-                          f"got {first_slice_layers}")
-    first_sched = (schedule_for(derived_blocks(variant, slice_shape, first_slice_layers),
-                                n_heads, d_head, 0) if first_slice_decoder else [])
+    if first_slice_layers < 0:
+        raise ConfigError(f"first_slice_layers must be >= 0, got {first_slice_layers}")
+    first_sched = schedule_for(derived_blocks(variant, slice_shape, first_slice_layers),
+                               n_heads, d_head, 0)
     return ModelConfig(
         variant=variant, video_shape=video_shape, channels=channels, head=head, s=s,
         kernel=kernel, d_e=d_e, d=d, enc_schedule=sched("enc_blocks", enc_blocks),
@@ -317,16 +316,16 @@ class ParamStore:
         return {k: self._params[f"{prefix}/l{i}/{k}"] for k in LAYER_KEYS}
 
 
-def trunc_normal(rng, shape, std=0.02):
-    """Normal(0, std) with draws beyond 2 std resampled.  Each round
-    redraws the entries still out of range, in raster order, and checks
-    only those again."""
-    x = rng.standard_normal(shape) * std
+def trunc_normal(rng, shape):
+    """Normal(0, INIT_STD) with draws beyond 2 INIT_STD resampled.  Each
+    round redraws the entries still out of range, in raster order, and
+    checks only those again."""
+    x = rng.standard_normal(shape) * INIT_STD
     flat = x.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    bad = np.flatnonzero(np.abs(flat) > 2 * INIT_STD)
     while bad.size:
-        flat[bad] = rng.standard_normal(bad.size) * std
-        bad = bad[np.abs(flat[bad]) > 2 * std]
+        flat[bad] = rng.standard_normal(bad.size) * INIT_STD
+        bad = bad[np.abs(flat[bad]) > 2 * INIT_STD]
     return x.astype(np.float32)
 
 
@@ -423,7 +422,7 @@ def parameter_shapes(cfg):
 # forward pieces
 # ---------------------------------------------------------------------------
 
-def video_onehot(cfg, video):
+def video_onehot(video):
     """(T,H,W,bytes) uint8 video -> (T,H,W,n_channels,16) float32 one-hots."""
     chans = split_channels(video)
     return tc.one_hot(chans, N_VALUES)
@@ -542,10 +541,10 @@ def nll_loss(logits, targets, pixel_mask):
     """Summed negative log-likelihood in nats over unmasked pixels.
 
     logits (B,P,nc,16); targets (B,P,nc) ints; pixel_mask (B,P) with 1 where
-    the pixel contributes.  Returns (loss Tensor, number of unmasked pixels).
+    the pixel contributes.
     """
     m = np.asarray(pixel_mask, dtype=logits.data.dtype)
-    return tc.cross_entropy(logits, targets, m[..., None]), float(m.sum())
+    return tc.cross_entropy(logits, targets, m[..., None])
 
 
 def deterministic_loss(pred, target, pixel_mask):
@@ -580,7 +579,7 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, onehots=None):
     """
     if onehots is None:
         distinct = {id(v): v for v in videos}
-        by_id = {key: Tensor(video_onehot(cfg, v)) for key, v in distinct.items()}
+        by_id = {key: Tensor(video_onehot(v)) for key, v in distinct.items()}
         onehots = [by_id[id(v)] for v in videos]
     first = [_first_slice_decoder(cfg, slice_rank(cfg.s, idx)) for idx in idxs]
     groups = [[b for b, f in enumerate(first) if f == want] for want in (True, False)]
@@ -621,8 +620,9 @@ def slice_loss(cfg, out, targets, mask):
     """(loss Tensor in nats, n_pixels) of the head output ``out`` (logits or
     intensities, (B, P', ...)) against ``slice_targets`` rows of the same B."""
     if cfg.head == "categorical":
-        return nll_loss(out, split_channels(targets).astype(np.int64), mask)
-    loss = deterministic_loss(out, targets.astype(np.float32) / 255.0, mask)
+        loss = nll_loss(out, split_channels(targets).astype(np.int64), mask)
+    else:
+        loss = deterministic_loss(out, targets.astype(np.float32) / 255.0, mask)
     return loss, float(mask.sum())
 
 

@@ -209,7 +209,7 @@ def sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
     values = chans.reshape(Ts * Hs * Ws, cfg.n_channels)  # a view, in raster order
     first = int(np.argmin(primed)) * Hs * Ws  # primed planes lead the slice
     with tc.no_grad():
-        z = M.encode_slices(params, cfg, [Tensor(M.video_onehot(cfg, canvas))], [idx])
+        z = M.encode_slices(params, cfg, [Tensor(M.video_onehot(canvas))], [idx])
         decoder = SliceDecoder(params, cfg, rank, chans, z)
         if cfg.head == "categorical":
             u = slice_uniforms(scfg.seed, video_index, rank, len(values), cfg.n_channels)

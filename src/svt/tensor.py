@@ -1,19 +1,21 @@
 """Dense n-dimensional arrays with reverse-mode automatic differentiation.
 
-A ``Tensor`` wraps a row-major numpy array (float32 by default, float64 for
-verification runs).  With gradients on, every op below also gives its output
-a graph ``Node``: the parents' nodes and a closure that routes the output
-gradient back to them, so a forward pass implicitly builds a DAG of nodes
-and ``backward`` walks it once in reverse topological order, releasing
-each closure as it runs.  A node holds no value of its own; its closure
-keeps only the arrays its backward reads, and only for the gradients that
-are live (``matmul`` keeps ``a`` only if ``b`` needs a gradient;
-``softmax`` keeps its output, not its input; a convolution its input, not
-its patches), so a value that no backward reads is freed as soon as its
-caller drops it, and a swept graph keeps only its bare nodes.
+A ``Tensor`` wraps a row-major numpy array: float32, or float64 for float64
+data (verification runs); other input becomes float32.  With gradients on,
+every op below also gives its output a graph ``Node``: the parents' nodes
+and a closure that routes the output gradient back to them, so a forward
+pass implicitly builds a DAG of nodes and ``backward`` walks it once in
+reverse topological order, releasing each closure as it runs.  A node holds
+no value of its own; its closure keeps only the arrays its backward reads,
+and only for the gradients that are live (``matmul`` keeps ``a`` only if
+``b`` needs a gradient; ``softmax`` keeps its output, not its input; a
+convolution its input, not its patches), so a value that no backward reads
+is freed as soon as its caller drops it, and a swept graph keeps only its
+bare nodes.
 
-Only the operations the video model actually needs are provided: batched
-matmul, softmax over the last axis, layer normalization, ReLU, sigmoid,
+Only the operations the video model actually needs are provided, in the
+forms it calls: sums of two Tensors, products by a constant, batched matmul,
+biased softmax over the last axis, layer normalization, ReLU, sigmoid,
 strided 3D convolution with signed padding, raster-causal masked 3D
 convolution, row gathers, basic indexing, reshapes and concatenation, and
 the model's two losses, each one node: the categorical and the binary
@@ -22,12 +24,12 @@ does the finite-difference check of every analytic gradient.
 
 ``backward`` computes only the gradients some tensor needs: an op with
 several parents skips the gradient of every parent that does not require
-one (a one-hot input, a mask, a frozen weight), rather than forming it and
-dropping it.
+one (a one-hot input, a frozen weight), rather than forming it and
+dropping it; ``mul``'s second operand is always a constant.
 
 Float32 subnormals make BLAS and numpy take slow paths, so they are zeroed
 where they arise: softmax exponentials, the input gradients of softmax and
-``cross_entropy``, ``mul``'s gradients and a batched ``matmul``'s ``b``
+``cross_entropy``, ``mul``'s gradient and a batched ``matmul``'s ``b``
 gradient (an attention layer's dk and dv), so the gradients an attention
 layer passes to its matrix products hold none.
 """
@@ -98,11 +100,9 @@ class Tensor:
 
     __slots__ = ("data", "node")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
         self.node = Node(arr.shape, arr.dtype) if requires_grad else None
@@ -171,13 +171,6 @@ def _accumulate(node, grad):
         node.grad += grad
 
 
-def _wrap(x, like):
-    """Coerce a scalar or array constant to a Tensor matching ``like``'s dtype."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
-
-
 def _unbroadcast(grad, shape):
     """Sum ``grad`` down to ``shape`` along axes numpy broadcasting expanded."""
     while grad.ndim > len(shape):
@@ -240,8 +233,7 @@ def backward(t, seed=None):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    """Elementwise sum; ``b`` may be a constant."""
-    b = _wrap(b, a)
+    """Elementwise sum of two Tensors."""
     na, nb = a.node, b.node
 
     def back(g):
@@ -253,23 +245,18 @@ def add(a, b):
     return _make(a.data + b.data, (na, nb), back)
 
 
-def mul(a, b):
-    """Elementwise product.  A factor below 1 (an attention layer's query
-    scale) turns gradients just above the smallest normal number into
-    subnormals, so the backward flushes them (``_flush_subnormals``).  Each
-    factor is kept only for the other's gradient; ``b`` may be a constant."""
-    b = _wrap(b, a)
-    na, nb = a.node, b.node
-    av = a.data if nb is not None else None
-    bv = b.data if na is not None else None
+def mul(a, c):
+    """Elementwise product of ``a`` and the constant ``c``, a scalar or an
+    array cast to ``a``'s dtype.  A factor below 1 (an attention layer's
+    query scale) turns gradients just above the smallest normal number into
+    subnormals, so the backward flushes them (``_flush_subnormals``)."""
+    na = a.node
+    c = np.asarray(c, dtype=a.data.dtype)
 
     def back(g):
-        if na is not None:
-            _accumulate(na, _unbroadcast(_flush_subnormals(g * bv), na.shape))
-        if nb is not None:
-            _accumulate(nb, _unbroadcast(_flush_subnormals(g * av), nb.shape))
+        _accumulate(na, _unbroadcast(_flush_subnormals(g * c), na.shape))
 
-    return _make(a.data * b.data, (na, nb), back)
+    return _make(a.data * c, (na,), back)
 
 
 def relu(a):
@@ -360,17 +347,17 @@ def _flush_subnormals(x):
     return x
 
 
-def softmax(a, bias=None):
+def softmax(a, bias):
     """Exp-normalize ``a + bias`` along the last axis, stabilized by max
     subtraction.  ``bias``, a Tensor that broadcasts against ``a`` (an
-    attention layer's (heads, n, n) bias), is added into the copy of the
-    input, which is then shifted, exponentiated and normalised in place; its
+    attention layer's (heads, n, n) bias), is added into a new array, which
+    is then shifted, exponentiated and normalised in place; its
     gradient is the input gradient summed over the broadcast axes.
     Subnormal exponentials and input gradients are flushed to 0: a row's
     largest weight is at least 1/n, so the sums they would enter drop them.
     The graph keeps the output, not the input."""
-    na, nbias = a.node, None if bias is None else bias.node
-    y = a.data.copy() if bias is None else a.data + bias.data
+    na, nbias = a.node, bias.node
+    y = a.data + bias.data
     y -= y.max(axis=-1, keepdims=True)
     np.copyto(y, -np.inf, where=y < np.log(np.finfo(y.dtype).tiny))
     np.exp(y, out=y)
@@ -569,9 +556,9 @@ def gather(table, idx):
     return _make(out, (nt,), back)
 
 
-def one_hot(values, n, dtype=np.float32):
-    """Plain one-hot encoding of an integer array (a constant, not an op)."""
-    return np.eye(n, dtype=dtype)[values]
+def one_hot(values, n):
+    """Plain float32 one-hot encoding of an integer array (a constant, not an op)."""
+    return np.eye(n, dtype=np.float32)[values]
 
 
 # ---------------------------------------------------------------------------

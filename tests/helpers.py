@@ -62,6 +62,22 @@ def grad_check(fn, inputs, eps=1e-3, max_entries=None, seed=0):
     return worst
 
 
+def product(a, b):
+    """Elementwise product of two Tensors, one graph node; each factor's
+    gradient is the output gradient times the other factor.  ``tc.mul``
+    takes a constant factor only; losses that multiply two graph values use
+    this."""
+    na, nb, av, bv = a.node, b.node, a.data, b.data
+
+    def back(g):
+        if na is not None:
+            tc._accumulate(na, tc._unbroadcast(g * bv, na.shape))
+        if nb is not None:
+            tc._accumulate(nb, tc._unbroadcast(g * av, nb.shape))
+
+    return tc._make(av * bv, (na, nb), back)
+
+
 def sum_all(a):
     """The sum of every entry of ``a``, one graph node: the scalar loss of
     the gradient checks."""
@@ -184,7 +200,7 @@ def mask_preceding(video, s, idx):
 
 def encode_slice(params, cfg, video, idx):
     """Single-slice ``encode_slices``; returns a (T',H',W',d) Tensor."""
-    z = M.encode_slices(params, cfg, [Tensor(M.video_onehot(cfg, video))], [idx])
+    z = M.encode_slices(params, cfg, [Tensor(M.video_onehot(video))], [idx])
     return tc.reshape(z, z.data.shape[1:])
 
 
@@ -246,7 +262,7 @@ def causality_sweep(params, cfg, video, seed, on_violation=None):
     P = Ts * Hs * Ws
     checked = 0
     for idx in slice_order(cfg.s):
-        leaf = Tensor(M.video_onehot(cfg, video), requires_grad=True)
+        leaf = Tensor(M.video_onehot(video), requires_grad=True)
         _, _, logits = M.forward_slices(params, cfg, [video], [idx],
                                         prime_frames=0, onehots=[leaf])
         for pixel in range(P):
@@ -275,7 +291,7 @@ def masked_decoder_stack(slice_shape, blocks, kernel, rng, d_in=3, d=6):
     T, H, W = slice_shape
 
     def p64(*shape):
-        return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
 
     n_taps = len(tc.masked_taps(kernel))
     kern, kb = p64(n_taps * d_in, d), p64(d)
@@ -289,8 +305,7 @@ def masked_decoder_stack(slice_shape, blocks, kernel, rng, d_in=3, d=6):
             "bias_w": p64(2, 2 * b.w - 1),
             "ln2_gain": p64(d), "ln2_bias": p64(d),
             "t1": p64(d, d), "t2": p64(d, d)})
-    x = Tensor(rng.standard_normal((1, T, H, W, d_in)), requires_grad=True,
-               dtype=np.float64)
+    x = Tensor(rng.standard_normal((1, T, H, W, d_in)), requires_grad=True)
     y = tc.masked_conv3d(x, kern, kb, kernel)
     for spec, lp in zip(specs, layers):
         y = attention_layer(y, lp, spec, causal=True)
@@ -412,8 +427,8 @@ def add_at_conv_input_grad(x, kernel, g, taps, stride, pad):
 def mul_masked_conv3d(x, kernel, bias, extents, stride, pad, out_shape, visible):
     """``tc.conv3d`` of ``x`` multiplied by the (T, H, W) bool ``visible``:
     the masked copy that ``conv3d(..., visible=)`` reads without making."""
-    mask = Tensor(visible[..., None].astype(x.data.dtype))
-    return tc.conv3d(tc.mul(x, mask), kernel, bias, extents, stride, pad, out_shape)
+    return tc.conv3d(tc.mul(x, visible[..., None]), kernel, bias, extents, stride, pad,
+                     out_shape)
 
 
 def einsum_conv_kernel_grad(x, g, taps, stride, pad):
@@ -455,15 +470,15 @@ def batched_matmul(a, b):
     return tc._make(out, (na, nb), back)
 
 
-def two_temporary_softmax(a, bias=None):
+def two_temporary_softmax(a, bias):
     """``tensor.softmax`` with one new array for the sum with ``bias``, one
     for the exponentials and one for the quotient, and no flush of subnormal
     values: the reference for the in-place, flushing form."""
-    x = a.data if bias is None else a.data + bias.data
+    x = a.data + bias.data
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=-1, keepdims=True)
-    na, nbias = a.node, None if bias is None else bias.node
+    na, nbias = a.node, bias.node
 
     def back(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -473,6 +488,12 @@ def two_temporary_softmax(a, bias=None):
         tc._accumulate(na, r)
 
     return tc._make(y, (na, nbias), back)
+
+
+def softmax_alone(a, softmax=tc.softmax):
+    """``softmax`` (``tc.softmax`` or a reference form) of ``a`` with a
+    constant 0-d zero bias of ``a``'s dtype: the softmax of ``a`` alone."""
+    return softmax(a, Tensor(np.zeros((), a.dtype)))
 
 
 def unflushed_cross_entropy(logits, targets, weights):
@@ -615,7 +636,7 @@ def post_scaled_block_attention(z, w_qkv, bias, n_heads, d_head, record=None):
         record.append((np.array(k.data), np.array(v.data), bias.data))
     scores = unflushed_scale(batched_matmul(q, tc.transpose(k, (0, 1, 3, 2))),
                              1.0 / np.sqrt(d_head))
-    att = tc.softmax(tc.add(scores, bias))
+    att = softmax_alone(tc.add(scores, bias))
     out = tc.transpose(batched_matmul(att, v), (0, 2, 1, 3))
     return tc.reshape(out, (G, n_p, n_heads * d_head))
 
@@ -645,10 +666,11 @@ def make_batches(n_videos, s, batch_size, seed):
         epoch += 1
 
 
-def full_rescan_trunc_normal(rng, shape, std=0.02):
+def full_rescan_trunc_normal(rng, shape):
     """``model.trunc_normal`` with every round rescanning the whole array
     for out-of-range draws: the reference for the form that checks only the
     redrawn entries."""
+    std = M.INIT_STD
     x = rng.standard_normal(shape) * std
     bad = np.abs(x) > 2 * std
     while bad.any():
@@ -707,7 +729,7 @@ def reference_sample_slice(params, cfg, canvas, idx, scfg, video_index=0):
     if primed.all():
         return chans
     with tc.no_grad():
-        z = M.encode_slices(params, cfg, [Tensor(M.video_onehot(cfg, canvas))], [idx])
+        z = M.encode_slices(params, cfg, [Tensor(M.video_onehot(canvas))], [idx])
         for t in range(Ts):
             if primed[t]:
                 continue

@@ -42,7 +42,7 @@ def criterion(n, desc, budget_s=None):
 
 
 def t64(rng, *shape):
-    return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
+    return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
 class TestAcceptance:
@@ -53,33 +53,32 @@ class TestAcceptance:
             rng = np.random.default_rng(0)
             worst = {}
 
-            w34 = Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
+            w34 = rng.standard_normal((3, 4))
             x = t64(rng, 3, 4)
             y = t64(rng, 3, 4)
             g = t64(rng, 4)
             b = t64(rng, 4)
-            w35 = Tensor(rng.standard_normal((4, 5)), dtype=np.float64)
-            w43 = Tensor(rng.standard_normal((4, 3)), dtype=np.float64)
-            w38 = Tensor(rng.standard_normal((3, 8)), dtype=np.float64)
-            w32 = Tensor(rng.standard_normal((3, 2)), dtype=np.float64)
-            w25 = Tensor(rng.standard_normal((2, 5)), dtype=np.float64)
+            w35 = Tensor(rng.standard_normal((4, 5)))
+            w43 = rng.standard_normal((4, 3))
+            w38 = rng.standard_normal((3, 8))
+            w32 = rng.standard_normal((3, 2))
+            w25 = rng.standard_normal((2, 5))
             z34 = 1.0 / (1.0 + np.exp(-rng.standard_normal((3, 4))))  # BCE targets
             # 3 entries clamped at each end, the rest in [0.2, 0.8]
             pred = Tensor(np.array([[-0.5, 0.2, 1.3, 0.5], [0.35, -0.1, 0.8, 1.05],
                                     [0.65, 1.5, -0.3, 0.4]]), requires_grad=True)
             idx = rng.integers(0, 3, size=(6,))
-            wg = Tensor(rng.standard_normal((6, 4)), dtype=np.float64)
+            wg = rng.standard_normal((6, 4))
             targets = rng.integers(0, 4, size=3)
-            hot = Tensor(tc.one_hot(np.array([1, 3]), 4, dtype=np.float64),
-                         requires_grad=True)
+            hot = Tensor(tc.one_hot(np.array([1, 3]), 4).astype(np.float64), requires_grad=True)
             checks = {
                 "matmul": (lambda a: sum_all(tc.matmul(a, w35)), [x]),
                 "add": (lambda a, c: sum_all(tc.mul(tc.add(a, c), w34)), [x, y]),
-                "mul": (lambda a, c: sum_all(tc.mul(tc.mul(a, c), w34)), [x, y]),
+                "mul": (lambda a: sum_all(tc.mul(tc.mul(a, y.data), w34)), [x]),
                 "relu": (lambda a: sum_all(tc.mul(tc.relu(a), w34)), [x]),
                 "sigmoid": (lambda a: sum_all(tc.mul(tc.sigmoid(a), w34)), [x]),
                 "sum_all": (lambda a: sum_all(a), [x]),
-                "softmax": (lambda a: sum_all(tc.mul(tc.softmax(a), w34)), [x]),
+                "softmax": (lambda a, bb: sum_all(tc.mul(tc.softmax(a, bb), w34)), [x, b]),
                 "layernorm": (lambda a, gg, bb: sum_all(tc.mul(tc.layernorm(a, gg, bb), w34)), [x, g, b]),
                 "reshape": (lambda a: sum_all(tc.mul(tc.reshape(a, (4, 3)), w43)), [x]),
                 "transpose": (lambda a: sum_all(tc.mul(tc.transpose(a, (1, 0)), w43)), [x]),
@@ -88,7 +87,7 @@ class TestAcceptance:
                 "gather": (lambda a: sum_all(tc.mul(tc.gather(a, idx), wg)), [x]),
                 "cross_entropy": (lambda a: tc.cross_entropy(a, targets, [0.5, 0.0, 2.0]), [x]),
                 "binary_cross_entropy": (lambda a: tc.binary_cross_entropy(
-                    a, z34, np.abs(w34.data)), [pred]),
+                    a, z34, np.abs(w34)), [pred]),
                 "one_hot_leaf": (lambda a: sum_all(tc.mul(tc.matmul(a, w35), w25)), [hot]),
             }
             for name, (fn, inputs) in checks.items():
@@ -112,21 +111,21 @@ class TestAcceptance:
             xc = t64(rng, 1, 3, 4, 4, 2)
             kc = t64(rng, 8 * 2, 3)
             bc = t64(rng, 3)
-            wc = Tensor(rng.standard_normal((1, 2, 2, 2, 3)), dtype=np.float64)
+            wc = rng.standard_normal((1, 2, 2, 2, 3))
             worst["conv3d"] = grad_check(
                 lambda a, k, bb: sum_all(tc.mul(tc.conv3d(
                     a, k, bb, (2, 2, 2), (2, 2, 2), (1, 0, -1), (2, 2, 2)), wc)),
                 [xc, kc, bc])
             n_taps = len(tc.masked_taps((3, 3, 3)))
             km = t64(rng, n_taps * 2, 3)
-            wm = Tensor(rng.standard_normal((1, 3, 4, 4, 3)), dtype=np.float64)
+            wm = rng.standard_normal((1, 3, 4, 4, 3))
             worst["masked_conv3d"] = grad_check(
                 lambda a, k, bb: sum_all(tc.mul(tc.masked_conv3d(a, k, bb, (3, 3, 3)), wm)),
                 [xc, km, bc])
 
             # strided index (slice extraction path)
             vol = t64(rng, 4, 4, 4, 2)
-            wv = Tensor(rng.standard_normal((2, 2, 2, 2)), dtype=np.float64)
+            wv = rng.standard_normal((2, 2, 2, 2))
             key = slice_key(SubscaleFactor(2, 2, 2), (0, 1, 0))
             worst["index_slice"] = grad_check(
                 lambda a: sum_all(tc.mul(tc.index(a, key), wv)), [vol])
@@ -139,7 +138,7 @@ class TestAcceptance:
                 ("bias_w", (2, 3)), ("ln2_gain", (4,)), ("ln2_bias", (4,)),
                 ("t1", (4, 4)), ("t2", (4, 4))]}
             xa = t64(rng, 1, 2, 2, 2, 4)
-            wa = Tensor(rng.standard_normal((1, 2, 2, 2, 4)), dtype=np.float64)
+            wa = rng.standard_normal((1, 2, 2, 2, 4))
             names = sorted(lp)
             worst["attention_layer"] = grad_check(
                 lambda a, *ps: sum_all(tc.mul(attention_layer(
@@ -451,5 +450,5 @@ def _float64_params(cfg, seed):
         data = t.data.astype(np.float64)
         if not data.any():
             data = rng.standard_normal(data.shape) * 0.1
-        out[name] = Tensor(data, requires_grad=True, dtype=np.float64)
+        out[name] = Tensor(data, requires_grad=True)
     return M.ParamStore(out)

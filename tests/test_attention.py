@@ -21,18 +21,18 @@ from svt.tensor import ConfigError, Tensor
 def random_layer_params(rng, d, spec, dtype=np.float64, zero_bias_tables=False):
     na, da, b = spec.n_heads, spec.d_head, spec.block
     def p(*shape):
-        return Tensor(rng.standard_normal(shape) * 0.3, requires_grad=True, dtype=dtype)
+        return Tensor((rng.standard_normal(shape) * 0.3).astype(dtype), requires_grad=True)
     def z(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True, dtype=dtype)
+        return Tensor(np.zeros(shape, dtype), requires_grad=True)
     return {
-        "ln1_gain": Tensor(np.ones(d), requires_grad=True, dtype=dtype),
+        "ln1_gain": Tensor(np.ones(d, dtype), requires_grad=True),
         "ln1_bias": z(d),
         "w_qkv": p(d, 3 * na * da),
         "w_p": p(na * da, d),
         "bias_t": z(na, 2 * b.t - 1) if zero_bias_tables else p(na, 2 * b.t - 1),
         "bias_h": z(na, 2 * b.h - 1) if zero_bias_tables else p(na, 2 * b.h - 1),
         "bias_w": z(na, 2 * b.w - 1) if zero_bias_tables else p(na, 2 * b.w - 1),
-        "ln2_gain": Tensor(np.ones(d), requires_grad=True, dtype=dtype),
+        "ln2_gain": Tensor(np.ones(d, dtype), requires_grad=True),
         "ln2_bias": z(d),
         "t1": p(d, d),
         "t2": p(d, d),
@@ -129,7 +129,7 @@ def shipped_block_shapes():
 
 
 def bias_tables(rng, bs, n_heads, dtype):
-    return [Tensor(rng.standard_normal((n_heads, 2 * e - 1)), requires_grad=True, dtype=dtype)
+    return [Tensor(rng.standard_normal((n_heads, 2 * e - 1)).astype(dtype), requires_grad=True)
             for e in bs]
 
 
@@ -194,10 +194,9 @@ class TestRelativeBiasNode:
         rng = np.random.default_rng(7 + masked)
         tables = bias_tables(rng, bs, 2, np.float64)
         mask = causal_mask(bs) if masked else None
-        w = Tensor(rng.standard_normal((2, bs.size, bs.size)), dtype=np.float64)
+        w = rng.standard_normal((2, bs.size, bs.size))
         # masked entries sit at MASK_NEG, so weigh only the allowed pairs
-        allowed = Tensor(np.broadcast_to(causal_mask(bs) if masked else True,
-                                         w.data.shape).astype(np.float64))
+        allowed = np.broadcast_to(causal_mask(bs) if masked else True, w.shape).astype(np.float64)
         err = grad_check(lambda *t: sum_all(tc.mul(tc.mul(
             relative_bias_matrix(bs, *t, mask), w), allowed)), tables)
         assert err < 1e-4
@@ -291,9 +290,8 @@ class TestBlockAttention:
         w[1, 1] = 1.0   # k = x1
         w[0, 2] = 1.0   # v = x0
         z = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = block_attention(Tensor(z.reshape(1, 2, 2), dtype=np.float64),
-                              Tensor(w, dtype=np.float64),
-                              Tensor(np.zeros((1, 2, 2)), dtype=np.float64), 1, da).data[0]
+        out = block_attention(Tensor(z.reshape(1, 2, 2)), Tensor(w),
+                              Tensor(np.zeros((1, 2, 2))), 1, da).data[0]
         q = z[:, 0]; k = z[:, 1]; v = z[:, 0]
         for i in range(2):
             logits = q[i] * k / np.sqrt(da)
@@ -307,9 +305,9 @@ class TestAttentionLayer:
         rng = np.random.default_rng(7)
         spec = AttentionLayerSpec(BlockShape(2, 2, 2), 2, 3)
         params = random_layer_params(rng, 5, spec)
-        params["w_p"] = Tensor(np.zeros((2 * 3, 5)), dtype=np.float64)
-        params["t2"] = Tensor(np.zeros((5, 5)), dtype=np.float64)
-        x = Tensor(rng.standard_normal((1, 2, 4, 4, 5)), dtype=np.float64)
+        params["w_p"] = Tensor(np.zeros((2 * 3, 5)))
+        params["t2"] = Tensor(np.zeros((5, 5)))
+        x = Tensor(rng.standard_normal((1, 2, 4, 4, 5)))
         out = attention_layer(x, params, spec, causal=False)
         assert np.array_equal(out.data, x.data)
 
@@ -327,9 +325,8 @@ class TestAttentionLayer:
         rng = np.random.default_rng(9)
         spec = AttentionLayerSpec(BlockShape(2, 2, 2), 2, 3)
         params = random_layer_params(rng, 4, spec)
-        x = Tensor(rng.standard_normal((1, 2, 2, 2, 4)), requires_grad=True,
-                   dtype=np.float64)
-        w = Tensor(rng.standard_normal((1, 2, 2, 2, 4)), dtype=np.float64)
+        x = Tensor(rng.standard_normal((1, 2, 2, 2, 4)), requires_grad=True)
+        w = rng.standard_normal((1, 2, 2, 2, 4))
         names = sorted(params)
         def fn(x, *ps):
             p = dict(zip(names, ps))
@@ -345,7 +342,7 @@ class TestAttentionLayer:
         spec = AttentionLayerSpec(BlockShape(*shape), na, da)
         params = random_layer_params(rng, d, spec, zero_bias_tables=True)
         x = rng.standard_normal((1,) + shape + (d,))
-        got = attention_layer(Tensor(x, dtype=np.float64), params, spec,
+        got = attention_layer(Tensor(x), params, spec,
                               causal=False).data.reshape(n_p, d)
 
         # independent numpy reimplementation
@@ -372,7 +369,7 @@ class TestAttentionLayer:
         rng = np.random.default_rng(11)
         spec = AttentionLayerSpec(BlockShape(1, 2, 2), 1, 4)
         params = random_layer_params(rng, 4, spec)
-        x = Tensor(rng.standard_normal((1, 1, 2, 2, 4)), dtype=np.float64)
+        x = Tensor(rng.standard_normal((1, 1, 2, 2, 4)))
         causal = attention_layer(x, params, spec, causal=True)
         full = attention_layer(x, params, spec, causal=False)
         # the raster-last position may attend everywhere: identical output row
@@ -387,8 +384,7 @@ class TestAttentionLayer:
         P = 8
         for order in ([0, 1], [1, 0]):
             for p in range(P):
-                x = Tensor(rng.standard_normal((1,) + shape + (4,)),
-                           requires_grad=True, dtype=np.float64)
+                x = Tensor(rng.standard_normal((1,) + shape + (4,)), requires_grad=True)
                 y = x
                 for i in order:
                     y = attention_layer(y, params[i], specs[i], causal=True)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from svt import cli
 from svt.config import SCHEMA
 from svt.data import read_container, write_container
+from svt.model import load_checkpoint
 from svt.tensor import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -508,6 +509,24 @@ class TestCommands:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert not log.exists()
 
+    def test_log_keeps_whole_records_before_the_start_step(self, tmp_path):
+        """A run's log keeps the whole record lines of the steps before its
+        first: later steps, other lines and a torn last line go, and a fresh
+        run's log starts empty."""
+        from svt.optim import LOG_FORMAT
+        rec = [LOG_FORMAT % (k, 1500.25 - k, 288, 8.0 - k / 64, 40 + k) + "\n"
+               for k in range(8)]
+        log = tmp_path / "train.log"
+        log.write_text("".join(rec[:2]) + "note\n" + "".join(rec[2:4] + rec[6:])
+                       + rec[4][:-2])
+        cli._keep_log_before(log, 5)
+        assert log.read_text() == "".join(rec[:4])
+        cli._keep_log_before(log, 0)
+        assert log.read_text() == ""
+        cli._keep_log_before(tmp_path / "new.log", 3)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.log", "train.log"]
+        assert (tmp_path / "new.log").read_text() == ""
+
     @pytest.mark.parametrize("command", ["train", "eval", "sample", "analyze"])
     def test_dump_config_flag(self, tiny_setup, command):
         tmp, config, data = tiny_setup
@@ -577,6 +596,53 @@ class TestCommands:
                     "--frames", 4, "--height", 8, "--width", 8)
         assert r.returncode == 2
         assert "error[io]" in r.stderr
+
+
+class TestFirstSliceKey:
+    """``first_slice_layers`` alone selects the first-slice decoder: 0, the
+    default, gives none."""
+
+    def test_two_layers_train_evaluate_and_sample(self, tiny_setup):
+        tmp, _, data = tiny_setup
+        config = tmp / "first.cfg"
+        config.write_text(tiny_config_with("first_slice_layers = 2\nsteps = 2"))
+        ckpt = tmp / "first.ckpt"
+        r = run_cli("--threads", 1, "train", "--config", config, "--data", data,
+                    "--out-ckpt", ckpt)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.count("step=") == 2
+        assert any(name.startswith("dec0/l1/") for name in load_checkpoint(ckpt))
+        r = run_cli("eval", "--config", config, "--ckpt", ckpt, "--data", data)
+        assert r.returncode == 0, r.stderr
+        out = tmp / "first.svt"
+        r = run_cli("sample", "--config", config, "--ckpt", ckpt, "--prime-video", data,
+                    "--out", out)
+        assert r.returncode == 0, r.stderr
+        assert read_container(out)[0].shape == (4, 8, 8, 3)
+
+    def test_the_former_switch_is_an_unknown_key(self, tiny_setup):
+        tmp, _, data = tiny_setup
+        config = tmp / "switch.cfg"
+        config.write_text(tiny_config_with("first_slice_decoder = true"))
+        r = run_cli("train", "--config", config, "--data", data, "--out-ckpt", tmp / "m.ckpt")
+        assert r.returncode == cli.EXIT_CONFIG
+        assert "unknown key 'first_slice_decoder'" in r.stderr
+
+    def test_negative_layers_are_a_config_error(self, tmp_path):
+        config = tmp_path / "negative.cfg"
+        config.write_text(tiny_config_with("first_slice_layers = -1"))
+        with pytest.raises(ConfigError, match="first_slice_layers must be >= 0, got -1"):
+            cli.model_config_from(cli.load_config(config))
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_shipped_configs_dump_zero_layers(self, tmp_path, capsys, config):
+        assert cli.main(["analyze", "--config", str(config), "--dump-config"]) == 0
+        echoed = capsys.readouterr().out
+        assert "first_slice_layers = 0\n" in echoed and "first_slice_decoder" not in echoed
+        again = tmp_path / "echo.cfg"
+        again.write_text(echoed)
+        assert cli.load_config(again) == cli.load_config(config)
+        assert not cli.model_config_from(cli.load_config(again)).first_slice_schedule
 
 
 class TestThreadsAndNumeric:

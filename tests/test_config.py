@@ -25,7 +25,7 @@ PINNED_SCHEMA = {
     "kernel_t": (int, 0), "kernel_h": (int, 0), "kernel_w": (int, 0),
     "d_embed": (int, 0), "d_model": (int, 0), "n_heads": (int, 0), "d_head": (int, 0),
     "layers": (int, 0), "enc_blocks": (str, ""), "dec_blocks": (str, ""),
-    "mconv": (int, 3), "first_slice_decoder": (bool, False), "first_slice_layers": (int, 16),
+    "mconv": (int, 3), "first_slice_layers": (int, 0),
     "model_seed": (int, 1),
     "batch_slices": (int, 64), "steps": (int, 1000), "train_seed": (int, 0),
     "prime_frames": (int, 1), "lr": (float, 2e-5), "rms_decay": (float, 0.95),

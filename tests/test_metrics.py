@@ -225,5 +225,5 @@ class TestEvaluate:
 EVAL_CONFIGS = {
     "rgb": tiny_config,
     "gray-deterministic": lambda: tiny_config(channels="gray", head="deterministic"),
-    "first-slice-decoder": lambda: tiny_config(first_slice_decoder=True, first_slice_layers=2),
+    "first-slice-decoder": lambda: tiny_config(first_slice_layers=2),
 }

@@ -388,7 +388,7 @@ class TestFirstSliceDecoder:
     that mix rank-0 and later slices."""
 
     def setup_method(self):
-        self.cfg = tiny_config(first_slice_decoder=True, first_slice_layers=2)
+        self.cfg = tiny_config(first_slice_layers=2)
         self.videos = [np.random.default_rng(20 + i).integers(0, 256, (4, 8, 8, 3))
                        .astype(np.uint8) for i in range(2)]
         self.tcfg = O.TrainConfig(steps=3, batch_slices=8, train_seed=2, prime_frames=1)

@@ -226,7 +226,7 @@ class TestSampleVideo:
                          SampleConfig(prime_frames=1, temperature=0.9, seed=0))
 
     def test_first_slice_decoder_sampling(self):
-        cfg, ps = make_model(first_slice_decoder=True, first_slice_layers=2)
+        cfg, ps = make_model(first_slice_layers=2)
         video = np.zeros((4, 8, 8, 3), dtype=np.uint8)
         out, _ = sample_video(ps, cfg, video, SampleConfig(
             prime_frames=1, temperature=1.0, seed=3))
@@ -244,8 +244,7 @@ class TestSampleVideo:
 SMALL = dict(d_e=12, d=16, n_heads=2, d_head=8, layers=2, seed=5)
 DIFFERENTIAL_CONFIGS = {
     "tiny-rgb": lambda: tiny_config(),
-    "first-slice-decoder": lambda: tiny_config(first_slice_decoder=True,
-                                               first_slice_layers=2),
+    "first-slice-decoder": lambda: tiny_config(first_slice_layers=2),
     "deterministic-gray": lambda: tiny_config(channels="gray", head="deterministic"),
     "spatial": lambda: M.build_variant("spatial", (4, 8, 8), **SMALL),
     "single-frame": lambda: M.build_variant("single_frame", (4, 8, 8), **SMALL),
@@ -458,7 +457,7 @@ def decoder_reach(params, cfg, video, idx):
     """(P', P') bool: [p, q] True iff the decoder output at slice position p
     has a nonzero gradient in the one-hot of slice position q, traced
     through ``forward_slices``'s ``onehots=`` leaf."""
-    leaf = Tensor(M.video_onehot(cfg, video), requires_grad=True)
+    leaf = Tensor(M.video_onehot(video), requires_grad=True)
     decoded = []
     decode = M.decode_slices
 
