@@ -11,6 +11,9 @@ Masked (decoder) layers allow position i to attend to j iff j's global
 raster index is <= i's.  Attending to self is safe because the decoder input
 representation never contains the current pixel's value (the masked
 convolution in front of the stack excludes its center).
+
+No name outlives the last reader of its activation, so a forward without a
+graph frees each one once it is read for the last time.
 """
 
 from dataclasses import dataclass
@@ -121,20 +124,21 @@ def block_attention(z, w_qkv, bias, n_heads, d_head, record=None):
     (G, n_heads, n_p, d_head), bias the (n_heads, n_p, n_p) ``bias`` values.
     """
     G, n_p, d = z.data.shape
-    qkv = tc.matmul(z, w_qkv)  # (G, n_p, 3*n_heads*d_head)
-    qkv = tc.reshape(qkv, (G, n_p, 3, n_heads, d_head))
+    qkv = tc.reshape(tc.matmul(z, w_qkv), (G, n_p, 3, n_heads, d_head))
+    del z
     # split before transposing, so the index nodes' parent is C-contiguous
     q, k, v = (tc.transpose(tc.index(qkv, np.s_[:, :, i]), (0, 2, 1, 3)) for i in range(3))
+    del qkv  # v keeps the product's array until the weights have read it
     if record is not None:
         record.append((np.array(k.data), np.array(v.data), bias.data))
-    # no name holds the scaled queries, so without a graph they are freed
-    # once the product is formed (on the canonical model they are as large
-    # as the scores)
-    scores = tc.matmul(tc.mul(q, 1.0 / np.sqrt(d_head)), tc.transpose(k, (0, 1, 3, 2)))
-    att = tc.softmax(scores, bias=bias)  # bias broadcast over G
+    # the scaled queries and the scores are never named: each is freed once
+    # read (on the canonical model both are as large as the attention weights)
+    att = tc.softmax(tc.matmul(tc.mul(q, 1.0 / np.sqrt(d_head)), tc.transpose(k, (0, 1, 3, 2))),
+                     bias=bias)  # bias broadcast over G
+    del q, k
     out = tc.matmul(att, v)  # (G, heads, n_p, d_head)
-    out = tc.transpose(out, (0, 2, 1, 3))
-    return tc.reshape(out, (G, n_p, n_heads * d_head))
+    del att, v
+    return tc.reshape(tc.transpose(out, (0, 2, 1, 3)), (G, n_p, n_heads * d_head))
 
 
 def attention_layer(x, params, spec, causal, record=None):
@@ -148,17 +152,18 @@ def attention_layer(x, params, spec, causal, record=None):
     B = x.data.shape[0]
     slice_shape = x.data.shape[1:4]
     bs = spec.block
-    zb = block_partition(x, bs)
-    normed = tc.layernorm(zb, params["ln1_gain"], params["ln1_bias"])
+    z = block_partition(x, bs)  # zb
     bias = relative_bias_matrix(bs, params["bias_t"], params["bias_h"], params["bias_w"],
                                 causal_mask(bs) if causal else None)
-    heads = block_attention(normed, params["w_qkv"], bias, spec.n_heads, spec.d_head,
-                            record)
-    ztil = tc.add(tc.matmul(heads, params["w_p"]), zb)
-    ff = tc.layernorm(ztil, params["ln2_gain"], params["ln2_bias"])
+    heads = block_attention(tc.layernorm(z, params["ln1_gain"], params["ln1_bias"]),
+                            params["w_qkv"], bias, spec.n_heads, spec.d_head, record)
+    z = tc.add(tc.matmul(heads, params["w_p"]), z)  # ztil
+    del heads
+    ff = tc.layernorm(z, params["ln2_gain"], params["ln2_bias"])
     ff = tc.matmul(tc.relu(tc.matmul(ff, params["t1"])), params["t2"])
-    out = tc.add(ff, ztil)
-    return block_merge(out, bs, slice_shape, B)
+    z = tc.add(ff, z)
+    del ff
+    return block_merge(z, bs, slice_shape, B)
 
 
 def block_slots(slice_shape, bs):

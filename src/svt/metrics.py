@@ -21,8 +21,8 @@ from .subscale import check_frame_left, slice_order, slice_rank
 from .tensor import ConfigError, NumericError, Tensor
 
 # Slice positions per forward_slices call in evaluate: one canonical 4x32x32
-# slice.  A canonical no-grad forward peaks near 435 MB RSS for one slice and
-# grows about 200 MB per extra slice while its time stays linear, so larger
+# slice.  A canonical no-grad forward peaks near 331 MB RSS for one slice and
+# grows about 117 MB per extra slice while its time stays linear, so larger
 # chunks buy nothing there; a 2x8x8 desk slice fits 32 to a call.
 EVAL_POSITIONS = 4096
 

@@ -444,17 +444,18 @@ def encode_slices(params, cfg, onehots, idxs):
     preceding it in the generation order are visible to the encoder.  The
     conv reads the one-hot itself through its visibility mask, so an entry
     makes no masked copy, and the graph keeps one one-hot per video.
+    ``onehots`` is read once, so an iterator frees them before the layers.
     """
     ranks = np.array([slice_rank(cfg.s, idx) for idx in idxs])
     if _first_slice_decoder(cfg, ranks[0]):
         return None
-    z0 = []
-    for oh, idx in zip(onehots, idxs, strict=True):
-        x = tc.reshape(oh, (1, *cfg.video_shape, cfg.input_channels))
-        z0.append(tc.conv3d(x, params["enc/conv_kernel"], params["enc/conv_bias"], cfg.kernel,
-                            cfg.s, context_padding(cfg.kernel, idx), cfg.slice_shape,
-                            visible=visibility_mask(cfg.video_shape, cfg.s, idx)))
-    z = z0[0] if len(z0) == 1 else tc.concat(z0, axis=0)
+    z = [tc.conv3d(tc.reshape(oh, (1, *cfg.video_shape, cfg.input_channels)),
+                   params["enc/conv_kernel"], params["enc/conv_bias"], cfg.kernel, cfg.s,
+                   context_padding(cfg.kernel, idx), cfg.slice_shape,
+                   visible=visibility_mask(cfg.video_shape, cfg.s, idx))
+         for oh, idx in zip(onehots, idxs, strict=True)]
+    del onehots
+    z = z[0] if len(z) == 1 else tc.concat(z, axis=0)
     z = _add_positional(z, params["enc/pos_t"], params["enc/pos_h"], params["enc/pos_w"])
     se = tc.gather(params["enc/slice_embed"], ranks)  # (B, d_e)
     z = tc.add(z, tc.reshape(se, (len(idxs), 1, 1, 1, cfg.d_e)))
@@ -487,13 +488,14 @@ def decode_slices(params, cfg, x, z, rank, record=None):
     (see ``attention.block_attention``).
     """
     prefix, schedule = decoder_for(cfg, rank)
-    emb = tc.matmul(x, params[f"{prefix}/chan_embed"])  # summed channel embeddings
-    y = tc.masked_conv3d(emb, params[f"{prefix}/mconv_kernel"],
+    y = tc.matmul(x, params[f"{prefix}/chan_embed"])  # summed channel embeddings
+    y = tc.masked_conv3d(y, params[f"{prefix}/mconv_kernel"],
                          params[f"{prefix}/mconv_bias"], cfg.mconv)
     y = _add_positional(y, params[f"{prefix}/pos_t"], params[f"{prefix}/pos_h"],
                         params[f"{prefix}/pos_w"])
     if z is not None:
         y = tc.add(y, tc.matmul(z, params[f"{prefix}/z_proj"]))
+    del z
     for i, spec in enumerate(schedule):
         y = attention_layer(y, params.layer(prefix, i), spec, causal=True,
                             record=record)
@@ -570,20 +572,18 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, onehots=None):
     """Teacher-forced forward for a batch of (video, slice index) pairs.
 
     Returns (loss Tensor in nats, n_pixels, logits-or-intensity Tensor).
-    The model sees one ``video_onehot`` Tensor per distinct video object
-    (``onehots``, if given: one per batch entry, gradient leaves that let
-    tests trace what reaches a logit) and cuts each slice from it; the uint8
-    videos give the targets.  A mixed batch runs the first-slice decoder's
-    slices, then the rest, each in batch order; their outputs are merged
-    into batch order and one ``slice_loss`` scores the whole batch.
+    Each decoder group sees one ``video_onehot`` Tensor per distinct video
+    object (``onehots``, if given: one per batch entry, gradient leaves that
+    let tests trace what reaches a logit) and cuts each slice from it; the
+    uint8 videos give the targets.  A mixed batch runs the first-slice
+    decoder's slices, then the rest, each in batch order; their outputs are
+    merged into batch order and one ``slice_loss`` scores the whole batch.
     """
-    if onehots is None:
-        distinct = {id(v): v for v in videos}
-        by_id = {key: Tensor(video_onehot(v)) for key, v in distinct.items()}
-        onehots = [by_id[id(v)] for v in videos]
     first = [_first_slice_decoder(cfg, slice_rank(cfg.s, idx)) for idx in idxs]
     groups = [[b for b, f in enumerate(first) if f == want] for want in (True, False)]
-    outs = [_forward_group(params, cfg, [onehots[b] for b in g], [idxs[b] for b in g])
+    # a group's one-hots are built in the call, so that only it holds them
+    outs = [_forward_group(params, cfg, _video_onehots([videos[b] for b in g]) if onehots is None
+                           else [onehots[b] for b in g], [idxs[b] for b in g])
             for g in groups if g]
     rows = np.argsort(groups[0] + groups[1])  # batch entry -> row of the group outputs
     out = outs[0] if len(outs) == 1 else tc.gather(tc.concat(outs, axis=0), rows)
@@ -591,16 +591,24 @@ def forward_slices(params, cfg, videos, idxs, prime_frames=0, onehots=None):
     return loss, n_pix, out
 
 
+def _video_onehots(videos):
+    """One ``video_onehot`` Tensor per distinct video object, listed per entry."""
+    built = {key: Tensor(video_onehot(v)) for key, v in {id(v): v for v in videos}.items()}
+    return [built[id(v)] for v in videos]
+
+
 def _forward_group(params, cfg, onehots, idxs):
-    """Head outputs of a batch of slices that all use one decoder."""
+    """Head outputs of a batch of slices that all use one decoder.  The cut is
+    a copy, and the encoder gets the one-hots as an iterator that frees them
+    once its conv has read them (a first-slice group's when the group ends)."""
     B = len(idxs)
     P = int(np.prod(cfg.slice_shape))
-    cuts = [tc.reshape(tc.index(oh, slice_key(cfg.s, idx)),
-                       (1, *cfg.slice_shape, cfg.input_channels))
-            for oh, idx in zip(onehots, idxs, strict=True)]
-    x = cuts[0] if B == 1 else tc.concat(cuts, axis=0)
-    z = encode_slices(params, cfg, onehots, idxs)
-    y = decode_slices(params, cfg, x, z, slice_rank(cfg.s, idxs[0]))
+    x = tc.concat([tc.reshape(tc.index(oh, slice_key(cfg.s, idx)),
+                              (1, *cfg.slice_shape, cfg.input_channels))
+                   for oh, idx in zip(onehots, idxs, strict=True)], axis=0)
+    onehots = iter(onehots)
+    y = decode_slices(params, cfg, x, encode_slices(params, cfg, onehots, idxs),
+                      slice_rank(cfg.s, idxs[0]))
     if cfg.head == "categorical":
         return head_logits(params, cfg, y, tc.reshape(x, (B, P, cfg.input_channels)))
     return head_intensity(params, cfg, y)

@@ -186,9 +186,15 @@ def zero_grads(tensors):
         t.grad = None
 
 
-def backward(t, seed=None):
-    """Reverse-mode sweep from ``t``'s node; accumulates into the ``.grad``
-    of leaves.
+def backward(t):
+    """Reverse-mode sweep from ``t``'s node, seeded with ones (``_sweep``)."""
+    if t.node is not None:
+        _sweep(t.node, np.ones(t.node.shape, t.node.dtype))
+
+
+def _sweep(root, seed):
+    """Reverse-mode sweep from ``root`` with output gradient ``seed``;
+    accumulates into the ``.grad`` of leaves.
 
     Visits each node exactly once, children before parents.  The sweep
     consumes the graph: an op node's closure is released once it has run,
@@ -197,9 +203,6 @@ def backward(t, seed=None):
     theirs.  A second sweep through a consumed node raises ``RuntimeError``
     before any gradient moves.
     """
-    root = t.node
-    if root is None:
-        return
     topo = []
     visited = set()
     stack = [(root, False)]
@@ -218,8 +221,6 @@ def backward(t, seed=None):
         for p in node.parents:
             if p not in visited:
                 stack.append((p, False))
-    if seed is None:
-        seed = np.ones(root.shape, root.dtype)
     _accumulate(root, np.asarray(seed, dtype=root.dtype))
     for node in reversed(topo):
         back, node.backward = node.backward, None

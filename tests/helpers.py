@@ -1,7 +1,8 @@
 """Shared test harnesses: the finite-difference gradient checker and the
 ``sum_all`` loss it checks through, graph walks (the nodes, the bytes a
-graph keeps alive, and the backward sweep that keeps the graph for tests
-that sweep it again), causality sweeps,
+graph keeps alive, the backward sweep that keeps the graph for tests that
+sweep it again, and the library sweep from a given output gradient), the
+``tracemalloc`` peak of one call, causality sweeps,
 analyzer gradient oracles, bool-matrix analyzer references and the bool
 form of the analyzer's packed rows, the full-recompute reference sampler,
 the one-slice-per-call evaluator, and the reference and single-slice forms
@@ -10,6 +11,7 @@ chain with the scale and the bias as nodes of their own, and hand-built bytes
 of the framed file format."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -108,6 +110,23 @@ def clear_graph_grads(t):
     be swept backward again with a different seed."""
     for node in graph_nodes(t):
         node.grad = None
+
+
+def seeded_backward(t, seed):
+    """``tc.backward`` from the output gradient ``seed`` instead of ones:
+    the library's own consuming sweep (``tc._sweep``)."""
+    if t.node is not None:
+        tc._sweep(t.node, seed)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, bytes): ``fn(*args, **kwargs)`` and the ``tracemalloc`` peak
+    of the memory allocated during the call and live at one time."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_backward(t, seed=None):

@@ -17,7 +17,6 @@ PROGRAM = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"
 ALLOWED = {
     ("cli", "main", "argv"): "the entry point: the console script calls main()",
     ("model", "forward_slices", "onehots"): "the causality suite's gradient seam",
-    ("tensor", "backward", "seed"): "ROADMAP item 4 gives it a caller in src/svt",
 }
 
 

@@ -1,7 +1,6 @@
 """Dependency analyzer: reachability vs gradients, blind spots, encoder
 connectivity, monotonicity."""
 
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (bool_conv_window_edges, bool_dependency_graph, bool_find_blind_spots,
                      bool_verify_encoder_connectivity, gradient_reachability, packed_rows,
-                     reach_matrix)
+                     reach_matrix, traced_peak)
 from svt.attention import BlockShape
 from svt.connectivity import (DependencyReport, _reaches_forward, conv_window_edges,
                               dependency_graph, find_blind_spots, report_text,
@@ -182,13 +181,8 @@ class TestReportText:
         (P, P) matrix alone would be 256 MiB)."""
         cfg = build_variant("spatiotemporal", (16, 128, 128))
         P = int(np.prod(cfg.slice_shape))
-        tracemalloc.start()
-        try:
-            text = report_text(cfg.slice_shape, cfg.dec_schedule, cfg.mconv,
-                               enc_schedule=cfg.enc_schedule, max_pairs=8, stack="both")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        text, peak = traced_peak(report_text, cfg.slice_shape, cfg.dec_schedule, cfg.mconv,
+                                 enc_schedule=cfg.enc_schedule, max_pairs=8, stack="both")
         assert text.encode() == (GOLDEN / "analyze-16x128x128.txt").read_bytes()
         assert peak <= 2 * P * -(-P // 64) * 8, peak / 2**20
 
@@ -279,11 +273,6 @@ class TestPackedRows:
         would be 8 times the rows.)"""
         shape = (4, 16, 32)
         blocks = blocks_of([(4, 4, 8), (1, 16, 4), (2, 8, 8), (4, 4, 8)])
-        tracemalloc.start()
-        try:
-            rep = dependency_graph(shape, blocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rep, peak = traced_peak(dependency_graph, shape, blocks)
         assert rep.reach.nbytes == 2048 * 2048 // 8
         assert peak <= 3 * rep.reach.nbytes, peak / rep.reach.nbytes

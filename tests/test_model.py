@@ -14,7 +14,7 @@ import helpers
 from helpers import (REFERENCE_ATTENTION, REFERENCE_OPS, clear_graph_grads, decode_slice,
                      encode_slice, entry_bytes, grad_check, graph_bytes, is_subnormal,
                      predict_channels, reference_backward, reference_sample_slice, seal,
-                     sum_all, tiny_config, two_temporary_softmax)
+                     sum_all, tiny_config, traced_peak, two_temporary_softmax)
 from svt import attention, cli, data, metrics, optim, sampler
 from svt import model as M
 from svt import tensor as tc
@@ -834,6 +834,53 @@ class TestReferenceOps:
         shipped, reference = self.shipped_and_reference(monkeypatch, run, self.TRAIN_OPS)
         assert len(shipped) == len(reference) > 0
         assert sum(shipped) == 0 and sum(reference) > 0
+
+
+class TestForwardMemory:
+    """A forward without a graph frees each activation after its last reader."""
+
+    def _setup(self):
+        cfg = M.build_variant("spatiotemporal", (8, 32, 32), s=(2, 2, 2), d_e=32, d=128,
+                              n_heads=8, d_head=64, enc_blocks=[(4, 8, 4)] * 2,
+                              dec_blocks=[(4, 8, 4)] * 2)
+        params = M.init_params(cfg, head_init="normal")
+        rng = np.random.default_rng(41)
+        video = rng.integers(0, 256, (*cfg.video_shape, cfg.bytes_per_pixel)).astype(np.uint8)
+        return cfg, params, video, slice_order(cfg.s)[3]
+
+    def test_peak_is_one_layer_of_activations(self):
+        """On a 4x16x16 slice in 4x8x4 blocks (d = 128, 8 heads of 64, so the
+        qkv product is the largest array), the peak of a no-grad forward is
+        what one attention layer needs at once: its input, the blocked copy,
+        the qkv product, the scores and the softmax output, and the softmax's
+        bool mask, plus the bias matrix and two layer-sized arrays of slack.
+        The video one-hot, the encoder output and the heads are gone by then
+        (the parameters are allocated before the trace)."""
+        cfg, params, video, idx = self._setup()
+        spec = cfg.dec_schedule[0]
+        P, G, n_p = int(np.prod(cfg.slice_shape)), 8, spec.block.size
+        layer = P * cfg.d * 4
+        qkv = P * 3 * spec.n_heads * spec.d_head * 4
+        scores = G * spec.n_heads * n_p * n_p * 4
+        bias = spec.n_heads * n_p * n_p * 4
+        bound = 2 * layer + qkv + 2 * scores + scores // 4 + bias + 2 * layer
+        with tc.no_grad():
+            (loss, _, _), peak = traced_peak(M.forward_slices, params, cfg, [video], [idx])
+        assert np.isfinite(loss.item())
+        assert peak <= bound, (peak / 2**20, bound / 2**20)
+
+    def test_single_slice_cut_is_a_copy(self, monkeypatch):
+        """The decoder input of a one-slice batch shares no memory with the
+        video one-hot, so the cut does not keep the one-hot alive."""
+        cfg, params, video, idx = self._setup()
+        onehot = Tensor(M.video_onehot(video))
+        seen = []
+        decode = M.decode_slices
+        monkeypatch.setattr(M, "decode_slices",
+                            lambda p, c, x, *a, **k: seen.append(x.data) or decode(p, c, x, *a, **k))
+        with tc.no_grad():
+            M.forward_slices(params, cfg, [video], [idx], onehots=[onehot])
+        assert len(seen) == 1 and not np.shares_memory(seen[0], onehot.data)
 
 
 class TestTrainingGraph:

@@ -18,7 +18,8 @@ from helpers import (add_at_conv_input_grad, add_at_gather_grad, batched_matmul,
                      einsum_conv_kernel_grad, grad_check, graph_bytes, graph_nodes,
                      masked_decoder_stack, mul_masked_conv3d, out_of_place_layernorm, product,
                      is_subnormal, out_of_place_layernorm_array, put_along_axis_one_hot,
-                     reference_backward, relative_bias_indices, softmax_alone, sum_all,
+                     reference_backward, relative_bias_indices, seeded_backward, softmax_alone,
+                     sum_all,
                      three_exp_sigmoid, two_temporary_softmax, unflushed_cross_entropy,
                      zero_filled_index)
 from svt import cli, data, optim
@@ -234,7 +235,7 @@ class TestMaskedConv3d:
 def conv_input_grad(conv, x, kernel, g):
     """x.grad of ``conv(x, kernel, zero bias)`` swept back from g."""
     xt = Tensor(x, requires_grad=True)
-    tc.backward(conv(xt, Tensor(kernel), Tensor(np.zeros(kernel.shape[1], x.dtype))), g)
+    seeded_backward(conv(xt, Tensor(kernel), Tensor(np.zeros(kernel.shape[1], x.dtype))), g)
     return xt.grad
 
 
@@ -305,7 +306,7 @@ def assert_matches_reference(got, want):
 def conv_kernel_grad(conv, x, kernel, g):
     """kernel.grad of ``conv(x, kernel, zero bias)`` swept back from g."""
     kt = Tensor(kernel, requires_grad=True)
-    tc.backward(conv(Tensor(x), kt, Tensor(np.zeros(kernel.shape[1], x.dtype))), g)
+    seeded_backward(conv(Tensor(x), kt, Tensor(np.zeros(kernel.shape[1], x.dtype))), g)
     return kt.grad
 
 
@@ -373,7 +374,7 @@ class TestConvVisible:
         back from ``g``."""
         xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kernel, bias))
         out = conv(xt, kt, bt)
-        tc.backward(out, g)
+        seeded_backward(out, g)
         return out.data, kt.grad, bt.grad, xt.grad
 
     def check(self, rng, dtype, x_shape, cout, extents, stride, pad, out_shape, visible):
@@ -433,7 +434,7 @@ class TestConvVisible:
 def gather_grad(table, idx, g):
     """table.grad of ``gather(table, idx)`` swept back from g."""
     t = Tensor(table, requires_grad=True)
-    tc.backward(tc.gather(t, idx), g)
+    seeded_backward(tc.gather(t, idx), g)
     return t.grad
 
 
@@ -502,7 +503,7 @@ class TestIndexIntoGradBuffer:
         loss = terms[0]
         for term in terms[1:]:
             loss = tc.add(loss, term)  # (3, 2, 5, 4): the parts broadcast
-        tc.backward(loss, rng.standard_normal(loss.data.shape).astype(dtype))
+        seeded_backward(loss, rng.standard_normal(loss.data.shape).astype(dtype))
         (g_parent,) = seen
         return g_parent, leaf.grad
 
@@ -518,7 +519,7 @@ class TestIndexIntoGradBuffer:
         """On a leaf, the index gradient adds to the gradient it holds."""
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         x.grad = np.ones((2, 3))
-        tc.backward(tc.index(x, (1, slice(0, 2))), np.array([5.0, 7.0]))
+        seeded_backward(tc.index(x, (1, slice(0, 2))), np.array([5.0, 7.0]))
         assert np.array_equal(x.grad, [[1, 1, 1], [6, 8, 1]])
 
 
@@ -589,7 +590,7 @@ class TestDeadGradients:
 
         def grads(live):
             ts = [Tensor(a, requires_grad=flag) for a, flag in zip(arrays, live)]
-            tc.backward(fn(*ts), g)
+            seeded_backward(fn(*ts), g)
             return [t.grad for t in ts]
 
         full = grads([True] * len(arrays))
@@ -799,9 +800,10 @@ class TestBackwardConsumesGraph:
 
     def test_reference_sweep_matches_first_sweep(self):
         """On the ``gradient_reachability`` stack, every leaf's gradient
-        from ``reference_backward`` equals ``tc.backward``'s bit for bit."""
+        from ``reference_backward`` equals the library sweep's
+        (``seeded_backward``) bit for bit."""
         grads = []
-        for sweep in (reference_backward, tc.backward):
+        for sweep in (reference_backward, seeded_backward):
             rng = np.random.default_rng(5)
             _, yf = masked_decoder_stack((2, 4, 4), [BlockShape(1, 2, 2), BlockShape(2, 1, 2)],
                                          (3, 3, 3), rng)
@@ -928,7 +930,7 @@ def weight_product_layouts(config, train):
     ``train`` also on the batch of all slices of each decoder (a desk
     training batch holds 8).  While recording, every matmul returns zeros
     and softmax and layernorm return their input, so even the canonical
-    forward costs little."""
+    forward costs little.  Each 5-D layout comes with a strided twin."""
     cfg = cli.model_config_from(cli.load_config(CONFIGS / config))
     params = M.init_params(cfg, head_init="normal")
     rng = np.random.default_rng(0)
@@ -954,6 +956,13 @@ def weight_product_layouts(config, train):
         mp.setattr(tc, "layernorm", lambda a, gain, bias: a)
         for idxs in batches:
             M.forward_slices(params, cfg, [video] * len(idxs), idxs, prime_frames=1)
+    # the model's operands are all C-contiguous (a slice cut is a copy), so
+    # each 5-D one also gets a strided twin: the view of a cut that is not
+    # copied, every other entry on the three volume axes of a larger volume
+    for shape, _, b_shape in list(seen):
+        if len(shape) == 5:
+            volume = np.empty((shape[0], *(2 * n for n in shape[1:4]), shape[4]), np.float32)
+            seen.add((shape, volume[:, ::2, ::2, ::2].strides, b_shape))
     return sorted(seen)
 
 
@@ -1005,7 +1014,7 @@ class TestWeightGemm:
             grads = []
             for op in (tc.matmul, batched_matmul):
                 at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-                tc.backward(op(at, bt), g)
+                seeded_backward(op(at, bt), g)
                 grads.append((at.grad, bt.grad))
             (ga, gb), (ra, rb) = grads
             assert_matches_reference(ga, ra)
@@ -1084,7 +1093,7 @@ class TestInPlaceForms:
         for op in (tc.softmax, two_temporary_softmax):
             a = Tensor(np.moveaxis(masked_scores(dtype), axis, -1), requires_grad=True)
             y = softmax_alone(a, op)
-            tc.backward(y, g)
+            seeded_backward(y, g)
             assert np.array_equal(a.data, x)
             results.append((y.data, a.grad))
         (y, ga), (ry, rga) = results
@@ -1105,7 +1114,7 @@ class TestInPlaceForms:
         for op in (tc.softmax, two_temporary_softmax):
             a, bias = Tensor(x.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
             y = op(a, bias=bias)
-            tc.backward(y, g)
+            seeded_backward(y, g)
             assert np.array_equal(a.data, x) and np.array_equal(bias.data, b)
             results.append((y.data, a.grad, bias.grad))
         for got, want in zip(*results):
@@ -1121,7 +1130,7 @@ class TestInPlaceForms:
         for op in (tc.layernorm, out_of_place_layernorm):
             ts = [Tensor(v.copy(), requires_grad=True) for v in (x, gain, bias)]
             y = op(*ts)
-            tc.backward(y, g)
+            seeded_backward(y, g)
             for t, v in zip(ts, (x, gain, bias)):
                 assert np.array_equal(t.data, v)
             results.append([y.data] + [t.grad for t in ts])
@@ -1165,7 +1174,7 @@ class TestSubnormalFlush:
     def run(op, x, g):
         a = Tensor(x, requires_grad=True)
         y = op(a)
-        tc.backward(y, g)
+        seeded_backward(y, g)
         return y.data, a.grad
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -1185,7 +1194,7 @@ class TestSubnormalFlush:
         x = underflow_scores(dtype)
         targets = np.random.default_rng(3).integers(0, x.shape[1], len(x))
         (loss, ga), (rloss, rga) = (
-            self.run(lambda a: op(a, targets, np.ones(len(x))), x, None)
+            self.run(lambda a: op(a, targets, np.ones(len(x))), x, np.ones((), dtype))
             for op in (tc.cross_entropy, unflushed_cross_entropy))
         assert np.array_equal(loss, rloss)
         self.check_flushed(ga, rga)
@@ -1201,17 +1210,17 @@ class TestSubnormalGradientFlush:
         tiny = np.finfo(dtype).tiny
         g = (np.random.default_rng(5).uniform(1, 8, (6, 8)) * tiny).astype(dtype)
         a = Tensor(np.ones_like(g), requires_grad=True)
-        tc.backward(tc.mul(a, 0.25), g)
+        seeded_backward(tc.mul(a, 0.25), g)
         want = g * dtype(0.25)
         TestSubnormalFlush.check_flushed(a.grad, want)
 
     def test_mul_of_0d(self):
         """The product of two 0-d arrays is a numpy scalar; it is flushed too."""
         a = Tensor(np.float32(2.0), requires_grad=True)
-        tc.backward(tc.mul(a, 3.0), np.float32(np.finfo(np.float32).tiny))
+        seeded_backward(tc.mul(a, 3.0), np.float32(np.finfo(np.float32).tiny))
         assert a.grad == 3 * np.finfo(np.float32).tiny
         tc.zero_grads([a])
-        tc.backward(tc.mul(a, 0.25), np.float32(np.finfo(np.float32).tiny))
+        seeded_backward(tc.mul(a, 0.25), np.float32(np.finfo(np.float32).tiny))
         assert a.grad == 0
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -1224,7 +1233,7 @@ class TestSubnormalGradientFlush:
         g = rng.uniform(-1, 1, (2, 3, 4, 2)).astype(dtype)
         g[..., 0, :] = 0  # the only normal row reaches no gradient
         a = Tensor(att, requires_grad=True)
-        tc.backward(tc.matmul(a, v), g)
+        seeded_backward(tc.matmul(a, v), g)
         want = np.matmul(np.swapaxes(att, -1, -2), g)
         TestSubnormalFlush.check_flushed(v.grad, want)
         assert np.array_equal(a.grad, np.matmul(g, np.swapaxes(v.data, -1, -2)))
@@ -1286,5 +1295,5 @@ class TestOneExpForms:
         y = tc.sigmoid(a)
         want = three_exp_sigmoid(x)
         assert y.data.dtype == want.dtype and np.array_equal(y.data, want)
-        tc.backward(y, np.ones_like(x))
+        seeded_backward(y, np.ones_like(x))
         assert np.array_equal(a.grad, want * (1.0 - want))
