@@ -73,18 +73,6 @@ def _pin_threads(threads):
 # flat config files
 # ---------------------------------------------------------------------------
 
-def _parse_value(key, raw):
-    kind = SCHEMA[key][0]
-    raw = raw.strip()
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected true/false for {key}, got {raw!r}")
-    return kind(raw)
-
-
 def load_config(path):
     from .tensor import ConfigError
 
@@ -111,7 +99,7 @@ def load_config(path):
                               f"{seen[key]})")
         seen[key] = ln_no
         try:
-            conf[key] = _parse_value(key, raw)
+            conf[key] = SCHEMA[key][0](raw)  # str, int or float
         except ValueError as e:
             raise ConfigError(f"{path}:{ln_no}: bad value for {key}: {e}") from e
     return conf
@@ -124,8 +112,7 @@ def with_flags(conf, args):
 
 
 def dump_config(conf):
-    return "".join(f"{k} = {str(conf[k]).lower() if isinstance(conf[k], bool) else conf[k]}\n"
-                   for k in SCHEMA)
+    return "".join(f"{k} = {conf[k]}\n" for k in SCHEMA)
 
 
 def _parse_blocks(key, text):

@@ -158,7 +158,6 @@ def _largest_divisor_leq(n, cap):
     for d in range(cap, 0, -1):
         if n % d == 0:
             return d
-    return 1
 
 
 def _scaled_blocks(slice_shape, divisors):

@@ -1,17 +1,16 @@
 """Dense n-dimensional arrays with reverse-mode automatic differentiation.
 
-A ``Tensor`` wraps a row-major numpy array: float32, or float64 for float64
-data (verification runs); other input becomes float32.  With gradients on,
-every op below also gives its output a graph ``Node``: the parents' nodes
-and a closure that routes the output gradient back to them, so a forward
-pass implicitly builds a DAG of nodes and ``backward`` walks it once in
-reverse topological order, releasing each closure as it runs.  A node holds
-no value of its own; its closure keeps only the arrays its backward reads,
-and only for the gradients that are live (``matmul`` keeps ``a`` only if
-``b`` needs a gradient; ``softmax`` keeps its output, not its input; a
-convolution its input, not its patches), so a value that no backward reads
-is freed as soon as its caller drops it, and a swept graph keeps only its
-bare nodes.
+A ``Tensor`` wraps a row-major numpy array of float32, or of float64 in
+verification runs.  With gradients on, every op below also gives its output
+a graph ``Node``: the parents' nodes and a closure that routes the output
+gradient back to them, so a forward pass implicitly builds a DAG of nodes
+and ``backward`` walks it once in reverse topological order, releasing each
+closure as it runs.  A node holds no value of its own; its closure keeps
+only the arrays its backward reads, and only for the gradients that are live
+(``matmul`` keeps ``a`` only if ``b`` needs a gradient; ``softmax`` keeps
+its output, not its input; a convolution its input, not its patches), so a
+value that no backward reads is freed as soon as its caller drops it, and a
+swept graph keeps only its bare nodes.
 
 Only the operations the video model actually needs are provided, in the
 forms it calls: sums of two Tensors, products by a constant, batched matmul,
@@ -101,15 +100,8 @@ class Tensor:
     __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
-        self.data = arr
-        self.node = Node(arr.shape, arr.dtype) if requires_grad else None
-
-    @property
-    def requires_grad(self):
-        return self.node is not None
+        self.data = np.asarray(data)
+        self.node = Node(self.data.shape, self.data.dtype) if requires_grad else None
 
     @property
     def grad(self):
@@ -132,19 +124,8 @@ class Tensor:
     def _backward(self, fn):
         self.node.backward = fn
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self):
         return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
 
 def _make(data, parents, backward):
@@ -574,10 +555,11 @@ def read_only(a):
 
 @cache
 def _conv_index_map(in_shape, taps, stride, pad, out_shape):
-    """Flat gather indices (P_out*K,) into a zero-padded flat input.
+    """Flat gather indices (P_out*K,) into the flat input.
 
-    Out-of-bounds taps point at the sentinel row ``N`` (kept all-zero), which
-    realizes both zero padding and negative (window-shifting) padding.
+    Out-of-bounds taps point at the sentinel row ``N``, which reads as zero
+    (``_patches``), realizing both zero padding and negative
+    (window-shifting) padding.
     Cached per geometry (``taps`` a tuple of (t, h, w) tuples); the array is
     read-only.
     """
@@ -613,11 +595,14 @@ def _scatter_taps(gp, idx_k, n, dtype):
 
 def _patches(x, idx, K):
     """(B, P_out, K*Cin) patches of the (B, T, H, W, Cin) array ``x`` at the
-    flat index map ``idx``: a zero row is appended as the sentinel."""
+    flat index map ``idx``, gathered from ``x`` itself: a tap at the
+    sentinel row ``n`` reads row ``n - 1`` and is then zeroed, so no padded
+    copy of ``x`` is made."""
     B, cin = x.shape[0], x.shape[-1]
     n = x.size // (B * cin)
-    flat = np.concatenate([x.reshape(B, n, cin), np.zeros((B, 1, cin), dtype=x.dtype)], axis=1)
-    return flat[:, idx, :].reshape(B, -1, K * cin)
+    p = np.take(x.reshape(B, n, cin), np.minimum(idx, n - 1), axis=1)
+    p[:, idx == n] = 0
+    return p.reshape(B, -1, K * cin)
 
 
 def _conv_core(x, kernel, bias, taps, stride, pad, out_shape, visible=None):

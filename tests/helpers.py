@@ -512,7 +512,7 @@ def two_temporary_softmax(a, bias):
 def softmax_alone(a, softmax=tc.softmax):
     """``softmax`` (``tc.softmax`` or a reference form) of ``a`` with a
     constant 0-d zero bias of ``a``'s dtype: the softmax of ``a`` alone."""
-    return softmax(a, Tensor(np.zeros((), a.dtype)))
+    return softmax(a, Tensor(np.zeros((), a.data.dtype)))
 
 
 def unflushed_cross_entropy(logits, targets, weights):
@@ -638,7 +638,7 @@ def gathered_relative_bias_matrix(bs, table_t, table_h, table_w, mask=None):
     it, ih, iw = relative_bias_indices(bs)
     bias = tc.add(tc.add(gathered(table_t, it), gathered(table_h, ih)), gathered(table_w, iw))
     if mask is not None:
-        bias = tc.add(bias, Tensor(np.where(mask, 0.0, MASK_NEG).astype(bias.dtype)))
+        bias = tc.add(bias, Tensor(np.where(mask, 0.0, MASK_NEG).astype(bias.data.dtype)))
     return bias
 
 

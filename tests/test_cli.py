@@ -150,7 +150,6 @@ def load_or_config_error(path):
 _VALUES = {
     int: st.integers(-2 ** 63, 2 ** 63),
     float: st.floats(allow_nan=False),
-    bool: st.booleans(),
     str: st.text(st.characters(exclude_categories=("Cs",), exclude_characters="#\r\n"),
                  max_size=12).filter(lambda t: t == t.strip()),
 }

@@ -42,6 +42,11 @@ class TestOneTable:
             assert SCHEMA[key][0] is kind and type(SCHEMA[key][1]) is kind, key
             assert SCHEMA[key][1] == default, key
 
+    def test_every_kind_parses_from_its_text(self):
+        """A config value is its kind applied to the file's text, so a kind
+        must be str, int or float: ``bool("false")`` is True."""
+        assert {kind for kind, _ in SCHEMA.values()} <= {str, int, float}
+
     def test_defaults_are_read_only(self):
         assert dict(DEFAULTS) == {k: v for k, (_, v) in SCHEMA.items()}
         with pytest.raises(TypeError):

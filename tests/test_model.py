@@ -869,6 +869,23 @@ class TestForwardMemory:
         assert np.isfinite(loss.item())
         assert peak <= bound, (peak / 2**20, bound / 2**20)
 
+    def test_encoder_conv_keeps_no_padded_copy(self):
+        """On a 16x32x32 video in 4x2x2 slices (d = 128, 4 heads of 64) the
+        encoder conv's patches, 16 taps of each 4x16x16 slice position, are
+        as large as the video one-hot, and the no-grad forward peaks at that
+        conv: the one-hot and the patches, without a padded copy of the
+        one-hot (which made the peak 3.1 one-hots)."""
+        cfg = M.build_variant("spatiotemporal", (16, 32, 32), s=(4, 2, 2), d=128, n_heads=4,
+                              d_head=64, enc_blocks=[(4, 8, 4)] * 2, dec_blocks=[(4, 8, 4)] * 2)
+        params = M.init_params(cfg, head_init="normal")
+        video = np.random.default_rng(41).integers(0, 256, (*cfg.video_shape, 3)).astype(np.uint8)
+        onehot = M.video_onehot(video).nbytes
+        with tc.no_grad():
+            (loss, _, _), peak = traced_peak(M.forward_slices, params, cfg, [video],
+                                             [slice_order(cfg.s)[3]])
+        assert np.isfinite(loss.item())
+        assert peak < 2.5 * onehot, peak / onehot
+
     def test_single_slice_cut_is_a_copy(self, monkeypatch):
         """The decoder input of a one-slice batch shares no memory with the
         video one-hot, so the cut does not keep the one-hot alive."""

@@ -537,7 +537,7 @@ class TestIndexParents:
         index, contiguous = tc.index, []
 
         def recording(a, key):
-            if a.requires_grad:
+            if a.node is not None:
                 contiguous.append(a.data.flags.c_contiguous)
             return index(a, key)
 
@@ -751,7 +751,7 @@ class TestGraphMechanics:
         x = Tensor(np.ones(3), requires_grad=True)
         with tc.no_grad():
             y = tc.add(x, x)
-        assert y._backward is None and not y.requires_grad
+        assert y._backward is None and y.node is None
 
     def test_requires_grad_is_read_only(self):
         x = Tensor(np.ones(3))
